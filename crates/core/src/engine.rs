@@ -284,8 +284,8 @@ pub struct PerfStats {
     pub peak_calendar: usize,
     /// Peak number of locks held in the lock table at once.
     pub peak_lock_table: usize,
-    /// Calendar operation counters: schedules, pops, cancels, and the
-    /// near-lane vs overflow-heap split.
+    /// Calendar operation counters: schedules, pops, and the near-lane vs
+    /// overflow-heap split (`cancels` is always 0).
     pub calendar: CalendarStats,
     /// CPU request/dispatch hops elided by the idle-server fast path.
     pub elided_cpu_hops: u64,
@@ -485,49 +485,8 @@ impl Simulator {
             let Some((now, ev)) = self.cal.pop() else {
                 break Ok(());
             };
-            self.events += 1;
-            let events = self.events;
-            let exceeded = if budget.max_events.is_some_and(|cap| events > cap) {
-                Some(BudgetKind::Events)
-            } else if budget
-                .max_sim_time
-                .is_some_and(|cap| now.since(SimTime::ZERO) > cap)
-            {
-                Some(BudgetKind::SimTime)
-            } else if events % Self::WALL_CHECK_PERIOD == 1 {
-                // Periodic checks: the wall clock (Instant::now costs more
-                // than an event dispatch) and the shared event pool, which
-                // is charged one block ahead at the same cadence.
-                if budget
-                    .max_wall_clock
-                    .is_some_and(|cap| started.elapsed() > cap)
-                {
-                    Some(BudgetKind::WallClock)
-                } else if let Some(p) = &pool {
-                    if p.try_charge(crate::EventPool::BLOCK) {
-                        pool_charged += crate::EventPool::BLOCK;
-                        None
-                    } else {
-                        Some(BudgetKind::Pool)
-                    }
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            if let Some(exceeded) = exceeded {
-                if exceeded == BudgetKind::Pool {
-                    // The event that tripped the check was never run;
-                    // settle the pool for the events actually processed.
-                    self.events -= 1;
-                }
-                break Err(RunError::BudgetExhausted {
-                    exceeded,
-                    events: self.events,
-                    sim_time: now,
-                    wall_clock: started.elapsed(),
-                });
+            if let Err(err) = self.count_event(now, budget, &pool, &mut pool_charged, started) {
+                break Err(err);
             }
             self.now = now;
             self.prof.switch(Stage::Handle);
@@ -535,19 +494,63 @@ impl Simulator {
             self.prof.switch(Stage::Pop);
         };
         self.prof.stop();
-        if let Some(p) = &pool {
-            // Settle: refund the pre-charged events that never ran (or
-            // charge the tail that ran past the last block boundary).
-            if pool_charged > self.events {
-                p.refund(pool_charged - self.events);
-            } else if self.events > pool_charged && !p.try_charge(self.events - pool_charged) {
-                // The tail overdraws an exhausted pool: drain what's left
-                // so `consumed` never exceeds the pool's capacity.
-                let _ = p.try_charge(p.remaining());
-            }
-        }
+        self.settle_pool(&pool, pool_charged);
         self.run_wall = started.elapsed();
         result
+    }
+
+    /// Count the event about to run at `now` and check the run budget:
+    /// event and sim-time ceilings on every event, the wall clock and the
+    /// shared event pool (charged one block ahead) every
+    /// [`Self::WALL_CHECK_PERIOD`] events. On a trip the event is not run
+    /// and the error carries the stop point. Both loops go through here,
+    /// so their budget stops are byte-identical.
+    #[inline]
+    fn count_event(
+        &mut self,
+        now: SimTime,
+        budget: crate::RunBudget,
+        pool: &Option<crate::EventPool>,
+        pool_charged: &mut u64,
+        started: std::time::Instant,
+    ) -> Result<(), RunError> {
+        self.events += 1;
+        let events = self.events;
+        let exceeded = if budget.max_events.is_some_and(|cap| events > cap) {
+            BudgetKind::Events
+        } else if budget
+            .max_sim_time
+            .is_some_and(|cap| now.since(SimTime::ZERO) > cap)
+        {
+            BudgetKind::SimTime
+        } else if events % Self::WALL_CHECK_PERIOD != 1 {
+            return Ok(());
+        } else if budget
+            .max_wall_clock
+            .is_some_and(|cap| started.elapsed() > cap)
+        {
+            BudgetKind::WallClock
+        } else {
+            match pool {
+                None => return Ok(()),
+                Some(p) if p.try_charge(crate::EventPool::BLOCK) => {
+                    *pool_charged += crate::EventPool::BLOCK;
+                    return Ok(());
+                }
+                Some(_) => {
+                    // The event that tripped the check never runs; settle
+                    // the pool for the events actually processed.
+                    self.events -= 1;
+                    BudgetKind::Pool
+                }
+            }
+        };
+        Err(RunError::BudgetExhausted {
+            exceeded,
+            events: self.events,
+            sim_time: now,
+            wall_clock: started.elapsed(),
+        })
     }
 
     /// Settle the shared event pool at loop exit: refund pre-charged
@@ -840,10 +843,9 @@ impl Simulator {
         }
     }
 
-    /// Apply one event inside a window merge, replicating the sequential
-    /// loop's per-event budget discipline exactly — same check order, same
-    /// counters, same pool-charge cadence — so budget stops are
-    /// byte-identical to [`Simulator::run_loop_seq`].
+    /// Apply one event inside a window merge. The budget check is the
+    /// sequential loop's own ([`Simulator::count_event`]), so budget stops
+    /// are byte-identical to [`Simulator::run_loop_seq`].
     #[allow(clippy::too_many_arguments)]
     fn merge_one(
         &mut self,
@@ -856,53 +858,11 @@ impl Simulator {
         started: std::time::Instant,
         shared: &WindowShared,
     ) -> Result<(), RunError> {
-        self.events += 1;
-        let events = self.events;
-        let exceeded = if budget.max_events.is_some_and(|cap| events > cap) {
-            Some(BudgetKind::Events)
-        } else if budget
-            .max_sim_time
-            .is_some_and(|cap| now.since(SimTime::ZERO) > cap)
-        {
-            Some(BudgetKind::SimTime)
-        } else if events % Self::WALL_CHECK_PERIOD == 1 {
-            // Same cadence as the sequential loop; additionally mirror the
-            // count into the shared atomic so worker lanes can observe run
-            // progress (the engine's own counter stays a plain u64).
-            shared.events_mirror.store(events, Ordering::Relaxed);
-            if budget
-                .max_wall_clock
-                .is_some_and(|cap| started.elapsed() > cap)
-            {
-                Some(BudgetKind::WallClock)
-            } else if let Some(p) = pool {
-                if p.try_charge(crate::EventPool::BLOCK) {
-                    *pool_charged += crate::EventPool::BLOCK;
-                    None
-                } else {
-                    Some(BudgetKind::Pool)
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if let Some(exceeded) = exceeded {
-            if exceeded == BudgetKind::Pool {
-                // The event that tripped the check never ran; settle the
-                // pool for the events actually processed.
-                self.events -= 1;
-            }
+        if let Err(err) = self.count_event(now, budget, pool, pool_charged, started) {
             // Tell the lanes the run is over so they stop speculating
             // windows that can never be applied.
             shared.budget_near.store(true, Ordering::SeqCst);
-            return Err(RunError::BudgetExhausted {
-                exceeded,
-                events: self.events,
-                sim_time: now,
-                wall_clock: started.elapsed(),
-            });
+            return Err(err);
         }
         self.now = now;
         self.prof.switch(stage);
@@ -2389,6 +2349,14 @@ mod tests {
                 confidence: ccsim_stats::Confidence::Ninety,
             })
             .with_seed(1234)
+    }
+
+    #[test]
+    fn event_is_16_bytes() {
+        // Calendar nodes carry the event inline; a variant that grows it
+        // grows every pending calendar node, which at 10^6 pending events
+        // is tens of MiB of resident memory.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
     }
 
     #[test]

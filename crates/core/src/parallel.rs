@@ -162,12 +162,6 @@ pub(crate) struct WindowShared {
     pub poisoned: AtomicBool,
     /// Per-lane busy nanoseconds (lane 0 = merge thread's speculation help).
     pub busy_ns: [AtomicU64; MAX_LANES],
-    /// Event count mirrored by the merge thread at the sequential loop's
-    /// budget-poll cadence (every [`crate::Simulator`] `WALL_CHECK_PERIOD`
-    /// events), so worker lanes can observe run progress without the
-    /// engine's plain `u64` counter ever being shared. Diagnostic +
-    /// budget-gate input; never read back by the merge thread.
-    pub events_mirror: AtomicU64,
     /// Set when a budget or shared-pool ceiling trips: lanes stop burning
     /// cycles speculating windows that will never be applied.
     pub budget_near: AtomicBool,
@@ -185,7 +179,6 @@ impl WindowShared {
             stop: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             busy_ns: Default::default(),
-            events_mirror: AtomicU64::new(0),
             budget_near: AtomicBool::new(false),
         }
     }

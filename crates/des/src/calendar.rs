@@ -5,32 +5,29 @@
 //! simulations fully deterministic.
 //!
 //! Internally the calendar is **two-tiered** (a calendar-queue / ladder
-//! hybrid): a bounded ring of *near-horizon* time buckets fronting an
-//! indexed **4-ary min-heap** overflow tier, both over stable event
-//! *slots*:
+//! hybrid): a bounded ring of *near-horizon* time buckets fronting a
+//! **4-ary min-heap** overflow tier:
 //!
-//! * Nodes are small `(time, seq, slot)` records ordered by `(time, seq)`.
-//!   The `seq` counter is global across both tiers, so FIFO tie-breaking
-//!   is preserved no matter which tier an event lands in.
+//! * Nodes are `(time, seq, event)` records ordered by `(time, seq)`; the
+//!   payload rides inline, so a pop reads exactly the node it removes and
+//!   touches no side table. The `seq` counter is global across both
+//!   tiers, so FIFO tie-breaking is preserved no matter which tier an
+//!   event lands in.
 //! * Schedules within [`NEAR_BUCKETS`] buckets of the clock (each bucket
 //!   spans `2^BUCKET_SHIFT` µs — a ~262 ms horizon) append to a ring
 //!   bucket in O(1); everything farther out goes to the heap. In the
 //!   paper's model the dominant traffic — CPU/disk service completions in
 //!   the tens of milliseconds — lands in the lane, while second-scale
 //!   think-time arrivals and batch boundaries take the heap. `pop`
-//!   compares the lane's minimum against the heap's live root and takes
-//!   the global `(time, seq)` minimum, so delivery order is identical to
-//!   a single heap.
-//! * A 4-ary heap layout halves the tree depth of a binary heap and keeps
-//!   the four children of a node in at most two cache lines, so the
+//!   compares the lane's minimum against the heap's root and takes the
+//!   global `(time, seq)` minimum, so delivery order is identical to a
+//!   single heap.
+//! * A 4-ary heap layout halves the tree depth of a binary heap, so the
 //!   pop-side sift touches far less memory than `BinaryHeap` did.
-//! * Event payloads live in a slot arena addressed by the nodes. A slot
-//!   is recycled through a free list when its event is delivered or
-//!   cancelled, so the steady-state schedule/pop cycle allocates nothing.
-//! * [`Calendar::cancel`] is O(1) in both tiers: it empties the slot and
-//!   bumps its generation; the matching node becomes *stale* and is
-//!   discarded when it surfaces (heap root or lane-bucket scan). There is
-//!   no tombstone set to hash into on the hot pop path.
+//! * There is no cancellation: every scheduled event is delivered. A
+//!   simulation that must ignore an event once it is delivered (a
+//!   completion for an aborted attempt) tags the payload — the engine
+//!   uses attempt epochs — and drops it on arrival.
 
 use crate::time::SimTime;
 
@@ -51,7 +48,8 @@ pub struct CalendarStats {
     pub schedules: u64,
     /// Total events delivered by [`Calendar::pop`].
     pub pops: u64,
-    /// Successful cancellations (pending events withdrawn).
+    /// Always 0: the calendar has no cancellation. Kept so that reports
+    /// and archived counter dumps keep their shape.
     pub cancels: u64,
     /// Schedules that landed in the near-horizon lane.
     pub lane_schedules: u64,
@@ -63,65 +61,29 @@ pub struct CalendarStats {
     pub heap_pops: u64,
 }
 
-/// Handle to a scheduled event, usable with [`Calendar::cancel`].
-///
-/// Packs the event's slot index and the slot's generation at scheduling
-/// time; a stale handle (delivered, cancelled, or recycled slot) never
-/// matches again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-impl EventId {
-    fn new(slot: u32, generation: u32) -> Self {
-        EventId((u64::from(generation) << 32) | u64::from(slot))
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & 0xFFFF_FFFF) as usize
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// One heap node: the ordering key plus the slot holding the payload.
+/// One calendar node: the ordering key plus the payload.
 #[derive(Debug, Clone, Copy)]
-struct Node {
+struct Node<E> {
     at: SimTime,
     seq: u64,
-    slot: u32,
+    event: E,
 }
 
-impl Node {
+impl<E> Node<E> {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
     }
 }
 
-/// A payload slot. `seq` identifies the occupant; `event` is `None` once
-/// the occupant was cancelled (the slot is then already on the free list,
-/// waiting for its stale node to surface and be discarded). `in_lane`
-/// records which tier holds the occupant's node so cancellation can keep
-/// the lane's live count exact.
-#[derive(Debug)]
-struct Slot<E> {
-    generation: u32,
-    seq: u64,
-    in_lane: bool,
-    event: Option<E>,
-}
-
 /// One ring bucket of the near-horizon lane. `bucket` is the *absolute*
 /// bucket index currently mapped onto this ring slot (`u64::MAX` when
-/// unused); after a full ring rotation a slot is reclaimed by clearing any
-/// leftover nodes — provably all stale, since a bucket that far behind the
-/// clock lies entirely in the popped past.
+/// unused); a slot is remapped only once its old bucket lies in the
+/// popped past, so it is always empty by then.
 #[derive(Debug)]
-struct LaneBucket {
+struct LaneBucket<E> {
     bucket: u64,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<E>>,
     /// Set when the min-scan first parks on this bucket: `nodes` is then
     /// a binary min-heap by `(time, seq)` — pops take the root, late
     /// schedules into the bucket sift in, both O(log bucket). Until then
@@ -136,7 +98,7 @@ struct LaneBucket {
 
 // -- per-bucket binary-heap primitives (by `(time, seq)` key) -----------
 
-fn bucket_sift_up(nodes: &mut [Node], mut i: usize) {
+fn bucket_sift_up<E: Copy>(nodes: &mut [Node<E>], mut i: usize) {
     let node = nodes[i];
     let key = node.key();
     while i > 0 {
@@ -151,7 +113,7 @@ fn bucket_sift_up(nodes: &mut [Node], mut i: usize) {
     nodes[i] = node;
 }
 
-fn bucket_sift_down(nodes: &mut [Node], mut i: usize) {
+fn bucket_sift_down<E: Copy>(nodes: &mut [Node<E>], mut i: usize) {
     let len = nodes.len();
     let node = nodes[i];
     let key = node.key();
@@ -173,13 +135,13 @@ fn bucket_sift_down(nodes: &mut [Node], mut i: usize) {
     nodes[i] = node;
 }
 
-fn bucket_heapify(nodes: &mut [Node]) {
+fn bucket_heapify<E: Copy>(nodes: &mut [Node<E>]) {
     for i in (0..nodes.len() / 2).rev() {
         bucket_sift_down(nodes, i);
     }
 }
 
-fn bucket_pop_root(nodes: &mut Vec<Node>) -> Node {
+fn bucket_pop_root<E: Copy>(nodes: &mut Vec<Node<E>>) -> Node<E> {
     let root = nodes.swap_remove(0);
     if !nodes.is_empty() {
         bucket_sift_down(nodes, 0);
@@ -199,38 +161,33 @@ fn bucket_pop_root(nodes: &mut Vec<Node>) -> Node {
 /// assert_eq!((t, e), (SimTime::from_secs(1), "first"));
 /// ```
 pub struct Calendar<E> {
-    heap: Vec<Node>,
+    heap: Vec<Node<E>>,
     /// When false, every schedule goes to the overflow heap — the
     /// single-tier baseline for ablation runs (see [`Calendar::heap_only`]).
     use_lane: bool,
     /// Near-horizon ring, indexed by `absolute_bucket % NEAR_BUCKETS`.
-    lane: Vec<LaneBucket>,
-    /// Live events currently stored in the lane (exact, not counting
-    /// stale leftovers awaiting purge).
-    lane_live: usize,
-    /// Scan cursor: no live lane event sits in a bucket below this index.
+    lane: Vec<LaneBucket<E>>,
+    /// Events currently stored in the lane.
+    lane_len: usize,
+    /// Scan cursor: no lane event sits in a bucket below this index.
     /// Lowered on schedule into an earlier bucket, advanced as the
     /// min-scan walks past drained buckets, keeping repeated scans
     /// amortized O(1).
     scan_from: u64,
-    slots: Vec<Slot<E>>,
-    free: Vec<u32>,
-    /// Live (scheduled, neither delivered nor cancelled) events.
-    live: usize,
-    /// High-water mark of `live` over the calendar's lifetime.
-    peak_live: usize,
+    /// High-water mark of [`Calendar::len`] over the calendar's lifetime.
+    peak_len: usize,
     next_seq: u64,
     now: SimTime,
     stats: CalendarStats,
 }
 
-impl<E> Default for Calendar<E> {
+impl<E: Copy> Default for Calendar<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> Calendar<E> {
+impl<E: Copy> Calendar<E> {
     /// Create an empty calendar with the clock at time zero.
     #[must_use]
     pub fn new() -> Self {
@@ -244,12 +201,9 @@ impl<E> Calendar<E> {
                     heaped: false,
                 })
                 .collect(),
-            lane_live: 0,
+            lane_len: 0,
             scan_from: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-            peak_live: 0,
+            peak_len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             stats: CalendarStats::default(),
@@ -277,26 +231,26 @@ impl<E> Calendar<E> {
         self.now
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.lane_len + self.heap.len()
     }
 
-    /// True if no live events remain.
+    /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
-    /// The most live events ever pending at once (peak occupancy).
+    /// The most events ever pending at once (peak occupancy).
     #[must_use]
     pub fn peak_len(&self) -> usize {
-        self.peak_live
+        self.peak_len
     }
 
-    /// Cumulative operation counters (schedules, pops, cancels, and the
-    /// near-lane vs overflow-heap split).
+    /// Cumulative operation counters (schedules, pops, and the near-lane
+    /// vs overflow-heap split).
     #[must_use]
     pub fn stats(&self) -> CalendarStats {
         self.stats
@@ -307,7 +261,7 @@ impl<E> Calendar<E> {
     /// # Panics
     /// Panics if `at` is earlier than the current clock — the simulated past
     /// is immutable.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at} now={}",
@@ -317,49 +271,19 @@ impl<E> Calendar<E> {
         self.next_seq += 1;
         let bucket = at.as_micros() >> BUCKET_SHIFT;
         let cur = self.now.as_micros() >> BUCKET_SHIFT;
-        let near = self.use_lane && bucket < cur + NEAR_BUCKETS;
-        let (slot, generation) = match self.free.pop() {
-            Some(s) => {
-                let sl = &mut self.slots[s as usize];
-                sl.seq = seq;
-                sl.in_lane = near;
-                sl.event = Some(event);
-                (s, sl.generation)
-            }
-            None => {
-                let s = u32::try_from(self.slots.len()).expect("calendar slot index overflow");
-                self.slots.push(Slot {
-                    generation: 0,
-                    seq,
-                    in_lane: near,
-                    event: Some(event),
-                });
-                (s, 0)
-            }
-        };
-        self.live += 1;
-        if self.live > self.peak_live {
-            self.peak_live = self.live;
-        }
         self.stats.schedules += 1;
-        let node = Node { at, seq, slot };
-        if near {
+        let node = Node { at, seq, event };
+        if self.use_lane && bucket < cur + NEAR_BUCKETS {
             self.stats.lane_schedules += 1;
-            self.lane_live += 1;
+            self.lane_len += 1;
             if bucket < self.scan_from {
                 self.scan_from = bucket;
             }
-            let slots = &self.slots;
             let ring = &mut self.lane[(bucket % NEAR_BUCKETS) as usize];
             if ring.bucket != bucket {
-                // Ring-slot reuse after a full rotation: leftover nodes
-                // belong to a bucket ≥ NEAR_BUCKETS behind the clock, i.e.
-                // entirely in the popped past, so they can only be stale.
-                debug_assert!(ring.nodes.iter().all(|n| {
-                    let sl = &slots[n.slot as usize];
-                    sl.seq != n.seq || sl.event.is_none()
-                }));
-                ring.nodes.clear();
+                // Ring-slot reuse after a full rotation: the old bucket is
+                // ≥ NEAR_BUCKETS behind the clock, entirely popped.
+                debug_assert!(ring.nodes.is_empty(), "remapped a non-empty bucket");
                 ring.heaped = false;
                 ring.bucket = bucket;
             }
@@ -373,92 +297,47 @@ impl<E> Calendar<E> {
             self.heap.push(node);
             self.sift_up(self.heap.len() - 1);
         }
-        EventId::new(slot, generation)
+        self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// Cancel a previously scheduled event in O(1). Returns `true` if the
-    /// event was still pending (i.e. had not yet been delivered or
-    /// cancelled). The stale node is discarded lazily when it surfaces in
-    /// its tier.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(slot) = self.slots.get_mut(id.slot()) else {
-            return false;
-        };
-        if slot.generation != id.generation() || slot.event.is_none() {
-            return false;
-        }
-        slot.event = None;
-        slot.generation = slot.generation.wrapping_add(1);
-        if slot.in_lane {
-            self.lane_live -= 1;
-        }
-        self.free.push(id.slot() as u32);
-        self.live -= 1;
-        self.stats.cancels += 1;
-        true
-    }
-
-    /// Locate the lane's live minimum: `(ring index, key)` — the minimum
-    /// is always the parked bucket's heap root.
+    /// Locate the lane's minimum: `(ring index, key)` — the minimum is
+    /// always the parked bucket's heap root.
     ///
-    /// Scans forward from the cursor and parks it on the first bucket with
-    /// a live event, heapifying that bucket on first touch so the minimum
-    /// — and every subsequent pop from the bucket — is a root read, not a
-    /// scan. All live lane events sit in `[clock bucket, clock bucket +
-    /// NEAR_BUCKETS)` and none below the cursor, so the walk is bounded;
-    /// stale nodes are purged at heapify time or discarded once when they
-    /// surface as the root.
+    /// Scans forward from the cursor and parks it on the first non-empty
+    /// bucket, heapifying that bucket on first touch so the minimum — and
+    /// every subsequent pop from the bucket — is a root read, not a scan.
+    /// All lane events sit in `[clock bucket, clock bucket +
+    /// NEAR_BUCKETS)` and none below the cursor, so the walk is bounded.
     fn lane_min(&mut self) -> Option<(usize, (SimTime, u64))> {
-        if self.lane_live == 0 {
+        if self.lane_len == 0 {
             return None;
         }
         let cur = self.now.as_micros() >> BUCKET_SHIFT;
         let mut b = self.scan_from.max(cur);
         while b < cur + NEAR_BUCKETS {
             let ix = (b % NEAR_BUCKETS) as usize;
-            if self.lane[ix].bucket == b {
-                let slots = &self.slots;
-                let ring = &mut self.lane[ix];
-                if !ring.heaped {
-                    ring.nodes.retain(|n| {
-                        let sl = &slots[n.slot as usize];
-                        sl.seq == n.seq && sl.event.is_some()
-                    });
-                    bucket_heapify(&mut ring.nodes);
-                    ring.heaped = true;
-                }
-                while let Some(&root) = ring.nodes.first() {
-                    let sl = &slots[root.slot as usize];
-                    if sl.seq == root.seq && sl.event.is_some() {
-                        self.scan_from = b;
-                        return Some((ix, root.key()));
+            let ring = &mut self.lane[ix];
+            if ring.bucket == b {
+                if !ring.nodes.is_empty() {
+                    if !ring.heaped {
+                        bucket_heapify(&mut ring.nodes);
+                        ring.heaped = true;
                     }
-                    bucket_pop_root(&mut ring.nodes);
+                    self.scan_from = b;
+                    return Some((ix, ring.nodes[0].key()));
                 }
                 ring.heaped = false;
             }
             b += 1;
         }
         unreachable!(
-            "lane accounting broken: {} live events unreachable within the horizon",
-            self.lane_live
+            "lane accounting broken: {} events unreachable within the horizon",
+            self.lane_len
         );
     }
 
-    /// Key of the heap's live root, purging stale roots on the way.
-    fn heap_peek_key(&mut self) -> Option<(SimTime, u64)> {
-        loop {
-            let node = *self.heap.first()?;
-            let slot = &self.slots[node.slot as usize];
-            if slot.seq == node.seq && slot.event.is_some() {
-                return Some(node.key());
-            }
-            self.remove_root();
-        }
-    }
-
     /// Remove and return the earliest event together with its timestamp,
-    /// advancing the clock. Cancelled events are skipped silently.
+    /// advancing the clock.
     ///
     /// The winner is the global `(time, seq)` minimum across both tiers —
     /// `seq` is assigned at schedule time regardless of tier, so same-time
@@ -466,55 +345,51 @@ impl<E> Calendar<E> {
     /// the other in the heap.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let lane = self.lane_min();
-        let heap = self.heap_peek_key();
-        let use_lane = match (lane, heap) {
+        let heap = self.heap.first().map(Node::key);
+        let from_lane = match (lane, heap) {
             (Some((_, lk)), Some(hk)) => lk < hk,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
         };
-        let node = if use_lane {
-            let (ring_ix, _) = lane.expect("lane candidate vanished");
-            self.stats.lane_pops += 1;
-            self.lane_live -= 1;
-            bucket_pop_root(&mut self.lane[ring_ix].nodes)
-        } else {
-            self.stats.heap_pops += 1;
-            let node = self.heap[0];
-            self.remove_root();
-            node
+        let node = match lane {
+            Some((ix, _)) if from_lane => {
+                self.stats.lane_pops += 1;
+                self.lane_len -= 1;
+                bucket_pop_root(&mut self.lane[ix].nodes)
+            }
+            _ => {
+                self.stats.heap_pops += 1;
+                self.remove_root()
+            }
         };
-        let slot = &mut self.slots[node.slot as usize];
-        debug_assert_eq!(slot.seq, node.seq, "popped a stale node");
-        let event = slot.event.take().expect("popped a cancelled node");
-        slot.generation = slot.generation.wrapping_add(1);
-        self.free.push(node.slot);
-        self.live -= 1;
         self.stats.pops += 1;
         debug_assert!(node.at >= self.now, "event calendar went backwards");
         self.now = node.at;
-        Some((node.at, event))
+        Some((node.at, node.event))
     }
 
-    /// Timestamp of the next live event, if any, without popping it.
+    /// Timestamp of the next event, if any, without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let lane = self.lane_min().map(|(_, key)| key);
-        let heap = self.heap_peek_key();
+        let heap = self.heap.first().map(Node::key);
         match (lane, heap) {
             (Some(l), Some(h)) => Some(l.min(h).0),
-            (Some(l), None) => Some(l.0),
-            (None, Some(h)) => Some(h.0),
-            (None, None) => None,
+            (l, h) => l.or(h).map(|k| k.0),
         }
     }
 
     // -- 4-ary heap primitives ------------------------------------------
 
-    fn remove_root(&mut self) {
+    fn remove_root(&mut self) -> Node<E> {
         let last = self.heap.pop().expect("remove_root on empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        match self.heap.first_mut() {
+            Some(root) => {
+                let root = std::mem::replace(root, last);
+                self.sift_down(0);
+                root
+            }
+            None => last,
         }
     }
 
@@ -582,6 +457,13 @@ mod tests {
     use crate::time::SimDuration;
 
     #[test]
+    fn node_with_a_16_byte_payload_is_32_bytes() {
+        // The engine's `Event` is 16 bytes; a node must not grow past two
+        // per cache line, or every pending event at scale pays for it.
+        assert_eq!(std::mem::size_of::<Node<[u64; 2]>>(), 32);
+    }
+
+    #[test]
     fn pops_in_time_order() {
         let mut cal = Calendar::new();
         cal.schedule(SimTime::from_secs(3), 3u32);
@@ -621,73 +503,15 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_event() {
+    fn peek_time_sees_both_tiers() {
         let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1), "a");
-        cal.schedule(SimTime::from_secs(2), "b");
-        assert!(cal.cancel(a));
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.pop().map(|(_, e)| e), Some("b"));
-        assert!(cal.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_returns_false() {
-        let mut cal: Calendar<()> = Calendar::new();
-        assert!(!cal.cancel(EventId::new(99, 0)));
-    }
-
-    #[test]
-    fn double_cancel_returns_false() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1), ());
-        assert!(cal.cancel(a));
-        assert!(!cal.cancel(a));
-    }
-
-    #[test]
-    fn cancel_after_delivery_returns_false() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1), ());
-        assert_eq!(cal.pop(), Some((SimTime::from_secs(1), ())));
-        assert!(!cal.cancel(a));
-    }
-
-    #[test]
-    fn recycled_slot_does_not_resurrect_old_handle() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1), "a");
-        assert!(cal.cancel(a));
-        // The slot is recycled for a new event; the old handle must not be
-        // able to cancel the newcomer, and the newcomer must deliver.
-        let b = cal.schedule(SimTime::from_secs(2), "b");
-        assert!(!cal.cancel(a));
-        assert_eq!(cal.pop().map(|(_, e)| e), Some("b"));
-        assert!(!cal.cancel(b));
-    }
-
-    #[test]
-    fn fifo_order_survives_interleaved_cancellation() {
-        let mut cal = Calendar::new();
-        let t = SimTime::from_secs(1);
-        let ids: Vec<_> = (0..10).map(|i| cal.schedule(t, i)).collect();
-        // Cancel the odd ones; evens must still come out in FIFO order.
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 1 {
-                assert!(cal.cancel(*id));
-            }
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut cal = Calendar::new();
-        let a = cal.schedule(SimTime::from_secs(1), "a");
-        cal.schedule(SimTime::from_secs(2), "b");
-        cal.cancel(a);
+        assert_eq!(cal.peek_time(), None);
+        cal.schedule(SimTime::from_secs(2), "far");
         assert_eq!(cal.peek_time(), Some(SimTime::from_secs(2)));
+        cal.schedule(SimTime::from_millis(5), "near");
+        assert_eq!(cal.peek_time(), Some(SimTime::from_millis(5)));
+        // Peeking never consumes.
+        assert_eq!(cal.len(), 2);
     }
 
     #[test]
@@ -701,16 +525,22 @@ mod tests {
     }
 
     #[test]
-    fn len_accounts_for_cancellations() {
+    fn len_and_peak_track_both_tiers() {
         let mut cal = Calendar::new();
-        let ids: Vec<_> = (0..5)
-            .map(|i| cal.schedule(SimTime::from_secs(i + 1), i))
-            .collect();
+        for i in 0..5 {
+            cal.schedule(SimTime::from_millis(100 * i + 1), i);
+        }
         assert_eq!(cal.len(), 5);
-        cal.cancel(ids[0]);
-        cal.cancel(ids[3]);
+        assert_eq!(cal.stats().lane_schedules, 3);
+        assert_eq!(cal.stats().heap_schedules, 2);
+        cal.pop();
+        cal.pop();
         assert_eq!(cal.len(), 3);
+        assert_eq!(cal.peak_len(), 5);
         assert!(!cal.is_empty());
+        while cal.pop().is_some() {}
+        assert!(cal.is_empty());
+        assert_eq!(cal.stats().cancels, 0);
     }
 
     #[test]
@@ -773,24 +603,9 @@ mod tests {
     }
 
     #[test]
-    fn cancels_tracked_in_both_tiers() {
-        let mut cal = Calendar::new();
-        let near = cal.schedule(SimTime::from_millis(1), "near");
-        let far = cal.schedule(SimTime::from_secs(5), "far");
-        cal.schedule(SimTime::from_millis(2), "keep");
-        assert!(cal.cancel(near));
-        assert!(cal.cancel(far));
-        assert_eq!(cal.stats().cancels, 2);
-        assert_eq!(cal.len(), 1);
-        assert_eq!(cal.pop().map(|(_, e)| e), Some("keep"));
-        assert!(cal.pop().is_none());
-        assert!(cal.is_empty());
-    }
-
-    #[test]
-    fn large_random_workload_pops_sorted_with_slot_reuse() {
-        // Deterministic pseudo-random mix of schedules, cancels, and pops;
-        // verifies heap order and slot recycling under churn.
+    fn large_random_workload_pops_sorted() {
+        // Deterministic pseudo-random mix of schedules and pops; verifies
+        // order and occupancy under churn.
         let mut cal = Calendar::new();
         let mut state = 0x9E37_79B9_u64;
         let mut next = |m: u64| {
@@ -799,37 +614,25 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) % m
         };
-        let mut pending: Vec<EventId> = Vec::new();
         let mut last = SimTime::ZERO;
-        let mut delivered = 0u32;
-        let mut scheduled = 0u32;
-        let mut cancelled = 0u32;
+        let mut delivered = 0usize;
+        let mut scheduled = 0usize;
         for _ in 0..10_000 {
-            match next(4) {
-                0 | 1 => {
-                    let at = cal.now() + SimDuration::from_micros(next(1_000) + 1);
-                    pending.push(cal.schedule(at, ()));
-                    scheduled += 1;
-                }
-                2 if !pending.is_empty() => {
-                    let i = next(pending.len() as u64) as usize;
-                    if cal.cancel(pending.swap_remove(i)) {
-                        cancelled += 1;
-                    }
-                }
-                _ => {
-                    if let Some((at, ())) = cal.pop() {
-                        assert!(at >= last);
-                        last = at;
-                        delivered += 1;
-                    }
-                }
+            if next(3) < 2 {
+                let at = cal.now() + SimDuration::from_micros(next(1_000) + 1);
+                cal.schedule(at, ());
+                scheduled += 1;
+            } else if let Some((at, ())) = cal.pop() {
+                assert!(at >= last);
+                last = at;
+                delivered += 1;
             }
+            assert_eq!(cal.len(), scheduled - delivered);
         }
         while cal.pop().is_some() {
             delivered += 1;
         }
-        assert_eq!(delivered + cancelled, scheduled);
+        assert_eq!(delivered, scheduled);
         assert!(cal.is_empty());
     }
 

@@ -5,7 +5,7 @@
 //! Performance"* (SIGMOD 1985) is built:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time;
-//! * [`Calendar`] — an event calendar with FIFO tie-breaking and cancellation;
+//! * [`Calendar`] — an event calendar with FIFO tie-breaking;
 //! * [`Xoshiro256StarStar`] / [`RngStreams`] — reproducible random number
 //!   streams (one per stochastic model component);
 //! * [`Exponential`], [`UniformInclusive`], [`sample_distinct`] — the
@@ -36,7 +36,7 @@ mod dist;
 mod rng;
 mod time;
 
-pub use calendar::{Calendar, CalendarStats, EventId};
+pub use calendar::{Calendar, CalendarStats};
 pub use dist::{
     sample_distinct, sample_distinct_into, sample_exponential, ExpBlock, ExpRefill, Exponential,
     UniformBlock, UniformInclusive,

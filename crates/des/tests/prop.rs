@@ -39,166 +39,90 @@ proptest! {
         }
     }
 
-    /// Cancelling an arbitrary subset removes exactly those events.
+    /// Popping a prefix leaves exactly the rest pending: `len` tracks every
+    /// pop, and the remainder drains as the sorted tail of the input.
     #[test]
-    fn calendar_cancellation(
+    fn calendar_len_tracks_partial_drain(
         times in proptest::collection::vec(0u64..10_000, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
+        take in 0usize..100,
     ) {
         let mut cal = Calendar::new();
-        let ids: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, cal.schedule(SimTime::from_micros(t), i)))
-            .collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for (i, id) in &ids {
-            let cancel = cancel_mask.get(*i).copied().unwrap_or(false);
-            if cancel {
-                prop_assert!(cal.cancel(*id));
-            } else {
-                expected.push(*i);
-            }
+        for (i, &t) in times.iter().enumerate() {
+            cal.schedule(SimTime::from_micros(t), i);
         }
-        let mut popped: Vec<usize> = Vec::new();
-        while let Some((_, e)) = cal.pop() {
-            popped.push(e);
-        }
-        popped.sort_unstable();
+        let mut expected: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         expected.sort_unstable();
-        prop_assert_eq!(popped, expected);
+        let take = take.min(times.len());
+        for (k, &(t, i)) in expected[..take].iter().enumerate() {
+            prop_assert_eq!(cal.pop(), Some((SimTime::from_micros(t), i)));
+            prop_assert_eq!(cal.len(), times.len() - k - 1);
+        }
+        let rest: Vec<(u64, usize)> = std::iter::from_fn(|| cal.pop())
+            .map(|(t, i)| (t.as_micros(), i))
+            .collect();
+        prop_assert_eq!(&rest[..], &expected[take..]);
+        prop_assert!(cal.is_empty());
+        prop_assert_eq!(cal.peak_len(), times.len());
     }
 
-    /// Model-based fuzz of interleaved schedule / cancel / pop against a
-    /// reference priority queue (a plain sorted scan). Exercises the slot
-    /// free list, lazy tombstone discard, and heap repair paths that the
-    /// schedule-everything-then-pop tests above never interleave.
+    /// Model-based fuzz of interleaved schedules, at-`now` bursts and pops
+    /// against a reference priority queue (a plain sorted scan), with
+    /// schedule offsets inside the ~262 ms near-horizon lane.
     #[test]
     fn calendar_interleaved_model(
         ops in proptest::collection::vec((0u8..8, 0u64..10_000, 0usize..64), 1..400),
     ) {
-        let mut cal = Calendar::new();
-        // Live events in insertion order: (time, payload, id). FIFO at equal
-        // times means the reference pop is "min time, earliest insertion".
-        let mut model: Vec<(SimTime, usize, ccsim_des::EventId)> = Vec::new();
-        let mut next_payload = 0usize;
-        for (kind, t, sel) in ops {
-            match kind {
-                // Schedule at or after the clock (the past is immutable).
-                0..=3 => {
-                    let at = cal.now() + SimDuration::from_micros(t);
-                    let id = cal.schedule(at, next_payload);
-                    model.push((at, next_payload, id));
-                    next_payload += 1;
-                }
-                // Pop must agree with the reference scan exactly.
-                4 | 5 => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, (at, _, _))| (*at, *i))
-                        .map(|(i, _)| i);
-                    match expect {
-                        None => prop_assert_eq!(cal.pop(), None),
-                        Some(i) => {
-                            let (at, payload, _) = model.remove(i);
-                            let got = cal.pop();
-                            prop_assert_eq!(got, Some((at, payload)));
-                        }
-                    }
-                }
-                // Cancel a random live event; a second cancel of the same
-                // id must report stale.
-                6 => {
-                    if !model.is_empty() {
-                        let (_, _, id) = model.remove(sel % model.len());
-                        prop_assert!(cal.cancel(id));
-                        prop_assert!(!cal.cancel(id));
-                    }
-                }
-                // Occupancy bookkeeping survives the churn.
-                _ => prop_assert_eq!(cal.len(), model.len()),
-            }
-        }
-        prop_assert_eq!(cal.len(), model.len());
-        // Drain: the full remaining order must match the reference.
-        while !model.is_empty() {
-            let i = model
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, (at, _, _))| (*at, *i))
-                .map(|(i, _)| i)
-                .expect("model not empty");
-            let (at, payload, _) = model.remove(i);
-            prop_assert_eq!(cal.pop(), Some((at, payload)));
-        }
-        prop_assert_eq!(cal.pop(), None);
-        prop_assert!(cal.is_empty());
+        interleaved_model(&ops)?;
     }
 
     /// The interleaved model again, but with schedule offsets spanning a
-    /// full second — far past the ~262 ms near-horizon lane — so events
-    /// straddle the lane/heap boundary, cancels land in both tiers, and
-    /// draining pops advance the clock far enough to reuse ring buckets
-    /// (horizon rollover). The reference scan is tier-blind, so any
-    /// cross-tier ordering or staleness bug shows up as a divergence.
+    /// full second — far past the near-horizon lane — so events straddle
+    /// the lane/heap boundary and draining pops advance the clock far
+    /// enough to reuse ring buckets (horizon rollover). The reference scan
+    /// is tier-blind, so any cross-tier ordering bug shows up as a
+    /// divergence.
     #[test]
     fn calendar_interleaved_model_two_tier(
         ops in proptest::collection::vec((0u8..8, 0u64..1_000_000, 0usize..64), 1..400),
     ) {
+        interleaved_model(&ops)?;
+    }
+
+    /// Lock-grant wakeups: bursts scheduled at `now` right after a pop —
+    /// which parks the lane scan on the current bucket and heapifies it —
+    /// must sift into that heap and deliver before every later event, in
+    /// FIFO order among themselves.
+    #[test]
+    fn calendar_at_now_bursts_into_heaped_bucket(
+        offsets in proptest::collection::vec(0u64..1_024, 2..64),
+        bursts in proptest::collection::vec(1usize..6, 1..16),
+    ) {
         let mut cal = Calendar::new();
-        let mut model: Vec<(SimTime, usize, ccsim_des::EventId)> = Vec::new();
-        let mut next_payload = 0usize;
-        for (kind, t, sel) in ops {
-            match kind {
-                0..=3 => {
-                    let at = cal.now() + SimDuration::from_micros(t);
-                    let id = cal.schedule(at, next_payload);
-                    model.push((at, next_payload, id));
-                    next_payload += 1;
-                }
-                4 | 5 => {
-                    let expect = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, (at, _, _))| (*at, *i))
-                        .map(|(i, _)| i);
-                    match expect {
-                        None => prop_assert_eq!(cal.pop(), None),
-                        Some(i) => {
-                            let (at, payload, _) = model.remove(i);
-                            prop_assert_eq!(cal.pop(), Some((at, payload)));
-                        }
-                    }
-                }
-                6 => {
-                    if !model.is_empty() {
-                        let (_, _, id) = model.remove(sel % model.len());
-                        prop_assert!(cal.cancel(id));
-                        prop_assert!(!cal.cancel(id));
-                    }
-                }
-                _ => prop_assert_eq!(cal.len(), model.len()),
+        // All within one or two 1.05 ms buckets of a common base.
+        let base = SimTime::from_micros(5_000);
+        let mut pending: Vec<(SimTime, usize)> = Vec::new();
+        for (i, &o) in offsets.iter().enumerate() {
+            let at = base + SimDuration::from_micros(o);
+            cal.schedule(at, i);
+            pending.push((at, i));
+        }
+        let mut next_payload = offsets.len();
+        for burst in bursts {
+            let Some(i) = model_min(&pending) else { break };
+            prop_assert_eq!(cal.pop(), Some(pending.remove(i)));
+            let now = cal.now();
+            for _ in 0..burst {
+                cal.schedule(now, next_payload);
+                pending.push((now, next_payload));
+                next_payload += 1;
             }
         }
-        while !model.is_empty() {
-            let i = model
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, (at, _, _))| (*at, *i))
-                .map(|(i, _)| i)
-                .expect("model not empty");
-            let (at, payload, _) = model.remove(i);
-            prop_assert_eq!(cal.pop(), Some((at, payload)));
+        while let Some(i) = model_min(&pending) {
+            prop_assert_eq!(cal.pop(), Some(pending.remove(i)));
         }
         prop_assert_eq!(cal.pop(), None);
-        // Tier accounting must exactly partition the totals: every
-        // schedule went to exactly one tier, and every pop was served
-        // from exactly one.
-        let s = cal.stats();
-        prop_assert_eq!(s.lane_schedules + s.heap_schedules, s.schedules);
-        prop_assert_eq!(s.lane_pops + s.heap_pops, s.pops);
-        prop_assert_eq!(s.pops + s.cancels, s.schedules);
+        prop_assert_eq!(cal.stats().heap_schedules, 0);
     }
 
     /// `sample_distinct` yields exactly `k` distinct in-range values.
@@ -365,4 +289,66 @@ proptest! {
             prop_assert!(d.as_micros() <= mean.as_micros().saturating_mul(100).max(1_000_000_000));
         }
     }
+}
+
+/// Index of the reference queue's next event: minimum time, then earliest
+/// insertion (FIFO at equal times).
+fn model_min(model: &[(SimTime, usize)]) -> Option<usize> {
+    model
+        .iter()
+        .enumerate()
+        .min_by_key(|(i, (at, _))| (*at, *i))
+        .map(|(i, _)| i)
+}
+
+/// Drive a calendar and a reference queue through `ops` — `(kind, offset,
+/// burst)` triples — and require identical behaviour: kinds 0–3 schedule
+/// at `now + offset`, 4–5 pop, 6 schedules a burst of up to four events at
+/// `now` (lock-grant wakeups), and 7 compares occupancy. Then drain both
+/// and check the tier counters partition the totals exactly.
+fn interleaved_model(ops: &[(u8, u64, usize)]) -> Result<(), TestCaseError> {
+    let mut cal = Calendar::new();
+    let mut model: Vec<(SimTime, usize)> = Vec::new();
+    let mut next_payload = 0usize;
+    for &(kind, t, sel) in ops {
+        match kind {
+            // Schedule at or after the clock (the past is immutable).
+            0..=3 => {
+                let at = cal.now() + SimDuration::from_micros(t);
+                cal.schedule(at, next_payload);
+                model.push((at, next_payload));
+                next_payload += 1;
+            }
+            // Pop must agree with the reference scan exactly.
+            4 | 5 => match model_min(&model) {
+                None => prop_assert_eq!(cal.pop(), None),
+                Some(i) => prop_assert_eq!(cal.pop(), Some(model.remove(i))),
+            },
+            6 => {
+                for _ in 0..=sel % 4 {
+                    cal.schedule(cal.now(), next_payload);
+                    model.push((cal.now(), next_payload));
+                    next_payload += 1;
+                }
+            }
+            // Occupancy bookkeeping survives the churn.
+            _ => prop_assert_eq!(cal.len(), model.len()),
+        }
+    }
+    prop_assert_eq!(cal.len(), model.len());
+    // Drain: the full remaining order must match the reference.
+    while let Some(i) = model_min(&model) {
+        prop_assert_eq!(cal.pop(), Some(model.remove(i)));
+    }
+    prop_assert_eq!(cal.pop(), None);
+    prop_assert!(cal.is_empty());
+    // Tier accounting must exactly partition the totals: every schedule
+    // went to exactly one tier, every pop was served from exactly one,
+    // and every scheduled event was delivered.
+    let s = cal.stats();
+    prop_assert_eq!(s.lane_schedules + s.heap_schedules, s.schedules);
+    prop_assert_eq!(s.lane_pops + s.heap_pops, s.pops);
+    prop_assert_eq!(s.pops, s.schedules);
+    prop_assert_eq!(s.schedules, next_payload as u64);
+    Ok(())
 }

@@ -227,13 +227,20 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap a hostile line of `[[[[…` from the
+/// network would overflow the stack instead of failing cleanly.
+const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON document. Accepts the output of this module plus the
 /// non-finite number lexemes `NaN` / `inf` / `-inf` that the manifest
-/// writes for lossless float round trips.
+/// writes for lossless float round trips. Nesting deeper than 128
+/// arrays/objects is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -247,6 +254,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -290,8 +299,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -680,6 +703,24 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("bogus").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let err = parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("offset 128"), "{err}");
+        let err = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Exactly the cap parses, and the structure survives intact.
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &parse(&doc).expect("128 levels parse");
+        let mut depth = 1;
+        while let [inner] = v.as_arr().expect("array") {
+            v = inner;
+            depth += 1;
+        }
+        assert_eq!(depth, MAX_DEPTH);
+        assert_eq!(v, &Value::Arr(Vec::new()));
     }
 
     #[test]
