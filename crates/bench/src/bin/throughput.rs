@@ -13,11 +13,10 @@
 //! ```text
 //! throughput [--reps 3] [--batches 600] [--mpl 50] [--db 10000]
 //!            [--seed <u64>] [--floor-frac 0.30] [--perf] [--profile]
-//!            [--workers 1] [--worker-sweep]
 //!            [--scale] [--scale-db 100000000] [--scale-terms 1000000]
 //!            [--scale-mpl 100000] [--scale-events 10000000]
 //!            [--scale-floor-min 0] [--rss-slack 1.5]
-//!            [--out BENCH_8.json] [--check BENCH_8.json]
+//!            [--out BENCH_7.json] [--check BENCH_7.json]
 //!            [--baseline BENCH_7.json] [--stages-from profile.json]
 //! ```
 //!
@@ -44,24 +43,6 @@
 //! `--scale-floor-min <r>` raises the archived scale floor to at least
 //! `r` events/sec (used to encode a required speedup over a previous
 //! benchmark generation into the archive itself).
-//!
-//! `--workers <n>` runs every measurement with the engine's speculative
-//! window-parallel mode at `n` worker threads (0/1 = sequential; results
-//! are byte-identical at any count, so floors stay comparable).
-//! `--worker-sweep` measures the full scale point at worker counts
-//! {1, 2, 4, 8}: events/sec, speedup over the sequential lane, the
-//! rollback/replay ratio, and per-lane busy fractions, verifying along the
-//! way that every count produced the identical report, quantiles, and
-//! event count. The sweep is archived in `--out` under `"workers"`
-//! together with the host's core count; `--check` gates the best count's
-//! events/sec against its archived floor — but only when the *current*
-//! host has ≥ 2 cores, because a single-core host cannot express the
-//! speedup (the archived `host_cores` records where the numbers came
-//! from). The archive also records the required best-count speedup
-//! (1.5x) plus, with `--baseline`, the informational absolute floor it
-//! implied at archive time; `--check` enforces the speedup on hosts
-//! with ≥ 4 cores as a *ratio* against the same host's fresh
-//! sequential run, so runner clock speed cancels out of the gate.
 //!
 //! `--scale` adds the million-scale regime (the `exp-scale` catalog
 //! point: a 10^8-page database, 10^6 terminals, mpl 10^5, infinite
@@ -102,8 +83,6 @@ struct Cli {
     floor_frac: f64,
     perf: bool,
     profile: bool,
-    workers: u32,
-    worker_sweep: bool,
     scale: bool,
     scale_db: u64,
     scale_terms: u32,
@@ -143,8 +122,6 @@ fn parse_args() -> Result<Cli, String> {
         floor_frac: 0.30,
         perf: false,
         profile: false,
-        workers: 1,
-        worker_sweep: false,
         scale: false,
         scale_db: 100_000_000,
         scale_terms: 1_000_000,
@@ -173,8 +150,6 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--perf" => cli.perf = true,
             "--profile" => cli.profile = true,
-            "--workers" => cli.workers = parse_num(&next_val(&mut args, "--workers")?)?,
-            "--worker-sweep" => cli.worker_sweep = true,
             "--scale" => cli.scale = true,
             "--scale-db" => cli.scale_db = parse_num(&next_val(&mut args, "--scale-db")?)?,
             "--scale-terms" => {
@@ -247,7 +222,6 @@ fn config(cli: &Cli, algo: CcAlgorithm) -> SimConfig {
         .with_params(params)
         .with_metrics(metrics)
         .with_seed(cli.seed)
-        .with_workers(cli.workers)
 }
 
 fn measure(cli: &Cli, algo: CcAlgorithm) -> Result<Measurement, String> {
@@ -369,7 +343,6 @@ fn scale_config(cli: &Cli, terms: u32, mpl: u32, max_events: u64, fast_paths: bo
         .with_budget(RunBudget::unlimited().with_max_events(max_events))
         .with_elision(fast_paths)
         .with_two_tier_calendar(fast_paths)
-        .with_workers(cli.workers)
 }
 
 fn measure_scale(cli: &Cli) -> Result<ScaleMeasurement, String> {
@@ -456,286 +429,6 @@ fn peak_rss_bytes() -> Option<u64> {
 #[cfg(not(target_os = "linux"))]
 fn peak_rss_bytes() -> Option<u64> {
     None
-}
-
-/// Worker counts the sweep measures. The engine caps helper lanes at
-/// `ccsim_core::MAX_LANES`, so 8 is the last interesting count.
-const SWEEP_COUNTS: [u32; 4] = [1, 2, 4, 8];
-
-/// One worker count's measurement at the full scale point.
-struct WorkerPoint {
-    workers: u32,
-    rate: Spread,
-    windows: u64,
-    planned: u64,
-    speculated: u64,
-    rolled_back: u64,
-    replayed: u64,
-    conflicts: u64,
-    rollback_ratio: f64,
-    /// Busy fraction per lane (lane 0 = the merge thread), one entry per
-    /// configured lane.
-    busy: Vec<f64>,
-}
-
-struct WorkerSweep {
-    points: Vec<WorkerPoint>,
-    /// Cores available to this process when the sweep ran — the context a
-    /// reader (and the `--check` gate) needs to judge the speedups.
-    host_cores: usize,
-}
-
-impl WorkerSweep {
-    /// The sweep entry with the highest median events/sec.
-    fn best(&self) -> &WorkerPoint {
-        self.points
-            .iter()
-            .max_by(|a, b| {
-                a.rate
-                    .median
-                    .partial_cmp(&b.rate.median)
-                    .expect("rate is finite")
-            })
-            .expect("sweep is non-empty")
-    }
-
-    /// Speedup of a point over the sequential (workers = 1) entry.
-    fn speedup(&self, p: &WorkerPoint) -> f64 {
-        let seq = self.points[0].rate.median;
-        if seq > 0.0 {
-            p.rate.median / seq
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measure the full scale point at each sweep worker count, verifying as a
-/// side effect that every count reproduced the sequential run exactly —
-/// report, streaming quantiles, and event count. A divergence is a bug in
-/// the window-parallel engine and fails the benchmark loudly rather than
-/// archiving numbers for runs that did different work.
-fn measure_worker_sweep(cli: &Cli) -> Result<WorkerSweep, String> {
-    let mut points = Vec::with_capacity(SWEEP_COUNTS.len());
-    let mut reference: Option<RunOutcome> = None;
-    for &workers in &SWEEP_COUNTS {
-        let mut outs: Vec<RunOutcome> = Vec::with_capacity(cli.reps as usize);
-        for _ in 0..cli.reps {
-            outs.push(
-                run_collecting(
-                    scale_config(cli, cli.scale_terms, cli.scale_mpl, cli.scale_events, true)
-                        .with_workers(workers),
-                )
-                .map_err(|e| format!("worker sweep at {workers}: {e}"))?,
-            );
-        }
-        let rate = spread(outs.iter().map(|o| o.perf.events_per_sec()).collect());
-        outs.sort_by(|a, b| {
-            a.perf
-                .events_per_sec()
-                .partial_cmp(&b.perf.events_per_sec())
-                .expect("events/sec is finite")
-        });
-        let mid = outs.len() / 2;
-        let out = outs.swap_remove(mid);
-        match &reference {
-            None => reference = Some(out),
-            Some(seq) => {
-                if seq.report != out.report
-                    || seq.quantiles != out.quantiles
-                    || seq.perf.events != out.perf.events
-                {
-                    return Err(format!(
-                        "worker sweep: workers={workers} diverged from the sequential run \
-                         (report/quantiles/events must be byte-identical)"
-                    ));
-                }
-                reference = Some(out);
-            }
-        }
-        let par = reference.as_ref().and_then(|o| o.perf.parallel.as_ref());
-        let lanes = (workers as usize).min(ccsim_core::MAX_LANES);
-        points.push(WorkerPoint {
-            workers,
-            rate,
-            windows: par.map_or(0, |p| p.windows),
-            planned: par.map_or(0, |p| p.planned),
-            speculated: par.map_or(0, |p| p.speculated),
-            rolled_back: par.map_or(0, |p| p.rolled_back),
-            replayed: par.map_or(0, |p| p.replayed),
-            conflicts: par.map_or(0, |p| p.conflicts),
-            rollback_ratio: par.map_or(0.0, ccsim_core::ParallelStats::rollback_ratio),
-            busy: par.map_or_else(Vec::new, |p| {
-                (0..lanes).map(|lane| p.busy_fraction(lane)).collect()
-            }),
-        });
-    }
-    Ok(WorkerSweep {
-        points,
-        host_cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    })
-}
-
-/// Extract the baseline archive's scale events/sec (for the speedup floor
-/// embedded in the `"workers"` block). `Ok(None)` when the baseline has no
-/// scale block.
-fn baseline_scale_eps(path: &PathBuf) -> Result<Option<f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(doc
-        .get("scale")
-        .and_then(|s| s.get("events_per_sec"))
-        .and_then(json::Value::as_f64))
-}
-
-/// Cores required before `--check` enforces the parallel floor / speedup
-/// floor: a host below the threshold cannot express the speedup, so the
-/// gate reports itself as gated instead of failing.
-const FLOOR_MIN_CORES: usize = 2;
-const SPEEDUP_MIN_CORES: usize = 4;
-
-/// Required best-count speedup over the baseline archive's scale
-/// events/sec (enforced on hosts with `SPEEDUP_MIN_CORES`+ cores).
-const REQUIRED_SPEEDUP: f64 = 1.5;
-
-/// Serialize the worker sweep for `--out`.
-fn workers_json(cli: &Cli, s: &WorkerSweep, baseline_eps: Option<f64>) -> String {
-    let mut out = String::with_capacity(768);
-    let _ = write!(
-        out,
-        "\"workers\":{{\"host_cores\":{},\"sweep\":[",
-        s.host_cores
-    );
-    for (i, p) in s.points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"workers\":{},\"events_per_sec\":{:.0},\"min\":{:.0},\"max\":{:.0},\
-             \"speedup\":{:.3},\"windows\":{},\"planned\":{},\"speculated\":{},\
-             \"rolled_back\":{},\"replayed\":{},\"conflicts\":{},\"rollback_ratio\":{:.4},\
-             \"busy\":[",
-            p.workers,
-            p.rate.median,
-            p.rate.min,
-            p.rate.max,
-            s.speedup(p),
-            p.windows,
-            p.planned,
-            p.speculated,
-            p.rolled_back,
-            p.replayed,
-            p.conflicts,
-            p.rollback_ratio,
-        );
-        for (j, b) in p.busy.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b:.3}");
-        }
-        out.push_str("]}");
-    }
-    let best = s.best();
-    let _ = write!(
-        out,
-        "],\"best_workers\":{},\"best_events_per_sec\":{:.0},\"best_speedup\":{:.3},\
-         \"parallel_floor_events_per_sec\":{:.0},\"floor_min_cores\":{FLOOR_MIN_CORES},\
-         \"required_speedup\":{REQUIRED_SPEEDUP},\"speedup_min_cores\":{SPEEDUP_MIN_CORES}",
-        best.workers,
-        best.rate.median,
-        s.speedup(best),
-        best.rate.median * cli.floor_frac,
-    );
-    match baseline_eps {
-        Some(eps) => {
-            let _ = write!(
-                out,
-                ",\"baseline_events_per_sec\":{eps:.0},\
-                 \"speedup_floor_events_per_sec\":{:.0}",
-                eps * REQUIRED_SPEEDUP
-            );
-        }
-        None => {
-            out.push_str(",\"baseline_events_per_sec\":null,\"speedup_floor_events_per_sec\":null")
-        }
-    }
-    out.push('}');
-    out
-}
-
-/// Compare a fresh worker sweep against the `"workers"` block archived in
-/// `path`. Parity across counts was already verified while measuring; the
-/// gates here are the archived floors, applied only on hosts with enough
-/// cores to express them.
-fn check_workers(path: &PathBuf, s: &WorkerSweep) -> Result<Vec<CheckLine>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let Some(block) = doc.get("workers") else {
-        return Ok(vec![CheckLine::fail(format!(
-            "workers: {} has no archived workers block (re-archive with --worker-sweep --out)",
-            path.display()
-        ))]);
-    };
-    let mut lines = vec![CheckLine::pass(format!(
-        "worker sweep parity: report/quantiles/events byte-identical at counts {SWEEP_COUNTS:?}"
-    ))];
-    let best = s.best();
-    let floor = block
-        .get("parallel_floor_events_per_sec")
-        .and_then(json::Value::as_f64)
-        .ok_or_else(|| format!("{}: bad parallel floor", path.display()))?;
-    if s.host_cores >= FLOOR_MIN_CORES {
-        lines.push(CheckLine::bound(
-            "workers best",
-            best.rate.median,
-            "floor",
-            floor,
-            "events/sec",
-            best.rate.median >= floor,
-        ));
-    } else {
-        lines.push(CheckLine::pass(format!(
-            "workers floor gated: host has {} core(s), gate needs >= {FLOOR_MIN_CORES} \
-             (best measured {:.0} events/sec at {} workers; archived floor {floor:.0})",
-            s.host_cores, best.rate.median, best.workers
-        )));
-    }
-    // The speedup gate is a *ratio* — best-count events/sec over the fresh
-    // sequential (workers = 1) rate from the same sweep on the same host —
-    // so a CI runner slower than the archive machine still passes at a
-    // genuine 1.5x, and a fast one can't coast on raw clock speed. The
-    // archived absolute `speedup_floor_events_per_sec` is informational.
-    let required = block
-        .get("required_speedup")
-        .and_then(json::Value::as_f64)
-        .unwrap_or(REQUIRED_SPEEDUP);
-    if s.host_cores >= SPEEDUP_MIN_CORES {
-        let measured = s.speedup(best);
-        lines.push(CheckLine {
-            ok: measured >= required,
-            text: format!(
-                "workers speedup: measured {measured:.2}x at {} workers {} archived \
-                 floor {required:.2}x over the sequential run",
-                best.workers,
-                if measured >= required {
-                    "meets"
-                } else {
-                    "violates"
-                },
-            ),
-        });
-    } else {
-        lines.push(CheckLine::pass(format!(
-            "workers speedup gated: host has {} core(s), gate needs >= {SPEEDUP_MIN_CORES} \
-             (best measured {:.2}x at {} workers; required {required:.2}x)",
-            s.host_cores,
-            s.speedup(best),
-            best.workers
-        )));
-    }
-    Ok(lines)
 }
 
 /// Build the `"baseline"` comparison block for `--out` from a previous
@@ -948,7 +641,6 @@ fn to_json(
     results: &[Measurement],
     baseline: Option<&str>,
     scale: Option<&str>,
-    workers: Option<&str>,
 ) -> String {
     let mut out = String::with_capacity(1024);
     out.push_str("{\"bench\":\"throughput\",\"reference_point\":");
@@ -997,10 +689,6 @@ fn to_json(
     }
     out.push(']');
     if let Some(block) = scale {
-        out.push(',');
-        out.push_str(block);
-    }
-    if let Some(block) = workers {
         out.push(',');
         out.push_str(block);
     }
@@ -1270,49 +958,6 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let sweep = if cli.worker_sweep {
-        match measure_worker_sweep(&cli) {
-            Ok(s) => {
-                for p in &s.points {
-                    let busy = p
-                        .busy
-                        .iter()
-                        .map(|b| format!("{:.0}%", b * 100.0))
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    println!(
-                        "{:<18} {:>12.0} events/sec  ({:.2}x vs 1 worker; {} windows, \
-                         {}/{} speculated/applied, {} replayed, rollback {:.2}%, busy [{busy}])",
-                        format!("workers/{}", p.workers),
-                        p.rate.median,
-                        s.speedup(p),
-                        p.windows,
-                        p.speculated,
-                        p.speculated - p.rolled_back,
-                        p.replayed,
-                        p.rollback_ratio * 100.0,
-                    );
-                }
-                let best = s.best();
-                println!(
-                    "{:<18} best {} worker(s) at {:.0} events/sec ({:.2}x); \
-                     host has {} core(s); parity verified at every count",
-                    "workers/best",
-                    best.workers,
-                    best.rate.median,
-                    s.speedup(best),
-                    s.host_cores,
-                );
-                Some(s)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
     if let Some(path) = &cli.out {
         let baseline = match &cli.baseline {
             Some(base) => match baseline_block(base, &results) {
@@ -1337,29 +982,7 @@ fn main() -> ExitCode {
         let scale_block = scale
             .as_ref()
             .map(|s| scale_json(&cli, s, extra_stages.as_deref()));
-        let workers_block = match &sweep {
-            Some(s) => {
-                let eps = match &cli.baseline {
-                    Some(base) => match baseline_scale_eps(base) {
-                        Ok(e) => e,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    None => None,
-                };
-                Some(workers_json(&cli, s, eps))
-            }
-            None => None,
-        };
-        let text = to_json(
-            &cli,
-            &results,
-            baseline.as_deref(),
-            scale_block.as_deref(),
-            workers_block.as_deref(),
-        );
+        let text = to_json(&cli, &results, baseline.as_deref(), scale_block.as_deref());
         if let Err(e) = write_atomic(path, text.as_bytes()) {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::from(2);
@@ -1376,15 +999,6 @@ fn main() -> ExitCode {
         };
         if let Some(s) = &scale {
             match check_scale(path, s) {
-                Ok(f) => lines.extend(f),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        if let Some(s) = &sweep {
-            match check_workers(path, s) {
                 Ok(f) => lines.extend(f),
                 Err(e) => {
                     eprintln!("error: {e}");

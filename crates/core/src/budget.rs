@@ -39,12 +39,10 @@ use ccsim_workload::ParamError;
 /// scheduling; for deterministic failures use a per-run [`RunBudget`].
 ///
 /// The counter is a lock-free atomic, so [`EventPool::depleted`] admission
-/// checks and in-flight charges are safe from any thread — including the
-/// engine's window-parallel worker lanes, which observe the pool while the
-/// merge thread charges it. Charges keep the sequential loop's exact
-/// 8192-event cadence in window mode, so a budget stop lands on the same
-/// event at any worker count (the sequential hot path itself polls a plain
-/// `u64` and only touches the atomic at block boundaries).
+/// checks and in-flight charges are safe from any thread, such as the
+/// sweep runner's worker threads sharing one client's pool. The event loop
+/// itself counts events in a plain `u64` and only touches the atomic at
+/// block boundaries.
 #[derive(Debug, Clone)]
 pub struct EventPool {
     remaining: Arc<AtomicU64>,
@@ -320,7 +318,7 @@ mod tests {
 
     #[test]
     fn event_pool_charges_exactly_under_contention() {
-        // The worker-lane safety contract: concurrent block charges from
+        // The shared-pool safety contract: concurrent block charges from
         // many threads are all-or-nothing and never lose or double-spend
         // events. 8 threads race to drain a pool holding exactly 500
         // blocks; exactly 500 charges must succeed.

@@ -126,14 +126,6 @@ pub struct SimConfig {
     /// per tenant so a client's total simulated work is bounded across
     /// runs.
     pub event_pool: Option<crate::EventPool>,
-    /// Worker threads for the speculative window-parallel engine mode.
-    /// `0` and `1` both mean fully sequential (no pool is spawned, no
-    /// atomics touched — the mode costs nothing when off). At `N >= 2`
-    /// the loop pops safe time windows, speculates chunk prefetch/hint
-    /// work on `N - 1` helper threads plus the merge thread, and merges
-    /// serially in global-seq order; reports, streaming quantiles, and
-    /// golden traces are byte-identical to sequential at any `N`.
-    pub workers: u32,
 }
 
 impl SimConfig {
@@ -154,7 +146,6 @@ impl SimConfig {
             metrics: MetricsConfig::paper(),
             budget: RunBudget::default(),
             event_pool: None,
-            workers: 1,
         }
     }
 
@@ -214,14 +205,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_two_tier_calendar(mut self, two_tier: bool) -> Self {
         self.two_tier_calendar = two_tier;
-        self
-    }
-
-    /// Builder-style worker-count replacement (see [`SimConfig::workers`]).
-    /// `0` and `1` both select the sequential loop.
-    #[must_use]
-    pub fn with_workers(mut self, workers: u32) -> Self {
-        self.workers = workers;
         self
     }
 

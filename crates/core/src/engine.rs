@@ -12,15 +12,11 @@
 //! diagnostic that needs no recompilation. For structured per-transaction
 //! tracing use [`run_with_trace`] instead.
 
-use std::cell::UnsafeCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 
 use ccsim_des::{
-    sample_exponential, Calendar, CalendarStats, ExpBlock, ExpRefill, Exponential, RngStreams,
-    SimDuration, SimTime, UniformBlock, Xoshiro256StarStar,
+    sample_exponential, Calendar, CalendarStats, ExpBlock, Exponential, RngStreams, SimDuration,
+    SimTime, UniformBlock, Xoshiro256StarStar,
 };
 use ccsim_history::{CommittedTxn, History};
 use ccsim_lockmgr::{Grant, LockManager, LockMode, RequestOutcome};
@@ -40,10 +36,6 @@ use crate::arena::TxnArena;
 use crate::budget::{BudgetKind, RunError};
 use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report};
-use crate::parallel::{
-    self, decode_hint, ParallelStats, SpecView, WindowShared, HINT_CONFLICT, HINT_NONE, HINT_STALE,
-    MAX_LANES, WINDOW_CAP,
-};
 use crate::profiler::{Stage, StageProfile, StageProfiler};
 use crate::sink::{CenterFlow, EventSink, FlowStats};
 use crate::trace::{Trace, TraceEvent};
@@ -110,38 +102,50 @@ pub(crate) enum Event {
     BatchEnd,
 }
 
-/// A mid-merge schedule landing *inside* the already-popped window: the
-/// calendar's clock has advanced to the window end, so these are held in a
-/// local min-heap keyed by `(at, seq)` and drained strictly before any
-/// planned event at a later instant. `seq` is a merge-local monotone
-/// counter: two overlay events at one instant deliver in schedule order,
-/// exactly as the calendar's FIFO tie-break would have delivered them —
-/// and a planned event always wins a time tie against an overlay event
-/// because its calendar sequence number predates any mid-merge schedule.
-#[derive(Debug, Clone, Copy)]
-struct OverlayEntry {
-    at: SimTime,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for OverlayEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl Eq for OverlayEntry {}
-
-impl PartialOrd for OverlayEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OverlayEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+/// Warm the cache lines the events of a just-entered calendar bucket are
+/// about to touch: every line of each event's target transaction record
+/// in the arena and, when that transaction's next step is a lock request,
+/// the lock table's home slot for the object. At scale these are random
+/// reads into
+/// arrays far larger than the cache; issuing a bucket's worth of them
+/// together lets the misses overlap instead of stalling one event at a
+/// time. Strictly read-only, so the event sequence and every output are
+/// the same with or without it.
+fn prefetch_targets(
+    events: impl Iterator<Item = Event>,
+    arena: &TxnArena,
+    lockmgr: &LockManager,
+    cpus: Option<&ServerPool<Payload>>,
+    disks: Option<&DiskArray<Payload>>,
+    uses_locks: bool,
+) {
+    // Pooled completions carry no payload; the server's in-service slot
+    // names the target instead.
+    let targets = events.filter_map(|ev| match ev {
+        Event::Arrive(_) | Event::BatchEnd => None,
+        Event::CpuDone(server) => cpus.and_then(|p| p.in_service(server)).copied(),
+        Event::DiskDone(disk) => disks.and_then(|d| d.in_service(disk)).copied(),
+        Event::CpuDoneFast { term, epoch, .. } | Event::DiskDoneFast { term, epoch, .. } => {
+            Some((term as usize, epoch))
+        }
+        Event::InfDone(term, epoch, _) | Event::Delay(term, epoch, _) => Some((term, epoch)),
+    });
+    for (term, epoch) in targets {
+        arena.prefetch(term);
+        // A stale event (its attempt restarted) predicts nothing further.
+        let Some(txn) = arena.get(term).filter(|t| t.epoch == epoch) else {
+            continue;
+        };
+        if !uses_locks {
+            continue;
+        }
+        let obj = match txn.step() {
+            Step::PreclaimLock(k) => arena.lock_plan_at(term, k).0,
+            Step::LockRead(r) => arena.read_at(term, r),
+            Step::LockWrite(w) => arena.write_obj_at(term, w),
+            _ => continue,
+        };
+        lockmgr.prefetch(obj);
     }
 }
 
@@ -252,22 +256,6 @@ pub struct Simulator {
     /// every call site an empty inline body unless the `stage-profiler`
     /// feature is on, so the steady-state loop normally carries none of it.
     prof: StageProfiler,
-    /// True while the window-parallel merge loop owns a popped window;
-    /// sequential runs never set it, so [`Simulator::sched`] stays one
-    /// predictable branch.
-    win_active: bool,
-    /// End instant of the owned window (the last planned event's time).
-    win_end: SimTime,
-    /// Mid-merge schedules landing inside the owned window (see
-    /// [`OverlayEntry`]); empty outside window merges.
-    overlay: BinaryHeap<Reverse<OverlayEntry>>,
-    /// Monotone tie-break counter for overlay pushes.
-    overlay_seq: u64,
-    /// Speculatively precomputed external-think refill awaiting its dry
-    /// point; installation self-validates against the live stream state.
-    pending_refill: Option<ExpRefill>,
-    /// Window-parallel counters (`Some` only when `workers >= 2` ran).
-    par: Option<ParallelStats>,
 }
 
 /// Engine-level performance counters for a completed (or budget-stopped)
@@ -291,12 +279,6 @@ pub struct PerfStats {
     pub elided_cpu_hops: u64,
     /// Disk request/dispatch hops elided by the idle-server fast path.
     pub elided_disk_hops: u64,
-    /// Window-parallel counters; `None` for sequential runs (`workers`
-    /// 0/1). Note the diagnostic calendar counters above (peaks,
-    /// schedule/pop splits) legitimately differ between sequential and
-    /// window runs — windows pop eagerly — while `events`, every report,
-    /// and every trace stay byte-identical.
-    pub parallel: Option<ParallelStats>,
 }
 
 impl PerfStats {
@@ -400,12 +382,6 @@ impl Simulator {
             elided_disk: 0,
             run_wall: std::time::Duration::ZERO,
             prof: StageProfiler::new(),
-            win_active: false,
-            win_end: SimTime::ZERO,
-            overlay: BinaryHeap::new(),
-            overlay_seq: 0,
-            pending_refill: None,
-            par: None,
             cfg,
         })
     }
@@ -461,14 +437,6 @@ impl Simulator {
     const WALL_CHECK_PERIOD: u64 = 8192;
 
     fn run_loop(&mut self) -> Result<(), RunError> {
-        if self.cfg.workers >= 2 {
-            self.run_loop_window()
-        } else {
-            self.run_loop_seq()
-        }
-    }
-
-    fn run_loop_seq(&mut self) -> Result<(), RunError> {
         let budget = self.cfg.budget;
         let pool = self.cfg.event_pool.clone();
         // Events charged to the shared pool ahead of processing; the
@@ -476,6 +444,7 @@ impl Simulator {
         // exact. A detached pool costs nothing on the hot path.
         let mut pool_charged: u64 = 0;
         let started = std::time::Instant::now();
+        let uses_locks = self.cfg.algorithm.uses_locks();
         self.prime();
         self.prof.start(Stage::Pop);
         let result = loop {
@@ -489,6 +458,15 @@ impl Simulator {
                 break Err(err);
             }
             self.now = now;
+            // Once per calendar bucket, look ahead at the events due in it.
+            prefetch_targets(
+                self.cal.entered_bucket(),
+                &self.arena,
+                &self.lockmgr,
+                self.cpus.as_ref(),
+                self.disks.as_ref(),
+                uses_locks,
+            );
             self.prof.switch(Stage::Handle);
             self.handle(now, ev);
             self.prof.switch(Stage::Pop);
@@ -503,8 +481,7 @@ impl Simulator {
     /// event and sim-time ceilings on every event, the wall clock and the
     /// shared event pool (charged one block ahead) every
     /// [`Self::WALL_CHECK_PERIOD`] events. On a trip the event is not run
-    /// and the error carries the stop point. Both loops go through here,
-    /// so their budget stops are byte-identical.
+    /// and the error carries the stop point.
     #[inline]
     fn count_event(
         &mut self,
@@ -567,348 +544,6 @@ impl Simulator {
         }
     }
 
-    /// The smallest positive service/think delta: an event handled at `t`
-    /// never schedules consequences earlier than `t` plus a drawn delay or
-    /// service, so a window bounded by this lookahead stays dense in
-    /// immediately runnable events without over-popping the far future.
-    /// (Correctness never depends on the bound — the overlay heap delivers
-    /// any mid-merge schedule that lands inside the window in exact
-    /// sequential order — it is purely a speculation-quality knob.)
-    fn window_lookahead(&self) -> SimDuration {
-        let p = &self.cfg.params;
-        let mut lk = SimDuration::ZERO;
-        for d in [
-            p.obj_cpu,
-            p.obj_io,
-            p.cc_cpu,
-            p.ext_think_time,
-            p.int_think_time,
-        ] {
-            if !d.is_zero() && (lk.is_zero() || d < lk) {
-                lk = d;
-            }
-        }
-        if lk.is_zero() {
-            lk = SimDuration::from_micros(64);
-        }
-        lk
-    }
-
-    /// The speculative window-parallel loop (`workers >= 2`). Pops a safe
-    /// time window of events, publishes a frozen view to worker lanes for
-    /// read-only prefetch/hint speculation, then applies every event
-    /// serially in global-seq order — so delivery order, and therefore
-    /// every report, streaming quantile, and golden trace, is
-    /// byte-identical to [`Simulator::run_loop_seq`] at any worker count.
-    /// See `crate::parallel` for the window protocol.
-    fn run_loop_window(&mut self) -> Result<(), RunError> {
-        let budget = self.cfg.budget;
-        let pool = self.cfg.event_pool.clone();
-        let mut pool_charged: u64 = 0;
-        let started = std::time::Instant::now();
-        self.prime();
-        let lanes = (self.cfg.workers as usize).min(MAX_LANES);
-        let helpers = lanes.saturating_sub(1);
-        let chaos = std::env::var("CCSIM_CHAOS").is_ok_and(|v| v == "worker-panic");
-        self.par = Some(ParallelStats {
-            workers: self.cfg.workers,
-            ..ParallelStats::default()
-        });
-        let lookahead = self.window_lookahead();
-        let mut planned: Vec<(SimTime, Event)> = Vec::with_capacity(WINDOW_CAP);
-        let hints: Vec<AtomicU64> = (0..WINDOW_CAP).map(|_| AtomicU64::new(0)).collect();
-        let refill_cell: UnsafeCell<Option<ExpRefill>> = UnsafeCell::new(None);
-        let shared = WindowShared::new();
-        self.prof.start(Stage::Speculate);
-        let result = {
-            let shared = &shared;
-            let scope_result = crossbeam::thread::scope(|s| {
-                for lane in 1..=helpers {
-                    s.spawn(move |_| parallel::worker_loop(shared, lane, chaos && lane == 1));
-                }
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.window_loop(
-                        shared,
-                        &hints,
-                        &refill_cell,
-                        &mut planned,
-                        lookahead,
-                        budget,
-                        &pool,
-                        &mut pool_charged,
-                        started,
-                    )
-                }));
-                // Stop the lanes whether the merge finished or panicked —
-                // a panicking merge thread must not leave workers spinning
-                // (the scope would join forever).
-                shared.stop.store(true, Ordering::SeqCst);
-                match r {
-                    Ok(r) => r,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            });
-            match scope_result {
-                Ok(r) => r,
-                // A panic anywhere in the scope (merge or a lane that
-                // somehow escaped its catch-unwind) propagates: the sweep
-                // supervisor turns it into a typed per-point failure hole.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        };
-        // The per-window check catches a lane dying mid-run; this one
-        // catches a lane that died while no window was open (results are
-        // still exact — speculation is advisory — but a silently dead
-        // lane is silently degraded throughput, so it is loud).
-        if shared.poisoned.load(Ordering::SeqCst) {
-            panic!("window-parallel worker lane panicked");
-        }
-        self.prof.stop();
-        self.settle_pool(&pool, pool_charged);
-        self.run_wall = started.elapsed();
-        if let Some(p) = self.par.as_mut() {
-            for lane in 0..MAX_LANES {
-                p.worker_busy_us[lane] = shared.busy_ns[lane].load(Ordering::Relaxed) / 1_000;
-            }
-            p.loop_wall_us = self.run_wall.as_micros() as u64;
-        }
-        result
-    }
-
-    /// One full plan → speculate → merge cycle per iteration, until the
-    /// run completes or a budget trips.
-    #[allow(clippy::too_many_arguments)]
-    fn window_loop(
-        &mut self,
-        shared: &WindowShared,
-        hints: &[AtomicU64],
-        refill_cell: &UnsafeCell<Option<ExpRefill>>,
-        planned: &mut Vec<(SimTime, Event)>,
-        lookahead: SimDuration,
-        budget: crate::RunBudget,
-        pool: &Option<crate::EventPool>,
-        pool_charged: &mut u64,
-        started: std::time::Instant,
-    ) -> Result<(), RunError> {
-        loop {
-            if self.done {
-                return Ok(());
-            }
-            // ---- Plan: pop a bounded window off the calendar. The window
-            // always terminates at a batch boundary if one falls inside
-            // it, so `done` can only become true on a window's last event.
-            planned.clear();
-            let Some(t0) = self.cal.peek_time() else {
-                return Ok(());
-            };
-            let horizon = t0 + lookahead;
-            while planned.len() < WINDOW_CAP {
-                let Some(t) = self.cal.peek_time() else {
-                    break;
-                };
-                if !planned.is_empty() && t > horizon {
-                    break;
-                }
-                let (t, ev) = self.cal.pop().expect("peeked event exists");
-                let batch_end = matches!(ev, Event::BatchEnd);
-                planned.push((t, ev));
-                if batch_end {
-                    break;
-                }
-            }
-            let n = planned.len();
-            debug_assert!(n > 0, "peeked a non-empty calendar");
-            // ---- Speculate: publish the frozen view, help claim chunks,
-            // then quiesce so no lane touches the view past this phase.
-            for h in &hints[..n] {
-                h.store(0, Ordering::Relaxed);
-            }
-            let mut view = SpecView {
-                planned: planned.as_ptr(),
-                n,
-                hints: hints.as_ptr(),
-                arena: &self.arena,
-                lockmgr: &self.lockmgr,
-                cpus: &self.cpus,
-                disks: &self.disks,
-                algorithm: self.cfg.algorithm,
-                ext_think: &self.ext_think,
-                think_rng: &self.think_rng,
-                refill: refill_cell,
-            };
-            shared.publish(&mut view, n.div_ceil(parallel::CHUNK));
-            parallel::run_chunks(shared, 0);
-            shared.close();
-            shared.quiesce();
-            if shared.poisoned.load(Ordering::SeqCst) {
-                // Engine state is still consistent (speculation is
-                // read-only), but a dead lane breaks the mode's contract;
-                // surface it for the supervisor's typed failure holes.
-                panic!("window-parallel worker lane panicked");
-            }
-            // SAFETY: quiesced — no lane can touch the refill cell now.
-            if let Some(r) = unsafe { (*refill_cell.get()).take() } {
-                self.pending_refill = Some(r);
-            }
-            // ---- Merge: apply serially in global-seq order.
-            self.prof.switch(Stage::Merge);
-            self.win_active = true;
-            self.win_end = planned[n - 1].0;
-            if let Some(p) = self.par.as_mut() {
-                p.windows += 1;
-                p.planned += n as u64;
-            }
-            let mut res = Ok(());
-            'window: for i in 0..n {
-                let (t, ev) = planned[i];
-                // Drain overlay events strictly before this instant (the
-                // planned event wins time ties: its calendar sequence
-                // number predates any mid-merge schedule).
-                loop {
-                    let due = matches!(self.overlay.peek(), Some(Reverse(top)) if top.at < t);
-                    if !due {
-                        break;
-                    }
-                    let e = self.overlay.pop().expect("peeked overlay entry").0;
-                    if let Some(p) = self.par.as_mut() {
-                        p.overlay_events += 1;
-                    }
-                    if let Err(err) = self.merge_one(
-                        e.at,
-                        e.ev,
-                        Stage::Handle,
-                        budget,
-                        pool,
-                        pool_charged,
-                        started,
-                        shared,
-                    ) {
-                        res = Err(err);
-                        break 'window;
-                    }
-                }
-                // Validate the speculation hint against live state; a
-                // stale or conflict-demoted hint means the prefetch work
-                // is discarded and the event replays through the normal
-                // serial handler (which is why the trajectory is exact).
-                let (kind, hterm, hepoch) = decode_hint(hints[i].load(Ordering::Relaxed));
-                let fresh = match kind {
-                    HINT_NONE => None,
-                    HINT_STALE | HINT_CONFLICT => Some(false),
-                    _ => Some(self.arena.get(hterm).is_some_and(|txn| txn.epoch == hepoch)),
-                };
-                if let Some(p) = self.par.as_mut() {
-                    if kind == HINT_CONFLICT {
-                        p.conflicts += 1;
-                    }
-                    match fresh {
-                        None => {}
-                        Some(true) => {
-                            p.speculated += 1;
-                            p.applied += 1;
-                        }
-                        Some(false) => {
-                            p.speculated += 1;
-                            p.rolled_back += 1;
-                            p.replayed += 1;
-                        }
-                    }
-                }
-                let stage = if fresh == Some(false) {
-                    Stage::Rollback
-                } else {
-                    Stage::Handle
-                };
-                if let Err(err) =
-                    self.merge_one(t, ev, stage, budget, pool, pool_charged, started, shared)
-                {
-                    res = Err(err);
-                    break 'window;
-                }
-            }
-            self.win_active = false;
-            if res.is_err() {
-                // Unapplied planned/overlay events die with the run; the
-                // budget error already carries the exact sequential stop
-                // point.
-                self.overlay.clear();
-                self.prof.switch(Stage::Speculate);
-                return res;
-            }
-            debug_assert!(
-                self.overlay.is_empty(),
-                "overlay fully drained at window end"
-            );
-            self.prof.switch(Stage::Speculate);
-        }
-    }
-
-    /// Apply one event inside a window merge. The budget check is the
-    /// sequential loop's own ([`Simulator::count_event`]), so budget stops
-    /// are byte-identical to [`Simulator::run_loop_seq`].
-    #[allow(clippy::too_many_arguments)]
-    fn merge_one(
-        &mut self,
-        now: SimTime,
-        ev: Event,
-        stage: Stage,
-        budget: crate::RunBudget,
-        pool: &Option<crate::EventPool>,
-        pool_charged: &mut u64,
-        started: std::time::Instant,
-        shared: &WindowShared,
-    ) -> Result<(), RunError> {
-        if let Err(err) = self.count_event(now, budget, pool, pool_charged, started) {
-            // Tell the lanes the run is over so they stop speculating
-            // windows that can never be applied.
-            shared.budget_near.store(true, Ordering::SeqCst);
-            return Err(err);
-        }
-        self.now = now;
-        self.prof.switch(stage);
-        self.handle(now, ev);
-        self.prof.switch(Stage::Merge);
-        Ok(())
-    }
-
-    /// Schedule `ev` from a handler: the single hot-path entry point.
-    /// Sequential runs always hit the calendar; inside a window merge, an
-    /// event landing before the window's end goes to the overlay heap
-    /// instead (the calendar's clock has already advanced to the window
-    /// end), and the merge loop drains it in exact sequential order.
-    #[inline]
-    fn sched(&mut self, at: SimTime, ev: Event) {
-        if self.win_active && at < self.win_end {
-            self.overlay_seq += 1;
-            self.overlay.push(Reverse(OverlayEntry {
-                at,
-                seq: self.overlay_seq,
-                ev,
-            }));
-        } else {
-            self.cal.schedule(at, ev);
-        }
-    }
-
-    /// Draw an external think time, installing a speculatively precomputed
-    /// refill when the block runs dry. Installation self-validates (the
-    /// refill snapshots the stream state it was computed from), so a
-    /// superseded refill falls back to the ordinary in-place refill, which
-    /// produces the identical draw sequence.
-    #[inline]
-    fn sample_ext_think(&mut self) -> SimDuration {
-        if self.ext_think.is_dry() {
-            if let Some(refill) = self.pending_refill.take() {
-                if self.ext_think.install_refill(&refill, &mut self.think_rng) {
-                    if let Some(p) = self.par.as_mut() {
-                        p.refills_installed += 1;
-                    }
-                }
-            }
-        }
-        self.ext_think.sample(&mut self.think_rng)
-    }
-
     /// The O(1)-memory streaming response-time quantiles collected so far.
     /// Readable at any point — including after a budget stop — without
     /// touching the serialized [`Report`].
@@ -955,7 +590,6 @@ impl Simulator {
             calendar: self.cal.stats(),
             elided_cpu_hops: self.elided_cpu,
             elided_disk_hops: self.elided_disk,
-            parallel: self.par,
         }
     }
 
@@ -995,7 +629,7 @@ impl Simulator {
 
     fn prime(&mut self) {
         for term in 0..self.arena.num_terms() {
-            let at = SimTime::ZERO + self.sample_ext_think();
+            let at = SimTime::ZERO + self.ext_think.sample(&mut self.think_rng);
             self.cal.schedule(at, Event::Arrive(term));
         }
         self.cal
@@ -1013,7 +647,7 @@ impl Simulator {
                     .expect("CpuDone without CPU pool")
                     .complete(now, server);
                 if let Some(s) = next {
-                    self.sched(s.completes_at, Event::CpuDone(s.server));
+                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
                 self.service_done(payload, ServiceKind::Cpu, now);
             }
@@ -1024,7 +658,7 @@ impl Simulator {
                     .expect("DiskDone without disk array")
                     .complete(now, disk);
                 if let Some(s) = next {
-                    self.sched(s.completes_at, Event::DiskDone(s.disk));
+                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
                 self.service_done(payload, ServiceKind::Io, now);
             }
@@ -1041,7 +675,7 @@ impl Simulator {
                     .expect("CpuDoneFast without CPU pool")
                     .complete_direct(now, server as usize)
                 {
-                    self.sched(s.completes_at, Event::CpuDone(s.server));
+                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Cpu, now);
             }
@@ -1052,7 +686,7 @@ impl Simulator {
                     .expect("DiskDoneFast without disk array")
                     .complete_direct(now, disk as usize)
                 {
-                    self.sched(s.completes_at, Event::DiskDone(s.disk));
+                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Io, now);
             }
@@ -1174,7 +808,8 @@ impl Simulator {
         if self.metrics.on_batch_end(now, cpu_busy, io_busy) {
             self.done = true;
         } else {
-            self.sched(now + self.cfg.metrics.batch_time, Event::BatchEnd);
+            self.cal
+                .schedule(now + self.cfg.metrics.batch_time, Event::BatchEnd);
         }
     }
 
@@ -1386,7 +1021,8 @@ impl Simulator {
                         .expect("terminal has no active transaction");
                     txn.state = TxnState::Thinking;
                     let epoch = txn.epoch;
-                    self.sched(now + d, Event::Delay(term, epoch, DelayKind::IntThink));
+                    self.cal
+                        .schedule(now + d, Event::Delay(term, epoch, DelayKind::IntThink));
                     return;
                 }
                 Step::Validate => {
@@ -1940,7 +1576,8 @@ impl Simulator {
         } else {
             txn.state = TxnState::RestartDelay;
             let epoch = txn.epoch;
-            self.sched(now + delay, Event::Delay(term, epoch, DelayKind::Restart));
+            self.cal
+                .schedule(now + delay, Event::Delay(term, epoch, DelayKind::Restart));
         }
 
         self.process_grants(&grants, now);
@@ -2070,9 +1707,9 @@ impl Simulator {
 
         // The terminal starts thinking about its next transaction.
         self.prof.switch(Stage::Variate);
-        let think = self.sample_ext_think();
+        let think = self.ext_think.sample(&mut self.think_rng);
         self.prof.switch(Stage::Dispatch);
-        self.sched(now + think, Event::Arrive(term));
+        self.cal.schedule(now + think, Event::Arrive(term));
 
         self.process_grants(&grants, now);
         grants.clear();
@@ -2118,7 +1755,8 @@ impl Simulator {
         match &mut self.cpus {
             None => {
                 self.inf_cpu_busy_us += dur.as_micros();
-                self.sched(now + dur, Event::InfDone(term, epoch, ServiceKind::Cpu));
+                self.cal
+                    .schedule(now + dur, Event::InfDone(term, epoch, ServiceKind::Cpu));
             }
             Some(pool) => {
                 // Uncontended fast path: an idle server means the request
@@ -2127,7 +1765,7 @@ impl Simulator {
                 if self.cfg.elide_uncontended {
                     if let Some(s) = pool.try_submit_direct(now, dur) {
                         self.elided_cpu += 1;
-                        self.sched(
+                        self.cal.schedule(
                             s.completes_at,
                             Event::CpuDoneFast {
                                 server: s.server as u32,
@@ -2146,7 +1784,7 @@ impl Simulator {
                         priority: prio,
                     },
                 ) {
-                    self.sched(s.completes_at, Event::CpuDone(s.server));
+                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
                 }
             }
         }
@@ -2158,7 +1796,8 @@ impl Simulator {
         match &mut self.disks {
             None => {
                 self.inf_io_busy_us += dur.as_micros();
-                self.sched(now + dur, Event::InfDone(term, epoch, ServiceKind::Io));
+                self.cal
+                    .schedule(now + dur, Event::InfDone(term, epoch, ServiceKind::Io));
             }
             Some(array) => {
                 // The paper's I/O model: "chooses a disk (at random, with
@@ -2172,7 +1811,7 @@ impl Simulator {
                 if self.cfg.elide_uncontended {
                     if let Some(s) = array.try_submit_direct(now, disk, dur) {
                         self.elided_disk += 1;
-                        self.sched(
+                        self.cal.schedule(
                             s.completes_at,
                             Event::DiskDoneFast {
                                 disk: s.disk as u32,
@@ -2184,7 +1823,7 @@ impl Simulator {
                     }
                 }
                 if let Some(s) = array.submit(now, disk, (term, epoch), dur) {
-                    self.sched(s.completes_at, Event::DiskDone(s.disk));
+                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
                 }
             }
         }

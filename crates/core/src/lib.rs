@@ -31,7 +31,6 @@ mod budget;
 mod config;
 mod engine;
 mod metrics;
-mod parallel;
 mod profiler;
 mod sink;
 mod trace;
@@ -46,7 +45,6 @@ pub use engine::{
     Simulator,
 };
 pub use metrics::{ClassReport, Metrics, Report, StreamingQuantiles};
-pub use parallel::{ParallelStats, MAX_LANES};
 pub use profiler::{Stage, StageProfile, StageSample, STAGE_COUNT, STAGE_PROFILER_COMPILED};
 pub use sink::{CenterFlow, EventSink, FlowStats};
 pub use trace::{Trace, TraceEvent};

@@ -26,8 +26,8 @@
 /// (e.g. the grant cascade a lock release sets off) is charged to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Popping the next event off the calendar (lane/heap repair and the
-    /// per-event budget checks included).
+    /// Popping the next event off the calendar (lane/heap repair, the
+    /// per-event budget checks and the per-bucket look-ahead included).
     Pop = 0,
     /// Event decode and completion bookkeeping: epoch filtering, resource
     /// pool completions, scheduling of consequent events.
@@ -43,19 +43,10 @@ pub enum Stage {
     /// Workload variate generation: access specs, think times, restart
     /// delays.
     Variate = 5,
-    /// Window-parallel mode: planning a window, publishing it to the worker
-    /// pool, and the merge thread's share of chunk speculation.
-    Speculate = 6,
-    /// Window-parallel mode: applying planned events in global-seq order,
-    /// including overlay drains and hint validation.
-    Merge = 7,
-    /// Window-parallel mode: discarding stale/conflicting speculation and
-    /// replaying those events serially.
-    Rollback = 8,
 }
 
 /// Number of distinct [`Stage`]s.
-pub const STAGE_COUNT: usize = 9;
+pub const STAGE_COUNT: usize = 6;
 
 #[cfg_attr(not(feature = "stage-profiler"), allow(dead_code))]
 const STAGE_NAMES: [&str; STAGE_COUNT] = [
@@ -65,9 +56,6 @@ const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "lock-table",
     "validation",
     "variate-gen",
-    "speculate",
-    "merge",
-    "rollback",
 ];
 
 /// One stage's share of a completed run.

@@ -127,70 +127,6 @@ impl ExpBlock {
         self.pos = 0;
     }
 
-    /// True when the buffer is exhausted: the next [`ExpBlock::sample`]
-    /// will refill from the stream (unless the mean is zero, which never
-    /// consumes randomness).
-    #[must_use]
-    pub fn is_dry(&self) -> bool {
-        self.pos == DIST_BLOCK
-    }
-
-    /// Buffered variates still to be served before the next refill.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        DIST_BLOCK - self.pos
-    }
-
-    /// Compute the *next* refill of this block without touching the block
-    /// or the live stream: the caller hands in a read-only view of the
-    /// stream's current state and gets back the exact buffer the next
-    /// [`ExpBlock::sample`]-triggered refill would produce, plus the
-    /// stream state it would leave behind.
-    ///
-    /// This is the worker-lane half of the speculative refill protocol:
-    /// a worker thread precomputes the refill off the critical path while
-    /// the merge thread owns the live RNG, and the merge thread later
-    /// installs it with [`ExpBlock::install_refill`]. Bit-identity holds
-    /// because the refill consumes a fixed run of [`DIST_BLOCK`] words via
-    /// the same `fill_u64` + [`exp_micros_from_word`] pipeline the
-    /// in-place refill uses.
-    #[must_use]
-    pub fn precompute_refill(&self, rng: &crate::rng::Xoshiro256StarStar) -> ExpRefill {
-        let before = rng.clone();
-        let mut rng = rng.clone();
-        let mut words = [0u64; DIST_BLOCK];
-        rng.fill_u64(&mut words);
-        let mut buf = [0u64; DIST_BLOCK];
-        for (out, w) in buf.iter_mut().zip(words) {
-            *out = exp_micros_from_word(self.mean_us, w);
-        }
-        ExpRefill {
-            rng_before: before,
-            rng_after: rng,
-            buf,
-        }
-    }
-
-    /// Install a refill precomputed by [`ExpBlock::precompute_refill`],
-    /// advancing `rng` past the words the refill consumed. Returns `false`
-    /// — installing nothing — unless the block is dry *and* `rng` still
-    /// matches the state the refill was computed from; a `false` return
-    /// means the caller should fall back to the ordinary
-    /// [`ExpBlock::sample`] path, which produces the identical sequence.
-    pub fn install_refill(
-        &mut self,
-        refill: &ExpRefill,
-        rng: &mut crate::rng::Xoshiro256StarStar,
-    ) -> bool {
-        if !self.is_dry() || self.mean.is_zero() || *rng != refill.rng_before {
-            return false;
-        }
-        self.buf = refill.buf;
-        self.pos = 0;
-        *rng = refill.rng_after.clone();
-        true
-    }
-
     /// Batched draw: fill `out` with variates. Equivalent bit-for-bit — in
     /// values, word consumption, and the buffer state left behind — to
     /// `out.len()` calls to [`ExpBlock::sample`], but served a buffered run
@@ -214,18 +150,6 @@ impl ExpBlock {
             out = &mut out[take..];
         }
     }
-}
-
-/// One precomputed [`ExpBlock`] refill: the buffer the next refill would
-/// produce plus the RNG states bracketing it (see
-/// [`ExpBlock::precompute_refill`]). The `rng_before` snapshot makes
-/// installation self-validating: a refill computed from a state the live
-/// stream has since moved past can never be applied.
-#[derive(Debug, Clone)]
-pub struct ExpRefill {
-    rng_before: crate::rng::Xoshiro256StarStar,
-    rng_after: crate::rng::Xoshiro256StarStar,
-    buf: [u64; DIST_BLOCK],
 }
 
 /// Batched uniform-integer sampler over `[0, bound)` for a **fixed** bound:
@@ -408,40 +332,6 @@ mod tests {
             self.pos += 1;
             w
         }
-    }
-
-    #[test]
-    fn precomputed_refill_matches_plain_sampling() {
-        let mean = SimDuration::from_secs(1);
-        let mut live = rng();
-        let mut plain = rng();
-        let mut a = ExpBlock::new(mean);
-        let mut b = ExpBlock::new(mean);
-        // Walk several refill cycles, installing a precomputed refill at
-        // every dry point; the draw sequence must match plain sampling
-        // bit-for-bit and leave the streams in identical states.
-        for i in 0..100 {
-            if a.is_dry() {
-                let refill = a.precompute_refill(&live);
-                assert!(a.install_refill(&refill, &mut live), "install at {i}");
-            }
-            assert_eq!(
-                a.sample(&mut live),
-                b.sample(&mut plain),
-                "draw {i} diverged"
-            );
-        }
-        assert_eq!(live, plain, "stream states diverged");
-        // A refill from a superseded stream state must refuse to install.
-        let stale = a.precompute_refill(&live);
-        while !a.is_dry() {
-            let _ = a.sample(&mut live);
-        }
-        let _ = a.sample(&mut live); // triggers an ordinary refill
-        while !a.is_dry() {
-            let _ = a.sample(&mut live);
-        }
-        assert!(!a.install_refill(&stale, &mut live), "stale refill applied");
     }
 
     #[test]

@@ -38,8 +38,8 @@ mod time;
 
 pub use calendar::{Calendar, CalendarStats};
 pub use dist::{
-    sample_distinct, sample_distinct_into, sample_exponential, ExpBlock, ExpRefill, Exponential,
-    UniformBlock, UniformInclusive,
+    sample_distinct, sample_distinct_into, sample_exponential, ExpBlock, Exponential, UniformBlock,
+    UniformInclusive,
 };
 pub use rng::{
     derive_point_seed, derive_seed, BufferedRng, RandomSource, RngStreams, SplitMix64,

@@ -37,12 +37,7 @@ impl SplitMix64 {
 }
 
 /// xoshiro256**: fast, 256-bit state, passes BigCrush.
-///
-/// `PartialEq` compares the full 256-bit state: two equal generators
-/// produce identical streams forever, which the speculative refill lane
-/// uses to validate that a precomputed refill still matches the live
-/// stream (see `ExpBlock::install_refill`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }

@@ -18,9 +18,6 @@
 //!   --infinite              infinite resources
 //!   --ext-think <secs> --int-think <secs>
 //!   --seed <u64>            master seed
-//!   --workers <n>           engine worker threads (speculative window-
-//!                           parallel mode; 0/1 = sequential). Reports are
-//!                           byte-identical at any worker count
 //!   --reps <n>              independent replications (default 1); prints
 //!                           per-replication throughput and the Student-t
 //!                           interval across replication means
@@ -77,7 +74,6 @@ fn parse() -> Result<Cli, String> {
     let mut metrics = MetricsConfig::paper();
     let mut budget = RunBudget::default();
     let mut seed = 0xCC85_u64;
-    let mut workers = 1_u32;
     let mut reps = 1_u32;
     let mut check_serializable = false;
     let mut audit = false;
@@ -118,7 +114,6 @@ fn parse() -> Result<Cli, String> {
                     SimDuration::from_secs_f64(parse_num(&next_val(&mut args, "--int-think")?)?);
             }
             "--seed" => seed = parse_num(&next_val(&mut args, "--seed")?)?,
-            "--workers" => workers = parse_num(&next_val(&mut args, "--workers")?)?,
             "--reps" => {
                 reps = parse_num(&next_val(&mut args, "--reps")?)?;
                 if reps == 0 {
@@ -158,8 +153,7 @@ fn parse() -> Result<Cli, String> {
         .with_params(params)
         .with_metrics(metrics)
         .with_budget(budget)
-        .with_seed(seed)
-        .with_workers(workers);
+        .with_seed(seed);
     cfg.validate().map_err(|e| e.to_string())?;
     if check_serializable && reps > 1 {
         return Err("--check-serializable works on a single run; use --reps 1".to_string());
@@ -327,33 +321,6 @@ fn append_perf(text: &mut String, perf: &PerfStats) {
         "  elided hops      {} cpu, {} disk (uncontended fast path)",
         perf.elided_cpu_hops, perf.elided_disk_hops
     );
-    if let Some(p) = &perf.parallel {
-        let _ = writeln!(
-            text,
-            "  window mode      {} workers, {} windows, {} planned events ({} overlay)",
-            p.workers, p.windows, p.planned, p.overlay_events
-        );
-        let _ = writeln!(
-            text,
-            "  speculation      {} speculated: {} applied, {} rolled back + replayed \
-             ({:.1}% rollback), {} chunk conflicts, {} refills installed",
-            p.speculated,
-            p.applied,
-            p.rolled_back,
-            100.0 * p.rollback_ratio(),
-            p.conflicts,
-            p.refills_installed
-        );
-        let busy: Vec<String> = (0..p.workers.min(ccsim_core::MAX_LANES as u32) as usize)
-            .map(|lane| format!("{:.0}%", 100.0 * p.busy_fraction(lane)))
-            .collect();
-        let _ = writeln!(
-            text,
-            "  lane busy        [{}] of loop wall {:.3}s",
-            busy.join(" "),
-            p.loop_wall_us as f64 / 1e6
-        );
-    }
 }
 
 /// Report a failed run and exit: exit code 2 for configuration errors

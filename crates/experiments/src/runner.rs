@@ -203,7 +203,8 @@ pub struct RunOptions {
     pub fidelity: Fidelity,
     /// Base seed; each grid point gets a distinct derived seed.
     pub base_seed: u64,
-    /// Worker threads (0 = one per available core).
+    /// Threads running grid points in parallel (0 = one per available
+    /// core).
     pub threads: usize,
     /// Independent replications per `(series, mpl)` point (0 is treated
     /// as 1). Replication `i` reuses one workload stream across all
@@ -220,13 +221,6 @@ pub struct RunOptions {
     /// total simulated work is bounded across jobs; `None` (the default)
     /// leaves runs bounded only by their per-run [`ccsim_core::RunBudget`].
     pub event_pool: Option<EventPool>,
-    /// Engine worker threads *inside* each run (the speculative
-    /// window-parallel mode, [`SimConfig::workers`]) — orthogonal to
-    /// `threads`, which parallelizes across grid points. `0`/`1` run each
-    /// point sequentially. Like `threads`, this cannot change any result
-    /// (window mode is byte-identical), so it is not part of the
-    /// checkpoint-manifest fingerprint.
-    pub workers: u32,
 }
 
 impl Default for RunOptions {
@@ -239,7 +233,6 @@ impl Default for RunOptions {
             audit: false,
             retry: RetryPolicy::none(),
             event_pool: None,
-            workers: 1,
         }
     }
 }
@@ -443,7 +436,6 @@ fn run_point(
     if let Some(pool) = &opts.event_pool {
         cfg = cfg.with_event_pool(pool.clone());
     }
-    cfg = cfg.with_workers(opts.workers);
     if let Some(cap) = chaos.budget_cap_at(series_ix, mpl, rep, attempt) {
         cfg = cfg.with_budget(RunBudget::unlimited().with_max_events(cap));
     }
@@ -680,7 +672,8 @@ pub fn run_experiment_supervised(
     let (res_tx, res_rx) = channel::unbounded::<PointMsg>();
     let mut interrupted = false;
     // An interrupt raised before the sweep starts abandons the whole queue
-    // (checked here, before workers exist, so no run can slip through).
+    // (checked here, before any sweep thread starts, so no run can slip
+    // through).
     if ctl.interrupt.is_some_and(|f| f.load(Ordering::Relaxed)) {
         interrupted = true;
     } else {
@@ -841,7 +834,6 @@ mod tests {
             audit: false,
             retry: RetryPolicy::none(),
             event_pool: None,
-            workers: 1,
         }
     }
 

@@ -233,17 +233,6 @@ impl LockManager {
         self.index.prefetch(obj);
     }
 
-    /// The lock-table home slot `obj` hashes to (see `ObjMap::home_slot`).
-    /// Speculative window execution partitions planned events by this
-    /// value: two lock requests with the same home slot are treated as a
-    /// cross-shard interaction and the later hint is demoted to a
-    /// conflict, to be replayed serially. Read-only and probe-free.
-    #[inline]
-    #[must_use]
-    pub fn home_slot(&self, obj: ObjId) -> usize {
-        self.index.home_slot(obj)
-    }
-
     /// The entry slot for `obj`, creating one (recycled if possible) when
     /// the object has no lock state yet.
     fn ensure_obj(&mut self, obj: ObjId) -> usize {

@@ -122,10 +122,10 @@ impl<T> ServerPool<T> {
     }
 
     /// Read-only peek at the payload of the request `server` is currently
-    /// serving, if any. Speculative worker lanes use this to resolve a
-    /// planned completion event's target without mutating the pool; the
-    /// answer is a snapshot — an earlier event in the same window may
-    /// retire the request before the completion is actually merged.
+    /// serving, if any. The engine's look-ahead uses this to resolve a
+    /// pending completion event's target without mutating the pool; the
+    /// answer is a snapshot — an earlier event may retire the request
+    /// before the completion is delivered.
     #[must_use]
     pub fn in_service(&self, server: usize) -> Option<&T> {
         self.servers

@@ -37,7 +37,7 @@ pub mod server;
 pub use cache::ResultCache;
 pub use job::JobSpec;
 pub use journal::{JobJournal, JobRecord, JobState};
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{start, ServerConfig, ServerHandle, MAX_REQUEST_BYTES};
 
 /// Re-exported name of the chaos env var (always defined; the hooks it
 /// arms are compiled only with the `chaos` feature).

@@ -30,7 +30,7 @@
 //! restart picks every non-done job back up.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -279,14 +279,34 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     }
 }
 
-/// Read one request line, tolerating read timeouts so a shutdown is
-/// noticed even while a client dawdles.
-fn read_request(inner: &Inner, reader: &mut BufReader<TcpStream>) -> Option<String> {
-    let mut line = String::new();
+/// Largest request line the daemon accepts, newline included. A client
+/// line that reaches the cap without a newline is refused with an error
+/// reply rather than buffered without bound.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
+/// Read one request line of at most [`MAX_REQUEST_BYTES`], tolerating
+/// read timeouts so a shutdown is noticed even while a client dawdles.
+/// `None` means the connection closed (or the daemon is shutting down)
+/// before a request arrived; `Some(Err(detail))` is a request to refuse.
+fn read_request(
+    inner: &Inner,
+    reader: &mut BufReader<TcpStream>,
+) -> Option<Result<String, String>> {
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return None,
-            Ok(_) => return Some(line),
+        let room = MAX_REQUEST_BYTES - line.len() as u64;
+        match Read::take(&mut *reader, room).read_until(b'\n', &mut line) {
+            Ok(_) if line.ends_with(b"\n") => break,
+            Ok(_) if line.len() as u64 >= MAX_REQUEST_BYTES => {
+                return Some(Err(format!(
+                    "request line exceeds {MAX_REQUEST_BYTES} bytes"
+                )));
+            }
+            // End of stream: serve a final unterminated line, if any.
+            Ok(0) if line.is_empty() => return None,
+            Ok(0) => break,
+            // Bytes up to the end of stream; the next read confirms it.
+            Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -298,6 +318,7 @@ fn read_request(inner: &Inner, reader: &mut BufReader<TcpStream>) -> Option<Stri
             Err(_) => return None,
         }
     }
+    Some(String::from_utf8(line).map_err(|_| "request line is not UTF-8".to_string()))
 }
 
 fn send_line(stream: &mut TcpStream, line: &str) -> bool {
@@ -322,8 +343,13 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let Some(line) = read_request(inner, &mut reader) else {
-        return;
+    let line = match read_request(inner, &mut reader) {
+        None => return,
+        Some(Ok(line)) => line,
+        Some(Err(detail)) => {
+            send_line(&mut writer, &error_line(&detail));
+            return;
+        }
     };
     let req = match json::parse(&line) {
         Ok(v) => v,

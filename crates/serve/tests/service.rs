@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use ccsim_experiments::json::{self, Value};
 use ccsim_experiments::{run_experiment, RetryPolicy};
-use ccsim_serve::{start, JobSpec, ServerConfig};
+use ccsim_serve::{start, JobSpec, ServerConfig, MAX_REQUEST_BYTES};
 
 fn state_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ccsim-serve-e2e-{name}"));
@@ -321,6 +321,32 @@ fn malformed_requests_get_typed_errors() {
         assert_eq!(event_of(&lines[0]), "error", "{req} -> {lines:#?}");
         assert!(lines[0].contains(needle), "{req} -> {lines:#?}");
     }
+    handle.drain();
+}
+
+#[test]
+fn over_cap_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let dir = state_dir("over-cap");
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.threads = 1;
+    let handle = start(cfg).expect("daemon starts");
+    // A line that fills the whole cap without a newline: the daemon stops
+    // reading there, answers with a typed error and closes.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let filler = vec![b' '; MAX_REQUEST_BYTES as usize];
+    stream.write_all(&filler).expect("send");
+    let lines: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map_while(Result::ok)
+        .collect();
+    assert_eq!(lines.len(), 1, "{lines:#?}");
+    assert_eq!(event_of(&lines[0]), "error");
+    assert!(lines[0].contains("exceeds"), "{lines:#?}");
+
+    // The daemon is unharmed: a normal submit on a new connection runs.
+    let lines = request(handle.addr(), &submit_line(&small_spec(&[5])));
+    assert_eq!(event_of(&lines[0]), "ack");
+    assert_eq!(event_of(lines.last().expect("terminal line")), "done");
     handle.drain();
 }
 

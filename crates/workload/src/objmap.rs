@@ -126,18 +126,6 @@ impl<V: Copy + Default> ObjMap<V> {
         (key.wrapping_mul(FIB) >> self.shift) as usize
     }
 
-    /// The home slot index `key` hashes to — the shard identity used by
-    /// speculative window partitioning: two keys with the same home slot
-    /// contend for the same probe neighbourhood, so a conservative
-    /// conflict predicate treats them as one shard. Pure (no probing, no
-    /// state change); the value is only stable between rehashes, which is
-    /// exactly the within-window horizon speculation needs.
-    #[inline]
-    #[must_use]
-    pub fn home_slot(&self, key: ObjId) -> usize {
-        self.home(key.0)
-    }
-
     /// Hint the CPU to pull `key`'s home slot into cache ahead of an
     /// upcoming `get`/`insert`/`remove` for the same key.
     ///

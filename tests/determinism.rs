@@ -45,7 +45,6 @@ fn experiment_results_and_json_replay_exactly() {
         audit: false,
         retry: RetryPolicy::none(),
         event_pool: None,
-        workers: 1,
     };
     let a = run_experiment(&spec, &opts).expect("sweep completes");
     let b = run_experiment(&spec, &opts).expect("sweep completes");

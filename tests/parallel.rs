@@ -1,7 +1,15 @@
-//! The speculative window-parallel engine mode's core contract: at any
-//! worker count, every report, streaming quantile, and golden trace is
-//! byte-identical to the sequential loop. Speedup is a side effect the
-//! benchmarks measure; *these* tests pin the part that must never drift.
+//! The bucket look-ahead's core contract. The event loop's look-ahead
+//! window is the near-lane calendar bucket the clock has just entered:
+//! once per bucket, the loop prefetches the arena record and predicted
+//! lock-table slot of every event due in it. It replaced the speculative
+//! window-parallel mode and inherits that mode's promise: it is read-only,
+//! so every report, streaming quantile, and golden trace is byte-identical
+//! to a run in which it never fires.
+//!
+//! A heap-only calendar has no near lane, so its `entered_bucket` yields
+//! nothing and the look-ahead is off; the two-tier default turns it on.
+//! Speedup is a side effect the benchmarks measure; *these* tests pin the
+//! part that must never drift.
 
 use ccsim_audit::golden::serialize_trace;
 use ccsim_audit::run_with_audit;
@@ -29,77 +37,40 @@ fn tracked_algorithms() -> impl Iterator<Item = CcAlgorithm> {
 #[test]
 fn window_mode_reports_are_byte_identical() {
     // Paper trio + modern trio at a contended mpl: the full report must be
-    // byte-equal between the sequential loop and every tested worker count.
+    // byte-equal with the look-ahead on and off, and the "on" run must
+    // really have had near-lane buckets to look ahead over.
     for algo in tracked_algorithms() {
-        let mk = |workers| {
+        let mk = |lookahead| {
             SimConfig::new(algo)
                 .with_params(Params::paper_baseline().with_mpl(50))
                 .with_metrics(quick())
                 .with_seed(0x7ACE)
-                .with_workers(workers)
+                .with_two_tier_calendar(lookahead)
         };
-        let seq = run(mk(1)).unwrap();
-        for workers in [2, 4, 8] {
-            let par = run(mk(workers)).unwrap();
-            assert_eq!(
-                seq, par,
-                "{algo}: workers={workers} diverged from sequential"
-            );
-        }
+        let (on, on_perf) = run_with_perf(mk(true)).unwrap();
+        let (off, off_perf) = run_with_perf(mk(false)).unwrap();
+        assert_eq!(on, off, "{algo}: the look-ahead changed the report");
+        assert_eq!(on_perf.events, off_perf.events, "{algo}: event counts");
+        assert!(
+            on_perf.calendar.lane_schedules > 0,
+            "{algo}: the look-ahead run never used the near lane"
+        );
+        assert_eq!(
+            off_perf.calendar.lane_schedules, 0,
+            "{algo}: the heap-only run still used the near lane"
+        );
+        // Replaying the look-ahead run gives the same bytes again.
+        assert_eq!(on, run(mk(true)).unwrap(), "{algo}: replay diverged");
     }
-}
-
-#[test]
-fn window_mode_populates_parallel_stats() {
-    let mk = |workers| {
-        SimConfig::new(CcAlgorithm::Blocking)
-            .with_params(Params::paper_baseline().with_mpl(50))
-            .with_metrics(quick())
-            .with_seed(0x7ACE)
-            .with_workers(workers)
-    };
-    // Sequential runs carry no parallel stats at all — the mode costs
-    // nothing when off (workers 0 and 1 are the same loop).
-    let (seq_report, seq_perf) = run_with_perf(mk(1)).unwrap();
-    assert!(seq_perf.parallel.is_none());
-    let (zero_report, zero_perf) = run_with_perf(mk(0)).unwrap();
-    assert!(zero_perf.parallel.is_none());
-    assert_eq!(seq_report, zero_report);
-
-    let (par_report, par_perf) = run_with_perf(mk(4)).unwrap();
-    assert_eq!(seq_report, par_report);
-    let p = par_perf.parallel.expect("window mode records stats");
-    assert_eq!(p.workers, 4);
-    assert!(p.windows > 0, "no windows were formed");
-    assert!(p.planned >= p.speculated, "speculated more than planned");
-    assert_eq!(
-        p.speculated,
-        p.applied + p.rolled_back,
-        "every speculated event is either applied or rolled back"
-    );
-    assert_eq!(p.rolled_back, p.replayed);
-    assert!(
-        (0.0..=1.0).contains(&p.rollback_ratio()),
-        "rollback ratio out of range: {}",
-        p.rollback_ratio()
-    );
-    // The merge lane (lane 0) did real work and its busy fraction is sane.
-    assert!(p.worker_busy_us[0] > 0, "merge lane recorded no busy time");
-    for lane in 0..4 {
-        let f = p.busy_fraction(lane);
-        assert!((0.0..=1.0).contains(&f), "lane {lane} busy fraction {f}");
-    }
-    // The event counts agree with the sequential run exactly.
-    assert_eq!(seq_perf.events, par_perf.events);
 }
 
 #[test]
 fn window_mode_golden_traces_are_byte_identical() {
     // The same fixed scenario as the golden-trace harness: the serialized
-    // event stream at workers 2/4/8 must match the sequential text AND the
-    // checked-in golden file byte-for-byte.
+    // event stream with the look-ahead on must match the look-ahead-off
+    // text AND the checked-in golden file byte-for-byte.
     for algo in tracked_algorithms() {
-        let mk = |workers: u32| {
+        let mk = |lookahead| {
             let mut params = Params::paper_baseline();
             params.db_size = 50;
             params.min_size = 2;
@@ -117,39 +88,39 @@ fn window_mode_golden_traces_are_byte_identical() {
                     confidence: Confidence::Ninety,
                 })
                 .with_seed(0x601D)
-                .with_workers(workers)
+                .with_two_tier_calendar(lookahead)
         };
-        let cfg = mk(1);
-        let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-        let seq_text = serialize_trace(&cfg, &trace, &report);
+        let traced = |lookahead| {
+            let cfg = mk(lookahead);
+            let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
+            serialize_trace(&cfg, &trace, &report)
+        };
+        let off_text = traced(false);
+        let on_text = traced(true);
         let golden = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
             .join(format!("{}.trace", algo.label()));
         let blessed = std::fs::read_to_string(&golden)
             .unwrap_or_else(|e| panic!("{algo}: reading {}: {e}", golden.display()));
-        for workers in [2, 4, 8] {
-            let cfg = mk(workers);
-            let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-            let text = serialize_trace(&cfg, &trace, &report);
-            assert_eq!(
-                seq_text, text,
-                "{algo}: workers={workers} trace diverged from sequential"
-            );
-            assert_eq!(
-                blessed, text,
-                "{algo}: workers={workers} trace diverged from the golden file"
-            );
-        }
+        assert_eq!(
+            off_text, on_text,
+            "{algo}: the look-ahead trace diverged from the look-ahead-off trace"
+        );
+        assert_eq!(
+            blessed, on_text,
+            "{algo}: the look-ahead trace diverged from the golden file"
+        );
     }
 }
 
 #[test]
 fn window_mode_scale_point_is_byte_identical() {
     // A budget-bounded slice of the exp-scale regime (sparse lock table,
-    // arena txn state, streaming quantiles): report, quantiles, and the
-    // exact event count must survive the worker sweep, including the
-    // budget stop landing on the same event.
-    let mk = |workers| {
+    // arena txn state, streaming quantiles), where the look-ahead has the
+    // most to prefetch: report, quantiles, and the exact event count must
+    // not depend on it, including the budget stop landing on the same
+    // event.
+    let mk = |lookahead| {
         let mut params = Params::exp_scale();
         params.num_terms = 50_000;
         params.mpl = 5_000;
@@ -163,65 +134,50 @@ fn window_mode_scale_point_is_byte_identical() {
             })
             .with_seed(0x5CA1ED)
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
-            .with_workers(workers)
+            .with_two_tier_calendar(lookahead)
     };
-    let base = run_collecting(mk(1)).unwrap();
+    let base = run_collecting(mk(false)).unwrap();
     assert!(base.stopped.is_some(), "the point should stop on budget");
     assert!(base.report.commits > 0, "salvaged window has no commits");
-    for workers in [2, 4] {
-        let par = run_collecting(mk(workers)).unwrap();
-        assert_eq!(
-            base.report, par.report,
-            "workers={workers} changed the scale report"
-        );
-        assert_eq!(base.quantiles, par.quantiles);
-        assert_eq!(base.perf.events, par.perf.events);
-        assert!(par.stopped.is_some(), "workers={workers} missed the budget");
-    }
+    let ahead = run_collecting(mk(true)).unwrap();
+    assert_eq!(
+        base.report, ahead.report,
+        "the look-ahead changed the scale report"
+    );
+    assert_eq!(base.quantiles, ahead.quantiles);
+    assert_eq!(base.perf.events, ahead.perf.events);
+    assert!(
+        ahead.stopped.is_some(),
+        "the look-ahead run missed the budget"
+    );
+    assert!(
+        ahead.perf.calendar.lane_schedules > 0,
+        "the look-ahead run never used the near lane"
+    );
 }
 
 #[test]
 fn window_mode_is_auditor_clean() {
-    // The online invariant auditor rides the window merge exactly as it
-    // rides the sequential loop: no violations, and observation does not
-    // perturb the run.
+    // The online invariant auditor rides the look-ahead loop exactly as
+    // it rides the look-ahead-off loop: no violations, and neither
+    // observation nor the look-ahead perturbs the run.
     for algo in CcAlgorithm::PAPER_TRIO {
-        let mk = || {
+        let mk = |lookahead| {
             SimConfig::new(algo)
                 .with_params(Params::paper_baseline().with_mpl(50))
                 .with_metrics(quick())
                 .with_seed(0x7ACE)
-                .with_workers(4)
+                .with_two_tier_calendar(lookahead)
         };
-        let (audited, audit) = run_with_audit(mk()).unwrap();
+        let (audited, audit) = run_with_audit(mk(true)).unwrap();
         let violations = audit.summaries();
         assert!(
             violations.is_empty(),
-            "{algo}: audit violations at workers=4: {violations:?}"
+            "{algo}: audit violations with the look-ahead on: {violations:?}"
         );
-        let plain = run(mk()).unwrap();
+        let plain = run(mk(true)).unwrap();
         assert_eq!(audited, plain, "{algo}: the auditor perturbed the run");
+        let off = run(mk(false)).unwrap();
+        assert_eq!(audited, off, "{algo}: the look-ahead perturbed the run");
     }
-}
-
-#[test]
-fn sweep_runner_plumbs_workers_through() {
-    // `RunOptions::workers` reaches every grid point's SimConfig; the
-    // sweep result is identical because window mode cannot change results.
-    use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RetryPolicy, RunOptions};
-    let mut spec = catalog::exp3();
-    spec.mpls = vec![10];
-    let opts = |workers| RunOptions {
-        fidelity: Fidelity::Quick,
-        base_seed: 99,
-        threads: 1,
-        replications: 1,
-        audit: false,
-        retry: RetryPolicy::none(),
-        event_pool: None,
-        workers,
-    };
-    let seq = run_experiment(&spec, &opts(1)).expect("sweep completes");
-    let par = run_experiment(&spec, &opts(4)).expect("sweep completes");
-    assert_eq!(json::to_json(&seq), json::to_json(&par));
 }

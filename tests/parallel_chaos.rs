@@ -1,87 +1,75 @@
-//! Fault injection for the window-parallel worker lanes: a lane that dies
-//! mid-speculation must surface as a loud panic from the run — never a
-//! silent hang or a silently-sequential result — and a sweep must absorb
-//! it as a typed per-point failure hole while the rest of the grid
-//! completes.
+//! Fault injection into the sweep's worker threads: a run that panics on
+//! one worker of a multi-threaded sweep must surface loudly, as a typed
+//! per-point `Panic` hole that carries the panic message — never a silent
+//! hang or a lost point — while the sibling workers finish the rest of
+//! the grid with results byte-identical to a clean single-threaded sweep.
 //!
-//! This lives in its own integration-test binary because the injection
-//! switch is the process-global `CCSIM_CHAOS` environment variable; a
-//! single `#[test]` keeps it race-free.
+//! Fault injection comes from the `chaos` feature of `ccsim-experiments`
+//! (enabled for this test target in the workspace `Cargo.toml`).
 
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
-use ccsim_des::SimDuration;
-use ccsim_experiments::{catalog, run_experiment, FailureKind, Fidelity, RetryPolicy, RunOptions};
+use ccsim_experiments::{
+    catalog, json, run_experiment, run_experiment_supervised, ChaosKind, ChaosPoint, FailureKind,
+    Fidelity, RetryOutcome, RetryPolicy, RunOptions, SweepControl,
+};
 
 #[test]
 fn injected_worker_panic_is_loud_and_leaves_a_typed_hole() {
-    let mk = |workers| {
-        SimConfig::new(CcAlgorithm::Blocking)
-            .with_params(Params::paper_baseline().with_mpl(30))
-            .with_metrics(MetricsConfig {
-                warmup_batches: 1,
-                batches: 2,
-                batch_time: SimDuration::from_secs(20),
-                confidence: Confidence::Ninety,
-            })
-            .with_seed(0xC4A05)
-            .with_workers(workers)
-    };
-
-    std::env::set_var("CCSIM_CHAOS", "worker-panic");
-
-    // Direct run: the merge thread notices the poisoned lane and panics
-    // with a recognizable message instead of merging a half-speculated
-    // window or hanging in quiesce.
-    let outcome = std::panic::catch_unwind(|| run(mk(2)));
-    let msg = match outcome {
-        Err(payload) => payload
-            .downcast_ref::<&str>()
-            .map(ToString::to_string)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default(),
-        Ok(r) => panic!("chaos run did not panic: {r:?}"),
-    };
-    assert!(
-        msg.contains("worker lane panicked"),
-        "unexpected panic message: {msg:?}"
-    );
-
-    // Sequential runs never consult the chaos switch: the injection is
-    // scoped to the lanes it tests.
-    run(mk(1)).expect("sequential run is untouched by lane chaos");
-
-    // Sweep: every parallel point fails, but the supervisor absorbs each
-    // as a typed Panic hole and the sweep itself completes.
     let mut spec = catalog::exp3();
-    spec.mpls = vec![10];
-    let opts = |workers| RunOptions {
+    spec.mpls = vec![10, 25];
+    let opts = |threads| RunOptions {
         fidelity: Fidelity::Quick,
         base_seed: 99,
-        threads: 1,
+        threads,
         replications: 1,
         audit: false,
         retry: RetryPolicy::none(),
         event_pool: None,
-        workers,
     };
-    let holed = run_experiment(&spec, &opts(2)).expect("sweep survives lane panics");
+
+    // The reference: one thread, no chaos.
+    let clean = run_experiment(&spec, &opts(1)).expect("sweep completes");
+    assert!(clean.is_clean());
+    assert_eq!(clean.points.len(), spec.num_runs());
+
+    // Four worker threads; the run at (series 0, mpl 25) panics.
+    let ctl = SweepControl {
+        chaos: Some(ChaosPoint {
+            series_ix: 0,
+            mpl: 25,
+            rep: 0,
+            kind: ChaosKind::Panic,
+            fail_attempts: 1,
+        }),
+        ..SweepControl::default()
+    };
+    let holed = run_experiment_supervised(&spec, &opts(4), &ctl).expect("sweep survives");
     assert!(!holed.is_clean(), "chaos sweep reported itself clean");
-    assert_eq!(
-        holed.failures.len(),
-        spec.num_runs(),
-        "every parallel point should have failed"
+    assert!(!holed.interrupted, "a worker panic interrupted the sweep");
+    assert_eq!(holed.failures.len(), 1, "exactly one point should fail");
+    let f = &holed.failures[0];
+    assert_eq!(f.kind, FailureKind::Panic, "wrong failure kind: {f}");
+    assert_eq!((f.series.as_str(), f.mpl, f.rep), ("blocking", 25, 0));
+    assert!(
+        f.detail.contains("injected panic"),
+        "hole lost the panic message: {f}"
     );
-    for f in &holed.failures {
-        assert_eq!(f.kind, FailureKind::Panic, "wrong failure kind: {f}");
-        assert!(
-            f.detail.contains("worker lane panicked"),
-            "hole lost the panic message: {f}"
-        );
+    assert_eq!(f.retry, RetryOutcome::NotAttempted);
+    assert_eq!(holed.holes(), vec![("blocking".to_string(), 25)]);
+
+    // The sibling workers' points are untouched by the panic.
+    assert_eq!(holed.points.len(), clean.points.len() - 1);
+    for p in &holed.points {
+        let c = clean
+            .points
+            .iter()
+            .find(|c| c.series == p.series && c.mpl == p.mpl)
+            .expect("clean sweep has the point");
+        assert_eq!(p.report, c.report, "{}@{} perturbed", p.series, p.mpl);
     }
 
-    // With the switch cleared, the identical sweep is clean again.
-    std::env::remove_var("CCSIM_CHAOS");
-    let clean = run_experiment(&spec, &opts(2)).expect("sweep completes");
-    assert!(clean.is_clean(), "post-chaos sweep still failing");
-    assert_eq!(clean.failures.len(), 0);
+    // Without the injection, the same four-thread sweep is clean again
+    // and byte-identical to the single-threaded one.
+    let again = run_experiment(&spec, &opts(4)).expect("sweep completes");
+    assert!(again.is_clean(), "post-chaos sweep still failing");
+    assert_eq!(json::to_json(&clean), json::to_json(&again));
 }

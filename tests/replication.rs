@@ -30,7 +30,6 @@ fn tiny_opts(threads: usize, replications: u32) -> RunOptions {
         audit: false,
         retry: RetryPolicy::none(),
         event_pool: None,
-        workers: 1,
     }
 }
 

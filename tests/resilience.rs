@@ -36,7 +36,6 @@ fn tiny_opts() -> RunOptions {
         audit: false,
         retry: RetryPolicy::none(),
         event_pool: None,
-        workers: 1,
     }
 }
 
