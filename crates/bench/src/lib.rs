@@ -11,6 +11,12 @@
 //! * `ablations` — design-choice ablations called out in DESIGN.md: deadlock
 //!   victim policies, deadlock prevention vs. detection, restart-delay
 //!   policies.
+//!
+//! These are exploratory numbers, not regression gates: tracked engine
+//! speed is the `ccbench` package at the repository root (`ccbench/ab.sh`
+//! for same-host A/B runs), and `simulate --perf` / `--profile` (the
+//! latter built with `--features profile`) give one run's engine counters
+//! and per-stage breakdown.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1932,20 +1932,6 @@ pub fn run_with_history(mut cfg: SimConfig) -> Result<(Report, History), RunErro
     Ok((report, history))
 }
 
-/// Like [`run`], but also return the engine's [`PerfStats`] (events
-/// handled, wall-clock time, peak calendar / lock-table occupancy). The
-/// counters are passive: the report is identical to what [`run`] returns.
-///
-/// # Errors
-/// Returns [`RunError`] if the configuration is invalid or the run exceeds
-/// its budget.
-pub fn run_with_perf(cfg: SimConfig) -> Result<(Report, PerfStats), RunError> {
-    let mut sim = Simulator::new(cfg)?;
-    sim.run_loop()?;
-    let report = sim.finish();
-    Ok((report, sim.perf_stats()))
-}
-
 /// Everything a budget-tolerant run salvages (see
 /// [`Simulator::run_collecting`]).
 #[derive(Debug)]

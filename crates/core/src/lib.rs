@@ -41,8 +41,7 @@ pub use arena::{TxnArena, TxnRec};
 pub use budget::{BudgetKind, EventPool, RunBudget, RunError};
 pub use config::{MetricsConfig, SimConfig};
 pub use engine::{
-    run, run_collecting, run_with_history, run_with_perf, run_with_trace, PerfStats, RunOutcome,
-    Simulator,
+    run, run_collecting, run_with_history, run_with_trace, PerfStats, RunOutcome, Simulator,
 };
 pub use metrics::{ClassReport, Metrics, Report, StreamingQuantiles};
 pub use profiler::{Stage, StageProfile, StageSample, STAGE_COUNT, STAGE_PROFILER_COMPILED};

@@ -8,7 +8,8 @@
 //! flags (defaults = the paper's Table 2 baseline):
 //!   --algo <name>           blocking | immediate-restart | optimistic |
 //!                           wait-die | wound-wait | no-waiting |
-//!                           static-locking | no-cc
+//!                           static-locking | basic-to | mvcc-si |
+//!                           silo-occ | tictoc | no-cc
 //!   --mpl <n>               multiprogramming level
 //!   --db <n>                database size in pages
 //!   --terminals <n>         number of terminals
@@ -43,9 +44,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ccsim_core::{
-    check_conflict_serializable, run, run_collecting, run_with_history, run_with_perf, CcAlgorithm,
-    Confidence, MetricsConfig, Params, PerfStats, Report, ResourceSpec, RunBudget, RunError,
-    SimConfig, STAGE_PROFILER_COMPILED,
+    check_conflict_serializable, run, run_collecting, run_with_history, CcAlgorithm, Confidence,
+    MetricsConfig, Params, PerfStats, Report, ResourceSpec, RunBudget, RunError, SimConfig,
+    STAGE_PROFILER_COMPILED,
 };
 use ccsim_des::{derive_seed, SimDuration};
 use ccsim_experiments::{aggregate_reports, write_atomic};
@@ -164,16 +165,11 @@ fn parse() -> Result<Cli, String> {
     if audit && reps > 1 {
         return Err("--audit works on a single run; use --reps 1".to_string());
     }
-    if perf && (audit || check_serializable || reps > 1) {
-        return Err(
-            "--perf measures the bare engine; drop --audit/--check-serializable/--reps".to_string(),
-        );
-    }
-    if profile && (audit || check_serializable || reps > 1) {
-        return Err(
-            "--profile measures the bare engine; drop --audit/--check-serializable/--reps"
-                .to_string(),
-        );
+    if (perf || profile) && (audit || check_serializable || reps > 1) {
+        let flag = if profile { "--profile" } else { "--perf" };
+        return Err(format!(
+            "{flag} measures the bare engine; drop --audit/--check-serializable/--reps"
+        ));
     }
     if profile && !STAGE_PROFILER_COMPILED {
         return Err(
@@ -439,36 +435,31 @@ fn main() {
             cli.reps, e.mean, e.half_width
         );
         emit(&cli, &text);
-    } else if cli.profile {
-        // Collecting run: same engine loop, plus the per-stage cycle
-        // counters the `profile` feature compiles in.
+    } else {
+        // One run path for the plain, --perf and --profile modes, so a
+        // budget stop fails all three alike. The collecting run always
+        // gathers the engine counters (and, in a `profile` build, the
+        // per-stage cycles); they are printed only when asked for.
         let out = match run_collecting(cli.cfg.clone()) {
             Ok(o) => o,
             Err(e) => exit_run_error(&e),
         };
+        if let Some(e) = &out.stopped {
+            exit_run_error(e);
+        }
         let mut text = render_report(&cli.cfg, &out.report);
-        append_perf(&mut text, &out.perf);
-        let _ = writeln!(text);
-        match &out.stages {
-            Some(p) => text.push_str(&p.render(out.perf.wall)),
-            None => {
-                let _ = writeln!(text, "  stage profile    unavailable (no stages recorded)");
+        if cli.perf || cli.profile {
+            append_perf(&mut text, &out.perf);
+        }
+        if cli.profile {
+            let _ = writeln!(text);
+            match &out.stages {
+                Some(p) => text.push_str(&p.render(out.perf.wall)),
+                None => {
+                    let _ = writeln!(text, "  stage profile    unavailable (no stages recorded)");
+                }
             }
         }
         emit(&cli, &text);
-    } else if cli.perf {
-        let (report, perf) = match run_with_perf(cli.cfg.clone()) {
-            Ok(rp) => rp,
-            Err(e) => exit_run_error(&e),
-        };
-        let mut text = render_report(&cli.cfg, &report);
-        append_perf(&mut text, &perf);
-        emit(&cli, &text);
-    } else {
-        let report = match run(cli.cfg.clone()) {
-            Ok(r) => r,
-            Err(e) => exit_run_error(&e),
-        };
-        emit(&cli, &render_report(&cli.cfg, &report));
     }
 }

@@ -1,0 +1,73 @@
+//! `simulate` at its command-line surface. Every run mode shares one stop
+//! rule: a run cut off by its budget fails the command (exit 1, the ceiling
+//! named on stderr) instead of printing a partial report as a finished one.
+//! The `--profile` cases need the stage profiler compiled in:
+//! `cargo test -p ccsim-experiments --features profile --test simulate_cli`.
+
+use std::process::{Command, Output};
+
+fn simulate(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(args)
+        .output()
+        .expect("spawn simulate")
+}
+
+/// `--quick --max-events 500` plus `mode` must stop on the event ceiling.
+fn assert_budget_stop(mode: &[&str]) {
+    let out = simulate(&[&["--quick", "--max-events", "500"], mode].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{mode:?}: stderr:\n{stderr}");
+    assert!(
+        stderr.contains("event ceiling"),
+        "{mode:?}: stderr does not name the event ceiling:\n{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{mode:?}: a stopped run printed a report:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// A short `--quick --batches 1` run in `mode` that finishes: exit 0.
+/// Returns its stdout.
+fn finished_run(mode: &[&str]) -> String {
+    let out = simulate(&[&["--quick", "--batches", "1"], mode].concat());
+    assert!(
+        out.status.success(),
+        "{mode:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 report")
+}
+
+#[test]
+fn budget_stop_fails_a_plain_run() {
+    assert_budget_stop(&[]);
+}
+
+#[test]
+fn budget_stop_fails_a_perf_run() {
+    assert_budget_stop(&["--perf"]);
+}
+
+#[cfg(feature = "profile")]
+#[test]
+fn budget_stop_fails_a_profile_run() {
+    assert_budget_stop(&["--profile"]);
+}
+
+#[test]
+fn finished_runs_print_the_lines_their_mode_asks_for() {
+    let plain = finished_run(&[]);
+    assert!(plain.contains("throughput"), "{plain}");
+    assert!(!plain.contains("engine perf"), "{plain}");
+    let perf = finished_run(&["--perf"]);
+    assert!(perf.contains("engine perf"), "{perf}");
+    assert!(!perf.contains("stages sum to"), "{perf}");
+    if cfg!(feature = "profile") {
+        let profile = finished_run(&["--profile"]);
+        assert!(profile.contains("engine perf"), "{profile}");
+        assert!(profile.contains("stages sum to"), "{profile}");
+    }
+}

@@ -14,8 +14,8 @@
 use ccsim_audit::golden::serialize_trace;
 use ccsim_audit::run_with_audit;
 use ccsim_core::{
-    run, run_collecting, run_with_perf, run_with_trace, CcAlgorithm, Confidence, MetricsConfig,
-    Params, RunBudget, SimConfig,
+    run, run_collecting, run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget,
+    SimConfig,
 };
 use ccsim_des::SimDuration;
 
@@ -47,20 +47,25 @@ fn window_mode_reports_are_byte_identical() {
                 .with_seed(0x7ACE)
                 .with_two_tier_calendar(lookahead)
         };
-        let (on, on_perf) = run_with_perf(mk(true)).unwrap();
-        let (off, off_perf) = run_with_perf(mk(false)).unwrap();
-        assert_eq!(on, off, "{algo}: the look-ahead changed the report");
-        assert_eq!(on_perf.events, off_perf.events, "{algo}: event counts");
+        let on = run_collecting(mk(true)).unwrap();
+        let off = run_collecting(mk(false)).unwrap();
+        assert!(on.stopped.is_none(), "{algo}: look-ahead run stopped early");
+        assert!(off.stopped.is_none(), "{algo}: heap-only run stopped early");
+        assert_eq!(
+            on.report, off.report,
+            "{algo}: the look-ahead changed the report"
+        );
+        assert_eq!(on.perf.events, off.perf.events, "{algo}: event counts");
         assert!(
-            on_perf.calendar.lane_schedules > 0,
+            on.perf.calendar.lane_schedules > 0,
             "{algo}: the look-ahead run never used the near lane"
         );
         assert_eq!(
-            off_perf.calendar.lane_schedules, 0,
+            off.perf.calendar.lane_schedules, 0,
             "{algo}: the heap-only run still used the near lane"
         );
         // Replaying the look-ahead run gives the same bytes again.
-        assert_eq!(on, run(mk(true)).unwrap(), "{algo}: replay diverged");
+        assert_eq!(on.report, run(mk(true)).unwrap(), "{algo}: replay diverged");
     }
 }
 

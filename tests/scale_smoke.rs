@@ -1,8 +1,8 @@
 //! Budgeted smoke of the million-scale regime (`exp-scale`): the run must
 //! stop on its event budget with a salvaged window, audit clean, and — on
-//! Linux, when `BENCH_7.json` carries an archived ceiling — keep peak RSS
-//! under it. The test lives in its own integration binary so the process
-//! high-water mark (`VmHWM`) is attributable to this regime alone.
+//! every Linux run — keep peak RSS under [`RSS_CEILING_BYTES`]. The test
+//! lives in its own integration binary so the process high-water mark
+//! (`VmHWM`) is attributable to this regime alone.
 //!
 //! The point is profile-scaled: release builds (the CI `scale-smoke` job
 //! runs `cargo test --release --test scale_smoke`) exercise the full
@@ -29,7 +29,7 @@ fn scale_cfg() -> SimConfig {
     };
     // Budget, not horizon, ends the run: no warmup and short batches so
     // the salvaged window carries batch counts and streaming quantiles
-    // from the first commit (same shape the throughput bench uses).
+    // from the first commit.
     let metrics = MetricsConfig {
         warmup_batches: 0,
         batches: 400,
@@ -43,33 +43,22 @@ fn scale_cfg() -> SimConfig {
         .with_budget(RunBudget::unlimited().with_max_events(max_events))
 }
 
-/// Peak resident set (`VmHWM`) of this test process, Linux only.
-fn peak_rss_bytes() -> Option<u64> {
-    #[cfg(target_os = "linux")]
-    {
-        let status = std::fs::read_to_string("/proc/self/status").ok()?;
-        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-        let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-        return Some(kb * 1024);
-    }
-    #[allow(unreachable_code)]
-    None
-}
+/// Peak-RSS ceiling (936.6 MiB): 1.5x the 624.4 MiB `VmHWM` of the full
+/// exp-scale point run unaudited to 10 million events (blocking, seed
+/// 52357). With the auditor attached the release smoke peaks near 750 MiB
+/// and the debug one near 80 MiB (2-core x86-64 Linux).
+const RSS_CEILING_BYTES: u64 = 982_075_392;
 
-/// The archived RSS ceiling from the tracked benchmark file, if present.
-fn archived_rss_ceiling() -> Option<u64> {
-    let text =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_7.json")).ok()?;
-    // One numeric field; a full JSON parse would drag a dependency into
-    // the root test just for this.
-    let key = "\"rss_ceiling_bytes\":";
-    let at = text.find(key)? + key.len();
-    let digits: String = text[at..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// Peak resident set (`VmHWM`) of this test process.
+#[cfg(target_os = "linux")]
+fn peak_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<u64>().ok())
+        .expect("a VmHWM line in kB in /proc/self/status");
+    kb * 1024
 }
 
 #[test]
@@ -110,20 +99,19 @@ fn budgeted_scale_point_audits_clean_and_stays_under_the_rss_ceiling() {
     assert!(audit.run_ended, "auditor missed the end of the run");
     assert!(audit.is_clean(), "invariants violated:\n{}", audit.render());
 
-    // Memory ceiling: only binding where VmHWM is measurable and an
-    // archived ceiling exists (the ceiling was measured at the *full*
-    // 10-million-event point, so the budgeted smoke sits well under it).
-    match (peak_rss_bytes(), archived_rss_ceiling()) {
-        (Some(rss), Some(ceiling)) => {
-            assert!(
-                rss <= ceiling,
-                "peak RSS {:.0} MiB exceeds the archived ceiling {:.0} MiB",
-                rss as f64 / (1024.0 * 1024.0),
-                ceiling as f64 / (1024.0 * 1024.0)
-            );
-        }
-        (rss, ceiling) => {
-            eprintln!("skipping RSS ceiling check (measured {rss:?}, archived {ceiling:?})");
-        }
+    // Memory ceiling: binds on every Linux run. VmHWM comes from /proc,
+    // so other platforms say out loud that they skip it.
+    #[cfg(target_os = "linux")]
+    {
+        let rss = peak_rss_bytes();
+        let msg = format!(
+            "peak RSS {} MiB, ceiling {} MiB",
+            rss >> 20,
+            RSS_CEILING_BYTES >> 20
+        );
+        eprintln!("{msg}");
+        assert!(rss <= RSS_CEILING_BYTES, "{msg}: over the ceiling");
     }
+    #[cfg(not(target_os = "linux"))]
+    eprintln!("skipping RSS ceiling check: VmHWM is only readable on Linux");
 }
