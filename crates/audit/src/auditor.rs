@@ -169,8 +169,7 @@ struct TermState {
 }
 
 /// The online auditor. Implements [`EventSink`]; attach with
-/// [`crate::attach`] or run a whole configuration with
-/// [`crate::run_with_audit`].
+/// [`crate::attach`].
 #[derive(Debug)]
 pub struct Auditor {
     algo: CcAlgorithm,

@@ -153,19 +153,23 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
-        use ccsim_core::{run_with_trace, CcAlgorithm, MetricsConfig, SimConfig};
+        use ccsim_core::{run, CcAlgorithm, MetricsConfig, SimConfig};
         let cfg = || {
-            let mut c = SimConfig::new(CcAlgorithm::Blocking).with_metrics(MetricsConfig::quick());
+            let mut c = SimConfig::new(CcAlgorithm::Blocking)
+                .with_metrics(MetricsConfig::quick())
+                .with_trace_capacity(1_000_000);
             c.params.num_terms = 10;
             c.params.mpl = 4;
             c.seed = 7;
             c
         };
-        let (r1, t1) = run_with_trace(cfg(), 1_000_000).expect("valid");
-        let (r2, t2) = run_with_trace(cfg(), 1_000_000).expect("valid");
-        assert_eq!(t1.dropped(), 0);
-        let s1 = serialize_trace(&cfg(), &t1, &r1);
-        let s2 = serialize_trace(&cfg(), &t2, &r2);
+        let serialized = || {
+            let out = run(cfg()).expect("valid");
+            let trace = out.trace.expect("tracing is on");
+            assert_eq!(trace.dropped(), 0);
+            serialize_trace(&cfg(), &trace, &out.report)
+        };
+        let (s1, s2) = (serialized(), serialized());
         assert_eq!(s1, s2);
         assert!(s1.contains("# ccsim golden trace v1"));
         assert!(s1.contains("algorithm=blocking"));

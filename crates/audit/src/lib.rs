@@ -22,13 +22,16 @@
 //! # Quick start
 //!
 //! ```
-//! use ccsim_core::{CcAlgorithm, MetricsConfig, SimConfig};
+//! use ccsim_core::{CcAlgorithm, MetricsConfig, SimConfig, Simulator};
 //!
 //! let cfg = SimConfig::new(CcAlgorithm::Blocking)
 //!     .with_metrics(MetricsConfig::quick())
 //!     .with_seed(7);
-//! let (report, audit) = ccsim_audit::run_with_audit(cfg).expect("valid configuration");
-//! assert!(report.throughput.mean > 0.0);
+//! let mut sim = Simulator::new(cfg).expect("valid configuration");
+//! let auditor = ccsim_audit::attach(&mut sim);
+//! let out = sim.run_collecting().finished().expect("run within budget");
+//! let audit = auditor.borrow().report();
+//! assert!(out.report.throughput.mean > 0.0);
 //! assert!(audit.is_clean(), "{}", audit.render());
 //! ```
 //!
@@ -46,62 +49,22 @@ pub mod golden;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ccsim_core::{EventSink, FlowStats, Report, RunError, SimConfig, Simulator, TraceEvent};
-use ccsim_des::SimTime;
+use ccsim_core::Simulator;
 
 pub use auditor::{AuditReport, Auditor, Violation};
 
-/// A handle onto an auditor attached to a running simulator, usable after
-/// the simulator has been consumed by `run_to_completion`.
-pub struct AuditorHandle(Rc<RefCell<Auditor>>);
-
-impl AuditorHandle {
-    /// The findings so far (complete once the run has ended).
-    #[must_use]
-    pub fn report(&self) -> AuditReport {
-        self.0.borrow().report()
-    }
-}
-
-/// Adapter so the shared auditor can be handed to the engine as a boxed
-/// sink while the caller keeps an [`AuditorHandle`].
-struct SharedSink(Rc<RefCell<Auditor>>);
-
-impl EventSink for SharedSink {
-    fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
-        self.0.borrow_mut().on_event(now, event);
-    }
-
-    fn on_run_end(&mut self, now: SimTime, report: &Report, flow: &FlowStats) {
-        self.0.borrow_mut().on_run_end(now, report, flow);
-    }
-}
-
-/// Attach a fresh auditor to `sim` and return a handle for reading its
-/// findings after the run.
-pub fn attach(sim: &mut Simulator) -> AuditorHandle {
+/// Attach a fresh auditor to `sim` and return a shared handle onto it;
+/// once the run has ended, `borrow().report()` holds the findings.
+pub fn attach(sim: &mut Simulator) -> Rc<RefCell<Auditor>> {
     let auditor = Rc::new(RefCell::new(Auditor::new(sim.config())));
-    sim.add_sink(Box::new(SharedSink(Rc::clone(&auditor))));
-    AuditorHandle(auditor)
-}
-
-/// Run `cfg` to completion with an auditor attached; returns the normal
-/// simulation [`Report`] together with the [`AuditReport`].
-///
-/// # Errors
-/// Returns [`RunError`] if the configuration is invalid or the run exceeds
-/// its budget.
-pub fn run_with_audit(cfg: SimConfig) -> Result<(Report, AuditReport), RunError> {
-    let mut sim = Simulator::new(cfg)?;
-    let handle = attach(&mut sim);
-    let report = sim.run_to_completion()?;
-    Ok((report, handle.report()))
+    sim.add_sink(Box::new(Rc::clone(&auditor)));
+    auditor
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim_core::{CcAlgorithm, MetricsConfig};
+    use ccsim_core::{CcAlgorithm, MetricsConfig, SimConfig};
 
     #[test]
     fn paper_trio_quick_runs_audit_clean() {
@@ -109,8 +72,11 @@ mod tests {
             let cfg = SimConfig::new(algo)
                 .with_metrics(MetricsConfig::quick())
                 .with_seed(42);
-            let (report, audit) = run_with_audit(cfg).expect("valid config");
-            assert!(report.commits > 0);
+            let mut sim = Simulator::new(cfg).expect("valid config");
+            let auditor = attach(&mut sim);
+            let out = sim.run_collecting().finished().expect("run within budget");
+            let audit = auditor.borrow().report();
+            assert!(out.report.commits > 0);
             assert!(audit.run_ended, "run end must reach the sink");
             assert!(audit.is_clean(), "{algo}: {}", audit.render());
             assert!(audit.events_seen > 0);

@@ -5,9 +5,9 @@
 //! blocking-family events ever, no deadlocks, no timestamp rejections, and
 //! version installations from the multiversion protocol only.
 
-use ccsim_audit::run_with_audit;
+use ccsim_audit::attach;
 use ccsim_core::{
-    run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, TraceEvent,
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, TraceEvent,
 };
 use ccsim_des::SimDuration;
 use proptest::prelude::*;
@@ -72,7 +72,10 @@ proptest! {
         for algo in CcAlgorithm::MODERN_TRIO {
             for mpl in MPLS {
                 let cfg = contended(algo, mpl, db_size, write_prob, seed);
-                let (report, audit) = run_with_audit(cfg).expect("valid config");
+                let mut sim = Simulator::new(cfg).expect("valid config");
+                let auditor = attach(&mut sim);
+                let out = sim.run_collecting().finished().expect("run within budget");
+                let audit = auditor.borrow().report();
                 prop_assert!(
                     audit.run_ended,
                     "{}@{}: auditor missed the end of the run", algo, mpl
@@ -83,7 +86,7 @@ proptest! {
                 );
                 if mpl < 200 {
                     prop_assert!(
-                        report.commits > 0,
+                        out.report.commits > 0,
                         "{}@{}: committed nothing", algo, mpl
                     );
                 }
@@ -105,7 +108,8 @@ proptest! {
             let installs = algo == CcAlgorithm::MvccSi;
             for mpl in MPLS {
                 let cfg = contended(algo, mpl, db_size, write_prob, seed);
-                let (_, trace) = run_with_trace(cfg, 4_000_000).expect("valid config");
+                let out = run(cfg.with_trace_capacity(4_000_000)).expect("valid config");
+                let trace = out.trace.expect("tracing is on");
                 prop_assert_eq!(trace.dropped(), 0, "{}@{} trace overflowed", algo, mpl);
                 let mut installed = 0u64;
                 for (at, e) in trace.events() {

@@ -38,7 +38,7 @@ fn bench_victim_policy(c: &mut Criterion) {
                     .with_params(high_contention())
                     .with_metrics(bench_metrics());
                 cfg.victim = victim;
-                black_box(run(cfg).expect("valid").commits)
+                black_box(run(cfg).expect("valid").report.commits)
             });
         });
     }
@@ -63,7 +63,7 @@ fn bench_prevention(c: &mut Criterion) {
                 let cfg = SimConfig::new(algo)
                     .with_params(high_contention())
                     .with_metrics(bench_metrics());
-                black_box(run(cfg).expect("valid").commits)
+                black_box(run(cfg).expect("valid").report.commits)
             });
         });
     }
@@ -93,7 +93,7 @@ fn bench_restart_delay(c: &mut Criterion) {
                 let cfg = SimConfig::new(CcAlgorithm::ImmediateRestart)
                     .with_params(params)
                     .with_metrics(bench_metrics());
-                black_box(run(cfg).expect("valid").commits)
+                black_box(run(cfg).expect("valid").report.commits)
             });
         });
     }
@@ -113,7 +113,7 @@ fn bench_cc_cpu_cost(c: &mut Criterion) {
                 let cfg = SimConfig::new(CcAlgorithm::Blocking)
                     .with_params(params)
                     .with_metrics(bench_metrics());
-                black_box(run(cfg).expect("valid").commits)
+                black_box(run(cfg).expect("valid").report.commits)
             });
         });
     }

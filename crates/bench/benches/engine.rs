@@ -125,7 +125,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                 let cfg = SimConfig::new(algo)
                     .with_params(Params::paper_baseline().with_mpl(50))
                     .with_metrics(bench_metrics());
-                black_box(run(cfg).expect("valid").commits)
+                black_box(run(cfg).expect("valid").report.commits)
             });
         });
     }

@@ -22,7 +22,7 @@ use ccsim_experiments::catalog;
 /// experiment at bench fidelity.
 fn run_point(spec: &ccsim_experiments::ExperimentSpec, series_ix: usize, mpl: u32) -> u64 {
     let cfg = spec.config(&spec.series[series_ix], mpl, bench_metrics(), 0xBE7C);
-    run(cfg).expect("catalog configs validate").commits
+    run(cfg).expect("catalog configs validate").report.commits
 }
 
 fn bench_tables(c: &mut Criterion) {

@@ -192,6 +192,21 @@ impl SimConfig {
         self
     }
 
+    /// Builder-style trace-ring capacity (see [`SimConfig::trace_capacity`]).
+    #[must_use]
+    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
+        self.trace_capacity = capacity;
+        self
+    }
+
+    /// Builder-style toggle for history recording (see
+    /// [`SimConfig::record_history`]).
+    #[must_use]
+    pub fn with_history(mut self, record: bool) -> Self {
+        self.record_history = record;
+        self
+    }
+
     /// Builder-style toggle for the uncontended fast path (see
     /// [`SimConfig::elide_uncontended`]).
     #[must_use]

@@ -6,11 +6,16 @@
 //! restart them according to the configured algorithm; commits return them
 //! to their terminal for an external think time.
 //!
-//! Setting the `CCSIM_DEBUG_STATES` environment variable makes the engine
-//! print a one-line state census (transaction states, queue depths,
-//! calendar size) to stderr at every batch boundary — a quick load-balance
-//! diagnostic that needs no recompilation. For structured per-transaction
-//! tracing use [`run_with_trace`] instead.
+//! One method drives every run: [`Simulator::run_collecting`] runs the
+//! event loop until the configured batches finish or the
+//! [`crate::RunBudget`] stops it, and returns a [`RunOutcome`] holding the
+//! report, the stop reason, the engine counters, and the trace ring and
+//! committed-transaction history when the configuration asks for them
+//! ([`SimConfig::trace_capacity`], [`SimConfig::record_history`]).
+//! [`RunOutcome::finished`] turns a budget stop into an error, and [`run`]
+//! is `Simulator::new(cfg)?.run_collecting().finished()`. Any further
+//! observer (an invariant auditor, custom instrumentation) attaches with
+//! [`Simulator::add_sink`] before the run.
 
 use std::collections::VecDeque;
 
@@ -27,9 +32,7 @@ use ccsim_stats::RunningAvg;
 use ccsim_tso::{
     ReadOutcome as TsoRead, TicTocManager, TsoManager, TtWord, WriteOutcome as TsoWrite,
 };
-use ccsim_workload::{
-    Generator, ObjId, ParamError, Params, ResourceSpec, RestartDelayPolicy, TxnId,
-};
+use ccsim_workload::{Generator, ObjId, ParamError, ResourceSpec, RestartDelayPolicy, TxnId};
 
 use crate::algorithm::{CcAlgorithm, VictimPolicy};
 use crate::arena::TxnArena;
@@ -175,8 +178,9 @@ enum CcAction {
     Suspend,
 }
 
-/// The simulator. Construct with [`Simulator::new`], drive with
-/// [`Simulator::run_to_completion`], or use the convenience [`run`].
+/// The simulator. Construct with [`Simulator::new`], attach observers with
+/// [`Simulator::add_sink`], drive with [`Simulator::run_collecting`], or
+/// use the convenience [`run`].
 pub struct Simulator {
     cfg: SimConfig,
     cal: Calendar<Event>,
@@ -419,16 +423,6 @@ impl Simulator {
         false
     }
 
-    /// Run the full simulation and return the report.
-    ///
-    /// # Errors
-    /// Returns [`RunError::BudgetExhausted`] if the run exceeds its
-    /// configured [`crate::RunBudget`].
-    pub fn run_to_completion(mut self) -> Result<Report, RunError> {
-        self.run_loop()?;
-        Ok(self.finish())
-    }
-
     /// How often (in events) the wall clock is sampled for budget checks.
     /// Event and sim-time ceilings are checked on every event; the wall
     /// clock only every `WALL_CHECK_PERIOD` events because `Instant::now`
@@ -544,20 +538,12 @@ impl Simulator {
         }
     }
 
-    /// The O(1)-memory streaming response-time quantiles collected so far.
-    /// Readable at any point — including after a budget stop — without
-    /// touching the serialized [`Report`].
-    #[must_use]
-    pub fn streaming_quantiles(&self) -> crate::metrics::StreamingQuantiles {
-        self.metrics.streaming_quantiles()
-    }
-
     /// Run until completion *or* budget exhaustion, salvaging whatever was
-    /// measured either way. Unlike [`Simulator::run_to_completion`], a
-    /// budget stop is reported in [`RunOutcome::stopped`] instead of
-    /// discarding the partial report, perf counters, and streaming
-    /// quantiles — the scale regime runs under a wall-clock budget and
-    /// still wants its observables.
+    /// measured either way: a budget stop is reported in
+    /// [`RunOutcome::stopped`] next to the partial report, perf counters,
+    /// streaming quantiles, trace, and history — the scale regime runs
+    /// under a wall-clock budget and still wants its observables. Use
+    /// [`RunOutcome::finished`] when a budget stop is a failure.
     #[must_use]
     pub fn run_collecting(mut self) -> RunOutcome {
         let stopped = self.run_loop().err();
@@ -565,31 +551,19 @@ impl Simulator {
         RunOutcome {
             report,
             stopped,
-            perf: self.perf_stats(),
-            quantiles: self.streaming_quantiles(),
-            stages: self.stage_profile(),
-        }
-    }
-
-    /// Per-stage breakdown of the event loop's wall time. `None` unless the
-    /// crate was built with the `stage-profiler` feature (the default build
-    /// compiles the profiler out entirely).
-    #[must_use]
-    pub fn stage_profile(&self) -> Option<StageProfile> {
-        self.prof.report()
-    }
-
-    /// Performance counters accumulated by the event loop so far.
-    #[must_use]
-    pub fn perf_stats(&self) -> PerfStats {
-        PerfStats {
-            events: self.events,
-            wall: self.run_wall,
-            peak_calendar: self.cal.peak_len(),
-            peak_lock_table: self.lockmgr.peak_locks_in_table(),
-            calendar: self.cal.stats(),
-            elided_cpu_hops: self.elided_cpu,
-            elided_disk_hops: self.elided_disk,
+            perf: PerfStats {
+                events: self.events,
+                wall: self.run_wall,
+                peak_calendar: self.cal.peak_len(),
+                peak_lock_table: self.lockmgr.peak_locks_in_table(),
+                calendar: self.cal.stats(),
+                elided_cpu_hops: self.elided_cpu,
+                elided_disk_hops: self.elided_disk,
+            },
+            quantiles: self.metrics.streaming_quantiles(),
+            stages: self.prof.report(),
+            trace: self.trace,
+            history: self.history,
         }
     }
 
@@ -759,39 +733,6 @@ impl Simulator {
     }
 
     fn on_batch_end(&mut self, now: SimTime) {
-        if std::env::var_os("CCSIM_DEBUG_STATES").is_some() {
-            let mut counts = [0usize; 6];
-            for t in self.arena.live() {
-                let ix = match t.state {
-                    TxnState::AtTerminal => 0,
-                    TxnState::Ready => 1,
-                    TxnState::Running => 2,
-                    TxnState::Blocked => 3,
-                    TxnState::Thinking => 4,
-                    TxnState::RestartDelay => 5,
-                };
-                counts[ix] += 1;
-            }
-            let dq = self.disks.as_ref().map_or(0, |d| d.queued());
-            let cq = self.cpus.as_ref().map_or(0, |p| p.queue_len());
-            eprintln!(
-                "[{now}] term={} ready={} run={} blk={} think={} delay={} active={} cal={} diskq={dq} cpuq={cq}",
-                counts[0], counts[1], counts[2], counts[3], counts[4], counts[5],
-                self.active, self.cal.len(),
-            );
-            if let Some(d) = self.disks.as_ref() {
-                let snap = d.queue_snapshot();
-                let stalled = snap.iter().filter(|(q, busy)| *q > 0 && !busy).count();
-                let busy = snap.iter().filter(|(_, b)| *b).count();
-                let (argmax, (maxq, _)) = snap
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .max_by_key(|(_, (q, _))| *q)
-                    .unwrap_or((0, (0, false)));
-                eprintln!("    disks: busy={busy} stalled={stalled} maxq={maxq} argmax={argmax}");
-            }
-        }
         // Version chains only grow at commits; a batch boundary is a cheap,
         // deterministic place to drop versions no live snapshot can reach.
         if self.cfg.algorithm == CcAlgorithm::MvccSi {
@@ -1885,55 +1826,9 @@ impl Simulator {
             .expect("terminal has no active transaction");
         matches!(txn.step(), Step::UpdateIo(_) | Step::Commit)
     }
-
-    /// Current parameters (for inspection in tests/examples).
-    #[must_use]
-    pub fn params(&self) -> &Params {
-        &self.cfg.params
-    }
 }
 
-/// Validate `cfg`, run the simulation to completion, and return the report.
-///
-/// # Errors
-/// Returns [`RunError::InvalidConfig`] if the configuration is invalid, or
-/// [`RunError::BudgetExhausted`] if the run exceeds its [`crate::RunBudget`].
-pub fn run(cfg: SimConfig) -> Result<Report, RunError> {
-    Simulator::new(cfg)?.run_to_completion()
-}
-
-/// Like [`run`], but enable tracing (with the given event capacity) and
-/// also return the [`Trace`].
-///
-/// # Errors
-/// Returns [`RunError`] if the configuration is invalid or the run exceeds
-/// its budget.
-pub fn run_with_trace(mut cfg: SimConfig, capacity: usize) -> Result<(Report, Trace), RunError> {
-    cfg.trace_capacity = capacity.max(1);
-    let mut sim = Simulator::new(cfg)?;
-    sim.run_loop()?;
-    let report = sim.finish();
-    let trace = sim.trace.take().expect("tracing was enabled");
-    Ok((report, trace))
-}
-
-/// Like [`run`], but force history recording on and also return the
-/// committed-transaction [`History`] for serializability checking.
-///
-/// # Errors
-/// Returns [`RunError`] if the configuration is invalid or the run exceeds
-/// its budget.
-pub fn run_with_history(mut cfg: SimConfig) -> Result<(Report, History), RunError> {
-    cfg.record_history = true;
-    let mut sim = Simulator::new(cfg)?;
-    sim.run_loop()?;
-    let report = sim.finish();
-    let history = sim.history.take().expect("history recording was enabled");
-    Ok((report, history))
-}
-
-/// Everything a budget-tolerant run salvages (see
-/// [`Simulator::run_collecting`]).
+/// Everything a run produces (see [`Simulator::run_collecting`]).
 #[derive(Debug)]
 pub struct RunOutcome {
     /// Metrics over whatever window completed (partial when `stopped`).
@@ -1947,23 +1842,43 @@ pub struct RunOutcome {
     pub quantiles: crate::metrics::StreamingQuantiles,
     /// Per-stage wall-time breakdown (`stage-profiler` builds only).
     pub stages: Option<StageProfile>,
+    /// The trace ring's retained events; `Some` exactly when
+    /// [`SimConfig::trace_capacity`] is above zero.
+    pub trace: Option<Trace>,
+    /// Every committed transaction's footprint; `Some` exactly when
+    /// [`SimConfig::record_history`] is set.
+    pub history: Option<History>,
 }
 
-/// Like [`run`], but budget exhaustion salvages the partial run instead of
-/// discarding it: the [`RunOutcome`] always carries a report, perf
-/// counters, and streaming quantiles.
+impl RunOutcome {
+    /// The outcome of a run that finished its configured batches.
+    ///
+    /// # Errors
+    /// Returns the [`RunError::BudgetExhausted`] held in
+    /// [`RunOutcome::stopped`] if the run's budget stopped it first.
+    pub fn finished(self) -> Result<Self, RunError> {
+        match self.stopped {
+            Some(err) => Err(err),
+            None => Ok(self),
+        }
+    }
+}
+
+/// Validate `cfg`, run the simulation to completion, and return its
+/// outcome: `Simulator::new(cfg)?.run_collecting().finished()`.
 ///
 /// # Errors
-/// Returns [`RunError::InvalidConfig`] if the configuration is invalid
-/// (budget stops are *not* errors here — see [`RunOutcome::stopped`]).
-pub fn run_collecting(cfg: SimConfig) -> Result<RunOutcome, RunError> {
-    Ok(Simulator::new(cfg)?.run_collecting())
+/// Returns [`RunError::InvalidConfig`] if the configuration is invalid, or
+/// [`RunError::BudgetExhausted`] if the run exceeds its [`crate::RunBudget`].
+pub fn run(cfg: SimConfig) -> Result<RunOutcome, RunError> {
+    Simulator::new(cfg)?.run_collecting().finished()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MetricsConfig;
+    use ccsim_workload::Params;
 
     fn quick_cfg(algo: CcAlgorithm) -> SimConfig {
         SimConfig::new(algo)
@@ -1987,7 +1902,7 @@ mod tests {
     #[test]
     fn every_algorithm_commits_transactions() {
         for algo in CcAlgorithm::ALL {
-            let report = run(quick_cfg(algo)).expect("valid config");
+            let report = run(quick_cfg(algo)).expect("valid config").report;
             assert!(
                 report.commits > 50,
                 "{algo} committed only {} transactions",
@@ -2005,16 +1920,18 @@ mod tests {
     #[test]
     fn identical_seeds_replay_identically() {
         for algo in [CcAlgorithm::Blocking, CcAlgorithm::Optimistic] {
-            let a = run(quick_cfg(algo)).unwrap();
-            let b = run(quick_cfg(algo)).unwrap();
+            let a = run(quick_cfg(algo)).unwrap().report;
+            let b = run(quick_cfg(algo)).unwrap().report;
             assert_eq!(a, b, "{algo} runs diverged");
         }
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
-        let b = run(quick_cfg(CcAlgorithm::Blocking).with_seed(4321)).unwrap();
+        let a = run(quick_cfg(CcAlgorithm::Blocking)).unwrap().report;
+        let b = run(quick_cfg(CcAlgorithm::Blocking).with_seed(4321))
+            .unwrap()
+            .report;
         assert_ne!(a.commits, b.commits);
     }
 
@@ -2086,10 +2003,11 @@ mod tests {
 
     #[test]
     fn default_budget_does_not_perturb_reports() {
-        let capped = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
+        let capped = run(quick_cfg(CcAlgorithm::Blocking)).unwrap().report;
         let uncapped =
             run(quick_cfg(CcAlgorithm::Blocking).with_budget(crate::RunBudget::unlimited()))
-                .unwrap();
+                .unwrap()
+                .report;
         assert_eq!(capped, uncapped);
     }
 
@@ -2098,16 +2016,14 @@ mod tests {
         let plain = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
         let pool = crate::EventPool::unlimited();
         let pooled = run(quick_cfg(CcAlgorithm::Blocking).with_event_pool(pool.clone())).unwrap();
-        // Attaching a pool must not change the simulation...
-        assert_eq!(plain, pooled);
+        // Attaching a pool must not change the simulation or how many
+        // events it processes...
+        assert_eq!(plain.report, pooled.report);
+        assert_eq!(plain.perf.events, pooled.perf.events);
         // ...and after settlement the pool has been charged exactly the
-        // number of events the run processed.
-        let expected = {
-            let sim = Simulator::new(quick_cfg(CcAlgorithm::Blocking)).unwrap();
-            sim.run_collecting().perf.events
-        };
-        assert_eq!(pool.consumed(), expected);
-        assert!(expected > 0);
+        // number of events the unpooled run processed.
+        assert_eq!(pool.consumed(), plain.perf.events);
+        assert!(plain.perf.events > 0);
     }
 
     #[test]
@@ -2143,7 +2059,7 @@ mod tests {
         let mut reports = Vec::new();
         for algo in CcAlgorithm::PAPER_TRIO {
             let cfg = quick_cfg(algo).with_params(Params::low_conflict().with_mpl(10));
-            reports.push(run(cfg).unwrap());
+            reports.push(run(cfg).unwrap().report);
         }
         let tps: Vec<f64> = reports.iter().map(|r| r.throughput.mean).collect();
         let max = tps.iter().cloned().fold(f64::MIN, f64::max);
@@ -2160,7 +2076,7 @@ mod tests {
         // the disks cannot push more than 2 / 0.35 ≈ 5.7 tps.
         let cfg =
             quick_cfg(CcAlgorithm::Blocking).with_params(Params::paper_baseline().with_mpl(25));
-        let r = run(cfg).unwrap();
+        let r = run(cfg).unwrap().report;
         assert!(
             r.throughput.mean < 5.8,
             "throughput {} exceeds disk capacity",
@@ -2178,13 +2094,15 @@ mod tests {
                 .with_mpl(5)
                 .with_resources(ResourceSpec::Infinite),
         ))
-        .unwrap();
+        .unwrap()
+        .report;
         let hi = run(quick_cfg(CcAlgorithm::Optimistic).with_params(
             Params::low_conflict()
                 .with_mpl(50)
                 .with_resources(ResourceSpec::Infinite),
         ))
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(
             hi.throughput.mean > lo.throughput.mean * 2.0,
             "mpl 50 ({}) should far outrun mpl 5 ({})",
@@ -2197,7 +2115,7 @@ mod tests {
     fn avg_active_never_exceeds_mpl() {
         for algo in CcAlgorithm::PAPER_TRIO {
             let cfg = quick_cfg(algo).with_params(Params::paper_baseline().with_mpl(10));
-            let r = run(cfg).unwrap();
+            let r = run(cfg).unwrap().report;
             assert!(
                 r.avg_active <= 10.0 + 1e-9,
                 "{algo} avg_active {} exceeds mpl",
@@ -2209,11 +2127,13 @@ mod tests {
 
     #[test]
     fn blocking_blocks_and_restart_algorithms_restart() {
-        let b = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
+        let b = run(quick_cfg(CcAlgorithm::Blocking)).unwrap().report;
         assert!(b.block_ratio > 0.0, "blocking at db=1000 must block");
-        let o = run(quick_cfg(CcAlgorithm::Optimistic)).unwrap();
+        let o = run(quick_cfg(CcAlgorithm::Optimistic)).unwrap().report;
         assert_eq!(o.block_ratio, 0.0, "optimistic never blocks");
-        let ir = run(quick_cfg(CcAlgorithm::ImmediateRestart)).unwrap();
+        let ir = run(quick_cfg(CcAlgorithm::ImmediateRestart))
+            .unwrap()
+            .report;
         assert_eq!(ir.block_ratio, 0.0, "immediate-restart never blocks");
         assert!(ir.restart_ratio > 0.0);
     }
@@ -2225,7 +2145,7 @@ mod tests {
             CcAlgorithm::WoundWait,
             CcAlgorithm::NoWaiting,
         ] {
-            let r = run(quick_cfg(algo)).unwrap();
+            let r = run(quick_cfg(algo)).unwrap().report;
             assert_eq!(r.deadlocks, 0, "{algo} reported deadlocks");
         }
     }
@@ -2238,11 +2158,14 @@ mod tests {
         let unsat = Params::low_conflict()
             .with_mpl(200)
             .with_resources(ResourceSpec::Infinite);
-        let base = run(quick_cfg(CcAlgorithm::Optimistic).with_params(unsat.clone())).unwrap();
+        let base = run(quick_cfg(CcAlgorithm::Optimistic).with_params(unsat.clone()))
+            .unwrap()
+            .report;
         let think = run(quick_cfg(CcAlgorithm::Optimistic).with_params(
             unsat.with_think_times(SimDuration::from_secs(3), SimDuration::from_secs(1)),
         ))
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(
             (base.response_time_mean - 0.5).abs() < 0.1,
             "base response {} should be ~0.5 s",
@@ -2259,10 +2182,13 @@ mod tests {
     fn cc_cpu_charge_is_accounted() {
         let mut params = Params::paper_baseline().with_mpl(5);
         params.cc_cpu = SimDuration::from_millis(5);
-        let with_charge = run(quick_cfg(CcAlgorithm::Blocking).with_params(params)).unwrap();
+        let with_charge = run(quick_cfg(CcAlgorithm::Blocking).with_params(params))
+            .unwrap()
+            .report;
         let without =
             run(quick_cfg(CcAlgorithm::Blocking).with_params(Params::paper_baseline().with_mpl(5)))
-                .unwrap();
+                .unwrap()
+                .report;
         assert!(
             with_charge.cpu_util_total.mean > without.cpu_util_total.mean,
             "cc_cpu should raise CPU utilization ({} vs {})",
@@ -2277,7 +2203,9 @@ mod tests {
         // binds and throughput equals the uncapped closed-loop rate.
         let mut params = Params::paper_baseline().with_mpl(1000);
         params.num_terms = 20;
-        let r = run(quick_cfg(CcAlgorithm::Blocking).with_params(params)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::Blocking).with_params(params))
+            .unwrap()
+            .report;
         assert!(r.commits > 100);
         assert!(r.avg_active <= 20.0 + 1e-9);
     }
@@ -2286,7 +2214,9 @@ mod tests {
     fn zero_external_think_time_saturates_the_system() {
         let mut params = Params::paper_baseline().with_mpl(10);
         params.ext_think_time = SimDuration::ZERO;
-        let r = run(quick_cfg(CcAlgorithm::Blocking).with_params(params)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::Blocking).with_params(params))
+            .unwrap()
+            .report;
         // Terminals resubmit instantly, so the active set stays pinned.
         assert!(r.avg_active > 9.5, "avg_active {}", r.avg_active);
         assert!(r.commits > 100);
@@ -2297,7 +2227,9 @@ mod tests {
         let mut params = Params::paper_baseline().with_mpl(5);
         params.min_size = 6;
         params.max_size = 6;
-        let r = run(quick_cfg(CcAlgorithm::Optimistic).with_params(params)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::Optimistic).with_params(params))
+            .unwrap()
+            .report;
         assert!(r.commits > 100);
     }
 
@@ -2311,15 +2243,17 @@ mod tests {
         params.min_size = 8;
         params.max_size = 8;
         params.write_prob = 1.0;
-        let r = run(quick_cfg(CcAlgorithm::Blocking).with_params(params)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::Blocking).with_params(params))
+            .unwrap()
+            .report;
         assert!(r.commits > 50, "only {} commits", r.commits);
         assert!(r.deadlocks > 0, "upgrade deadlocks were expected");
     }
 
     #[test]
     fn no_cc_baseline_outruns_safe_algorithms_under_contention() {
-        let nocc = run(quick_cfg(CcAlgorithm::NoCc)).unwrap();
-        let blocking = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
+        let nocc = run(quick_cfg(CcAlgorithm::NoCc)).unwrap().report;
+        let blocking = run(quick_cfg(CcAlgorithm::Blocking)).unwrap().report;
         assert_eq!(nocc.restarts, 0);
         assert_eq!(nocc.blocks, 0);
         assert!(nocc.throughput.mean >= blocking.throughput.mean * 0.99);
@@ -2327,7 +2261,7 @@ mod tests {
 
     #[test]
     fn response_percentiles_are_ordered() {
-        let r = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::Blocking)).unwrap().report;
         assert!(r.response_time_p50 > 0.0);
         assert!(r.response_time_p50 <= r.response_time_p95);
         assert!(r.response_time_p95 <= r.response_time_p99);
@@ -2342,7 +2276,7 @@ mod tests {
         // Preclaiming in a global order is deadlock-free, and the blocking
         // discipline never denies — so static locking commits every
         // transaction on its first attempt.
-        let r = run(quick_cfg(CcAlgorithm::StaticLocking)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::StaticLocking)).unwrap().report;
         assert!(r.commits > 100);
         assert_eq!(r.restarts, 0, "static locking restarted");
         assert_eq!(r.deadlocks, 0, "static locking deadlocked");
@@ -2356,10 +2290,12 @@ mod tests {
         let dynamic = run(
             quick_cfg(CcAlgorithm::Blocking).with_params(Params::paper_baseline().with_mpl(25))
         )
-        .unwrap();
+        .unwrap()
+        .report;
         let static_ = run(quick_cfg(CcAlgorithm::StaticLocking)
             .with_params(Params::paper_baseline().with_mpl(25)))
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(
             dynamic.throughput.mean >= static_.throughput.mean * 0.95,
             "dynamic {} vs static {}",
@@ -2370,8 +2306,9 @@ mod tests {
 
     #[test]
     fn trace_captures_transaction_lifecycles() {
-        let (report, trace) =
-            super::run_with_trace(quick_cfg(CcAlgorithm::Blocking), 100_000).expect("valid config");
+        let out = run(quick_cfg(CcAlgorithm::Blocking).with_trace_capacity(100_000))
+            .expect("valid config");
+        let (report, trace) = (out.report, out.trace.expect("tracing is on"));
         assert!(!trace.is_empty());
         // Every lifecycle event kind should appear under contention.
         let mut commits = 0u64;
@@ -2410,7 +2347,7 @@ mod tests {
         let mk = |capacity| {
             let mut cfg = quick_cfg(CcAlgorithm::Blocking);
             cfg.trace_capacity = capacity;
-            run(cfg).expect("valid config")
+            run(cfg).expect("valid config").report
         };
         let silent = mk(0);
         assert_eq!(silent, mk(8), "small evicting ring changed the run");
@@ -2419,7 +2356,7 @@ mod tests {
 
     #[test]
     fn basic_to_commits_and_never_deadlocks() {
-        let r = run(quick_cfg(CcAlgorithm::BasicTO)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::BasicTO)).unwrap().report;
         assert!(r.commits > 100, "{} commits", r.commits);
         assert_eq!(r.deadlocks, 0, "basic T/O is deadlock-free");
         assert!(r.restarts > 0, "timestamp rejections were expected");
@@ -2431,7 +2368,9 @@ mod tests {
         // prewrites of older transactions.
         let mut params = Params::paper_baseline().with_mpl(50);
         params.write_prob = 0.75;
-        let r = run(quick_cfg(CcAlgorithm::BasicTO).with_params(params)).unwrap();
+        let r = run(quick_cfg(CcAlgorithm::BasicTO).with_params(params))
+            .unwrap()
+            .report;
         assert!(r.blocks > 0, "expected reader waits, saw none");
         assert_eq!(r.deadlocks, 0);
     }
@@ -2442,7 +2381,7 @@ mod tests {
             let mut cfg =
                 quick_cfg(CcAlgorithm::Blocking).with_params(Params::paper_baseline().with_mpl(50));
             cfg.victim = victim;
-            let r = run(cfg).unwrap();
+            let r = run(cfg).unwrap().report;
             assert!(r.commits > 100, "{:?}: {} commits", victim, r.commits);
             assert!(
                 r.deadlocks > 0,
@@ -2459,8 +2398,8 @@ mod tests {
         young.victim = VictimPolicy::Youngest;
         let mut old = young.clone();
         old.victim = VictimPolicy::Oldest;
-        let a = run(young).unwrap();
-        let b = run(old).unwrap();
+        let a = run(young).unwrap().report;
+        let b = run(old).unwrap().report;
         assert_ne!(
             a.commits, b.commits,
             "different victim policies should diverge"
@@ -2477,14 +2416,16 @@ mod tests {
                 .with_mpl(100)
                 .with_resources(ResourceSpec::Infinite),
         ))
-        .unwrap();
+        .unwrap()
+        .report;
         let long_delay = run(quick_cfg(CcAlgorithm::ImmediateRestart).with_params(
             Params::paper_baseline()
                 .with_mpl(100)
                 .with_resources(ResourceSpec::Infinite)
                 .with_restart_delay(RestartDelayPolicy::Fixed(SimDuration::from_secs(30))),
         ))
-        .unwrap();
+        .unwrap()
+        .report;
         assert!(
             long_delay.throughput.mean < adaptive.throughput.mean * 0.8,
             "30s delays ({}) should hurt vs adaptive ({})",
@@ -2495,8 +2436,8 @@ mod tests {
 
     #[test]
     fn optimistic_trace_records_validation_failures() {
-        let (report, trace) =
-            super::run_with_trace(quick_cfg(CcAlgorithm::Optimistic), 200_000).unwrap();
+        let out = run(quick_cfg(CcAlgorithm::Optimistic).with_trace_capacity(200_000)).unwrap();
+        let (report, trace) = (out.report, out.trace.expect("tracing is on"));
         assert!(report.restarts > 0);
         let failures = trace
             .events()
@@ -2510,7 +2451,7 @@ mod tests {
         // Low conflict + blocking: restarts are rare, so wasted work ~ 0
         // and useful ≈ total.
         let cfg = quick_cfg(CcAlgorithm::Blocking).with_params(Params::low_conflict().with_mpl(10));
-        let r = run(cfg).unwrap();
+        let r = run(cfg).unwrap().report;
         assert!(
             (r.disk_util_total.mean - r.disk_util_useful.mean).abs() < 0.02,
             "total {} vs useful {}",

@@ -18,9 +18,16 @@
 //! let cfg = SimConfig::new(CcAlgorithm::Blocking)
 //!     .with_metrics(MetricsConfig::quick())
 //!     .with_seed(7);
-//! let report = run(cfg).expect("valid configuration");
-//! assert!(report.throughput.mean > 0.0);
+//! let out = run(cfg).expect("valid configuration");
+//! assert!(out.report.throughput.mean > 0.0);
 //! ```
+//!
+//! [`run`] is shorthand for the one run path: build a [`Simulator`], attach
+//! any [`EventSink`] observers with [`Simulator::add_sink`], drive it with
+//! [`Simulator::run_collecting`], and call [`RunOutcome::finished`] to
+//! treat a budget stop as an error. Set [`SimConfig::trace_capacity`] or
+//! [`SimConfig::record_history`] to get [`RunOutcome::trace`] or
+//! [`RunOutcome::history`] back with the report.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -40,9 +47,7 @@ pub use algorithm::{CcAlgorithm, VictimPolicy};
 pub use arena::{TxnArena, TxnRec};
 pub use budget::{BudgetKind, EventPool, RunBudget, RunError};
 pub use config::{MetricsConfig, SimConfig};
-pub use engine::{
-    run, run_collecting, run_with_history, run_with_trace, PerfStats, RunOutcome, Simulator,
-};
+pub use engine::{run, PerfStats, RunOutcome, Simulator};
 pub use metrics::{ClassReport, Metrics, Report, StreamingQuantiles};
 pub use profiler::{Stage, StageProfile, StageSample, STAGE_COUNT, STAGE_PROFILER_COMPILED};
 pub use sink::{CenterFlow, EventSink, FlowStats};

@@ -15,8 +15,8 @@
 //! zero-sized struct whose methods are empty `#[inline(always)]` bodies:
 //! every call site compiles to nothing, the struct adds no bytes to the
 //! simulator, and the steady-state loop contains no profiling code at all.
-//! CI's `profile-overhead` job pins this by checking the default build
-//! against the archived throughput floors.
+//! CI's `perf-ab` job pins this by timing the default build against its
+//! base revision with ccbench.
 //!
 //! The profiler observes wall time only; it never reads or influences
 //! simulation state, so reports are byte-identical with the feature on or
@@ -72,7 +72,7 @@ pub struct StageSample {
 }
 
 /// Per-stage breakdown of a completed run (feature `stage-profiler` only;
-/// [`crate::Simulator::stage_profile`] returns `None` otherwise).
+/// [`crate::RunOutcome::stages`] is `None` otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageProfile {
     /// Per-stage samples, in [`Stage`] order.
@@ -127,16 +127,6 @@ impl StageProfile {
             run_wall.as_secs_f64()
         );
         out
-    }
-
-    /// The fraction of `run_wall` the profiled span covers.
-    #[must_use]
-    pub fn covered_frac(&self, run_wall: std::time::Duration) -> f64 {
-        if run_wall.as_secs_f64() > 0.0 {
-            self.wall.as_secs_f64() / run_wall.as_secs_f64()
-        } else {
-            1.0
-        }
     }
 }
 

@@ -15,6 +15,9 @@
 //! integral of queue length must equal the total waiting time accumulated
 //! by requests — as an exact identity.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ccsim_des::SimTime;
 
 use crate::metrics::Report;
@@ -83,6 +86,19 @@ pub trait EventSink {
 impl EventSink for Trace {
     fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
         self.push(now, *event);
+    }
+}
+
+/// A shared sink: the engine owns one handle and the caller keeps another,
+/// to read the observer's findings once the run has consumed the
+/// simulator.
+impl<S: EventSink> EventSink for Rc<RefCell<S>> {
+    fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
+        self.borrow_mut().on_event(now, event);
+    }
+
+    fn on_run_end(&mut self, now: SimTime, report: &Report, flow: &FlowStats) {
+        self.borrow_mut().on_run_end(now, report, flow);
     }
 }
 

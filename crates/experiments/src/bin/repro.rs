@@ -150,6 +150,9 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut chart = false;
     let mut resume = false;
     let mut submit = None;
+    // Applied after the loop, so an explicit backoff (0 included) wins
+    // over the --retries default whatever the flag order.
+    let mut backoff_ms = None;
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -166,20 +169,14 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 if n == 0 {
                     return Err("--retries must be at least 1".to_string());
                 }
-                // Only fill in backoff defaults that weren't set
-                // explicitly, so flag order doesn't matter.
-                let defaults = RetryPolicy::retries(n);
-                opts.retry.max_attempts = n;
-                if opts.retry.base_backoff_ms == 0 {
-                    opts.retry.base_backoff_ms = defaults.base_backoff_ms;
-                }
-                opts.retry.max_backoff_ms = defaults.max_backoff_ms;
-                opts.retry.jitter_seed = defaults.jitter_seed;
+                opts.retry = RetryPolicy {
+                    degrade_to_quick: opts.retry.degrade_to_quick,
+                    ..RetryPolicy::retries(n)
+                };
             }
             "--backoff-ms" => {
                 let v = args.next().ok_or("--backoff-ms needs a value")?;
-                opts.retry.base_backoff_ms =
-                    v.parse().map_err(|e| format!("bad backoff {v:?}: {e}"))?;
+                backoff_ms = Some(v.parse().map_err(|e| format!("bad backoff {v:?}: {e}"))?);
             }
             "--list" => targets.push("list".to_string()),
             "--seed" => {
@@ -216,6 +213,9 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             target => targets.push(target.to_string()),
         }
+    }
+    if let Some(ms) = backoff_ms {
+        opts.retry.base_backoff_ms = ms;
     }
     if resume && out.is_none() {
         return Err("--resume needs --out <dir> (the manifest lives there)".to_string());
@@ -528,6 +528,11 @@ mod tests {
         let b = parse(&["exp3", "--retries", "3", "--backoff-ms", "10"]).expect("parses");
         assert_eq!(a.opts.retry, b.opts.retry);
         assert_eq!(a.opts.retry.base_backoff_ms, 10);
+        // ...including an explicit zero, which is not "unset".
+        let a = parse(&["exp3", "--backoff-ms", "0", "--retries", "3"]).expect("parses");
+        let b = parse(&["exp3", "--retries", "3", "--backoff-ms", "0"]).expect("parses");
+        assert_eq!(a.opts.retry, b.opts.retry);
+        assert_eq!(a.opts.retry.base_backoff_ms, 0);
         // --retry-quick composes with full-fidelity retries.
         let c = parse(&["exp3", "--retry-quick", "--retries", "2"]).expect("parses");
         assert_eq!(c.opts.retry.max_attempts, 2);

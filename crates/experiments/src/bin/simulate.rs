@@ -44,9 +44,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use ccsim_core::{
-    check_conflict_serializable, run, run_collecting, run_with_history, CcAlgorithm, Confidence,
-    MetricsConfig, Params, PerfStats, Report, ResourceSpec, RunBudget, RunError, SimConfig,
-    STAGE_PROFILER_COMPILED,
+    check_conflict_serializable, run, CcAlgorithm, Confidence, MetricsConfig, Params, PerfStats,
+    Report, ResourceSpec, RunBudget, RunError, SimConfig, Simulator, STAGE_PROFILER_COMPILED,
 };
 use ccsim_des::{derive_seed, SimDuration};
 use ccsim_experiments::{aggregate_reports, write_atomic};
@@ -158,9 +157,6 @@ fn parse() -> Result<Cli, String> {
     cfg.validate().map_err(|e| e.to_string())?;
     if check_serializable && reps > 1 {
         return Err("--check-serializable works on a single run; use --reps 1".to_string());
-    }
-    if audit && check_serializable {
-        return Err("--audit and --check-serializable cannot be combined".to_string());
     }
     if audit && reps > 1 {
         return Err("--audit works on a single run; use --reps 1".to_string());
@@ -354,47 +350,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if cli.audit {
-        let (report, audit) = match ccsim_audit::run_with_audit(cli.cfg.clone()) {
-            Ok(ra) => ra,
-            Err(e) => exit_run_error(&e),
-        };
-        let mut text = render_report(&cli.cfg, &report);
-        if audit.is_clean() {
-            let _ = writeln!(
-                text,
-                "  invariant audit  clean ({} events checked)",
-                audit.events_seen
-            );
-            emit(&cli, &text);
-        } else {
-            let _ = writeln!(text);
-            let _ = writeln!(text, "{}", audit.render());
-            emit(&cli, &text);
-            std::process::exit(1);
-        }
-    } else if cli.check_serializable {
-        let (report, history) = match run_with_history(cli.cfg.clone()) {
-            Ok(rh) => rh,
-            Err(e) => exit_run_error(&e),
-        };
-        let mut text = render_report(&cli.cfg, &report);
-        match check_conflict_serializable(&history) {
-            Ok(order) => {
-                let _ = writeln!(
-                    text,
-                    "  serializability  OK ({} committed transactions, witness order found)",
-                    order.len()
-                );
-                emit(&cli, &text);
-            }
-            Err(cycle) => {
-                let _ = writeln!(text, "  serializability  VIOLATED: {cycle}");
-                emit(&cli, &text);
-                std::process::exit(1);
-            }
-        }
-    } else if cli.reps > 1 {
+    if cli.reps > 1 {
         // Replication r's seeds derive from the master seed and r alone, so
         // the sequence is reproducible and extending --reps only appends
         // runs. The workload/control split matches the experiment runner's.
@@ -406,7 +362,7 @@ fn main() {
                     .with_seed(derive_seed(cli.cfg.seed, &[2, u64::from(r)]))
                     .with_workload_seed(derive_seed(cli.cfg.seed, &[1, u64::from(r)]));
                 match run(cfg) {
-                    Ok(report) => report,
+                    Ok(out) => out.report,
                     Err(e) => {
                         eprintln!("replication {r} failed:");
                         exit_run_error(&e);
@@ -436,18 +392,51 @@ fn main() {
         );
         emit(&cli, &text);
     } else {
-        // One run path for the plain, --perf and --profile modes, so a
-        // budget stop fails all three alike. The collecting run always
-        // gathers the engine counters (and, in a `profile` build, the
-        // per-stage cycles); they are printed only when asked for.
-        let out = match run_collecting(cli.cfg.clone()) {
+        // One run path for every single-run mode, so a budget stop fails
+        // them all alike and --audit and --check-serializable observe the
+        // same run. The run always gathers the engine counters (and, in a
+        // `profile` build, the per-stage cycles); they are printed only
+        // when asked for.
+        let mut sim = match Simulator::new(cli.cfg.clone().with_history(cli.check_serializable)) {
+            Ok(s) => s,
+            Err(e) => exit_run_error(&e.into()),
+        };
+        let auditor = cli.audit.then(|| ccsim_audit::attach(&mut sim));
+        let out = match sim.run_collecting().finished() {
             Ok(o) => o,
             Err(e) => exit_run_error(&e),
         };
-        if let Some(e) = &out.stopped {
-            exit_run_error(e);
-        }
         let mut text = render_report(&cli.cfg, &out.report);
+        let mut failed = false;
+        if let Some(history) = &out.history {
+            match check_conflict_serializable(history) {
+                Ok(order) => {
+                    let _ = writeln!(
+                        text,
+                        "  serializability  OK ({} committed transactions, witness order found)",
+                        order.len()
+                    );
+                }
+                Err(cycle) => {
+                    let _ = writeln!(text, "  serializability  VIOLATED: {cycle}");
+                    failed = true;
+                }
+            }
+        }
+        if let Some(auditor) = auditor {
+            let audit = auditor.borrow().report();
+            if audit.is_clean() {
+                let _ = writeln!(
+                    text,
+                    "  invariant audit  clean ({} events checked)",
+                    audit.events_seen
+                );
+            } else {
+                let _ = writeln!(text);
+                let _ = writeln!(text, "{}", audit.render());
+                failed = true;
+            }
+        }
         if cli.perf || cli.profile {
             append_perf(&mut text, &out.perf);
         }
@@ -461,5 +450,8 @@ fn main() {
             }
         }
         emit(&cli, &text);
+        if failed {
+            std::process::exit(1);
+        }
     }
 }

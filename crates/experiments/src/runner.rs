@@ -35,7 +35,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use ccsim_core::{run as run_sim, EventPool, MetricsConfig, Report, RunBudget, RunError};
+use ccsim_core::{EventPool, MetricsConfig, Report, RunBudget, RunError, Simulator};
 use ccsim_des::derive_seed;
 use crossbeam::channel;
 
@@ -447,18 +447,17 @@ fn run_point(
             !inject_panic,
             "chaos: injected panic at {label}@{mpl} rep {rep}"
         );
-        if audit {
-            ccsim_audit::run_with_audit(cfg).map(|(report, audit)| {
-                let failures = audit
-                    .summaries()
-                    .into_iter()
-                    .map(|v| format!("{label}@{mpl} rep {rep}: {v}"))
-                    .collect();
-                (report, failures)
-            })
-        } else {
-            run_sim(cfg).map(|r| (r, Vec::new()))
-        }
+        let mut sim = Simulator::new(cfg)?;
+        let auditor = audit.then(|| ccsim_audit::attach(&mut sim));
+        let out = sim.run_collecting().finished()?;
+        let failures = auditor.map_or_else(Vec::new, |a| {
+            let summaries = a.borrow().report().summaries();
+            summaries
+                .into_iter()
+                .map(|v| format!("{label}@{mpl} rep {rep}: {v}"))
+                .collect()
+        });
+        Ok::<_, RunError>((out.report, failures))
     }));
     match outcome {
         Ok(Ok(run)) => Ok(run),

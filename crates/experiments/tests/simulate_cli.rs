@@ -58,6 +58,13 @@ fn budget_stop_fails_a_profile_run() {
 }
 
 #[test]
+fn budget_stop_fails_audited_and_checked_runs() {
+    assert_budget_stop(&["--audit"]);
+    assert_budget_stop(&["--check-serializable"]);
+    assert_budget_stop(&["--audit", "--check-serializable"]);
+}
+
+#[test]
 fn finished_runs_print_the_lines_their_mode_asks_for() {
     let plain = finished_run(&[]);
     assert!(plain.contains("throughput"), "{plain}");
@@ -70,4 +77,8 @@ fn finished_runs_print_the_lines_their_mode_asks_for() {
         assert!(profile.contains("engine perf"), "{profile}");
         assert!(profile.contains("stages sum to"), "{profile}");
     }
+    // --audit and --check-serializable observe one and the same run.
+    let both = finished_run(&["--audit", "--check-serializable"]);
+    assert!(both.contains("invariant audit  clean"), "{both}");
+    assert!(both.contains("serializability  OK"), "{both}");
 }

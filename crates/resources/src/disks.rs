@@ -131,15 +131,6 @@ impl<T> DiskArray<T> {
         self.disks.iter().map(ServerPool::queue_len).sum()
     }
 
-    /// Per-disk `(queue length, busy)` snapshot (diagnostics).
-    #[must_use]
-    pub fn queue_snapshot(&self) -> Vec<(usize, bool)> {
-        self.disks
-            .iter()
-            .map(|d| (d.queue_len(), d.busy_servers() > 0))
-            .collect()
-    }
-
     /// Cumulative busy time summed over all disks, including in-flight
     /// partial service.
     #[must_use]

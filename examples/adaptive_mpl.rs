@@ -18,7 +18,8 @@ fn throughput_at(algo: CcAlgorithm, mpl: u32) -> f64 {
         .with_params(Params::paper_baseline().with_mpl(mpl))
         .with_metrics(MetricsConfig::quick())
         .with_seed(0xADA7 ^ u64::from(mpl));
-    run(cfg).expect("valid configuration").throughput.mean
+    let report = run(cfg).expect("valid configuration").report;
+    report.throughput.mean
 }
 
 /// Hill-climb on mpl with a multiplicative step, shrinking the step on

@@ -30,7 +30,8 @@ fn main() {
         let sim = run(SimConfig::new(CcAlgorithm::Blocking)
             .with_params(params.clone())
             .with_metrics(MetricsConfig::quick()))
-        .expect("valid configuration");
+        .expect("valid configuration")
+        .report;
         let cc_cost = 100.0 * (1.0 - sim.throughput.mean / mva);
         let predicted_blocks = Contention::new(&params).expected_block_ratio(mpl);
         println!(

@@ -22,7 +22,8 @@ fn main() {
         let uniform = run(SimConfig::new(CcAlgorithm::Blocking)
             .with_params(Params::paper_baseline().with_mpl(mpl))
             .with_metrics(MetricsConfig::quick()))
-        .expect("valid configuration");
+        .expect("valid configuration")
+        .report;
         let mut params = Params::paper_baseline().with_mpl(mpl);
         params.access = AccessPattern::Hotspot {
             data_frac: 0.2,
@@ -31,7 +32,8 @@ fn main() {
         let hotspot = run(SimConfig::new(CcAlgorithm::Blocking)
             .with_params(params)
             .with_metrics(MetricsConfig::quick()))
-        .expect("valid configuration");
+        .expect("valid configuration")
+        .report;
         println!(
             "{:>5} {:>10.2} ±{:<4.2} {:>12.2} {:>10.2} ±{:<4.2} {:>12.2}",
             mpl,

@@ -35,7 +35,7 @@ fn main() {
             let cfg = SimConfig::new(algo)
                 .with_params(params)
                 .with_metrics(MetricsConfig::quick());
-            let r = run(cfg).expect("valid configuration");
+            let r = run(cfg).expect("valid configuration").report;
             tps.push(r.throughput.mean);
             print!(
                 " {:>12.3} ±{:<4.2}",

@@ -34,7 +34,7 @@ fn main() {
         let cfg = SimConfig::new(algo)
             .with_params(params.clone())
             .with_metrics(MetricsConfig::quick());
-        let r = run(cfg).expect("valid configuration");
+        let r = run(cfg).expect("valid configuration").report;
         let small = &r.class_reports[0];
         let large = &r.class_reports[1];
         println!(

@@ -36,7 +36,7 @@ fn main() {
                         .with_resources(resources),
                 )
                 .with_metrics(MetricsConfig::quick());
-            let r = run(cfg).expect("valid configuration");
+            let r = run(cfg).expect("valid configuration").report;
             print!(
                 "{:>15.2} ±{:>4.2}",
                 r.throughput.mean, r.throughput.half_width

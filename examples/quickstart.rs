@@ -16,7 +16,7 @@ fn main() {
     );
     for algo in CcAlgorithm::PAPER_TRIO {
         let cfg = SimConfig::new(algo).with_metrics(MetricsConfig::quick());
-        let r = run(cfg).expect("baseline configuration is valid");
+        let r = run(cfg).expect("baseline configuration is valid").report;
         println!(
             "{:<18} {:>7.2} ±{:<4.2} {:>12.2} {:>10.2} {:>10.2} {:>11.1}% {:>11.1}%",
             algo.label(),

@@ -43,7 +43,7 @@ fn main() {
         let cfg = SimConfig::new(CcAlgorithm::ImmediateRestart)
             .with_params(base.clone().with_restart_delay(policy))
             .with_metrics(MetricsConfig::quick());
-        let r = run(cfg).expect("valid configuration");
+        let r = run(cfg).expect("valid configuration").report;
         println!(
             "{:>15.1}x txn {:>9.2} ±{:<3.2} {:>16.2}",
             m, r.throughput.mean, r.throughput.half_width, r.restart_ratio
@@ -53,7 +53,7 @@ fn main() {
     let cfg = SimConfig::new(CcAlgorithm::ImmediateRestart)
         .with_params(base.with_restart_delay(RestartDelayPolicy::Adaptive))
         .with_metrics(MetricsConfig::quick());
-    let r = run(cfg).expect("valid configuration");
+    let r = run(cfg).expect("valid configuration").report;
     println!(
         "{:>22} {:>9.2} ±{:<3.2} {:>16.2}",
         "adaptive (paper)", r.throughput.mean, r.throughput.half_width, r.restart_ratio

@@ -7,9 +7,7 @@
 //! cargo run --release --example serializability_check
 //! ```
 
-use ccsim_core::{
-    check_conflict_serializable, run_with_history, CcAlgorithm, MetricsConfig, Params, SimConfig,
-};
+use ccsim_core::{check_conflict_serializable, run, CcAlgorithm, MetricsConfig, Params, SimConfig};
 
 fn contended() -> Params {
     let mut p = Params::paper_baseline().with_mpl(20);
@@ -26,11 +24,12 @@ fn main() {
         CcAlgorithm::Optimistic,
         CcAlgorithm::NoCc,
     ] {
-        let mut cfg = SimConfig::new(algo)
+        let cfg = SimConfig::new(algo)
             .with_params(contended())
-            .with_metrics(MetricsConfig::quick());
-        cfg.record_history = true;
-        let (report, history) = run_with_history(cfg).expect("valid configuration");
+            .with_metrics(MetricsConfig::quick())
+            .with_history(true);
+        let out = run(cfg).expect("valid configuration");
+        let (report, history) = (out.report, out.history.expect("history is on"));
         print!(
             "{:<18} {:>6} commits, {:>5} restarts  ->  ",
             algo.label(),

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use ccsim_core::{
-    run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, TraceEvent, TxnId,
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, TraceEvent, TxnId,
 };
 use ccsim_des::SimDuration;
 
@@ -27,8 +27,10 @@ fn main() {
             batch_time: SimDuration::from_secs(20),
             confidence: Confidence::Ninety,
         })
-        .with_seed(0x7ACE);
-    let (report, trace) = run_with_trace(cfg, 100_000).expect("valid configuration");
+        .with_seed(0x7ACE)
+        .with_trace_capacity(100_000);
+    let out = run(cfg).expect("valid configuration");
+    let (report, trace) = (out.report, out.trace.expect("tracing is on"));
 
     println!(
         "20 simulated seconds: {} commits, {} blocks, {} restarts, {} deadlocks\n",

@@ -36,6 +36,7 @@ fn mva_predicts_contention_free_throughput_one_cpu_two_disks() {
         .with_params(params)
         .with_metrics(metrics()))
     .unwrap()
+    .report
     .throughput
     .mean;
     let err = (simulated - predicted).abs() / predicted;
@@ -55,6 +56,7 @@ fn mva_predicts_contention_free_throughput_multiprocessor() {
         .with_params(params)
         .with_metrics(metrics()))
     .unwrap()
+    .report
     .throughput
     .mean;
     let err = (simulated - predicted).abs() / predicted;
@@ -75,6 +77,7 @@ fn infinite_resource_formula_matches_simulation() {
         .with_params(params)
         .with_metrics(metrics()))
     .unwrap()
+    .report
     .throughput
     .mean;
     let err = (simulated - predicted).abs() / predicted;
@@ -96,6 +99,7 @@ fn operational_bounds_hold_under_full_contention() {
                 .with_params(params)
                 .with_metrics(metrics()))
             .unwrap()
+            .report
             .throughput
             .mean;
             assert!(
@@ -115,7 +119,8 @@ fn straw_man_block_ratio_is_the_right_magnitude_in_the_dilute_regime() {
     let report = run(SimConfig::new(CcAlgorithm::Blocking)
         .with_params(params.clone())
         .with_metrics(metrics()))
-    .unwrap();
+    .unwrap()
+    .report;
     let predicted = Contention::new(&params).expected_block_ratio(5);
     assert!(
         report.block_ratio < predicted * 2.0 && report.block_ratio > predicted / 4.0,
@@ -141,6 +146,7 @@ fn tays_thrashing_heuristic_brackets_the_blocking_knee() {
             )
             .with_metrics(metrics()))
         .unwrap()
+        .report
         .throughput
         .mean
     };

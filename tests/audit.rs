@@ -4,9 +4,9 @@
 //! invariant break must be caught with a contextual report, and auditing a
 //! sweep must not perturb it no matter how many worker threads run it.
 
-use ccsim_audit::{attach, run_with_audit};
+use ccsim_audit::{attach, AuditReport};
 use ccsim_core::{
-    run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator,
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, Report, SimConfig, Simulator, Trace,
     TraceEvent,
 };
 use ccsim_des::SimDuration;
@@ -35,10 +35,25 @@ fn contended(algo: CcAlgorithm, mpl: u32, num_terms: u32, seed: u64) -> SimConfi
         .with_seed(seed)
 }
 
+/// Run `cfg` to completion with an auditor attached.
+fn audited(cfg: SimConfig) -> (Report, AuditReport) {
+    let mut sim = Simulator::new(cfg).expect("valid config");
+    let auditor = attach(&mut sim);
+    let out = sim.run_collecting().finished().expect("run within budget");
+    let audit = auditor.borrow().report();
+    (out.report, audit)
+}
+
+/// Run `cfg` with a trace ring large enough to keep every event.
+fn traced(cfg: SimConfig) -> Trace {
+    let out = run(cfg.with_trace_capacity(1_000_000)).expect("valid config");
+    out.trace.expect("tracing is on")
+}
+
 #[test]
 fn every_algorithm_audits_clean_on_a_contended_run() {
     for algo in CcAlgorithm::ALL {
-        let (report, audit) = run_with_audit(contended(algo, 10, 25, 0xA0D17)).unwrap();
+        let (report, audit) = audited(contended(algo, 10, 25, 0xA0D17));
         assert!(report.commits > 0, "{algo} committed nothing");
         assert!(audit.run_ended, "{algo}: auditor missed the end of the run");
         assert!(
@@ -52,11 +67,12 @@ fn every_algorithm_audits_clean_on_a_contended_run() {
 #[test]
 fn injected_lock_leak_is_caught_with_context() {
     let mut sim = Simulator::new(contended(CcAlgorithm::Blocking, 5, 15, 7)).unwrap();
-    let handle = attach(&mut sim);
+    let auditor = attach(&mut sim);
     sim.inject_lock_leak();
-    sim.run_to_completion()
+    sim.run_collecting()
+        .finished()
         .expect("run completes within budget");
-    let audit = handle.report();
+    let audit = auditor.borrow().report();
     assert!(
         !audit.is_clean(),
         "auditor failed to notice the leaked locks"
@@ -116,7 +132,7 @@ proptest! {
     ) {
         for algo in [CcAlgorithm::ImmediateRestart, CcAlgorithm::Optimistic] {
             let cfg = contended(algo, mpl, num_terms, seed);
-            let (_, trace) = run_with_trace(cfg, 1_000_000).expect("valid config");
+            let trace = traced(cfg);
             prop_assert_eq!(trace.dropped(), 0, "{} trace overflowed", algo);
             for (at, e) in trace.events() {
                 prop_assert!(
@@ -127,7 +143,7 @@ proptest! {
             }
         }
         let cfg = contended(CcAlgorithm::Blocking, mpl, num_terms, seed);
-        let (_, trace) = run_with_trace(cfg, 1_000_000).expect("valid config");
+        let trace = traced(cfg);
         prop_assert_eq!(trace.dropped(), 0, "blocking trace overflowed");
         for (at, e) in trace.events() {
             prop_assert!(
@@ -151,8 +167,7 @@ proptest! {
         num_terms in 2u32..25,
     ) {
         for algo in CcAlgorithm::PAPER_TRIO {
-            let (_, audit) = run_with_audit(contended(algo, mpl, num_terms, seed))
-                .expect("valid config");
+            let (_, audit) = audited(contended(algo, mpl, num_terms, seed));
             prop_assert!(
                 audit.is_clean(),
                 "{} violated invariants:\n{}",

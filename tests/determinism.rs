@@ -3,8 +3,7 @@
 //! experiment harness and its JSON serialization.
 
 use ccsim_core::{
-    run, run_collecting, run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget,
-    SimConfig,
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RetryPolicy, RunOptions};
@@ -27,8 +26,8 @@ fn simulation_reports_replay_exactly() {
                 .with_metrics(quick())
                 .with_seed(0xD5EED)
         };
-        let a = run(mk()).unwrap();
-        let b = run(mk()).unwrap();
+        let a = run(mk()).unwrap().report;
+        let b = run(mk()).unwrap().report;
         assert_eq!(a, b, "{algo} replay diverged");
     }
 }
@@ -56,10 +55,10 @@ fn trace_ring_does_not_perturb_the_run() {
     // The engine skips event emission entirely when nothing observes the
     // run; that fast path must be a pure observer effect. Attaching the
     // trace ring (exp3's resource-limited baseline, mpl 50) must leave the
-    // report byte-identical to the unobserved run. The modern in-memory
-    // protocols ride the same loop: their validation managers (version
-    // chains, TID words, timestamp intervals) must be equally observer-
-    // independent.
+    // report byte-identical to the unobserved run, and so must recording
+    // the committed-transaction history. The modern in-memory protocols
+    // ride the same loop: their validation managers (version chains, TID
+    // words, timestamp intervals) must be equally observer-independent.
     for algo in CcAlgorithm::PAPER_TRIO
         .into_iter()
         .chain(CcAlgorithm::MODERN_TRIO)
@@ -71,14 +70,24 @@ fn trace_ring_does_not_perturb_the_run() {
                 .with_seed(0x7ACE)
         };
         let detached = run(mk()).unwrap();
-        let (attached, trace) = run_with_trace(mk(), 4096).unwrap();
+        assert!(detached.trace.is_none() && detached.history.is_none());
+        let attached = run(mk().with_trace_capacity(4096)).unwrap();
         assert!(
-            !trace.is_empty(),
+            !attached.trace.expect("tracing is on").is_empty(),
             "{algo}: trace ring attached but recorded nothing"
         );
         assert_eq!(
-            detached, attached,
+            detached.report, attached.report,
             "{algo}: attaching the trace ring changed the run"
+        );
+        let recorded = run(mk().with_history(true)).unwrap();
+        assert!(
+            !recorded.history.expect("history is on").is_empty(),
+            "{algo}: history recorded nothing"
+        );
+        assert_eq!(
+            detached.report, recorded.report,
+            "{algo}: recording the history changed the run"
         );
     }
 }
@@ -100,14 +109,14 @@ fn uncontended_elision_does_not_perturb_the_run() {
                 .with_seed(0x7ACE)
                 .with_elision(elide)
         };
-        let on = run(mk(true)).unwrap();
-        let off = run(mk(false)).unwrap();
+        let on = run(mk(true)).unwrap().report;
+        let off = run(mk(false)).unwrap().report;
         assert_eq!(on, off, "{algo}: elision changed the run");
         // The fast path must also be observer-independent: attaching the
         // trace ring with elision on matches the unobserved elided run.
-        let (traced, trace) = run_with_trace(mk(true), 4096).unwrap();
-        assert!(!trace.is_empty());
-        assert_eq!(on, traced, "{algo}: elision + trace ring diverged");
+        let traced = run(mk(true).with_trace_capacity(4096)).unwrap();
+        assert!(!traced.trace.expect("tracing is on").is_empty());
+        assert_eq!(on, traced.report, "{algo}: elision + trace ring diverged");
     }
 }
 
@@ -134,30 +143,29 @@ fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
             .with_seed(0x5CA1ED)
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
     };
-    let base = run_collecting(mk()).unwrap();
+    let collect = |cfg| Simulator::new(cfg).unwrap().run_collecting();
+    let base = collect(mk());
     assert!(
         base.stopped.is_some(),
         "the point should stop on its event budget"
     );
     assert!(base.report.commits > 0, "salvaged window has no commits");
 
-    let mut traced_cfg = mk();
-    traced_cfg.trace_capacity = 4096;
-    let traced = run_collecting(traced_cfg).unwrap();
+    let traced = collect(mk().with_trace_capacity(4096));
     assert_eq!(
         base.report, traced.report,
         "attaching the trace ring changed the scale run"
     );
     assert_eq!(base.quantiles, traced.quantiles);
 
-    let unelided = run_collecting(mk().with_elision(false)).unwrap();
+    let unelided = collect(mk().with_elision(false));
     assert_eq!(
         base.report, unelided.report,
         "elision changed the scale run"
     );
     assert_eq!(base.quantiles, unelided.quantiles);
 
-    let heap_only = run_collecting(mk().with_two_tier_calendar(false)).unwrap();
+    let heap_only = collect(mk().with_two_tier_calendar(false));
     assert_eq!(
         base.report, heap_only.report,
         "the two-tier calendar changed the scale run"
@@ -201,7 +209,8 @@ fn modern_scale_points_are_deterministic_under_toggles() {
                 .with_seed(0x5CA1ED)
                 .with_budget(RunBudget::unlimited().with_max_events(200_000))
         };
-        let base = run_collecting(mk()).unwrap();
+        let collect = |cfg| Simulator::new(cfg).unwrap().run_collecting();
+        let base = collect(mk());
         assert!(
             base.stopped.is_some(),
             "{algo}: the point should stop on its event budget"
@@ -211,23 +220,21 @@ fn modern_scale_points_are_deterministic_under_toggles() {
             "{algo}: salvaged window has no commits"
         );
 
-        let mut traced_cfg = mk();
-        traced_cfg.trace_capacity = 4096;
-        let traced = run_collecting(traced_cfg).unwrap();
+        let traced = collect(mk().with_trace_capacity(4096));
         assert_eq!(
             base.report, traced.report,
             "{algo}: attaching the trace ring changed the scale run"
         );
         assert_eq!(base.quantiles, traced.quantiles);
 
-        let unelided = run_collecting(mk().with_elision(false)).unwrap();
+        let unelided = collect(mk().with_elision(false));
         assert_eq!(
             base.report, unelided.report,
             "{algo}: elision changed the scale run"
         );
         assert_eq!(base.quantiles, unelided.quantiles);
 
-        let heap_only = run_collecting(mk().with_two_tier_calendar(false)).unwrap();
+        let heap_only = collect(mk().with_two_tier_calendar(false));
         assert_eq!(
             base.report, heap_only.report,
             "{algo}: the two-tier calendar changed the scale run"
@@ -244,8 +251,8 @@ fn seed_changes_results() {
             .with_metrics(quick())
             .with_seed(seed)
     };
-    let a = run(mk(1)).unwrap();
-    let b = run(mk(2)).unwrap();
+    let a = run(mk(1)).unwrap().report;
+    let b = run(mk(2)).unwrap().report;
     assert_ne!(
         a, b,
         "different seeds should explore different sample paths"
@@ -275,8 +282,8 @@ fn batch_count_extends_rather_than_perturbs() {
             })
             .with_seed(7)
     };
-    let short = run(mk(4)).unwrap();
-    let long = run(mk(8)).unwrap();
+    let short = run(mk(4)).unwrap().report;
+    let long = run(mk(8)).unwrap().report;
     assert_eq!(short.throughput_per_batch.len(), 4);
     assert_eq!(long.throughput_per_batch.len(), 8);
     for (i, (a, b)) in short

@@ -15,13 +15,14 @@
 use std::path::PathBuf;
 
 use ccsim_audit::golden::{check_or_update, serialize_trace};
-use ccsim_core::{run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
+use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
 use ccsim_des::SimDuration;
 
 /// The fixed scenario behind every golden file: a dozen terminals hammering
 /// a 50-page database with half the accesses writing, so all three
 /// algorithms block/restart/validate within a 5-second horizon — short
-/// enough that the full event stream fits in a reviewable text file.
+/// enough that the full event stream fits in a reviewable text file. The
+/// trace ring is large enough to keep all of it.
 fn golden_config(algo: CcAlgorithm) -> SimConfig {
     let mut params = Params::paper_baseline();
     params.db_size = 50;
@@ -40,6 +41,17 @@ fn golden_config(algo: CcAlgorithm) -> SimConfig {
             confidence: Confidence::Ninety,
         })
         .with_seed(0x601D)
+        .with_trace_capacity(1_000_000)
+}
+
+/// Run `cfg` and serialize its trace in the golden text form.
+fn golden_text(cfg: &SimConfig) -> String {
+    let out = run(cfg.clone()).unwrap();
+    let trace = out.trace.expect("tracing is on");
+    let algo = cfg.algorithm;
+    assert_eq!(trace.dropped(), 0, "{algo} golden trace overflowed");
+    assert!(!trace.is_empty(), "{algo} golden run recorded nothing");
+    serialize_trace(cfg, &trace, &out.report)
 }
 
 fn golden_path(label: &str) -> PathBuf {
@@ -57,11 +69,7 @@ fn tracked_algorithms() -> impl Iterator<Item = CcAlgorithm> {
 #[test]
 fn paper_trio_traces_match_golden_files() {
     for algo in tracked_algorithms() {
-        let cfg = golden_config(algo);
-        let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-        assert_eq!(trace.dropped(), 0, "{algo} golden trace overflowed");
-        assert!(!trace.is_empty(), "{algo} golden run recorded nothing");
-        let text = serialize_trace(&cfg, &trace, &report);
+        let text = golden_text(&golden_config(algo));
         if let Err(msg) = check_or_update(&golden_path(algo.label()), &text) {
             panic!("{algo}: {msg}");
         }
@@ -75,9 +83,7 @@ fn golden_traces_match_with_elision_forced_off() {
     // byte-for-byte (never UPDATE_GOLDEN through this test — it checks
     // against the files the elided runs produce).
     for algo in tracked_algorithms() {
-        let cfg = golden_config(algo).with_elision(false);
-        let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-        let text = serialize_trace(&cfg, &trace, &report);
+        let text = golden_text(&golden_config(algo).with_elision(false));
         let expected = std::fs::read_to_string(golden_path(algo.label()))
             .expect("golden file exists (run the elided test first)");
         assert_eq!(
@@ -92,10 +98,5 @@ fn golden_serialization_is_bit_stable() {
     // Two fresh runs of the same scenario must serialize byte-identically —
     // the property that lets the files above act as regression anchors.
     let cfg = golden_config(CcAlgorithm::Blocking);
-    let (ra, ta) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-    let (rb, tb) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-    assert_eq!(
-        serialize_trace(&cfg, &ta, &ra),
-        serialize_trace(&cfg, &tb, &rb)
-    );
+    assert_eq!(golden_text(&cfg), golden_text(&cfg));
 }

@@ -38,6 +38,7 @@ fn report(algo: CcAlgorithm) -> ccsim_core::Report {
         .with_metrics(metrics())
         .with_seed(0x31A55))
     .unwrap()
+    .report
 }
 
 #[test]
@@ -102,7 +103,8 @@ fn single_class_runs_have_one_class_report() {
     let r = run(SimConfig::new(CcAlgorithm::Blocking)
         .with_params(Params::paper_baseline().with_mpl(10))
         .with_metrics(metrics()))
-    .unwrap();
+    .unwrap()
+    .report;
     assert_eq!(r.class_reports.len(), 1);
     assert_eq!(r.class_reports[0].commits, r.commits);
     assert!((r.class_reports[0].response_time_mean - r.response_time_mean).abs() < 1e-9);
@@ -116,11 +118,13 @@ fn class_extension_does_not_perturb_single_class_streams() {
         .with_params(Params::paper_baseline().with_mpl(25))
         .with_metrics(metrics())
         .with_seed(777))
-    .unwrap();
+    .unwrap()
+    .report;
     let again = run(SimConfig::new(CcAlgorithm::Blocking)
         .with_params(Params::paper_baseline().with_mpl(25))
         .with_metrics(metrics())
         .with_seed(777))
-    .unwrap();
+    .unwrap()
+    .report;
     assert_eq!(base, again);
 }

@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: physical invariants the closed queuing
 //! model must satisfy regardless of concurrency control algorithm.
 
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, ResourceSpec, SimConfig};
+use ccsim_core::{
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, Report, ResourceSpec, SimConfig,
+};
 use ccsim_des::SimDuration;
 
 fn quick() -> MetricsConfig {
@@ -13,11 +15,13 @@ fn quick() -> MetricsConfig {
     }
 }
 
-fn cfg(algo: CcAlgorithm, params: Params) -> SimConfig {
-    SimConfig::new(algo)
+/// Run `algo` on `params` at the suite's fidelity and seed.
+fn simulate(algo: CcAlgorithm, params: Params) -> Report {
+    let cfg = SimConfig::new(algo)
         .with_params(params)
         .with_metrics(quick())
-        .with_seed(0xBEEF)
+        .with_seed(0xBEEF);
+    run(cfg).unwrap().report
 }
 
 /// Little's-law style bound: a closed system with N terminals and mean
@@ -29,7 +33,7 @@ fn throughput_bounded_by_terminal_population() {
             .with_mpl(200)
             .with_resources(ResourceSpec::Infinite);
         let bound = f64::from(params.num_terms) / params.ext_think_time.as_secs_f64();
-        let r = run(cfg(algo, params)).unwrap();
+        let r = simulate(algo, params);
         assert!(
             r.throughput.mean < bound,
             "{algo}: {} tps exceeds closed-system bound {bound}",
@@ -46,7 +50,7 @@ fn throughput_bounded_by_disk_capacity() {
         let params = Params::paper_baseline().with_mpl(50);
         let per_commit_io = params.expected_io_demand().as_secs_f64();
         let bound = 2.0 / per_commit_io * 1.1; // 2 disks, 10% slack for size variance
-        let r = run(cfg(algo, params)).unwrap();
+        let r = simulate(algo, params);
         assert!(
             r.throughput.mean < bound,
             "{algo}: {} tps exceeds disk bound {bound:.2}",
@@ -59,7 +63,7 @@ fn throughput_bounded_by_disk_capacity() {
 #[test]
 fn utilizations_are_well_formed() {
     for algo in CcAlgorithm::ALL {
-        let r = run(cfg(algo, Params::paper_baseline().with_mpl(75))).unwrap();
+        let r = simulate(algo, Params::paper_baseline().with_mpl(75));
         for (name, v) in [
             ("disk total", r.disk_util_total.mean),
             ("disk useful", r.disk_util_useful.mean),
@@ -95,7 +99,7 @@ fn response_times_respect_service_floor() {
             .with_resources(ResourceSpec::Infinite);
         let floor =
             params.min_size as f64 * (params.obj_io.as_secs_f64() + params.obj_cpu.as_secs_f64());
-        let r = run(cfg(algo, params)).unwrap();
+        let r = simulate(algo, params);
         assert!(
             r.response_time_mean > floor,
             "{algo}: mean response {} below service floor {floor}",
@@ -109,7 +113,7 @@ fn response_times_respect_service_floor() {
 #[test]
 fn mpl_one_is_conflict_free() {
     for algo in CcAlgorithm::ALL {
-        let r = run(cfg(algo, Params::paper_baseline().with_mpl(1))).unwrap();
+        let r = simulate(algo, Params::paper_baseline().with_mpl(1));
         assert_eq!(r.blocks, 0, "{algo} blocked at mpl=1");
         assert_eq!(r.restarts, 0, "{algo} restarted at mpl=1");
         assert_eq!(r.deadlocks, 0, "{algo} deadlocked at mpl=1");
@@ -132,7 +136,7 @@ fn read_only_workload_is_conflict_free() {
     for algo in CcAlgorithm::ALL {
         let mut params = Params::paper_baseline().with_mpl(100);
         params.write_prob = 0.0;
-        let r = run(cfg(algo, params)).unwrap();
+        let r = simulate(algo, params);
         assert_eq!(r.restarts, 0, "{algo} restarted in a read-only workload");
         assert_eq!(r.blocks, 0, "{algo} blocked in a read-only workload");
         assert!(r.commits > 100);
@@ -153,7 +157,7 @@ fn write_heavy_small_db_makes_progress() {
         params.write_prob = 1.0;
         params
     };
-    let blocking = run(cfg(CcAlgorithm::Blocking, mk())).unwrap();
+    let blocking = simulate(CcAlgorithm::Blocking, mk());
     for algo in [
         CcAlgorithm::Blocking,
         CcAlgorithm::ImmediateRestart,
@@ -162,14 +166,14 @@ fn write_heavy_small_db_makes_progress() {
         CcAlgorithm::WoundWait,
         CcAlgorithm::StaticLocking,
     ] {
-        let r = run(cfg(algo, mk())).unwrap();
+        let r = simulate(algo, mk());
         assert!(
             r.commits > 20,
             "{algo} nearly livelocked: {} commits",
             r.commits
         );
     }
-    let nw = run(cfg(CcAlgorithm::NoWaiting, mk())).unwrap();
+    let nw = simulate(CcAlgorithm::NoWaiting, mk());
     assert!(
         nw.commits < blocking.commits,
         "no-waiting ({}) should collapse below blocking ({}) under upgrade storms",
@@ -183,17 +187,13 @@ fn write_heavy_small_db_makes_progress() {
 #[test]
 fn hotspot_skew_raises_contention() {
     use ccsim_core::AccessPattern;
-    let uniform = run(cfg(
-        CcAlgorithm::Blocking,
-        Params::paper_baseline().with_mpl(50),
-    ))
-    .unwrap();
+    let uniform = simulate(CcAlgorithm::Blocking, Params::paper_baseline().with_mpl(50));
     let mut params = Params::paper_baseline().with_mpl(50);
     params.access = AccessPattern::Hotspot {
         data_frac: 0.2,
         access_frac: 0.8,
     };
-    let hot = run(cfg(CcAlgorithm::Blocking, params)).unwrap();
+    let hot = simulate(CcAlgorithm::Blocking, params);
     assert!(
         hot.block_ratio > uniform.block_ratio * 2.0,
         "hotspot blocks/commit {} should dwarf uniform {}",
@@ -210,16 +210,8 @@ fn hotspot_skew_raises_contention() {
 /// and reacts to it.
 #[test]
 fn actual_mpl_tracks_configured_mpl() {
-    let lo = run(cfg(
-        CcAlgorithm::Blocking,
-        Params::paper_baseline().with_mpl(5),
-    ))
-    .unwrap();
-    let hi = run(cfg(
-        CcAlgorithm::Blocking,
-        Params::paper_baseline().with_mpl(50),
-    ))
-    .unwrap();
+    let lo = simulate(CcAlgorithm::Blocking, Params::paper_baseline().with_mpl(5));
+    let hi = simulate(CcAlgorithm::Blocking, Params::paper_baseline().with_mpl(50));
     assert!(lo.avg_active <= 5.0 + 1e-9);
     assert!(hi.avg_active <= 50.0 + 1e-9);
     assert!(
@@ -235,14 +227,13 @@ fn actual_mpl_tracks_configured_mpl() {
 #[test]
 fn infinite_resources_dominate_finite() {
     for algo in CcAlgorithm::PAPER_TRIO {
-        let fin = run(cfg(algo, Params::paper_baseline().with_mpl(25))).unwrap();
-        let inf = run(cfg(
+        let fin = simulate(algo, Params::paper_baseline().with_mpl(25));
+        let inf = simulate(
             algo,
             Params::paper_baseline()
                 .with_mpl(25)
                 .with_resources(ResourceSpec::Infinite),
-        ))
-        .unwrap();
+        );
         assert!(
             inf.throughput.mean > fin.throughput.mean,
             "{algo}: infinite ({}) should beat 1x2 ({})",
@@ -256,14 +247,13 @@ fn infinite_resources_dominate_finite() {
 #[test]
 fn more_hardware_never_hurts() {
     for algo in CcAlgorithm::PAPER_TRIO {
-        let small = run(cfg(algo, Params::paper_baseline().with_mpl(50))).unwrap();
-        let big = run(cfg(
+        let small = simulate(algo, Params::paper_baseline().with_mpl(50));
+        let big = simulate(
             algo,
             Params::paper_baseline()
                 .with_mpl(50)
                 .with_resources(ResourceSpec::FIVE_CPUS_TEN_DISKS),
-        ))
-        .unwrap();
+        );
         assert!(
             big.throughput.mean >= small.throughput.mean * 0.98,
             "{algo}: 5x10 ({}) worse than 1x2 ({})",

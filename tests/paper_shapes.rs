@@ -20,7 +20,7 @@ fn tps(algo: CcAlgorithm, params: Params) -> f64 {
         .with_params(params)
         .with_metrics(metrics())
         .with_seed(0x5114_BE57);
-    run(cfg).unwrap().throughput.mean
+    run(cfg).unwrap().report.throughput.mean
 }
 
 /// Experiment 2 (Figure 5): under infinite resources the optimistic
@@ -144,11 +144,13 @@ fn fig6_blocking_thrashes_by_waiting_not_restarting() {
     let b = run(SimConfig::new(CcAlgorithm::Blocking)
         .with_params(inf.clone())
         .with_metrics(metrics()))
-    .unwrap();
+    .unwrap()
+    .report;
     let o = run(SimConfig::new(CcAlgorithm::Optimistic)
         .with_params(inf)
         .with_metrics(metrics()))
-    .unwrap();
+    .unwrap()
+    .report;
     assert!(
         b.block_ratio > 1.0,
         "blocking at mpl 200 should block heavily (ratio {})",
@@ -171,6 +173,7 @@ fn fig9_wasted_work_grows_with_mpl_for_optimistic() {
             .with_params(Params::paper_baseline().with_mpl(mpl))
             .with_metrics(metrics()))
         .unwrap()
+        .report
     };
     let lo = report(5);
     let hi = report(100);

@@ -11,11 +11,10 @@
 //! Speedup is a side effect the benchmarks measure; *these* tests pin the
 //! part that must never drift.
 
+use ccsim_audit::attach;
 use ccsim_audit::golden::serialize_trace;
-use ccsim_audit::run_with_audit;
 use ccsim_core::{
-    run, run_collecting, run_with_trace, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget,
-    SimConfig,
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 
@@ -47,10 +46,8 @@ fn window_mode_reports_are_byte_identical() {
                 .with_seed(0x7ACE)
                 .with_two_tier_calendar(lookahead)
         };
-        let on = run_collecting(mk(true)).unwrap();
-        let off = run_collecting(mk(false)).unwrap();
-        assert!(on.stopped.is_none(), "{algo}: look-ahead run stopped early");
-        assert!(off.stopped.is_none(), "{algo}: heap-only run stopped early");
+        let on = run(mk(true)).expect("look-ahead run finishes");
+        let off = run(mk(false)).expect("heap-only run finishes");
         assert_eq!(
             on.report, off.report,
             "{algo}: the look-ahead changed the report"
@@ -65,7 +62,11 @@ fn window_mode_reports_are_byte_identical() {
             "{algo}: the heap-only run still used the near lane"
         );
         // Replaying the look-ahead run gives the same bytes again.
-        assert_eq!(on.report, run(mk(true)).unwrap(), "{algo}: replay diverged");
+        assert_eq!(
+            on.report,
+            run(mk(true)).unwrap().report,
+            "{algo}: replay diverged"
+        );
     }
 }
 
@@ -96,9 +97,9 @@ fn window_mode_golden_traces_are_byte_identical() {
                 .with_two_tier_calendar(lookahead)
         };
         let traced = |lookahead| {
-            let cfg = mk(lookahead);
-            let (report, trace) = run_with_trace(cfg.clone(), 1_000_000).unwrap();
-            serialize_trace(&cfg, &trace, &report)
+            let cfg = mk(lookahead).with_trace_capacity(1_000_000);
+            let out = run(cfg.clone()).unwrap();
+            serialize_trace(&cfg, &out.trace.expect("tracing is on"), &out.report)
         };
         let off_text = traced(false);
         let on_text = traced(true);
@@ -141,10 +142,10 @@ fn window_mode_scale_point_is_byte_identical() {
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
             .with_two_tier_calendar(lookahead)
     };
-    let base = run_collecting(mk(false)).unwrap();
+    let base = Simulator::new(mk(false)).unwrap().run_collecting();
     assert!(base.stopped.is_some(), "the point should stop on budget");
     assert!(base.report.commits > 0, "salvaged window has no commits");
-    let ahead = run_collecting(mk(true)).unwrap();
+    let ahead = Simulator::new(mk(true)).unwrap().run_collecting();
     assert_eq!(
         base.report, ahead.report,
         "the look-ahead changed the scale report"
@@ -174,15 +175,17 @@ fn window_mode_is_auditor_clean() {
                 .with_seed(0x7ACE)
                 .with_two_tier_calendar(lookahead)
         };
-        let (audited, audit) = run_with_audit(mk(true)).unwrap();
-        let violations = audit.summaries();
+        let mut sim = Simulator::new(mk(true)).unwrap();
+        let auditor = attach(&mut sim);
+        let audited = sim.run_collecting().finished().unwrap().report;
+        let violations = auditor.borrow().report().summaries();
         assert!(
             violations.is_empty(),
             "{algo}: audit violations with the look-ahead on: {violations:?}"
         );
-        let plain = run(mk(true)).unwrap();
+        let plain = run(mk(true)).unwrap().report;
         assert_eq!(audited, plain, "{algo}: the auditor perturbed the run");
-        let off = run(mk(false)).unwrap();
+        let off = run(mk(false)).unwrap().report;
         assert_eq!(audited, off, "{algo}: the look-ahead perturbed the run");
     }
 }

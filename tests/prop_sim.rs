@@ -7,8 +7,8 @@
 //! integration tests instead.
 
 use ccsim_core::{
-    check_conflict_serializable, run_with_history, CcAlgorithm, Confidence, MetricsConfig, Params,
-    ResourceSpec, SimConfig,
+    check_conflict_serializable, run, CcAlgorithm, Confidence, MetricsConfig, Params, ResourceSpec,
+    SimConfig,
 };
 use ccsim_des::SimDuration;
 use proptest::prelude::*;
@@ -117,7 +117,8 @@ proptest! {
         };
         let mpl = cfg.params.mpl;
         let terms = cfg.params.num_terms;
-        let (report, history) = run_with_history(cfg).expect("validated config");
+        let out = run(cfg).expect("validated config");
+        let (report, history) = (out.report, out.history.expect("history is on"));
 
         // Structural invariants.
         prop_assert!(report.avg_active <= f64::from(mpl.min(terms)) + 1e-9);
@@ -160,8 +161,8 @@ proptest! {
     #[test]
     fn random_configs_are_deterministic(rc in config_strategy()) {
         let Some(cfg) = build(&rc) else { return Ok(()); };
-        let (a, _) = run_with_history(cfg.clone()).expect("validated config");
-        let (b, _) = run_with_history(cfg).expect("validated config");
+        let a = run(cfg.clone()).expect("validated config").report;
+        let b = run(cfg).expect("validated config").report;
         prop_assert_eq!(a, b);
     }
 }

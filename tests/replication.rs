@@ -100,14 +100,14 @@ fn workload_seed_controls_the_workload_streams() {
             .with_seed(seed)
             .with_workload_seed(workload)
     };
-    let a = run(mk(111, 7)).unwrap();
-    let b = run(mk(222, 7)).unwrap();
+    let a = run(mk(111, 7)).unwrap().report;
+    let b = run(mk(222, 7)).unwrap().report;
     assert_eq!(
         a, b,
         "control seed leaked into the workload: CRN pairing is broken"
     );
     // ...while changing the workload seed changes the sample path.
-    let c = run(mk(111, 8)).unwrap();
+    let c = run(mk(111, 8)).unwrap().report;
     assert_ne!(a, c, "workload seed had no effect");
 }
 
@@ -119,7 +119,7 @@ fn absent_workload_seed_preserves_single_seed_behavior() {
         .with_params(Params::paper_baseline().with_mpl(15))
         .with_metrics(quick())
         .with_seed(0xABCD);
-    let implicit = run(base.clone()).unwrap();
-    let explicit = run(base.with_workload_seed(0xABCD)).unwrap();
+    let implicit = run(base.clone()).unwrap().report;
+    let explicit = run(base.with_workload_seed(0xABCD)).unwrap().report;
     assert_eq!(implicit, explicit);
 }

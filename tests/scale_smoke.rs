@@ -66,7 +66,7 @@ fn budgeted_scale_point_audits_clean_and_stays_under_the_rss_ceiling() {
     let cfg = scale_cfg();
     let budget_events = cfg.budget.max_events.expect("budget caps events");
     let mut sim = Simulator::new(cfg).expect("exp-scale config is valid");
-    let handle = attach(&mut sim);
+    let auditor = attach(&mut sim);
     let out = sim.run_collecting();
 
     // Bounded completion: the event ceiling — not an error, not the
@@ -95,7 +95,7 @@ fn budgeted_scale_point_audits_clean_and_stays_under_the_rss_ceiling() {
 
     // The auditor saw the whole run — including the budget-stop finish —
     // and found every invariant intact.
-    let audit = handle.report();
+    let audit = auditor.borrow().report();
     assert!(audit.run_ended, "auditor missed the end of the run");
     assert!(audit.is_clean(), "invariants violated:\n{}", audit.render());
 

@@ -12,8 +12,8 @@
 //! not hidden.
 
 use ccsim_core::{
-    check_conflict_serializable, check_snapshot_isolation, run_with_history, CcAlgorithm,
-    Confidence, MetricsConfig, Params, ResourceSpec, SimConfig,
+    check_conflict_serializable, check_snapshot_isolation, run, CcAlgorithm, Confidence, History,
+    MetricsConfig, Params, Report, ResourceSpec, SimConfig,
 };
 use ccsim_des::SimDuration;
 
@@ -36,19 +36,24 @@ fn metrics() -> MetricsConfig {
 }
 
 fn cfg(algo: CcAlgorithm, seed: u64) -> SimConfig {
-    let mut c = SimConfig::new(algo)
+    SimConfig::new(algo)
         .with_params(hot_params())
         .with_metrics(metrics())
-        .with_seed(seed);
-    c.record_history = true;
-    c
+        .with_seed(seed)
+        .with_history(true)
+}
+
+/// Run `c` to completion; returns its report and recorded history.
+fn recorded(c: SimConfig) -> (Report, History) {
+    let out = run(c).unwrap();
+    (out.report, out.history.expect("history is on"))
 }
 
 #[test]
 fn safe_algorithms_produce_serializable_histories() {
     for algo in CcAlgorithm::ALL {
         for seed in [1, 2] {
-            let (report, history) = run_with_history(cfg(algo, seed)).unwrap();
+            let (report, history) = recorded(cfg(algo, seed));
             // The denial-restart algorithms legitimately collapse on this
             // upgrade-storm workload (every pair of overlapping readers
             // kills each other's upgrades); they still must stay
@@ -90,7 +95,7 @@ fn safe_algorithms_stay_serializable_under_infinite_resources() {
     for algo in CcAlgorithm::PAPER_TRIO {
         let mut c = cfg(algo, 7);
         c.params.resources = ResourceSpec::Infinite;
-        let (_, history) = run_with_history(c).unwrap();
+        let (_, history) = recorded(c);
         assert!(history.len() > 100, "{algo}: {} commits", history.len());
         check_conflict_serializable(&history)
             .unwrap_or_else(|e| panic!("{algo} violated serializability: {e}"));
@@ -109,7 +114,7 @@ fn basic_to_stays_serializable_with_maximal_overlap() {
         let mut c = cfg(CcAlgorithm::BasicTO, seed);
         c.params.resources = ResourceSpec::Infinite;
         c.params.mpl = 50;
-        let (report, history) = run_with_history(c).unwrap();
+        let (report, history) = recorded(c);
         // Timestamp rejections are rampant at this contention level; the
         // point is what *does* commit must be serializable.
         assert!(
@@ -134,7 +139,7 @@ fn modern_trio_stays_correct_with_maximal_overlap() {
             let mut c = cfg(algo, seed);
             c.params.resources = ResourceSpec::Infinite;
             c.params.mpl = 50;
-            let (report, history) = run_with_history(c).unwrap();
+            let (report, history) = recorded(c);
             assert!(
                 report.commits > 50,
                 "{algo}/seed{seed}: {} commits",
@@ -167,7 +172,7 @@ fn mvcc_si_write_skew_is_observed_and_counted() {
         let mut c = cfg(CcAlgorithm::MvccSi, seed);
         c.params.resources = ResourceSpec::Infinite;
         c.params.mpl = 50;
-        let (_, history) = run_with_history(c).unwrap();
+        let (_, history) = recorded(c);
         let rep = check_snapshot_isolation(&history)
             .unwrap_or_else(|e| panic!("seed{seed} violated snapshot isolation: {e}"));
         vulnerable_total += rep.vulnerable_rw.len();
@@ -197,7 +202,7 @@ fn dsg_oracle_backstops_the_existing_trio() {
     // holder's, which SI's first-committer-wins rule forbids (and the
     // oracle correctly flags — that rejection is part of its contract).
     for algo in CcAlgorithm::PAPER_TRIO {
-        let (_, history) = run_with_history(cfg(algo, 9)).unwrap();
+        let (_, history) = recorded(cfg(algo, 9));
         check_conflict_serializable(&history)
             .unwrap_or_else(|e| panic!("{algo} violated serializability: {e}"));
         if algo == CcAlgorithm::Optimistic {
@@ -217,7 +222,7 @@ fn no_cc_baseline_violates_serializability() {
     // Without any concurrency control, overlapping read-modify-write
     // transactions on a hot database produce conflict cycles essentially
     // immediately. If this ever starts passing, the checker lost its teeth.
-    let (report, history) = run_with_history(cfg(CcAlgorithm::NoCc, 3)).unwrap();
+    let (report, history) = recorded(cfg(CcAlgorithm::NoCc, 3));
     assert!(report.commits > 100, "no-cc should commit freely");
     let err = check_conflict_serializable(&history)
         .expect_err("no-cc must violate serializability under contention");
@@ -236,9 +241,9 @@ fn no_cc_baseline_violates_serializability() {
 fn no_cc_is_the_throughput_upper_bound() {
     // NoCc pays no blocking and no restarts, so it bounds every safe
     // algorithm from above on the same workload and seed.
-    let (nocc, _) = run_with_history(cfg(CcAlgorithm::NoCc, 11)).unwrap();
+    let (nocc, _) = recorded(cfg(CcAlgorithm::NoCc, 11));
     for algo in CcAlgorithm::PAPER_TRIO {
-        let (r, _) = run_with_history(cfg(algo, 11)).unwrap();
+        let (r, _) = recorded(cfg(algo, 11));
         assert!(
             r.throughput.mean <= nocc.throughput.mean * 1.02,
             "{algo} ({}) exceeded the no-cc bound ({})",
@@ -250,7 +255,7 @@ fn no_cc_is_the_throughput_upper_bound() {
 
 #[test]
 fn history_read_times_are_within_attempt_bounds() {
-    let (_, history) = run_with_history(cfg(CcAlgorithm::Blocking, 5)).unwrap();
+    let (_, history) = recorded(cfg(CcAlgorithm::Blocking, 5));
     for t in history.txns() {
         for &(obj, at) in &t.reads {
             assert!(
