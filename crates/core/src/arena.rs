@@ -252,30 +252,6 @@ impl TxnArena {
         r.live.then_some(r)
     }
 
-    /// Hint the CPU to pull every cache line of terminal `term`'s record
-    /// into cache ahead of an event that will update it. A pure hint with
-    /// no observable effect; it compiles to nothing off x86_64.
-    #[inline]
-    pub fn prefetch(&self, term: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let rec = std::ptr::from_ref(&self.recs[term]).cast::<i8>();
-            let size = std::mem::size_of::<TxnRec>();
-            for off in (0..size).step_by(64).chain([size - 1]) {
-                // SAFETY: `off < size`, so the address lies inside the
-                // record; prefetch has no memory effects either way.
-                unsafe {
-                    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                    _mm_prefetch(rec.add(off), _MM_HINT_T0);
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = term;
-        }
-    }
-
     /// Mutable form of [`TxnArena::get`].
     #[inline]
     pub fn get_mut(&mut self, term: usize) -> Option<&mut TxnRec> {

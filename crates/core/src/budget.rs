@@ -15,119 +15,10 @@
 //! when reproducibility of the failure itself matters.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use ccsim_des::{SimDuration, SimTime};
 use ccsim_workload::ParamError;
-
-/// A shared, depletable allowance of simulation events, charged by every
-/// run it is attached to (see `SimConfig::event_pool`).
-///
-/// Where a [`RunBudget`] bounds one run, an `EventPool` bounds a *tenant*:
-/// the sweep service gives each client one pool and attaches it to all of
-/// the client's runs, so a client's total simulated work is capped across
-/// jobs and across restarts of individual runs. The engine charges the
-/// pool in blocks of [`EventPool::BLOCK`] events (the same cadence as its
-/// wall-clock budget check) and refunds the unused remainder when the run
-/// ends, so [`EventPool::consumed`] is exact. A run that cannot charge the
-/// next block stops with [`RunError::BudgetExhausted`] of kind
-/// [`BudgetKind::Pool`].
-///
-/// Exhaustion of a pool shared by concurrent runs depends on their
-/// scheduling; for deterministic failures use a per-run [`RunBudget`].
-///
-/// The counter is a lock-free atomic, so [`EventPool::depleted`] admission
-/// checks and in-flight charges are safe from any thread, such as the
-/// sweep runner's worker threads sharing one client's pool. The event loop
-/// itself counts events in a plain `u64` and only touches the atomic at
-/// block boundaries.
-#[derive(Debug, Clone)]
-pub struct EventPool {
-    remaining: Arc<AtomicU64>,
-    initial: u64,
-}
-
-impl EventPool {
-    /// Charge granularity, in events. Matches the engine's wall-clock
-    /// budget check period so pool accounting adds no extra hot-path work.
-    pub const BLOCK: u64 = 8192;
-
-    /// A pool holding `events` simulation events.
-    #[must_use]
-    pub fn new(events: u64) -> Self {
-        EventPool {
-            remaining: Arc::new(AtomicU64::new(events)),
-            initial: events,
-        }
-    }
-
-    /// A pool that never runs out in practice.
-    #[must_use]
-    pub fn unlimited() -> Self {
-        Self::new(u64::MAX)
-    }
-
-    /// Events still available.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining.load(Ordering::Relaxed)
-    }
-
-    /// Events charged so far, net of refunds — across every run sharing
-    /// this pool, this is exactly the number of events simulated.
-    #[must_use]
-    pub fn consumed(&self) -> u64 {
-        self.initial - self.remaining()
-    }
-
-    /// True when the pool can no longer fund a full charge block — the
-    /// next run attached to it is guaranteed to stop immediately with a
-    /// [`BudgetKind::Pool`] failure. This is the admission test (e.g. the
-    /// sweep service refusing a spent tenant's submission): `remaining()`
-    /// rarely hits exactly zero because charges are block-granular and
-    /// settlement refunds the unused tail.
-    #[must_use]
-    pub fn depleted(&self) -> bool {
-        self.remaining() < Self::BLOCK
-    }
-
-    /// Try to charge `n` events. All-or-nothing: on success the pool
-    /// shrinks by `n` and `true` is returned; a pool with fewer than `n`
-    /// events left is untouched and the charge is refused.
-    #[must_use]
-    pub fn try_charge(&self, n: u64) -> bool {
-        let mut cur = self.remaining.load(Ordering::Relaxed);
-        loop {
-            if cur < n {
-                return false;
-            }
-            match self.remaining.compare_exchange_weak(
-                cur,
-                cur - n,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Return `n` unused events to the pool (end-of-run settlement).
-    pub fn refund(&self, n: u64) {
-        self.remaining.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-impl PartialEq for EventPool {
-    /// Two pools are equal when they are the *same* pool (shared
-    /// allowance), matching `SimConfig`'s structural equality.
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.remaining, &other.remaining)
-    }
-}
 
 /// Hard ceilings for one simulation run. The default budget allows
 /// [`RunBudget::DEFAULT_MAX_EVENTS`] events and is otherwise unlimited —
@@ -202,8 +93,6 @@ pub enum BudgetKind {
     SimTime,
     /// The wall-clock ceiling (`max_wall_clock`).
     WallClock,
-    /// The shared [`EventPool`] attached to the run was depleted.
-    Pool,
 }
 
 impl fmt::Display for BudgetKind {
@@ -212,7 +101,6 @@ impl fmt::Display for BudgetKind {
             BudgetKind::Events => "event",
             BudgetKind::SimTime => "simulated-time",
             BudgetKind::WallClock => "wall-clock",
-            BudgetKind::Pool => "shared-pool",
         })
     }
 }
@@ -293,54 +181,6 @@ mod tests {
         assert_eq!(b.max_events, Some(10));
         assert_eq!(b.max_sim_time, Some(SimDuration::from_secs(5)));
         assert_eq!(b.max_wall_clock, Some(Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn event_pool_charges_refunds_and_refuses() {
-        let pool = EventPool::new(10_000);
-        assert!(!pool.depleted());
-        assert!(pool.try_charge(EventPool::BLOCK));
-        assert_eq!(pool.remaining(), 10_000 - EventPool::BLOCK);
-        // Next full block exceeds what's left: refused, pool untouched,
-        // and the pool now reports itself depleted for admission checks.
-        assert!(!pool.try_charge(EventPool::BLOCK));
-        assert_eq!(pool.remaining(), 10_000 - EventPool::BLOCK);
-        assert!(pool.depleted());
-        pool.refund(100);
-        assert_eq!(pool.consumed(), EventPool::BLOCK - 100);
-        // Clones share the same allowance.
-        let alias = pool.clone();
-        assert!(alias.try_charge(1));
-        assert_eq!(pool.remaining(), alias.remaining());
-        assert_eq!(pool, alias);
-        assert_ne!(pool, EventPool::new(10_000));
-    }
-
-    #[test]
-    fn event_pool_charges_exactly_under_contention() {
-        // The shared-pool safety contract: concurrent block charges from
-        // many threads are all-or-nothing and never lose or double-spend
-        // events. 8 threads race to drain a pool holding exactly 500
-        // blocks; exactly 500 charges must succeed.
-        const BLOCKS: u64 = 500;
-        let pool = EventPool::new(BLOCKS * EventPool::BLOCK);
-        let granted: AtomicU64 = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    while pool.try_charge(EventPool::BLOCK) {
-                        granted.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(granted.load(Ordering::Relaxed), BLOCKS);
-        assert_eq!(pool.remaining(), 0);
-        assert_eq!(pool.consumed(), BLOCKS * EventPool::BLOCK);
-        assert!(pool.depleted());
-        // Refunds from settlement reopen admission at the same threshold.
-        pool.refund(EventPool::BLOCK);
-        assert!(!pool.depleted());
     }
 
     #[test]

@@ -120,12 +120,6 @@ pub struct SimConfig {
     /// Hard ceilings for the run (events, simulated time, wall clock). The
     /// default caps events only; see [`RunBudget`].
     pub budget: RunBudget,
-    /// Optional shared event allowance, charged as the run progresses and
-    /// settled exactly at run end. `None` (the default) adds no hot-path
-    /// work; see [`EventPool`]. Multi-tenant schedulers attach one pool
-    /// per tenant so a client's total simulated work is bounded across
-    /// runs.
-    pub event_pool: Option<crate::EventPool>,
 }
 
 impl SimConfig {
@@ -145,7 +139,6 @@ impl SimConfig {
             two_tier_calendar: true,
             metrics: MetricsConfig::paper(),
             budget: RunBudget::default(),
-            event_pool: None,
         }
     }
 
@@ -181,14 +174,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Builder-style shared event-pool attachment (see
-    /// [`SimConfig::event_pool`]).
-    #[must_use]
-    pub fn with_event_pool(mut self, pool: crate::EventPool) -> Self {
-        self.event_pool = Some(pool);
         self
     }
 

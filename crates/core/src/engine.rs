@@ -105,53 +105,6 @@ pub(crate) enum Event {
     BatchEnd,
 }
 
-/// Warm the cache lines the events of a just-entered calendar bucket are
-/// about to touch: every line of each event's target transaction record
-/// in the arena and, when that transaction's next step is a lock request,
-/// the lock table's home slot for the object. At scale these are random
-/// reads into
-/// arrays far larger than the cache; issuing a bucket's worth of them
-/// together lets the misses overlap instead of stalling one event at a
-/// time. Strictly read-only, so the event sequence and every output are
-/// the same with or without it.
-fn prefetch_targets(
-    events: impl Iterator<Item = Event>,
-    arena: &TxnArena,
-    lockmgr: &LockManager,
-    cpus: Option<&ServerPool<Payload>>,
-    disks: Option<&DiskArray<Payload>>,
-    uses_locks: bool,
-) {
-    // Pooled completions carry no payload; the server's in-service slot
-    // names the target instead.
-    let targets = events.filter_map(|ev| match ev {
-        Event::Arrive(_) | Event::BatchEnd => None,
-        Event::CpuDone(server) => cpus.and_then(|p| p.in_service(server)).copied(),
-        Event::DiskDone(disk) => disks.and_then(|d| d.in_service(disk)).copied(),
-        Event::CpuDoneFast { term, epoch, .. } | Event::DiskDoneFast { term, epoch, .. } => {
-            Some((term as usize, epoch))
-        }
-        Event::InfDone(term, epoch, _) | Event::Delay(term, epoch, _) => Some((term, epoch)),
-    });
-    for (term, epoch) in targets {
-        arena.prefetch(term);
-        // A stale event (its attempt restarted) predicts nothing further.
-        let Some(txn) = arena.get(term).filter(|t| t.epoch == epoch) else {
-            continue;
-        };
-        if !uses_locks {
-            continue;
-        }
-        let obj = match txn.step() {
-            Step::PreclaimLock(k) => arena.lock_plan_at(term, k).0,
-            Step::LockRead(r) => arena.read_at(term, r),
-            Step::LockWrite(w) => arena.write_obj_at(term, w),
-            _ => continue,
-        };
-        lockmgr.prefetch(obj);
-    }
-}
-
 /// Why a transaction is being aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AbortCause {
@@ -432,13 +385,7 @@ impl Simulator {
 
     fn run_loop(&mut self) -> Result<(), RunError> {
         let budget = self.cfg.budget;
-        let pool = self.cfg.event_pool.clone();
-        // Events charged to the shared pool ahead of processing; the
-        // unused remainder is refunded at exit so pool accounting is
-        // exact. A detached pool costs nothing on the hot path.
-        let mut pool_charged: u64 = 0;
         let started = std::time::Instant::now();
-        let uses_locks = self.cfg.algorithm.uses_locks();
         self.prime();
         self.prof.start(Stage::Pop);
         let result = loop {
@@ -448,32 +395,21 @@ impl Simulator {
             let Some((now, ev)) = self.cal.pop() else {
                 break Ok(());
             };
-            if let Err(err) = self.count_event(now, budget, &pool, &mut pool_charged, started) {
+            if let Err(err) = self.count_event(now, budget, started) {
                 break Err(err);
             }
             self.now = now;
-            // Once per calendar bucket, look ahead at the events due in it.
-            prefetch_targets(
-                self.cal.entered_bucket(),
-                &self.arena,
-                &self.lockmgr,
-                self.cpus.as_ref(),
-                self.disks.as_ref(),
-                uses_locks,
-            );
             self.prof.switch(Stage::Handle);
             self.handle(now, ev);
             self.prof.switch(Stage::Pop);
         };
         self.prof.stop();
-        self.settle_pool(&pool, pool_charged);
         self.run_wall = started.elapsed();
         result
     }
 
     /// Count the event about to run at `now` and check the run budget:
-    /// event and sim-time ceilings on every event, the wall clock and the
-    /// shared event pool (charged one block ahead) every
+    /// event and sim-time ceilings on every event, the wall clock every
     /// [`Self::WALL_CHECK_PERIOD`] events. On a trip the event is not run
     /// and the error carries the stop point.
     #[inline]
@@ -481,8 +417,6 @@ impl Simulator {
         &mut self,
         now: SimTime,
         budget: crate::RunBudget,
-        pool: &Option<crate::EventPool>,
-        pool_charged: &mut u64,
         started: std::time::Instant,
     ) -> Result<(), RunError> {
         self.events += 1;
@@ -494,48 +428,21 @@ impl Simulator {
             .is_some_and(|cap| now.since(SimTime::ZERO) > cap)
         {
             BudgetKind::SimTime
-        } else if events % Self::WALL_CHECK_PERIOD != 1 {
-            return Ok(());
-        } else if budget
-            .max_wall_clock
-            .is_some_and(|cap| started.elapsed() > cap)
+        } else if events % Self::WALL_CHECK_PERIOD == 1
+            && budget
+                .max_wall_clock
+                .is_some_and(|cap| started.elapsed() > cap)
         {
             BudgetKind::WallClock
         } else {
-            match pool {
-                None => return Ok(()),
-                Some(p) if p.try_charge(crate::EventPool::BLOCK) => {
-                    *pool_charged += crate::EventPool::BLOCK;
-                    return Ok(());
-                }
-                Some(_) => {
-                    // The event that tripped the check never runs; settle
-                    // the pool for the events actually processed.
-                    self.events -= 1;
-                    BudgetKind::Pool
-                }
-            }
+            return Ok(());
         };
         Err(RunError::BudgetExhausted {
             exceeded,
-            events: self.events,
+            events,
             sim_time: now,
             wall_clock: started.elapsed(),
         })
-    }
-
-    /// Settle the shared event pool at loop exit: refund pre-charged
-    /// events that never ran, or charge the tail that ran past the last
-    /// block boundary (draining an exhausted pool rather than overdrawing
-    /// it).
-    fn settle_pool(&self, pool: &Option<crate::EventPool>, pool_charged: u64) {
-        if let Some(p) = pool {
-            if pool_charged > self.events {
-                p.refund(pool_charged - self.events);
-            } else if self.events > pool_charged && !p.try_charge(self.events - pool_charged) {
-                let _ = p.try_charge(p.remaining());
-            }
-        }
     }
 
     /// Run until completion *or* budget exhaustion, salvaging whatever was
@@ -2009,47 +1916,6 @@ mod tests {
                 .unwrap()
                 .report;
         assert_eq!(capped, uncapped);
-    }
-
-    #[test]
-    fn event_pool_accounting_is_exact_and_non_perturbing() {
-        let plain = run(quick_cfg(CcAlgorithm::Blocking)).unwrap();
-        let pool = crate::EventPool::unlimited();
-        let pooled = run(quick_cfg(CcAlgorithm::Blocking).with_event_pool(pool.clone())).unwrap();
-        // Attaching a pool must not change the simulation or how many
-        // events it processes...
-        assert_eq!(plain.report, pooled.report);
-        assert_eq!(plain.perf.events, pooled.perf.events);
-        // ...and after settlement the pool has been charged exactly the
-        // number of events the unpooled run processed.
-        assert_eq!(pool.consumed(), plain.perf.events);
-        assert!(plain.perf.events > 0);
-    }
-
-    #[test]
-    fn depleted_event_pool_stops_the_run_with_a_typed_error() {
-        // One block is granted at event 1; the second block (event 8193)
-        // cannot be charged, so the run stops there deterministically.
-        let pool = crate::EventPool::new(crate::EventPool::BLOCK + 10);
-        let res = run(quick_cfg(CcAlgorithm::Blocking).with_event_pool(pool.clone()));
-        let Err(RunError::BudgetExhausted {
-            exceeded, events, ..
-        }) = res
-        else {
-            panic!("expected pool exhaustion, got {res:?}");
-        };
-        assert_eq!(exceeded, BudgetKind::Pool);
-        assert_eq!(events, crate::EventPool::BLOCK);
-        // Settlement: exactly the processed events were consumed.
-        assert_eq!(pool.consumed(), crate::EventPool::BLOCK);
-        assert_eq!(pool.remaining(), 10);
-        // A second run on the same pool fails at its first block charge
-        // having processed nothing.
-        let res = run(quick_cfg(CcAlgorithm::Blocking).with_event_pool(pool.clone()));
-        let Err(RunError::BudgetExhausted { events, .. }) = res else {
-            panic!("expected pool exhaustion, got {res:?}");
-        };
-        assert_eq!(events, 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod txn;
 
 pub use algorithm::{CcAlgorithm, VictimPolicy};
 pub use arena::{TxnArena, TxnRec};
-pub use budget::{BudgetKind, EventPool, RunBudget, RunError};
+pub use budget::{BudgetKind, RunBudget, RunError};
 pub use config::{MetricsConfig, SimConfig};
 pub use engine::{run, PerfStats, RunOutcome, Simulator};
 pub use metrics::{ClassReport, Metrics, Report, StreamingQuantiles};

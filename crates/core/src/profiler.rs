@@ -26,8 +26,8 @@
 /// (e.g. the grant cascade a lock release sets off) is charged to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Popping the next event off the calendar (lane/heap repair, the
-    /// per-event budget checks and the per-bucket look-ahead included).
+    /// Popping the next event off the calendar (lane/heap repair and the
+    /// per-event budget checks included).
     Pop = 0,
     /// Event decode and completion bookkeeping: epoch filtering, resource
     /// pool completions, scheduling of consequent events.

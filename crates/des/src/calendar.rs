@@ -176,9 +176,6 @@ pub struct Calendar<E> {
     scan_from: u64,
     /// High-water mark of [`Calendar::len`] over the calendar's lifetime.
     peak_len: usize,
-    /// The clock bucket [`Calendar::entered_bucket`] last looked at, so it
-    /// yields each bucket at most once.
-    entered: u64,
     next_seq: u64,
     now: SimTime,
     stats: CalendarStats,
@@ -207,7 +204,6 @@ impl<E: Copy> Calendar<E> {
             lane_len: 0,
             scan_from: 0,
             peak_len: 0,
-            entered: u64::MAX,
             next_seq: 0,
             now: SimTime::ZERO,
             stats: CalendarStats::default(),
@@ -373,29 +369,6 @@ impl<E: Copy> Calendar<E> {
         Some((node.at, node.event))
     }
 
-    /// Payloads of the near-lane bucket that has just become current.
-    ///
-    /// The first call after the clock moves into a new lane bucket yields
-    /// the events then pending in that bucket (in storage order, not
-    /// delivery order); every later call in the same bucket yields
-    /// nothing, as does every call on a [`Calendar::heap_only`] calendar.
-    /// Delivery is untouched: pop order, [`Calendar::len`] and
-    /// [`Calendar::stats`] are the same with or without the call, so a
-    /// simulation can use it to look ahead at the events it is about to
-    /// handle — for instance to warm their cache lines — at the cost of
-    /// one comparison per call.
-    pub fn entered_bucket(&mut self) -> impl ExactSizeIterator<Item = E> + '_ {
-        let cur = self.now.as_micros() >> BUCKET_SHIFT;
-        let ring = &self.lane[(cur % NEAR_BUCKETS) as usize];
-        let nodes: &[Node<E>] = if cur != self.entered && ring.bucket == cur {
-            &ring.nodes
-        } else {
-            &[]
-        };
-        self.entered = cur;
-        nodes.iter().map(|n| n.event)
-    }
-
     // -- 4-ary heap primitives ------------------------------------------
 
     fn remove_root(&mut self) -> Node<E> {
@@ -517,40 +490,6 @@ mod tests {
         cal.schedule(SimTime::from_secs(5), ());
         cal.pop();
         cal.schedule(SimTime::from_secs(1), ());
-    }
-
-    #[test]
-    fn entered_bucket_yields_each_bucket_once() {
-        let mut cal = Calendar::new();
-        cal.schedule(SimTime::from_micros(10), "a");
-        cal.schedule(SimTime::from_micros(20), "b");
-        cal.schedule(SimTime::from_micros(900), "c");
-        cal.schedule(SimTime::from_millis(5), "later");
-        cal.schedule(SimTime::from_secs(2), "far");
-        assert_eq!(cal.pop(), Some((SimTime::from_micros(10), "a")));
-        let mut ahead: Vec<&str> = cal.entered_bucket().collect();
-        ahead.sort_unstable();
-        assert_eq!(ahead, ["b", "c"]);
-        assert_eq!(cal.entered_bucket().len(), 0, "a bucket is yielded once");
-        cal.pop();
-        assert_eq!(cal.entered_bucket().len(), 0, "still the same bucket");
-        cal.pop();
-        assert_eq!(cal.pop(), Some((SimTime::from_millis(5), "later")));
-        // The bucket held only the event just popped.
-        assert_eq!(cal.entered_bucket().len(), 0);
-        assert_eq!(cal.len(), 1);
-    }
-
-    #[test]
-    fn heap_only_entered_bucket_yields_nothing() {
-        let mut cal = Calendar::heap_only();
-        for i in 0..10u64 {
-            cal.schedule(SimTime::from_micros(i), i);
-        }
-        assert_eq!(cal.entered_bucket().len(), 0);
-        cal.pop();
-        assert_eq!(cal.entered_bucket().len(), 0);
-        assert_eq!(cal.len(), 9);
     }
 
     #[test]

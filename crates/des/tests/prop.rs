@@ -71,7 +71,7 @@ proptest! {
     /// schedule offsets inside the ~262 ms near-horizon lane.
     #[test]
     fn calendar_interleaved_model(
-        ops in proptest::collection::vec((0u8..9, 0u64..10_000, 0usize..64), 1..400),
+        ops in proptest::collection::vec((0u8..8, 0u64..10_000, 0usize..64), 1..400),
     ) {
         interleaved_model(&ops)?;
     }
@@ -84,7 +84,7 @@ proptest! {
     /// divergence.
     #[test]
     fn calendar_interleaved_model_two_tier(
-        ops in proptest::collection::vec((0u8..9, 0u64..1_000_000, 0usize..64), 1..400),
+        ops in proptest::collection::vec((0u8..8, 0u64..1_000_000, 0usize..64), 1..400),
     ) {
         interleaved_model(&ops)?;
     }
@@ -301,16 +301,11 @@ fn model_min(model: &[(SimTime, usize)]) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Width of one near-lane calendar bucket in microseconds (the calendar's
-/// `2^BUCKET_SHIFT`).
-const BUCKET_US: u64 = 1 << 10;
-
 /// Drive a calendar and a reference queue through `ops` — `(kind, offset,
 /// burst)` triples — and require identical behaviour: kinds 0–3 schedule
 /// at `now + offset`, 4–5 pop, 6 schedules a burst of up to four events at
-/// `now` (lock-grant wakeups), 7 compares occupancy, and 8 looks ahead
-/// with `entered_bucket`. Then drain both and check the tier counters
-/// partition the totals exactly.
+/// `now` (lock-grant wakeups), and 7 compares occupancy. Then drain both
+/// and check the tier counters partition the totals exactly.
 fn interleaved_model(ops: &[(u8, u64, usize)]) -> Result<(), TestCaseError> {
     let mut cal = Calendar::new();
     let mut model: Vec<(SimTime, usize)> = Vec::new();
@@ -337,24 +332,7 @@ fn interleaved_model(ops: &[(u8, u64, usize)]) -> Result<(), TestCaseError> {
                 }
             }
             // Occupancy bookkeeping survives the churn.
-            7 => prop_assert_eq!(cal.len(), model.len()),
-            // The look-ahead yields only pending events of the clock's
-            // bucket, each bucket once, and disturbs nothing: the pops
-            // that follow are still checked against the model.
-            _ => {
-                let (len, stats) = (cal.len(), cal.stats());
-                let bucket = cal.now().as_micros() / BUCKET_US;
-                let ahead: Vec<usize> = cal.entered_bucket().collect();
-                for e in &ahead {
-                    let pending = model.iter().find(|(_, p)| p == e);
-                    prop_assert!(pending.is_some(), "event {} is not pending", e);
-                    let (at, _) = pending.unwrap();
-                    prop_assert_eq!(at.as_micros() / BUCKET_US, bucket);
-                }
-                prop_assert_eq!(cal.entered_bucket().len(), 0);
-                prop_assert_eq!(cal.len(), len);
-                prop_assert_eq!(cal.stats(), stats);
-            }
+            _ => prop_assert_eq!(cal.len(), model.len()),
         }
     }
     prop_assert_eq!(cal.len(), model.len());

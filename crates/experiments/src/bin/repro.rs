@@ -32,12 +32,6 @@
 //!                   fails the command)
 //!   --md <path>     write a combined markdown results appendix
 //!   --chart         print an ASCII throughput chart per experiment
-//!   --submit <addr> do not run locally: submit each experiment to a
-//!                   running `ccsim-serve` daemon at HOST:PORT and relay
-//!                   its event stream (ack, per-point progress, done) to
-//!                   stdout. Local-output flags (--out, --md, --chart,
-//!                   --resume, --threads) do not apply; the daemon owns
-//!                   checkpointing, retries, and the result archive
 //! ```
 //!
 //! A failed run (panic, budget exhaustion, invalid configuration) never
@@ -85,53 +79,6 @@ mod shutdown {
     pub fn install() {}
 }
 
-/// Client mode for a `ccsim-serve` daemon: build the wire spec, submit
-/// it, and relay the event stream. Lives here (not in `ccsim-serve`)
-/// so `repro --submit` needs nothing beyond the standard library — the
-/// protocol is plain line-delimited JSON over TCP.
-mod service {
-    use std::fmt::Write as _;
-    use std::io::{BufRead as _, BufReader, Write as _};
-    use std::net::TcpStream;
-
-    use ccsim_experiments::{json, RunOptions};
-
-    /// The `submit` request line for one experiment under these options.
-    pub fn submit_request(spec_id: &str, opts: &RunOptions) -> String {
-        let mut out =
-            String::from("{\"op\":\"submit\",\"spec\":{\"client\":\"repro\",\"experiment\":");
-        json::escape(spec_id, &mut out);
-        let _ = write!(
-            out,
-            ",\"fidelity\":\"{}\",\"seed\":{},\"replications\":{},\"audit\":{}}}}}",
-            opts.fidelity.token(),
-            opts.base_seed,
-            opts.replications.max(1),
-            opts.audit
-        );
-        out
-    }
-
-    /// Send one request and print every event line; returns `true` when
-    /// the stream ended with a `done` event.
-    pub fn relay(addr: &str, request: &str) -> Result<bool, String> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        stream
-            .write_all(request.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .map_err(|e| format!("cannot send request: {e}"))?;
-        let reader = BufReader::new(stream);
-        let mut completed = false;
-        for line in reader.lines() {
-            let line = line.map_err(|e| format!("connection lost: {e}"))?;
-            println!("{line}");
-            completed = line.starts_with("{\"event\":\"done\"");
-        }
-        Ok(completed)
-    }
-}
-
 struct Cli {
     targets: Vec<String>,
     opts: RunOptions,
@@ -139,7 +86,6 @@ struct Cli {
     md_out: Option<PathBuf>,
     chart: bool,
     resume: bool,
-    submit: Option<String>,
 }
 
 fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
@@ -149,7 +95,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut md_out = None;
     let mut chart = false;
     let mut resume = false;
-    let mut submit = None;
     // Applied after the loop, so an explicit backoff (0 included) wins
     // over the --retries default whatever the flag order.
     let mut backoff_ms = None;
@@ -206,10 +151,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 let v = args.next().ok_or("--md needs a file path")?;
                 md_out = Some(PathBuf::from(v));
             }
-            "--submit" => {
-                let v = args.next().ok_or("--submit needs HOST:PORT")?;
-                submit = Some(v);
-            }
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             target => targets.push(target.to_string()),
         }
@@ -219,13 +160,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     }
     if resume && out.is_none() {
         return Err("--resume needs --out <dir> (the manifest lives there)".to_string());
-    }
-    if submit.is_some() && (resume || chart || out.is_some() || md_out.is_some()) {
-        return Err(
-            "--submit delegates the sweep to the daemon; it cannot combine with \
-             --out, --md, --chart, or --resume"
-                .to_string(),
-        );
     }
     if targets.is_empty() {
         targets.push("list".to_string());
@@ -237,7 +171,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         md_out,
         chart,
         resume,
-        submit,
     })
 }
 
@@ -305,26 +238,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    if let Some(addr) = &cli.submit {
-        let mut incomplete = 0usize;
-        for spec in &specs {
-            eprintln!(">> submitting {} to {addr}...", spec.id);
-            match service::relay(addr, &service::submit_request(spec.id, &cli.opts)) {
-                Ok(true) => {}
-                Ok(false) => incomplete += 1,
-                Err(e) => {
-                    eprintln!("error: {}: {e}", spec.id);
-                    std::process::exit(1);
-                }
-            }
-        }
-        if incomplete > 0 {
-            eprintln!("{incomplete} submission(s) did not complete (rejected, paused, or failed)");
-            std::process::exit(1);
-        }
-        return;
-    }
 
     if let Some(dir) = &cli.out {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -558,34 +471,6 @@ mod tests {
     fn resume_requires_out() {
         assert!(parse(&["exp3", "--resume"]).is_err());
         assert!(parse(&["exp3", "--resume", "--out", "r"]).is_ok());
-    }
-
-    #[test]
-    fn submit_mode_excludes_local_output_flags() {
-        let cli = parse(&[
-            "exp3",
-            "--submit",
-            "127.0.0.1:7077",
-            "--quick",
-            "--seed",
-            "9",
-        ])
-        .expect("parses");
-        assert_eq!(cli.submit.as_deref(), Some("127.0.0.1:7077"));
-        assert_eq!(
-            service::submit_request("exp3", &cli.opts),
-            "{\"op\":\"submit\",\"spec\":{\"client\":\"repro\",\"experiment\":\"exp3\",\
-             \"fidelity\":\"quick\",\"seed\":9,\"replications\":1,\"audit\":false}}"
-        );
-        assert!(parse(&["exp3", "--submit", "a:1"]).is_ok());
-        for conflicting in [
-            vec!["exp3", "--submit", "a:1", "--out", "r"],
-            vec!["exp3", "--submit", "a:1", "--md", "m.md"],
-            vec!["exp3", "--submit", "a:1", "--chart"],
-            vec!["exp3", "--submit", "a:1", "--out", "r", "--resume"],
-        ] {
-            assert!(parse(&conflicting).is_err(), "{conflicting:?}");
-        }
     }
 
     #[test]

@@ -228,8 +228,8 @@ impl Value {
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
-/// once per level, so without a cap a hostile line of `[[[[…` from the
-/// network would overflow the stack instead of failing cleanly.
+/// once per level, so without a cap a damaged or hostile file holding
+/// `[[[[…` would overflow the stack instead of failing cleanly.
 const MAX_DEPTH: usize = 128;
 
 /// Parse one JSON document. Accepts the output of this module plus the
@@ -394,12 +394,17 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits (`from_str_radix`
+                            // would also take a leading `+`).
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                                .and_then(|hex| {
+                                    hex.iter().try_fold(0, |code, &b| {
+                                        Some(code * 16 + char::from(b).to_digit(16)?)
+                                    })
+                                })
+                                .ok_or("\\u escape needs four hex digits")?;
                             out.push(char::from_u32(code).ok_or("invalid \\u escape codepoint")?);
                             self.pos += 4;
                         }
@@ -703,6 +708,8 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{}extra").is_err());
         assert!(parse("bogus").is_err());
+        assert!(parse("\"\\u+041\"").is_err(), "signed \\u escape");
+        assert!(parse("\"\\u04\"").is_err(), "short \\u escape");
     }
 
     #[test]

@@ -110,12 +110,16 @@ impl Manifest {
     /// record is discarded with a note in [`Manifest::warnings`] and the
     /// run it described is simply re-run. Corruption anywhere *before* the
     /// last line is still a hard [`ManifestError::Corrupt`] — that is not
-    /// what a crash produces.
+    /// what a crash produces. An entry that parses but names a coordinate
+    /// outside the sweep's grid, or one an earlier line journaled, is
+    /// corrupt on any line, the last included: a torn write cannot produce
+    /// a whole line.
     ///
     /// # Errors
     /// [`ManifestError::Mismatch`] when resuming a manifest recorded for a
-    /// different sweep, [`ManifestError::Corrupt`] on unparseable content,
-    /// or [`ManifestError::Io`] on filesystem trouble.
+    /// different sweep, [`ManifestError::Corrupt`] on unparseable content
+    /// or an out-of-grid or repeated entry, or [`ManifestError::Io`] on
+    /// filesystem trouble.
     pub fn open(
         path: &Path,
         spec: &ExperimentSpec,
@@ -130,7 +134,10 @@ impl Manifest {
             warnings: Vec::new(),
         };
         if resume && path.exists() {
-            let text = std::fs::read_to_string(path)?;
+            // Bytes that are not UTF-8 are damaged content, not an I/O
+            // failure.
+            let text = String::from_utf8(std::fs::read(path)?)
+                .map_err(|e| ManifestError::Corrupt(format!("not UTF-8: {e}")))?;
             let mut lines = text.lines().filter(|l| !l.trim().is_empty());
             let found = lines
                 .next()
@@ -144,20 +151,38 @@ impl Manifest {
                 )));
             }
             let lines: Vec<&str> = lines.collect();
+            let mut seen = HashSet::new();
             for (i, line) in lines.iter().enumerate() {
-                match parse_entry(line) {
-                    Ok(entry) => manifest.entries.push(entry),
+                let entry = match parse_entry(line) {
+                    Ok(entry) => entry,
                     Err(e) if i + 1 == lines.len() => {
                         manifest.warnings.push(format!(
                             "discarded truncated final manifest entry {} ({e}); \
                              its run will be re-executed",
                             i + 1
                         ));
+                        break;
                     }
                     Err(e) => {
                         return Err(ManifestError::Corrupt(format!("entry {}: {e}", i + 1)));
                     }
+                };
+                let (series_ix, mpl, rep) = (entry.series_ix, entry.mpl, entry.rep);
+                let in_grid = series_ix < spec.series.len()
+                    && spec.mpls.contains(&mpl)
+                    && rep < opts.replications.max(1);
+                if !in_grid || !seen.insert((series_ix, mpl, rep)) {
+                    let problem = if in_grid {
+                        "repeats an earlier entry"
+                    } else {
+                        "lies outside the sweep grid"
+                    };
+                    return Err(ManifestError::Corrupt(format!(
+                        "entry {}: (series {series_ix}, mpl {mpl}, rep {rep}) {problem}",
+                        i + 1
+                    )));
                 }
+                manifest.entries.push(entry);
             }
         } else {
             manifest.flush()?;
@@ -609,16 +634,42 @@ mod tests {
         })
         .expect("record");
         drop(m);
-        // A bad line *followed by* a good one is corruption, not a crash
-        // artifact: reject it.
         let text = std::fs::read_to_string(&path).expect("read");
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.insert(1, "{\"series\":0,\"mpl\":5}");
-        std::fs::write(&path, lines.join("\n") + "\n").expect("write");
-        assert!(matches!(
-            Manifest::open(&path, &spec, &opts, true),
-            Err(ManifestError::Corrupt(_))
-        ));
+        let (header, good) = text.split_once('\n').expect("header and one entry");
+        let good = good.trim_end();
+        let edit = |from: &str, to: &str| good.replacen(from, to, 1);
+        // A bad line *followed by* a good one is corruption, not a crash
+        // artifact. A line that parses but lies outside the grid, or
+        // repeats an earlier entry, is rejected on any line, the last
+        // included.
+        for (entries, case) in [
+            (
+                vec!["{\"series\":0,\"mpl\":5}".to_string(), good.to_string()],
+                "unparseable interior line",
+            ),
+            (vec![edit("\"series\":0,", "\"series\":7,")], "series 7"),
+            (vec![good.to_string(), good.to_string()], "repeated entry"),
+            (vec![edit("\"mpl\":5,", "\"mpl\":11,")], "mpl 11"),
+            (
+                vec![
+                    edit("\"series\":0,", "\"series\":1,"),
+                    edit("\"rep\":0,", "\"rep\":1,"),
+                ],
+                "final rep 1 of one replication",
+            ),
+        ] {
+            let doc = std::iter::once(header.to_string())
+                .chain(entries)
+                .collect::<Vec<_>>()
+                .join("\n");
+            std::fs::write(&path, doc + "\n").expect("write");
+            match Manifest::open(&path, &spec, &opts, true) {
+                Err(ManifestError::Corrupt(msg)) => {
+                    assert!(msg.starts_with("entry "), "{case}: {msg}");
+                }
+                other => panic!("{case}: expected a corrupt manifest, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -28,14 +28,13 @@
 //! every update); a later run with [`SweepControl::resume`] skips
 //! journaled runs and — because seeds are coordinate-derived — produces
 //! byte-identical final output. A [`SweepControl::progress`] callback
-//! streams every settled coordinate as it lands, which is how the sweep
-//! service (`ccsim-serve`) relays live results to its clients.
+//! streams every settled coordinate as it lands.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use ccsim_core::{EventPool, MetricsConfig, Report, RunBudget, RunError, Simulator};
+use ccsim_core::{MetricsConfig, Report, RunBudget, RunError, Simulator};
 use ccsim_des::derive_seed;
 use crossbeam::channel;
 
@@ -216,11 +215,6 @@ pub struct RunOptions {
     pub audit: bool,
     /// Retry discipline for failed grid points (see [`RetryPolicy`]).
     pub retry: RetryPolicy,
-    /// Optional shared event allowance attached to every run of the
-    /// sweep. The sweep service uses one pool per client so a tenant's
-    /// total simulated work is bounded across jobs; `None` (the default)
-    /// leaves runs bounded only by their per-run [`ccsim_core::RunBudget`].
-    pub event_pool: Option<EventPool>,
 }
 
 impl Default for RunOptions {
@@ -232,16 +226,13 @@ impl Default for RunOptions {
             replications: 1,
             audit: false,
             retry: RetryPolicy::none(),
-            event_pool: None,
         }
     }
 }
 
 /// One settled grid coordinate, streamed to [`SweepControl::progress`] the
 /// moment the supervisor records it. `report` is `None` for a point that
-/// failed without a fill; `replayed` marks entries restored from a resumed
-/// checkpoint manifest rather than freshly simulated (fired before any new
-/// run completes, so a subscriber always sees the full history in order).
+/// failed without a fill.
 #[derive(Debug, Clone, Copy)]
 pub struct PointProgress<'a> {
     /// Index of the series in the experiment spec.
@@ -250,8 +241,6 @@ pub struct PointProgress<'a> {
     pub mpl: u32,
     /// Replication index of the point.
     pub rep: u32,
-    /// Restored from the checkpoint manifest (resume), not newly run.
-    pub replayed: bool,
     /// The point's report; `None` when the point failed unfilled.
     pub report: Option<&'a Report>,
 }
@@ -275,10 +264,9 @@ pub struct SweepControl<'a> {
     /// Stop (as if interrupted) after this many newly journaled runs —
     /// the deterministic "kill after K points" hook used by resume tests.
     pub stop_after: Option<u64>,
-    /// Called (on the supervisor thread) for every settled coordinate:
-    /// replayed manifest entries first, then fresh completions and
-    /// failures as they land. This is the streaming hook the sweep
-    /// service uses to relay per-point results to clients.
+    /// Called (on the supervisor thread) for every coordinate this sweep
+    /// settles, completions and failures alike, as they land. Runs
+    /// replayed from a resumed checkpoint manifest are not reported.
     pub progress: Option<&'a (dyn Fn(PointProgress<'_>) + Sync)>,
     /// Deterministic fault injection (feature `chaos`): the targeted grid
     /// coordinate's first `fail_attempts` attempts fail.
@@ -433,9 +421,6 @@ fn run_point(
             control_seed(opts.base_seed, series_ix, mpl, rep),
         )
         .with_workload_seed(workload_seed(opts.base_seed, mpl, rep));
-    if let Some(pool) = &opts.event_pool {
-        cfg = cfg.with_event_pool(pool.clone());
-    }
     if let Some(cap) = chaos.budget_cap_at(series_ix, mpl, rep, attempt) {
         cfg = cfg.with_budget(RunBudget::unlimited().with_max_events(cap));
     }
@@ -629,20 +614,6 @@ pub fn run_experiment_supervised(
                 .collect()
         })
         .unwrap_or_default();
-    // Stream the replayed history first so a subscriber sees every settled
-    // point in order, whether it was simulated this run or a prior one.
-    if let Some(cb) = ctl.progress {
-        for (si, mpl, rep, report, _) in &collected {
-            cb(PointProgress {
-                series_ix: *si,
-                mpl: *mpl,
-                rep: *rep,
-                replayed: true,
-                report: Some(report),
-            });
-        }
-    }
-
     let jobs: Vec<(usize, u32, u32)> = spec
         .series
         .iter()
@@ -742,7 +713,6 @@ pub fn run_experiment_supervised(
                         series_ix: msg.series_ix,
                         mpl: msg.mpl,
                         rep: msg.rep,
-                        replayed: false,
                         report: Some(&report),
                     });
                 }
@@ -752,7 +722,6 @@ pub fn run_experiment_supervised(
                     series_ix: msg.series_ix,
                     mpl: msg.mpl,
                     rep: msg.rep,
-                    replayed: false,
                     report: None,
                 });
             }
@@ -832,7 +801,6 @@ mod tests {
             replications: 1,
             audit: false,
             retry: RetryPolicy::none(),
-            event_pool: None,
         }
     }
 
@@ -1015,13 +983,13 @@ mod tests {
     #[test]
     fn progress_streams_every_settled_point() {
         use std::sync::Mutex;
-        type Seen = (usize, u32, u32, bool, bool);
+        type Seen = (usize, u32, u32, bool);
         let spec = tiny_spec();
         let seen: Mutex<Vec<Seen>> = Mutex::new(Vec::new());
         let cb = |p: PointProgress<'_>| {
             seen.lock()
                 .unwrap()
-                .push((p.series_ix, p.mpl, p.rep, p.replayed, p.report.is_some()));
+                .push((p.series_ix, p.mpl, p.rep, p.report.is_some()));
         };
         let ctl = SweepControl {
             progress: Some(&cb),
@@ -1030,7 +998,7 @@ mod tests {
         let result = run_experiment_supervised(&spec, &tiny_opts(), &ctl).expect("sweep completes");
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), spec.num_runs());
-        assert!(seen.iter().all(|&(.., replayed, ok)| !replayed && ok));
+        assert!(seen.iter().all(|&(.., ok)| ok));
         assert_eq!(result.points.len(), spec.num_runs());
     }
 

@@ -389,9 +389,8 @@ impl ExperimentResult {
     /// the sweep ran to the end of its grid, there are no holes, and any
     /// recorded failures were [`RetryOutcome::Recovered`] at full
     /// fidelity (whose reports are bit-identical to untroubled runs).
-    /// This is the cacheability criterion used by the sweep service — a
-    /// degraded (quick-retry) fill or a standing hole is real data but
-    /// not the sweep's canonical answer.
+    /// Such a result is the sweep's canonical answer; a degraded
+    /// (quick-retry) fill or a standing hole is real data but is not.
     #[must_use]
     pub fn fully_measured(&self) -> bool {
         !self.interrupted

@@ -39,13 +39,6 @@ impl<T> DiskArray<T> {
         }
     }
 
-    /// Read-only peek at the payload in service on `disk`, if any (see
-    /// [`ServerPool::in_service`]).
-    #[must_use]
-    pub fn in_service(&self, disk: usize) -> Option<&T> {
-        self.disks.get(disk).and_then(|d| d.in_service(0))
-    }
-
     /// Number of disks.
     #[must_use]
     pub fn num_disks(&self) -> usize {

@@ -121,19 +121,6 @@ impl<T> ServerPool<T> {
         self.queue_changed_at = now;
     }
 
-    /// Read-only peek at the payload of the request `server` is currently
-    /// serving, if any. The engine's look-ahead uses this to resolve a
-    /// pending completion event's target without mutating the pool; the
-    /// answer is a snapshot — an earlier event may retire the request
-    /// before the completion is delivered.
-    #[must_use]
-    pub fn in_service(&self, server: usize) -> Option<&T> {
-        self.servers
-            .get(server)
-            .and_then(|s| s.as_ref())
-            .and_then(|s| s.payload.as_ref())
-    }
-
     /// Number of servers in the pool.
     #[must_use]
     pub fn num_servers(&self) -> usize {

@@ -108,7 +108,6 @@ fn audited_sweep_replays_identically_across_thread_counts() {
         replications: 1,
         audit: true,
         retry: RetryPolicy::none(),
-        event_pool: None,
     };
     let one = run_experiment(&spec, &opts(1)).expect("sweep completes");
     let four = run_experiment(&spec, &opts(4)).expect("sweep completes");

@@ -43,7 +43,6 @@ fn experiment_results_and_json_replay_exactly() {
         replications: 1,
         audit: false,
         retry: RetryPolicy::none(),
-        event_pool: None,
     };
     let a = run_experiment(&spec, &opts).expect("sweep completes");
     let b = run_experiment(&spec, &opts).expect("sweep completes");

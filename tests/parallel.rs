@@ -1,15 +1,12 @@
-//! The bucket look-ahead's core contract. The event loop's look-ahead
-//! window is the near-lane calendar bucket the clock has just entered:
-//! once per bucket, the loop prefetches the arena record and predicted
-//! lock-table slot of every event due in it. It replaced the speculative
-//! window-parallel mode and inherits that mode's promise: it is read-only,
-//! so every report, streaming quantile, and golden trace is byte-identical
-//! to a run in which it never fires.
+//! The two-tier calendar's core contract. The default calendar keeps a
+//! near-horizon lane of time buckets in front of an overflow heap; the
+//! heap-only calendar routes every event through the heap. Delivery order
+//! is the same, so every report, streaming quantile, event count, and
+//! golden trace is byte-identical whichever calendar runs.
 //!
-//! A heap-only calendar has no near lane, so its `entered_bucket` yields
-//! nothing and the look-ahead is off; the two-tier default turns it on.
-//! Speedup is a side effect the benchmarks measure; *these* tests pin the
-//! part that must never drift.
+//! The test names are kept from the window-parallel mode these checks
+//! first guarded. Speedup is a side effect the benchmarks measure;
+//! *these* tests pin the part that must never drift.
 
 use ccsim_audit::attach;
 use ccsim_audit::golden::serialize_trace;
@@ -36,32 +33,32 @@ fn tracked_algorithms() -> impl Iterator<Item = CcAlgorithm> {
 #[test]
 fn window_mode_reports_are_byte_identical() {
     // Paper trio + modern trio at a contended mpl: the full report must be
-    // byte-equal with the look-ahead on and off, and the "on" run must
-    // really have had near-lane buckets to look ahead over.
+    // byte-equal under both calendars, and the two-tier run must really
+    // have used its near lane.
     for algo in tracked_algorithms() {
-        let mk = |lookahead| {
+        let mk = |two_tier| {
             SimConfig::new(algo)
                 .with_params(Params::paper_baseline().with_mpl(50))
                 .with_metrics(quick())
                 .with_seed(0x7ACE)
-                .with_two_tier_calendar(lookahead)
+                .with_two_tier_calendar(two_tier)
         };
-        let on = run(mk(true)).expect("look-ahead run finishes");
+        let on = run(mk(true)).expect("two-tier run finishes");
         let off = run(mk(false)).expect("heap-only run finishes");
         assert_eq!(
             on.report, off.report,
-            "{algo}: the look-ahead changed the report"
+            "{algo}: the calendar choice changed the report"
         );
         assert_eq!(on.perf.events, off.perf.events, "{algo}: event counts");
         assert!(
             on.perf.calendar.lane_schedules > 0,
-            "{algo}: the look-ahead run never used the near lane"
+            "{algo}: the two-tier run never used the near lane"
         );
         assert_eq!(
             off.perf.calendar.lane_schedules, 0,
             "{algo}: the heap-only run still used the near lane"
         );
-        // Replaying the look-ahead run gives the same bytes again.
+        // Replaying the two-tier run gives the same bytes again.
         assert_eq!(
             on.report,
             run(mk(true)).unwrap().report,
@@ -73,10 +70,10 @@ fn window_mode_reports_are_byte_identical() {
 #[test]
 fn window_mode_golden_traces_are_byte_identical() {
     // The same fixed scenario as the golden-trace harness: the serialized
-    // event stream with the look-ahead on must match the look-ahead-off
+    // event stream under the two-tier calendar must match the heap-only
     // text AND the checked-in golden file byte-for-byte.
     for algo in tracked_algorithms() {
-        let mk = |lookahead| {
+        let mk = |two_tier| {
             let mut params = Params::paper_baseline();
             params.db_size = 50;
             params.min_size = 2;
@@ -94,10 +91,10 @@ fn window_mode_golden_traces_are_byte_identical() {
                     confidence: Confidence::Ninety,
                 })
                 .with_seed(0x601D)
-                .with_two_tier_calendar(lookahead)
+                .with_two_tier_calendar(two_tier)
         };
-        let traced = |lookahead| {
-            let cfg = mk(lookahead).with_trace_capacity(1_000_000);
+        let traced = |two_tier| {
+            let cfg = mk(two_tier).with_trace_capacity(1_000_000);
             let out = run(cfg.clone()).unwrap();
             serialize_trace(&cfg, &out.trace.expect("tracing is on"), &out.report)
         };
@@ -110,11 +107,11 @@ fn window_mode_golden_traces_are_byte_identical() {
             .unwrap_or_else(|e| panic!("{algo}: reading {}: {e}", golden.display()));
         assert_eq!(
             off_text, on_text,
-            "{algo}: the look-ahead trace diverged from the look-ahead-off trace"
+            "{algo}: the two-tier trace diverged from the heap-only trace"
         );
         assert_eq!(
             blessed, on_text,
-            "{algo}: the look-ahead trace diverged from the golden file"
+            "{algo}: the two-tier trace diverged from the golden file"
         );
     }
 }
@@ -122,11 +119,11 @@ fn window_mode_golden_traces_are_byte_identical() {
 #[test]
 fn window_mode_scale_point_is_byte_identical() {
     // A budget-bounded slice of the exp-scale regime (sparse lock table,
-    // arena txn state, streaming quantiles), where the look-ahead has the
-    // most to prefetch: report, quantiles, and the exact event count must
-    // not depend on it, including the budget stop landing on the same
-    // event.
-    let mk = |lookahead| {
+    // arena txn state, streaming quantiles), where the calendar holds the
+    // most events: report, quantiles, and the exact event count must not
+    // depend on the calendar, including the budget stop landing on the
+    // same event.
+    let mk = |two_tier| {
         let mut params = Params::exp_scale();
         params.num_terms = 50_000;
         params.mpl = 5_000;
@@ -140,40 +137,40 @@ fn window_mode_scale_point_is_byte_identical() {
             })
             .with_seed(0x5CA1ED)
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
-            .with_two_tier_calendar(lookahead)
+            .with_two_tier_calendar(two_tier)
     };
     let base = Simulator::new(mk(false)).unwrap().run_collecting();
     assert!(base.stopped.is_some(), "the point should stop on budget");
     assert!(base.report.commits > 0, "salvaged window has no commits");
-    let ahead = Simulator::new(mk(true)).unwrap().run_collecting();
+    let two_tier = Simulator::new(mk(true)).unwrap().run_collecting();
     assert_eq!(
-        base.report, ahead.report,
-        "the look-ahead changed the scale report"
+        base.report, two_tier.report,
+        "the calendar choice changed the scale report"
     );
-    assert_eq!(base.quantiles, ahead.quantiles);
-    assert_eq!(base.perf.events, ahead.perf.events);
+    assert_eq!(base.quantiles, two_tier.quantiles);
+    assert_eq!(base.perf.events, two_tier.perf.events);
     assert!(
-        ahead.stopped.is_some(),
-        "the look-ahead run missed the budget"
+        two_tier.stopped.is_some(),
+        "the two-tier run missed the budget"
     );
     assert!(
-        ahead.perf.calendar.lane_schedules > 0,
-        "the look-ahead run never used the near lane"
+        two_tier.perf.calendar.lane_schedules > 0,
+        "the two-tier run never used the near lane"
     );
 }
 
 #[test]
 fn window_mode_is_auditor_clean() {
-    // The online invariant auditor rides the look-ahead loop exactly as
-    // it rides the look-ahead-off loop: no violations, and neither
-    // observation nor the look-ahead perturbs the run.
+    // The online invariant auditor rides the two-tier calendar exactly as
+    // it rides the heap-only one: no violations, and neither observation
+    // nor the calendar choice perturbs the run.
     for algo in CcAlgorithm::PAPER_TRIO {
-        let mk = |lookahead| {
+        let mk = |two_tier| {
             SimConfig::new(algo)
                 .with_params(Params::paper_baseline().with_mpl(50))
                 .with_metrics(quick())
                 .with_seed(0x7ACE)
-                .with_two_tier_calendar(lookahead)
+                .with_two_tier_calendar(two_tier)
         };
         let mut sim = Simulator::new(mk(true)).unwrap();
         let auditor = attach(&mut sim);
@@ -181,11 +178,14 @@ fn window_mode_is_auditor_clean() {
         let violations = auditor.borrow().report().summaries();
         assert!(
             violations.is_empty(),
-            "{algo}: audit violations with the look-ahead on: {violations:?}"
+            "{algo}: audit violations under the two-tier calendar: {violations:?}"
         );
         let plain = run(mk(true)).unwrap().report;
         assert_eq!(audited, plain, "{algo}: the auditor perturbed the run");
         let off = run(mk(false)).unwrap().report;
-        assert_eq!(audited, off, "{algo}: the look-ahead perturbed the run");
+        assert_eq!(
+            audited, off,
+            "{algo}: the calendar choice perturbed the run"
+        );
     }
 }

@@ -23,7 +23,6 @@ fn injected_worker_panic_is_loud_and_leaves_a_typed_hole() {
         replications: 1,
         audit: false,
         retry: RetryPolicy::none(),
-        event_pool: None,
     };
 
     // The reference: one thread, no chaos.

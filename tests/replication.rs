@@ -29,7 +29,6 @@ fn tiny_opts(threads: usize, replications: u32) -> RunOptions {
         replications,
         audit: false,
         retry: RetryPolicy::none(),
-        event_pool: None,
     }
 }
 

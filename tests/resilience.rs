@@ -7,8 +7,8 @@
 //! * a checkpointed sweep interrupted after K completed runs resumes to a
 //!   byte-identical final JSON, for K at the start, middle, and end of the
 //!   grid — and likewise after a chaos-injected failure;
-//! * a manifest written by a different sweep is rejected, not silently
-//!   merged.
+//! * a manifest written by a different sweep, or holding an entry outside
+//!   the sweep's grid, is rejected, not silently merged.
 //!
 //! Fault injection comes from the `chaos` feature of `ccsim-experiments`
 //! (enabled for this test target in the workspace `Cargo.toml`).
@@ -17,8 +17,8 @@ use std::path::PathBuf;
 
 use ccsim_experiments::{
     catalog, json, run_experiment, run_experiment_supervised, ChaosKind, ChaosPoint,
-    ExperimentSpec, FailureKind, Fidelity, RetryOutcome, RetryPolicy, RunOptions, SweepControl,
-    SweepError,
+    ExperimentSpec, FailureKind, Fidelity, ManifestError, RetryOutcome, RetryPolicy, RunOptions,
+    SweepControl, SweepError,
 };
 
 fn tiny_spec() -> ExperimentSpec {
@@ -35,7 +35,6 @@ fn tiny_opts() -> RunOptions {
         replications: 1,
         audit: false,
         retry: RetryPolicy::none(),
-        event_pool: None,
     }
 }
 
@@ -300,6 +299,34 @@ fn foreign_manifest_is_rejected_on_resume() {
         "unexpected error: {err}"
     );
     assert!(err.to_string().contains("seed") || err.to_string().contains("manifest"));
+}
+
+#[test]
+fn out_of_grid_manifest_entry_is_rejected_on_resume() {
+    // An entry that parses but names a series the sweep does not have is
+    // corruption: resuming must refuse it with a typed error rather than
+    // replay it into the result.
+    let spec = tiny_spec();
+    let scratch = Scratch::new("out-of-grid.manifest.jsonl");
+    let ctl = |resume| SweepControl {
+        checkpoint: Some(&scratch.0),
+        resume,
+        ..SweepControl::default()
+    };
+    run_experiment_supervised(&spec, &tiny_opts(), &ctl(false))
+        .expect("checkpointed sweep completes");
+    let text = std::fs::read_to_string(&scratch.0).expect("read manifest");
+    let doctored = text.replacen("{\"series\":0,", "{\"series\":7,", 1);
+    assert_ne!(doctored, text, "the manifest journals series 0");
+    std::fs::write(&scratch.0, doctored).expect("write manifest");
+
+    let err = run_experiment_supervised(&spec, &tiny_opts(), &ctl(true))
+        .expect_err("an out-of-grid entry must not be replayed");
+    assert!(
+        matches!(err, SweepError::Manifest(ManifestError::Corrupt(_))),
+        "unexpected error: {err}"
+    );
+    assert!(err.to_string().contains("outside the sweep grid"), "{err}");
 }
 
 #[test]
