@@ -1,114 +1,100 @@
 //! Arena/SoA storage for per-terminal transaction state.
 //!
 //! The engine keeps one transaction record per terminal. With `num_terms`
-//! up to 10^6 (the `exp-scale` regime), the old layout — a `Vec<Option<Txn>>`
-//! where every `Txn` owned five small heap vectors (readset, write flags,
-//! write objects, static lock plan, read times) — fragmented the heap into
-//! millions of tiny allocations. This arena replaces it:
+//! up to 10^6 (the `exp-scale` regime) the storage stores each fact once,
+//! in a few flat arrays rather than millions of small allocations:
 //!
-//! * [`TxnRec`] is the fixed-width per-terminal record (program counter,
-//!   lifecycle state, timestamps, usage counters), stored in one flat
-//!   `Vec<TxnRec>`.
-//! * The variable-length per-transaction data lives in shared flat arrays
-//!   of `num_terms × cap` elements, where `cap` is the largest readset any
-//!   workload class can draw; terminal `t` owns the slice
-//!   `[t*cap, (t+1)*cap)`. The static-locking plan and the history-only
-//!   read-times arrays are allocated lazily on first use, so runs that
-//!   need neither pay nothing.
+//! * [`TxnRec`] is the fixed-width (80-byte) per-terminal record: program
+//!   counter, lifecycle state, timestamps, usage counters and the lengths
+//!   of the terminal's regions, stored in one flat `Vec<TxnRec>`. The
+//!   program shape and think flag are per-run constants held once by the
+//!   arena, and the read and write counts are the record's own region
+//!   lengths, so the record carries no copy of its program.
+//! * The readsets live in one shared flat array of `num_terms × cap`
+//!   objects, where `cap` is the largest readset any workload class can
+//!   draw; terminal `t` owns the slice `[t*cap, (t+1)*cap)`. The write set
+//!   is a subset of the readset, so it is a per-terminal bitmask over the
+//!   readset, `ceil(cap / 64)` words wide, rather than a second copy of the
+//!   objects: bit `i` is set when the `i`-th read is also written, and the
+//!   written objects in write order are the set bits in read order. The
+//!   static-locking plan and the history-only read-times arrays are
+//!   allocated lazily on first use, so runs that need neither pay nothing.
 //!
 //! Installing a new transaction copies its [`TxnSpec`] into the terminal's
 //! region; the spec's own buffers are recycled by the engine through the
 //! generator exactly as before, so the RNG draw sequence — and therefore
-//! every golden trace — is untouched by the layout change.
+//! every golden trace — is untouched by the layout.
 //!
 //! Stepping through a program is the single hottest operation in the
-//! engine, and the arithmetic [`Program::step_at`] decode it used to do
-//! per advance is a div/mod chain with data-dependent branches. The arena
-//! therefore keeps a [`ProgramTable`]: every *distinct* program (keyed by
-//! shape, think flag, read count, write count — a few dozen per run) is
-//! decoded once into a shared flat `Vec<Step>`, each record stores its
-//! program's offset, and [`TxnArena::advance`] is a single indexed load.
-//! The table is a pure cache of `step_at`'s output, so the step sequence —
-//! and every simulation output — is byte-identical to the decoded path
-//! (debug builds assert the equivalence on every advance).
+//! engine, and the arithmetic [`Program::step_at`] decode is a div/mod
+//! chain with data-dependent branches. The arena therefore keeps a
+//! [`ProgramTable`]: every *distinct* program (keyed by read count and
+//! write count — a few dozen per run) is decoded once into a shared flat
+//! `Vec<Step>`, each record stores its program's offset, and the current
+//! step is a single indexed load ([`TxnArena::step`]). The table is a pure
+//! cache of `step_at`'s output, so the step sequence — and every
+//! simulation output — is byte-identical to the decoded path (debug builds
+//! assert the equivalence on every advance).
 
 use ccsim_des::SimTime;
 use ccsim_workload::{ObjId, TxnId, TxnSpec};
 
 use crate::txn::{AttemptUsage, Program, ProgramShape, Step, TxnState};
 
+/// `publish_at` of an attempt that has not published its writes. A
+/// validated run's clock stays far below it (see `Params::MAX_DURATION`).
+const UNPUBLISHED: SimTime = SimTime(u64::MAX);
+
 /// Fixed-width runtime record of one terminal's current transaction.
 ///
-/// Field semantics are identical to the pre-arena `Txn` struct; the
-/// variable-length data (readset, write objects, lock plan, read times)
-/// lives in the owning [`TxnArena`]'s shared arrays instead.
+/// The variable-length data (readset, write mask, lock plan, read times)
+/// lives in the owning [`TxnArena`]'s shared arrays.
 #[derive(Debug, Clone)]
-pub struct TxnRec {
+pub(crate) struct TxnRec {
     /// Globally unique id (preserved across restarts of the transaction).
     pub id: TxnId,
-    /// The access program shape (kept across restarts — paper footnote 1).
-    pub program: Program,
-    /// Program counter into [`Program::step_at`].
-    pub pc: usize,
-    /// The decoded step at `pc`, kept in sync by `advance`/`begin_attempt`.
-    cur: Step,
-    /// Lifecycle state.
-    pub state: TxnState,
     /// When this transaction first entered the ready queue.
     pub arrival: SimTime,
     /// When the current attempt was admitted (the optimistic start time).
     pub attempt_start: SimTime,
+    /// Resource usage of the current attempt.
+    pub usage: AttemptUsage,
+    /// When this attempt's writes were (will be) published, or
+    /// [`UNPUBLISHED`].
+    publish_at: SimTime,
+    /// Program counter into the record's decoded program.
+    pub pc: u32,
     /// Attempt epoch, bumped on every restart; stale events are dropped by
     /// comparing epochs.
     pub epoch: u32,
-    /// Resource usage of the current attempt.
-    pub usage: AttemptUsage,
-    /// Times this transaction blocked (across all attempts).
-    pub blocks: u32,
-    /// Times this transaction restarted.
-    pub restarts: u32,
-    /// True while a concurrency-control CPU charge is in flight.
-    pub cc_charged: bool,
-    /// When this attempt's writes were (will be) published.
-    pub publish_at: Option<SimTime>,
-    /// Workload class index (0 = the primary Table-1 class).
-    pub class: usize,
     /// Offset of this record's decoded program in the arena's
-    /// [`ProgramTable`] (`TxnArena::advance` reads `steps[prog_base + pc]`).
+    /// [`ProgramTable`] (the current step is `steps[prog_base + pc]`).
     prog_base: u32,
     /// Readset length (valid prefix of the terminal's `reads` region).
     n_reads: u32,
-    /// Write-set length (valid prefix of the `write_objs` region).
+    /// Write-set length (set bits of the terminal's write mask).
     n_writes: u32,
     /// Read-times length (valid prefix of the `read_times` region).
     n_read_times: u32,
+    /// Workload class index (0 = the primary Table-1 class).
+    pub class: u32,
+    /// Lifecycle state.
+    pub state: TxnState,
+    /// True while a concurrency-control CPU charge is in flight.
+    pub cc_charged: bool,
     /// False until the terminal's first arrival installs a transaction.
     live: bool,
 }
 
 impl TxnRec {
-    /// The step the transaction is currently at.
-    #[must_use]
-    pub fn step(&self) -> Step {
-        self.cur
-    }
-
-    /// Advance to the next step.
-    pub fn advance(&mut self) {
-        self.pc += 1;
-        self.cur = self.program.step_at(self.pc);
-        self.cc_charged = false;
-    }
-
     /// Rewind for a fresh attempt after a restart.
     pub fn begin_attempt(&mut self, now: SimTime) {
         self.pc = 0;
-        self.cur = self.program.step_at(0);
         self.cc_charged = false;
         self.attempt_start = now;
         self.usage.reset();
         self.n_read_times = 0;
-        self.publish_at = None;
+        self.publish_at = UNPUBLISHED;
     }
 
     /// Bump the epoch (called at restart so stale events are ignored).
@@ -116,42 +102,47 @@ impl TxnRec {
         self.epoch += 1;
     }
 
-    fn vacant() -> Self {
-        TxnRec {
-            id: TxnId(0),
-            program: Program::new(ProgramShape::LockFree, false, 1, 0),
-            pc: 0,
-            cur: Step::ReadIo(0),
-            state: TxnState::AtTerminal,
-            arrival: SimTime::ZERO,
-            attempt_start: SimTime::ZERO,
-            epoch: 0,
-            usage: AttemptUsage::default(),
-            blocks: 0,
-            restarts: 0,
-            cc_charged: false,
-            publish_at: None,
-            class: 0,
-            prog_base: 0,
-            n_reads: 0,
-            n_writes: 0,
-            n_read_times: 0,
-            live: false,
-        }
+    /// Record that this attempt's writes are published at `at`.
+    pub fn publish(&mut self, at: SimTime) {
+        debug_assert!(at < UNPUBLISHED);
+        self.publish_at = at;
     }
+
+    /// When this attempt's writes were published, if they were.
+    #[must_use]
+    pub fn published_at(&self) -> Option<SimTime> {
+        (self.publish_at != UNPUBLISHED).then_some(self.publish_at)
+    }
+
+    const VACANT: TxnRec = TxnRec {
+        id: TxnId(0),
+        arrival: SimTime::ZERO,
+        attempt_start: SimTime::ZERO,
+        usage: AttemptUsage {
+            cpu_us: 0,
+            io_us: 0,
+        },
+        publish_at: UNPUBLISHED,
+        pc: 0,
+        epoch: 0,
+        prog_base: 0,
+        n_reads: 0,
+        n_writes: 0,
+        n_read_times: 0,
+        class: 0,
+        state: TxnState::AtTerminal,
+        cc_charged: false,
+        live: false,
+    };
 }
 
 /// Cache of decoded step programs shared by every terminal (see the module
-/// docs). Within one run the shape/think key is constant, so the index is
-/// a dense `(reads, writes)` grid; a key change (tests only) resets it.
+/// docs). The shape and think flag are the run's, so a program is keyed by
+/// its read and write counts alone, in a dense `(reads, writes)` grid.
 #[derive(Debug, Default)]
 struct ProgramTable {
-    /// Shape/think flag the cached entries were decoded under.
-    key: Option<(ProgramShape, bool)>,
     /// `(reads, writes) → offset into steps`; `ABSENT` = not yet decoded.
     index: Vec<u32>,
-    /// Index row width (`cap + 1`: reads and writes both range `0..=cap`).
-    stride: usize,
     /// Every distinct decoded program, concatenated.
     steps: Vec<Step>,
 }
@@ -159,15 +150,12 @@ struct ProgramTable {
 impl ProgramTable {
     const ABSENT: u32 = u32::MAX;
 
-    /// The offset of `program`'s decoded steps, decoding it on first sight.
-    fn ensure(&mut self, shape: ProgramShape, thinks: bool, cap: usize, program: Program) -> u32 {
+    /// The offset of `program`'s decoded steps, decoding it on first sight;
+    /// `cap` bounds both of its counts.
+    fn ensure(&mut self, cap: usize, program: Program) -> u32 {
         let stride = cap + 1;
-        if self.key != Some((shape, thinks)) || self.stride != stride {
-            self.key = Some((shape, thinks));
-            self.stride = stride;
-            self.index.clear();
+        if self.index.is_empty() {
             self.index.resize(stride * stride, Self::ABSENT);
-            self.steps.clear();
         }
         let slot = program.num_reads() * stride + program.num_writes();
         let mut base = self.index[slot];
@@ -183,37 +171,48 @@ impl ProgramTable {
 
 /// The arena: per-terminal records plus shared flat data regions.
 #[derive(Debug)]
-pub struct TxnArena {
+pub(crate) struct TxnArena {
     /// Per-terminal region width: the largest readset any class can draw.
     cap: usize,
+    /// Per-terminal write-mask width in words: `ceil(cap / 64)`.
+    mask_words: usize,
+    /// The run's program shape and think flag.
+    shape: ProgramShape,
+    thinks: bool,
     recs: Vec<TxnRec>,
     /// Readsets, in access order: terminal `t` owns `[t*cap, (t+1)*cap)`.
     reads: Vec<ObjId>,
-    /// Written objects, in write (= read) order; same regioning.
-    write_objs: Vec<ObjId>,
+    /// Write flags over the readsets: terminal `t` owns words
+    /// `[t*mask_words, (t+1)*mask_words)`, bit `i` flagging read `i`.
+    write_mask: Vec<u64>,
     /// Static-locking preclaim plans `(object, write?)` in ascending object
-    /// order. Empty unless some transaction runs `Static2pl`.
+    /// order. Empty unless the run's shape is `Static2pl`.
     lock_plan: Vec<(ObjId, bool)>,
     /// Read-completion times (history recording only). Empty until first use.
     read_times: Vec<SimTime>,
     /// Observed validity bounds (`rts` at read time), parallel to
     /// `read_times`. TicToc only; empty until first use.
     read_auxes: Vec<SimTime>,
-    /// Decoded-program cache backing [`TxnArena::advance`].
+    /// Decoded-program cache backing [`TxnArena::step`].
     programs: ProgramTable,
 }
 
 impl TxnArena {
     /// An arena for `num_terms` terminals whose transactions read at most
-    /// `cap` objects.
+    /// `cap` objects and run `shape` programs, with an internal think step
+    /// when `thinks`.
     #[must_use]
-    pub fn new(num_terms: usize, cap: usize) -> Self {
+    pub fn new(num_terms: usize, cap: usize, shape: ProgramShape, thinks: bool) -> Self {
         let cap = cap.max(1);
+        let mask_words = cap.div_ceil(64);
         TxnArena {
             cap,
-            recs: vec![TxnRec::vacant(); num_terms],
+            mask_words,
+            shape,
+            thinks,
+            recs: vec![TxnRec::VACANT; num_terms],
             reads: vec![ObjId(0); num_terms * cap],
-            write_objs: vec![ObjId(0); num_terms * cap],
+            write_mask: vec![0; num_terms * mask_words],
             lock_plan: Vec::new(),
             read_times: Vec::new(),
             read_auxes: Vec::new(),
@@ -221,20 +220,38 @@ impl TxnArena {
         }
     }
 
-    /// Advance `term`'s transaction to its next step. Hot-path equivalent
-    /// of [`TxnRec::advance`]: the step comes from the decoded-program
-    /// table as one indexed load instead of the arithmetic decode.
+    /// The step `term`'s transaction is at: one indexed load from the
+    /// decoded-program table.
+    #[inline]
+    #[must_use]
+    pub fn step(&self, term: usize) -> Step {
+        let rec = &self.recs[term];
+        self.programs.steps[rec.prog_base as usize + rec.pc as usize]
+    }
+
+    /// Advance `term`'s transaction to its next step.
     #[inline]
     pub fn advance(&mut self, term: usize) {
         let rec = &mut self.recs[term];
         rec.pc += 1;
-        rec.cur = self.programs.steps[rec.prog_base as usize + rec.pc];
         rec.cc_charged = false;
         debug_assert_eq!(
-            rec.cur,
-            rec.program.step_at(rec.pc),
+            self.step(term),
+            self.program(term).step_at(self.recs[term].pc as usize),
             "program table diverged from step_at"
         );
+    }
+
+    /// The arithmetic program of `term`'s transaction (the reference the
+    /// decoded table caches).
+    fn program(&self, term: usize) -> Program {
+        let rec = &self.recs[term];
+        Program::new(
+            self.shape,
+            self.thinks,
+            rec.n_reads as usize,
+            rec.n_writes as usize,
+        )
     }
 
     /// Number of terminals.
@@ -264,17 +281,13 @@ impl TxnArena {
         self.recs.iter().filter(|r| r.live)
     }
 
-    /// Install a fresh transaction at `term`, copying `spec` into the
-    /// terminal's data region. Semantically identical to the old
-    /// `Txn::new_reusing` plus class assignment.
-    #[allow(clippy::too_many_arguments)]
+    /// Install a fresh transaction of workload class `class` at `term`,
+    /// copying `spec` into the terminal's data region.
     pub fn install(
         &mut self,
         term: usize,
         id: TxnId,
         spec: &TxnSpec,
-        shape: ProgramShape,
-        thinks: bool,
         arrival: SimTime,
         epoch: u32,
         class: usize,
@@ -287,14 +300,12 @@ impl TxnArena {
         );
         let base = term * self.cap;
         self.reads[base..base + n].copy_from_slice(spec.reads());
-        let mut w = 0usize;
-        for (i, &obj) in spec.reads().iter().enumerate() {
-            if spec.writes_at(i) {
-                self.write_objs[base + w] = obj;
-                w += 1;
-            }
+        let mask = &mut self.write_mask[term * self.mask_words..(term + 1) * self.mask_words];
+        mask.fill(0);
+        for i in (0..n).filter(|&i| spec.writes_at(i)) {
+            mask[i / 64] |= 1 << (i % 64);
         }
-        if shape == ProgramShape::Static2pl {
+        if self.shape == ProgramShape::Static2pl {
             if self.lock_plan.is_empty() {
                 self.lock_plan = vec![(ObjId(0), false); self.recs.len() * self.cap];
             }
@@ -304,28 +315,19 @@ impl TxnArena {
             }
             plan.sort_unstable_by_key(|&(obj, _)| obj);
         }
-        let program = Program::new(shape, thinks, spec.num_reads(), spec.num_writes());
-        let prog_base = self.programs.ensure(shape, thinks, self.cap, program);
+        let program = Program::new(self.shape, self.thinks, n, spec.num_writes());
         self.recs[term] = TxnRec {
             id,
-            program,
-            pc: 0,
-            cur: program.step_at(0),
-            state: TxnState::Ready,
             arrival,
             attempt_start: arrival,
             epoch,
-            usage: AttemptUsage::default(),
-            blocks: 0,
-            restarts: 0,
-            cc_charged: false,
-            publish_at: None,
-            class,
-            prog_base,
-            n_reads: n as u32,
-            n_writes: w as u32,
-            n_read_times: 0,
+            prog_base: self.programs.ensure(self.cap, program),
+            n_reads: u32::try_from(n).expect("readset length fits in u32"),
+            n_writes: u32::try_from(spec.num_writes()).expect("write-set length fits in u32"),
+            class: u32::try_from(class).expect("class index fits in u32"),
+            state: TxnState::Ready,
             live: true,
+            ..TxnRec::VACANT
         };
     }
 
@@ -345,12 +347,43 @@ impl TxnArena {
         self.reads[term * self.cap + i]
     }
 
-    /// The objects written by `term`'s transaction, in write order.
+    /// `term`'s write-mask words.
+    #[inline]
+    fn mask(&self, term: usize) -> &[u64] {
+        &self.write_mask[term * self.mask_words..(term + 1) * self.mask_words]
+    }
+
+    /// Number of objects written by `term`'s transaction.
     #[inline]
     #[must_use]
-    pub fn write_objs(&self, term: usize) -> &[ObjId] {
-        let base = term * self.cap;
-        &self.write_objs[base..base + self.recs[term].n_writes as usize]
+    pub fn num_writes(&self, term: usize) -> usize {
+        self.recs[term].n_writes as usize
+    }
+
+    /// The objects written by `term`'s transaction, in write (= read)
+    /// order.
+    pub fn write_objs(&self, term: usize) -> impl Iterator<Item = ObjId> + '_ {
+        let reads = &self.reads[term * self.cap..];
+        self.mask(term)
+            .iter()
+            .enumerate()
+            .flat_map(move |(w, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let i = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        reads[w * 64 + i]
+                    })
+                })
+            })
+    }
+
+    /// Replace `out` with the objects written by `term`'s transaction, for
+    /// the commit paths that take the write set as a slice.
+    pub fn write_set_into(&self, term: usize, out: &mut Vec<ObjId>) {
+        out.clear();
+        out.extend(self.write_objs(term));
     }
 
     /// The `j`-th object written by `term`'s transaction.
@@ -358,7 +391,19 @@ impl TxnArena {
     #[must_use]
     pub fn write_obj_at(&self, term: usize, j: usize) -> ObjId {
         debug_assert!(j < self.recs[term].n_writes as usize);
-        self.write_objs[term * self.cap + j]
+        let mut j = j;
+        for (w, &word) in self.mask(term).iter().enumerate() {
+            let n = word.count_ones() as usize;
+            if j < n {
+                let mut bits = word;
+                for _ in 0..j {
+                    bits &= bits - 1;
+                }
+                return self.reads[term * self.cap + w * 64 + bits.trailing_zeros() as usize];
+            }
+            j -= n;
+        }
+        unreachable!("write index past the write set")
     }
 
     /// The `k`-th entry of `term`'s static preclaim plan.
@@ -422,6 +467,7 @@ impl TxnArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn spec(reads: usize, write_ixs: &[usize]) -> TxnSpec {
         let objs: Vec<ObjId> = (0..reads as u64).map(|v| ObjId(v * 10)).collect();
@@ -429,27 +475,24 @@ mod tests {
         TxnSpec::new(objs, writes)
     }
 
+    fn install(a: &mut TxnArena, term: usize, id: u64, s: &TxnSpec, at: SimTime, epoch: u32) {
+        a.install(term, TxnId(id), s, at, epoch, 0);
+    }
+
     #[test]
     fn install_copies_spec_into_region() {
-        let mut a = TxnArena::new(4, 8);
+        let mut a = TxnArena::new(4, 8, ProgramShape::Dynamic2pl, false);
         assert!(a.get(2).is_none());
         let s = spec(3, &[1]);
-        a.install(
-            2,
-            TxnId(7),
-            &s,
-            ProgramShape::Dynamic2pl,
-            false,
-            SimTime::from_secs(1),
-            0,
-            0,
-        );
+        install(&mut a, 2, 7, &s, SimTime::from_secs(1), 0);
         let rec = a.get(2).expect("installed");
         assert_eq!(rec.id, TxnId(7));
         assert_eq!(rec.state, TxnState::Ready);
-        assert_eq!(rec.step(), Step::LockRead(0));
+        assert_eq!(rec.published_at(), None);
+        assert_eq!(a.step(2), Step::LockRead(0));
         assert_eq!(a.reads(2), s.reads());
-        assert_eq!(a.write_objs(2), &[ObjId(10)]);
+        assert_eq!(a.write_objs(2).collect::<Vec<_>>(), [ObjId(10)]);
+        assert_eq!(a.num_writes(2), 1);
         assert_eq!(a.read_at(2, 1), ObjId(10));
         assert_eq!(a.write_obj_at(2, 0), ObjId(10));
         // Other terminals untouched.
@@ -458,87 +501,58 @@ mod tests {
 
     #[test]
     fn static_plan_is_sorted_by_object() {
-        let mut a = TxnArena::new(2, 4);
+        let mut a = TxnArena::new(2, 4, ProgramShape::Static2pl, false);
         let s = TxnSpec::new(
             vec![ObjId(30), ObjId(10), ObjId(20)],
             vec![true, false, true],
         );
-        a.install(
-            1,
-            TxnId(1),
-            &s,
-            ProgramShape::Static2pl,
-            false,
-            SimTime::ZERO,
-            0,
-            0,
-        );
+        install(&mut a, 1, 1, &s, SimTime::ZERO, 0);
         assert_eq!(a.lock_plan_at(1, 0), (ObjId(10), false));
         assert_eq!(a.lock_plan_at(1, 1), (ObjId(20), true));
         assert_eq!(a.lock_plan_at(1, 2), (ObjId(30), true));
+        // Write order is read order, not plan order.
+        assert_eq!(a.write_objs(1).collect::<Vec<_>>(), [ObjId(30), ObjId(20)]);
     }
 
     #[test]
     fn lifecycle_matches_old_txn_semantics() {
-        let mut a = TxnArena::new(1, 4);
+        let mut a = TxnArena::new(1, 4, ProgramShape::Dynamic2pl, false);
         let s = spec(2, &[1]);
-        a.install(
-            0,
-            TxnId(7),
-            &s,
-            ProgramShape::Dynamic2pl,
-            false,
-            SimTime::from_secs(1),
-            0,
-            0,
-        );
+        install(&mut a, 0, 7, &s, SimTime::from_secs(1), 0);
         a.push_read_time(0, SimTime::from_secs(2));
         assert_eq!(a.read_times(0), &[SimTime::from_secs(2)]);
+        a.advance(0);
+        assert_eq!(a.step(0), Step::ReadIo(0));
         let rec = a.get_mut(0).unwrap();
-        rec.advance();
-        assert_eq!(rec.step(), Step::ReadIo(0));
         rec.usage.add_cpu(ccsim_des::SimDuration::from_millis(15));
+        rec.publish(SimTime::from_secs(3));
+        assert_eq!(rec.published_at(), Some(SimTime::from_secs(3)));
         rec.bump_epoch();
         rec.begin_attempt(SimTime::from_secs(5));
         assert_eq!(rec.pc, 0);
         assert_eq!(rec.epoch, 1);
         assert_eq!(rec.usage, AttemptUsage::default());
         assert_eq!(rec.attempt_start, SimTime::from_secs(5));
+        assert_eq!(rec.published_at(), None, "publication resets");
         assert_eq!(
             rec.arrival,
             SimTime::from_secs(1),
             "arrival survives restart"
         );
+        assert_eq!(a.step(0), Step::LockRead(0));
         assert_eq!(a.read_times(0), &[], "read times reset with the attempt");
     }
 
     #[test]
     fn reinstall_overwrites_without_leaking_lengths() {
-        let mut a = TxnArena::new(1, 8);
-        a.install(
-            0,
-            TxnId(1),
-            &spec(6, &[0, 1, 2]),
-            ProgramShape::LockFree,
-            false,
-            SimTime::ZERO,
-            0,
-            0,
-        );
+        let mut a = TxnArena::new(1, 8, ProgramShape::LockFree, false);
+        install(&mut a, 0, 1, &spec(6, &[0, 1, 2]), SimTime::ZERO, 0);
         assert_eq!(a.reads(0).len(), 6);
-        assert_eq!(a.write_objs(0).len(), 3);
-        a.install(
-            0,
-            TxnId(2),
-            &spec(2, &[]),
-            ProgramShape::LockFree,
-            false,
-            SimTime::ZERO,
-            1,
-            0,
-        );
+        assert_eq!(a.write_objs(0).count(), 3);
+        install(&mut a, 0, 2, &spec(2, &[]), SimTime::ZERO, 1);
         assert_eq!(a.reads(0).len(), 2);
-        assert_eq!(a.write_objs(0).len(), 0);
+        assert_eq!(a.write_objs(0).count(), 0, "stale write bits survived");
+        assert_eq!(a.num_writes(0), 0);
         assert_eq!(a.get(0).unwrap().epoch, 1);
     }
 
@@ -554,33 +568,23 @@ mod tests {
             ProgramShape::LockFree,
         ] {
             for thinks in [false, true] {
-                let mut a = TxnArena::new(1, 6);
+                let mut a = TxnArena::new(1, 6, shape, thinks);
                 for reads in 1..=6usize {
                     for nw in 0..=reads {
                         let wr: Vec<usize> = (0..nw).collect();
-                        a.install(
-                            0,
-                            TxnId(1),
-                            &spec(reads, &wr),
-                            shape,
-                            thinks,
-                            SimTime::ZERO,
-                            0,
-                            0,
-                        );
-                        let program = a.get(0).unwrap().program;
-                        assert_eq!(a.get(0).unwrap().step(), program.step_at(0));
+                        install(&mut a, 0, 1, &spec(reads, &wr), SimTime::ZERO, 0);
+                        let program = Program::new(shape, thinks, reads, nw);
+                        assert_eq!(a.step(0), program.step_at(0));
                         for pc in 1..program.len() {
                             a.advance(0);
-                            let rec = a.get(0).unwrap();
-                            assert_eq!(rec.pc, pc);
+                            assert_eq!(a.get(0).unwrap().pc as usize, pc);
                             assert_eq!(
-                                rec.step(),
+                                a.step(0),
                                 program.step_at(pc),
                                 "{shape:?} {thinks} {reads} {nw} pc={pc}"
                             );
                         }
-                        assert_eq!(a.get(0).unwrap().step(), Step::Commit);
+                        assert_eq!(a.step(0), Step::Commit);
                     }
                 }
             }
@@ -590,16 +594,41 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds arena region capacity")]
     fn oversized_readset_panics() {
-        let mut a = TxnArena::new(1, 2);
-        a.install(
-            0,
-            TxnId(1),
-            &spec(3, &[]),
-            ProgramShape::LockFree,
-            false,
-            SimTime::ZERO,
-            0,
-            0,
-        );
+        let mut a = TxnArena::new(1, 2, ProgramShape::LockFree, false);
+        install(&mut a, 0, 1, &spec(3, &[]), SimTime::ZERO, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The write mask reproduces the spec's written objects in read
+        /// order, by index and as a whole, for caps whose masks span one
+        /// to three words; a neighbouring terminal's install never leaks
+        /// into them.
+        #[test]
+        fn write_mask_matches_the_spec(
+            cap in 1usize..=130,
+            flags in proptest::collection::vec(any::<bool>(), 130..131),
+            other in proptest::collection::vec(any::<bool>(), 130..131),
+            fill in 0.0f64..=1.0,
+        ) {
+            let n = ((cap as f64 * fill).round() as usize).clamp(1, cap);
+            let objs: Vec<ObjId> = (0..n as u64).map(|v| ObjId(v * 7 + 3)).collect();
+            let s = TxnSpec::new(objs.clone(), flags[..n].to_vec());
+            let neighbour = TxnSpec::new(objs.clone(), other[..n].to_vec());
+            let mut a = TxnArena::new(3, cap, ProgramShape::Dynamic2pl, false);
+            install(&mut a, 1, 1, &s, SimTime::ZERO, 0);
+            install(&mut a, 0, 2, &neighbour, SimTime::ZERO, 0);
+            install(&mut a, 2, 3, &neighbour, SimTime::ZERO, 0);
+            let want: Vec<ObjId> = (0..n).filter(|&i| flags[i]).map(|i| objs[i]).collect();
+            prop_assert_eq!(a.num_writes(1), want.len());
+            prop_assert_eq!(a.write_objs(1).collect::<Vec<_>>(), want.clone());
+            for (j, &obj) in want.iter().enumerate() {
+                prop_assert_eq!(a.write_obj_at(1, j), obj);
+            }
+            let mut built = vec![ObjId(99)];
+            a.write_set_into(1, &mut built);
+            prop_assert_eq!(built, want);
+        }
     }
 }

@@ -45,19 +45,19 @@ impl MetricsConfig {
         }
     }
 
-    /// Total simulated horizon.
+    /// Total simulated horizon (saturating).
     #[must_use]
     pub fn horizon(&self) -> SimDuration {
-        SimDuration::from_micros(
-            self.batch_time.as_micros() * u64::from(self.warmup_batches + self.batches),
-        )
+        let batches = u64::from(self.warmup_batches) + u64::from(self.batches);
+        SimDuration::from_micros(self.batch_time.as_micros().saturating_mul(batches))
     }
 
     /// Validate the settings.
     ///
     /// # Errors
-    /// Returns [`ParamError`] if no batches are measured or the batch time
-    /// is zero.
+    /// Returns [`ParamError`] if no batches are measured, the batch time
+    /// is zero, or the horizon exceeds [`Params::MAX_DURATION`] (which,
+    /// with [`Params::validate`], keeps the run's clock from wrapping).
     pub fn validate(&self) -> Result<(), ParamError> {
         if self.batches == 0 {
             return Err(ParamError("metrics.batches must be positive".into()));
@@ -65,7 +65,8 @@ impl MetricsConfig {
         if self.batch_time.is_zero() {
             return Err(ParamError("metrics.batch_time must be positive".into()));
         }
-        Ok(())
+        Params::check_duration("metrics.batch_time", self.batch_time)?;
+        Params::check_duration("the metrics horizon", self.horizon())
     }
 }
 
@@ -238,6 +239,22 @@ mod tests {
         let mut m = MetricsConfig::quick();
         m.batch_time = SimDuration::ZERO;
         assert!(m.validate().is_err());
+        // Each batch within the duration bound, the horizon over it, even
+        // where the batch count alone would overflow `u32`.
+        let mut m = MetricsConfig::quick();
+        m.batch_time = Params::MAX_DURATION;
+        m.warmup_batches = 0;
+        m.batches = 1;
+        assert!(m.validate().is_ok());
+        m.batches = 2;
+        let err = m.validate().expect_err("horizon over the bound").0;
+        assert!(err.contains("horizon"), "{err}");
+        m.warmup_batches = u32::MAX;
+        m.batches = u32::MAX;
+        assert!(m.validate().is_err());
+        m.batch_time = SimDuration::from_micros(u64::MAX);
+        let err = m.validate().expect_err("batch over the bound").0;
+        assert!(err.contains("batch_time"), "{err}");
     }
 
     #[test]

@@ -168,6 +168,10 @@ pub struct Simulator {
     /// Scratch `(object, observed word)` pairs for TicToc validation; same
     /// reuse discipline.
     tt_scratch: Vec<(ObjId, TtWord)>,
+    /// Scratch write set for the MVCC and TicToc commits, which take it as
+    /// a slice (the arena stores it as a mask over the readset); same
+    /// reuse discipline.
+    ws_scratch: Vec<ObjId>,
     cpus: Option<ServerPool<Payload>>,
     disks: Option<DiskArray<Payload>>,
     inf_cpu_busy_us: u64,
@@ -308,11 +312,17 @@ impl Simulator {
             tictoc: TicTocManager::new(),
             rw_scratch: Vec::new(),
             tt_scratch: Vec::new(),
+            ws_scratch: Vec::new(),
             cpus,
             disks,
             inf_cpu_busy_us: 0,
             inf_io_busy_us: 0,
-            arena: TxnArena::new(num_terms, txn_cap),
+            arena: TxnArena::new(
+                num_terms,
+                txn_cap,
+                cfg.algorithm.program_shape(),
+                !params.int_think_time.is_zero(),
+            ),
             ready: VecDeque::new(),
             active: 0,
             cal: if cfg.two_tier_calendar {
@@ -620,17 +630,7 @@ impl Simulator {
         self.prof.switch(Stage::Variate);
         let (class, spec) = self.generator.next_spec_with_class_reusing(reads, writes);
         self.prof.switch(Stage::Handle);
-        let thinks = !self.cfg.params.int_think_time.is_zero();
-        self.arena.install(
-            term,
-            id,
-            &spec,
-            self.cfg.algorithm.program_shape(),
-            thinks,
-            now,
-            epoch,
-            class,
-        );
+        self.arena.install(term, id, &spec, now, epoch, class);
         let (reads, writes) = spec.into_parts();
         self.scratch_reads = reads;
         self.scratch_writes = writes;
@@ -687,14 +687,16 @@ impl Simulator {
     /// A CPU or I/O service completed for `payload`.
     fn service_done(&mut self, payload: Payload, kind: ServiceKind, now: SimTime) {
         let (term, epoch) = payload;
-        let Some(txn) = self.arena.get_mut(term) else {
+        let Some(txn) = self.arena.get(term) else {
             return;
         };
         if txn.epoch != epoch {
             return; // stale: work done for an aborted attempt stays wasted
         }
+        let step = self.arena.step(term);
+        let txn = self.arena.get_mut(term).expect("live txn");
         let params = &self.cfg.params;
-        match txn.step() {
+        match step {
             Step::PreclaimLock(_) | Step::LockRead(_) | Step::LockWrite(_) | Step::Validate => {
                 // The completed service was the concurrency-control CPU
                 // charge for this step; now perform the actual request.
@@ -765,7 +767,7 @@ impl Simulator {
                 self.work.push_back((term, epoch));
             }
             Step::IntThink | Step::Commit => {
-                unreachable!("no service completes at step {:?}", txn.step())
+                unreachable!("no service completes at step {step:?}")
             }
         }
     }
@@ -798,7 +800,7 @@ impl Simulator {
             let txn = self.arena.get(term).expect("dispatched txn exists");
             debug_assert_eq!(txn.state, TxnState::Running);
             let epoch = txn.epoch;
-            match txn.step() {
+            match self.arena.step(term) {
                 Step::PreclaimLock(k) => {
                     let (obj, write) = self.arena.lock_plan_at(term, k);
                     let mode = if write {
@@ -957,7 +959,6 @@ impl Simulator {
             }
             RequestOutcome::Queued => {
                 txn.state = TxnState::Blocked;
-                txn.blocks += 1;
                 self.metrics.on_block();
                 self.emit(now, TraceEvent::Block(tid, obj));
                 self.resolve_deadlocks(term, now);
@@ -1025,7 +1026,6 @@ impl Simulator {
             }
             RequestOutcome::Queued => {
                 txn.state = TxnState::Blocked;
-                txn.blocks += 1;
                 self.metrics.on_block();
                 self.emit(now, TraceEvent::Block(tid, obj));
                 CcAction::Suspend
@@ -1088,7 +1088,6 @@ impl Simulator {
             }
             RequestOutcome::Queued => {
                 txn.state = TxnState::Blocked;
-                txn.blocks += 1;
                 self.metrics.on_block();
                 self.emit(now, TraceEvent::Block(tid, obj));
                 CcAction::Suspend
@@ -1120,7 +1119,6 @@ impl Simulator {
                 }
                 TsoRead::Wait => {
                     txn.state = TxnState::Blocked;
-                    txn.blocks += 1;
                     self.metrics.on_block();
                     self.emit(now, TraceEvent::Block(tid, obj));
                     CcAction::Suspend
@@ -1160,7 +1158,7 @@ impl Simulator {
             txn.state = TxnState::Running;
             // A TSO wait only ever happens on a read step; report which
             // object the reader resumes on. The re-check may block again.
-            let obj = match txn.step() {
+            let obj = match self.arena.step(term) {
                 Step::LockRead(i) => Some(self.arena.read_at(term, i)),
                 _ => None,
             };
@@ -1205,13 +1203,12 @@ impl Simulator {
             // Borrowing the writeset straight out of the arena (disjoint
             // fields) avoids a per-commit Vec clone on the optimistic hot
             // path.
-            self.validator
-                .commit(now, self.arena.write_objs(term).iter().copied());
+            self.validator.commit(now, self.arena.write_objs(term));
             let txn = self
                 .arena
                 .get_mut(term)
                 .expect("terminal has no active transaction");
-            txn.publish_at = Some(now);
+            txn.publish(now);
             self.arena.advance(term);
             CcAction::Proceed
         }
@@ -1226,10 +1223,11 @@ impl Simulator {
             .expect("terminal has no active transaction");
         let tid = txn.id;
         let start = txn.attempt_start;
-        match self
-            .mvcc
-            .check_and_install(start, now, tid, self.arena.write_objs(term))
-        {
+        let mut writes = std::mem::take(&mut self.ws_scratch);
+        self.arena.write_set_into(term, &mut writes);
+        let outcome = self.mvcc.check_and_install(start, now, tid, &writes);
+        self.ws_scratch = writes;
+        match outcome {
             Err(conflict) => {
                 self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
                 self.abort_and_restart(term, AbortCause::Validation, now);
@@ -1240,7 +1238,7 @@ impl Simulator {
                     .arena
                     .get_mut(term)
                     .expect("terminal has no active transaction");
-                txn.publish_at = Some(now);
+                txn.publish(now);
                 self.arena.advance(term);
                 CcAction::Proceed
             }
@@ -1271,13 +1269,12 @@ impl Simulator {
             self.abort_and_restart(term, AbortCause::Validation, now);
             return CcAction::Suspend;
         }
-        self.silo
-            .commit(now, self.arena.write_objs(term).iter().copied());
+        self.silo.commit(now, self.arena.write_objs(term));
         let txn = self
             .arena
             .get_mut(term)
             .expect("terminal has no active transaction");
-        txn.publish_at = Some(now);
+        txn.publish(now);
         self.arena.advance(term);
         CcAction::Proceed
     }
@@ -1301,10 +1298,11 @@ impl Simulator {
                 .zip(self.arena.read_auxes(term))
                 .map(|((&obj, &wts), &rts)| (obj, TtWord { wts, rts })),
         );
-        let outcome = self
-            .tictoc
-            .validate_and_commit(&scratch, self.arena.write_objs(term));
+        let mut writes = std::mem::take(&mut self.ws_scratch);
+        self.arena.write_set_into(term, &mut writes);
+        let outcome = self.tictoc.validate_and_commit(&scratch, &writes);
         self.tt_scratch = scratch;
+        self.ws_scratch = writes;
         match outcome {
             Err(conflict) => {
                 self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
@@ -1319,7 +1317,7 @@ impl Simulator {
                 // The *logical* commit instant: the history records it so
                 // the serializability check follows TicToc's timestamp
                 // order rather than physical validation order.
-                txn.publish_at = Some(commit_ts);
+                txn.publish(commit_ts);
                 self.arena.advance(term);
                 CcAction::Proceed
             }
@@ -1377,10 +1375,9 @@ impl Simulator {
     fn abort_and_restart(&mut self, term: usize, cause: AbortCause, now: SimTime) {
         let txn = self.arena.get_mut(term).expect("aborting live txn");
         debug_assert!(txn.state.is_active(), "victims are active");
-        txn.restarts += 1;
         txn.bump_epoch();
         let tid = txn.id;
-        let class = txn.class;
+        let class = txn.class as usize;
         self.metrics
             .on_restart(class, cause == AbortCause::Deadlock);
         self.emit(now, TraceEvent::Restart(tid));
@@ -1487,9 +1484,9 @@ impl Simulator {
         let tid = txn.id;
         let response = now.since(txn.arrival);
         let usage = txn.usage;
-        let class = txn.class;
+        let class = txn.class as usize;
         let attempt_start = txn.attempt_start;
-        let publish_at = txn.publish_at;
+        let commit_at = txn.published_at().unwrap_or(now);
         txn.state = TxnState::AtTerminal;
 
         if let Some(history) = self.history.as_mut() {
@@ -1503,8 +1500,8 @@ impl Simulator {
                     .copied()
                     .zip(self.arena.read_times(term).iter().copied())
                     .collect(),
-                writes: self.arena.write_objs(term).to_vec(),
-                commit_at: publish_at.unwrap_or(now),
+                writes: self.arena.write_objs(term).collect(),
+                commit_at,
             });
         }
 
@@ -1513,7 +1510,7 @@ impl Simulator {
             // The versions were installed at validation; announcing them at
             // the commit event gives the auditor a conservation obligation
             // to discharge (every MVCC commit accounts for its writes).
-            let installed = self.arena.write_objs(term).len() as u32;
+            let installed = self.arena.num_writes(term) as u32;
             self.emit(now, TraceEvent::VersionInstalled(tid, installed));
         }
         self.resp_avg.observe(response);
@@ -1577,11 +1574,11 @@ impl Simulator {
                 continue;
             }
             debug_assert_eq!(txn.state, TxnState::Blocked);
+            txn.state = TxnState::Running;
             debug_assert!(matches!(
-                txn.step(),
+                self.arena.step(term),
                 Step::PreclaimLock(_) | Step::LockRead(_) | Step::LockWrite(_)
             ));
-            txn.state = TxnState::Running;
             self.arena.advance(term);
             self.emit(now, TraceEvent::Grant(g.txn, g.obj, g.mode));
             self.enqueue_dispatch(term);
@@ -1727,11 +1724,10 @@ impl Simulator {
 
     /// Past the commit point (validation) — only deferred updates remain.
     fn is_committing(&self, term: usize) -> bool {
-        let txn = self
-            .arena
+        self.arena
             .get(term)
             .expect("terminal has no active transaction");
-        matches!(txn.step(), Step::UpdateIo(_) | Step::Commit)
+        matches!(self.arena.step(term), Step::UpdateIo(_) | Step::Commit)
     }
 }
 
@@ -1804,6 +1800,13 @@ mod tests {
         // grows every pending calendar node, which at 10^6 pending events
         // is tens of MiB of resident memory.
         assert_eq!(std::mem::size_of::<Event>(), 16);
+    }
+
+    #[test]
+    fn txn_record_is_80_bytes() {
+        // One record per terminal: at 10^6 terminals every byte here is a
+        // MB of resident memory (the lock table pins its own layouts).
+        assert_eq!(std::mem::size_of::<crate::arena::TxnRec>(), 80);
     }
 
     #[test]

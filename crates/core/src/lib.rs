@@ -44,7 +44,6 @@ mod trace;
 mod txn;
 
 pub use algorithm::{CcAlgorithm, VictimPolicy};
-pub use arena::{TxnArena, TxnRec};
 pub use budget::{BudgetKind, RunBudget, RunError};
 pub use config::{MetricsConfig, SimConfig};
 pub use engine::{run, PerfStats, RunOutcome, Simulator};

@@ -47,7 +47,7 @@ use ccsim_core::{
     check_conflict_serializable, run, CcAlgorithm, Confidence, MetricsConfig, Params, PerfStats,
     Report, ResourceSpec, RunBudget, RunError, SimConfig, Simulator, STAGE_PROFILER_COMPILED,
 };
-use ccsim_des::{derive_seed, SimDuration};
+use ccsim_des::{derive_seed, SimDuration, MICROS_PER_SEC};
 use ccsim_experiments::{aggregate_reports, write_atomic};
 use ccsim_stats::Replications;
 
@@ -107,11 +107,11 @@ fn parse() -> Result<Cli, String> {
             "--infinite" => infinite = true,
             "--ext-think" => {
                 params.ext_think_time =
-                    SimDuration::from_secs_f64(parse_num(&next_val(&mut args, "--ext-think")?)?);
+                    parse_secs("--ext-think", &next_val(&mut args, "--ext-think")?)?;
             }
             "--int-think" => {
                 params.int_think_time =
-                    SimDuration::from_secs_f64(parse_num(&next_val(&mut args, "--int-think")?)?);
+                    parse_secs("--int-think", &next_val(&mut args, "--int-think")?)?;
             }
             "--seed" => seed = parse_num(&next_val(&mut args, "--seed")?)?,
             "--reps" => {
@@ -125,8 +125,13 @@ fn parse() -> Result<Cli, String> {
                 metrics.warmup_batches = parse_num(&next_val(&mut args, "--warmup")?)?;
             }
             "--batch-secs" => {
-                metrics.batch_time =
-                    SimDuration::from_secs(parse_num(&next_val(&mut args, "--batch-secs")?)?);
+                let v = next_val(&mut args, "--batch-secs")?;
+                let secs: u64 = parse_num(&v)?;
+                metrics.batch_time = secs
+                    .checked_mul(MICROS_PER_SEC)
+                    .map(SimDuration::from_micros)
+                    .filter(|&d| d <= Params::MAX_DURATION)
+                    .ok_or_else(|| out_of_range("--batch-secs", &v))?;
             }
             "--max-events" => {
                 let cap: u64 = parse_num(&next_val(&mut args, "--max-events")?)?;
@@ -183,6 +188,24 @@ fn parse() -> Result<Cli, String> {
         reps,
         out,
     })
+}
+
+/// Parse `v`, the value of `flag`, as a duration in seconds: finite, not
+/// negative, and within [`Params::MAX_DURATION`] (so the run's clock
+/// cannot wrap).
+fn parse_secs(flag: &str, v: &str) -> Result<SimDuration, String> {
+    let secs: f64 = parse_num(v)?;
+    if !(0.0..=Params::MAX_DURATION.as_secs_f64()).contains(&secs) {
+        return Err(out_of_range(flag, v));
+    }
+    Ok(SimDuration::from_secs_f64(secs))
+}
+
+fn out_of_range(flag: &str, v: &str) -> String {
+    format!(
+        "{flag} takes seconds from 0 to {}, not {v:?}",
+        Params::MAX_DURATION.as_secs_f64()
+    )
 }
 
 fn parse_num<T: std::str::FromStr>(v: &str) -> Result<T, String>

@@ -82,3 +82,50 @@ fn finished_runs_print_the_lines_their_mode_asks_for() {
     assert!(both.contains("invariant audit  clean"), "{both}");
     assert!(both.contains("serializability  OK"), "{both}");
 }
+
+/// Duration inputs that would wrap the simulated clock (or silently become
+/// zero) are rejected up front: exit 2, the offending flag named, no
+/// panic and no report.
+#[test]
+fn out_of_range_durations_are_rejected_by_flag() {
+    let cases: [&[&str]; 9] = [
+        &["--int-think", "1e300"],
+        &["--ext-think", "1e300"],
+        &["--ext-think", "nan"],
+        &["--ext-think", "inf"],
+        &["--ext-think", "-1"],
+        &["--int-think", "-inf"],
+        &["--batch-secs", "18446744073709551615"],
+        // Fits the clock's microseconds, but over the duration bound.
+        &["--batch-secs", "281474977"],
+        &["--ext-think", "281474977"],
+    ];
+    for args in cases {
+        let out = simulate(&[&["--quick", "--batches", "1"], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(args[0]),
+            "{args:?}: stderr does not name the flag:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: printed a report");
+    }
+}
+
+/// A horizon over the duration bound is a configuration error too, even
+/// when each batch is within it.
+#[test]
+fn horizon_over_the_duration_bound_is_rejected() {
+    let out = simulate(&[
+        "--batch-secs",
+        "200000000",
+        "--batches",
+        "2",
+        "--warmup",
+        "0",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("horizon"), "{stderr}");
+}

@@ -20,5 +20,4 @@
 mod graph;
 mod manager;
 
-pub use graph::find_cycle_through;
 pub use manager::{Grant, LockManager, LockMode, RequestOutcome};

@@ -18,35 +18,47 @@
 //! The table is *sparse*: it holds state only for objects that currently
 //! have a holder or a waiter, so memory scales with the number of locks in
 //! flight (at most `mpl × tran_size`), not with `db_size`. That is what
-//! makes `db_size = 10^8` runs practical — a dense `Vec<Entry>` indexed by
+//! makes `db_size = 10^8` runs practical — a dense table indexed by
 //! [`ObjId`] would cost gigabytes while a run touches a vanishing fraction
-//! of the database. Concretely:
+//! of the database. Each fact is stored once:
 //!
-//! * `entries` is a pool of [`Entry`] slots; `index` is an open-addressed
-//!   hash map (`ObjId → slot`, Fibonacci hashing, backward-shift deletion)
-//!   over that pool.
-//! * When a release or queue cancellation empties an entry (no holders, no
-//!   waiters), its slot is pushed onto a free list and the index entry is
-//!   removed; the next lock on *any* object pops the slot and reuses its
-//!   `holders`/`queue` allocations. Steady-state locking is therefore
-//!   allocation-free, exactly as the dense layout was.
-//! * Invariant: an indexed entry is never empty, and every pool slot is
-//!   either indexed or on the free list ([`LockManager::assert_consistent`]
-//!   checks both, plus exact `held_count` occupancy accounting — the
-//!   `peak_locks_in_table` statistic is unchanged by the sparse layout).
+//! * `entries` is a pool of 32-byte [`Entry`] slots; `index` is an
+//!   open-addressed hash map (`ObjId → slot`, Fibonacci hashing,
+//!   backward-shift deletion) over that pool. An entry keeps its object id
+//!   and its first holder inline, which is all most locked objects ever
+//!   need.
+//! * Further holders and the wait queue live in a [`Side`] allocation,
+//!   taken from `sides` only when an object becomes shared or contended.
+//!   When a release or queue cancellation empties an entry (no holders, no
+//!   waiters), its slot goes onto `free` and its side (if any) onto
+//!   `free_sides`, each keeping its allocations; the next lock on *any*
+//!   object reuses them. Steady-state locking is therefore
+//!   allocation-free, and an object with one holder and no waiter costs
+//!   no heap allocation at all.
+//! * Each transaction's held locks form a singly linked list threaded
+//!   through the holder records in acquisition order: a holder's `next` is
+//!   the entry slot of the same transaction's next lock. Release walks the
+//!   list entry by entry with no hash probe until an emptied entry leaves
+//!   the index.
+//! * Invariant: an indexed entry is never empty, and every pool slot (and
+//!   every side) is either in use or on its free list
+//!   ([`LockManager::assert_consistent`] checks both, every held list, and
+//!   exact `held_count` occupancy accounting).
 //!
-//! Per-transaction state (held objects, outstanding request) lives in a
-//! slot array indexed by `TxnId % nslots`; the engine derives transaction
-//! ids as `serial * num_terms + terminal`, so sizing the slot array to the
+//! Per-transaction state (held-list ends and count, the entry slot of the
+//! outstanding request) is a 24-byte [`TxnSlot`] in an array indexed by
+//! `TxnId % nslots`; the engine derives transaction ids as
+//! `serial * num_terms + terminal`, so sizing the slot array to the
 //! terminal count makes the mapping collision-free. Standalone users get a
 //! default slot count that doubles transparently whenever two live
 //! transactions would collide.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use ccsim_workload::{ObjId, ObjMap, TxnId};
 
-use crate::graph::find_cycle_through;
+use crate::graph::{find_cycle_through, DfsScratch};
 
 /// Lock modes. Reads share; writes exclude everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +101,20 @@ pub struct Grant {
     pub mode: LockMode,
 }
 
-#[derive(Debug, Clone)]
+/// Absent entry slot, side or held-list link.
+const NONE: u32 = u32::MAX;
+
+/// One transaction's lock on one object, and its link to the same
+/// transaction's next lock.
+#[derive(Debug, Clone, Copy)]
+struct Holder {
+    txn: TxnId,
+    /// Entry slot of `txn`'s next lock in acquisition order, or [`NONE`].
+    next: u32,
+    mode: LockMode,
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Waiter {
     txn: TxnId,
     mode: LockMode,
@@ -98,28 +123,61 @@ struct Waiter {
     is_upgrade: bool,
 }
 
+/// Holders after the first, plus the wait queue, of a shared or contended
+/// object.
 #[derive(Debug, Default)]
-struct Entry {
-    holders: Vec<(TxnId, LockMode)>,
+struct Side {
+    holders: Vec<Holder>,
     queue: VecDeque<Waiter>,
 }
 
-impl Entry {
-    fn holder_mode(&self, txn: TxnId) -> Option<LockMode> {
-        self.holders
-            .iter()
-            .find(|(t, _)| *t == txn)
-            .map(|&(_, m)| m)
+/// An object's lock state. The holder order is `first` then
+/// `sides[side].holders`; `first` is `None` only while the entry has no
+/// holder at all.
+#[derive(Debug)]
+struct Entry {
+    obj: ObjId,
+    first: Option<Holder>,
+    /// Index into `sides`, or [`NONE`].
+    side: u32,
+}
+
+/// The wait queue of an object without a side.
+static NO_WAITERS: VecDeque<Waiter> = VecDeque::new();
+
+/// Read-only view of an entry together with its side.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    entry: &'a Entry,
+    side: Option<&'a Side>,
+}
+
+impl<'a> View<'a> {
+    fn holders(self) -> impl Iterator<Item = &'a Holder> {
+        let rest = self.side.map_or(&[][..], |s| &s.holders[..]);
+        self.entry.first.iter().chain(rest)
     }
 
-    fn is_sole_holder(&self, txn: TxnId) -> bool {
-        self.holders.len() == 1 && self.holders[0].0 == txn
+    fn queue(self) -> &'a VecDeque<Waiter> {
+        self.side.map_or(&NO_WAITERS, |s| &s.queue)
     }
 
-    fn compatible_for(&self, txn: TxnId, mode: LockMode) -> bool {
-        self.holders
-            .iter()
-            .all(|&(t, m)| t == txn || m.compatible_with(mode))
+    fn is_empty(self) -> bool {
+        self.entry.first.is_none() && self.queue().is_empty()
+    }
+
+    fn holder_mode(self, txn: TxnId) -> Option<LockMode> {
+        self.holders().find(|h| h.txn == txn).map(|h| h.mode)
+    }
+
+    fn is_sole_holder(self, txn: TxnId) -> bool {
+        self.entry.first.is_some_and(|h| h.txn == txn)
+            && self.side.is_none_or(|s| s.holders.is_empty())
+    }
+
+    fn compatible_for(self, txn: TxnId, mode: LockMode) -> bool {
+        self.holders()
+            .all(|h| h.txn == txn || h.mode.compatible_with(mode))
     }
 }
 
@@ -128,26 +186,31 @@ impl Entry {
 /// A slot is *vacant* (reusable by any transaction hashing to it) once its
 /// occupant neither holds locks nor waits; `tid` then only records the last
 /// occupant and carries no meaning.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct TxnSlot {
     tid: TxnId,
-    /// Objects on which the occupant holds a lock, in acquisition order.
-    held: Vec<ObjId>,
-    /// The occupant's single outstanding blocked request, if any.
-    waiting: Option<ObjId>,
+    /// Entry slots of the first and last held locks (the held list's ends),
+    /// or [`NONE`].
+    head: u32,
+    tail: u32,
+    /// Length of the held list.
+    held: u32,
+    /// Entry slot of the occupant's single outstanding blocked request, or
+    /// [`NONE`].
+    waiting: u32,
 }
 
 impl TxnSlot {
-    fn new() -> Self {
-        TxnSlot {
-            tid: TxnId(0),
-            held: Vec::new(),
-            waiting: None,
-        }
-    }
+    const VACANT: TxnSlot = TxnSlot {
+        tid: TxnId(0),
+        head: NONE,
+        tail: NONE,
+        held: 0,
+        waiting: NONE,
+    };
 
     fn is_vacant(&self) -> bool {
-        self.held.is_empty() && self.waiting.is_none()
+        self.held == 0 && self.waiting == NONE
     }
 }
 
@@ -160,16 +223,23 @@ const DEFAULT_TXN_SLOTS: usize = 64;
 #[derive(Debug)]
 pub struct LockManager {
     /// Pool of entry slots; live ones are reachable through `index`,
-    /// retired ones through `free`. Retired slots keep their
-    /// `holders`/`queue` allocations for reuse.
+    /// retired ones through `free`.
     entries: Vec<Entry>,
     /// Sparse `ObjId → entries` slot map: present iff the object currently
     /// has at least one holder or waiter.
     index: ObjMap<u32>,
     /// Retired entry slots available for reuse (LIFO).
     free: Vec<u32>,
+    /// Side allocations of shared or contended entries; retired ones keep
+    /// their `holders`/`queue` capacity for reuse.
+    sides: Vec<Side>,
+    /// Retired sides available for reuse (LIFO).
+    free_sides: Vec<u32>,
     /// Per-transaction state, indexed by `TxnId % txns.len()`.
     txns: Vec<TxnSlot>,
+    /// Deadlock-search buffers, reused by every probe. Behind a `RefCell`
+    /// because a probe only reads the table (`find_deadlock(&self)`).
+    dfs: RefCell<DfsScratch>,
     /// Total `(txn, obj)` holder pairs in the table (current occupancy).
     held_count: usize,
     /// High-water mark of `held_count` over the manager's lifetime.
@@ -205,14 +275,14 @@ impl LockManager {
     pub fn with_capacity(db_size: usize, txn_slots: usize) -> Self {
         // Pre-size for modest small-regime runs; big runs grow on demand.
         let hint = db_size.min(1024);
-        let nslots = txn_slots.max(1);
-        let mut txns = Vec::with_capacity(nslots);
-        txns.resize_with(nslots, TxnSlot::new);
         LockManager {
             entries: Vec::with_capacity(hint),
             index: ObjMap::with_capacity(hint),
             free: Vec::new(),
-            txns,
+            sides: Vec::new(),
+            free_sides: Vec::new(),
+            txns: vec![TxnSlot::VACANT; txn_slots.max(1)],
+            dfs: RefCell::default(),
             held_count: 0,
             peak_held: 0,
             grants: 0,
@@ -240,14 +310,21 @@ impl LockManager {
             return i as usize;
         }
         let i = match self.free.pop() {
-            Some(i) => i as usize,
+            Some(i) => {
+                self.entries[i as usize].obj = obj;
+                i as usize
+            }
             None => {
                 let i = self.entries.len();
                 assert!(
-                    i <= u32::MAX as usize,
-                    "more than 2^32 concurrently locked objects"
+                    i < NONE as usize,
+                    "more than 2^32 - 1 concurrently locked objects"
                 );
-                self.entries.push(Entry::default());
+                self.entries.push(Entry {
+                    obj,
+                    first: None,
+                    side: NONE,
+                });
                 i
             }
         };
@@ -255,24 +332,122 @@ impl LockManager {
         i
     }
 
-    /// The live entry for `obj`, if it has any lock state.
+    /// Entry slot `i` with its side.
     #[inline]
-    fn entry_of(&self, obj: ObjId) -> Option<&Entry> {
-        self.index.get(obj).map(|i| &self.entries[i as usize])
+    fn view(&self, i: usize) -> View<'_> {
+        let entry = &self.entries[i];
+        let side = (entry.side != NONE).then(|| &self.sides[entry.side as usize]);
+        View { entry, side }
     }
 
-    /// Retire entry slot `i` (known empty) back to the free list so its
-    /// allocations are reused by the next locked object.
-    fn retire(&mut self, obj: ObjId, i: usize) {
-        debug_assert!(self.entries[i].holders.is_empty() && self.entries[i].queue.is_empty());
-        let removed = self.index.remove(obj);
+    /// The live entry for `obj`, if it has any lock state.
+    #[inline]
+    fn view_of(&self, obj: ObjId) -> Option<View<'_>> {
+        self.index.get(obj).map(|i| self.view(i as usize))
+    }
+
+    /// The side of entry slot `i`, taking one (recycled if possible) when
+    /// the entry has none yet.
+    fn side_mut(&mut self, i: usize) -> &mut Side {
+        if self.entries[i].side == NONE {
+            let s = match self.free_sides.pop() {
+                Some(s) => s,
+                None => {
+                    self.sides.push(Side::default());
+                    (self.sides.len() - 1) as u32
+                }
+            };
+            self.entries[i].side = s;
+        }
+        &mut self.sides[self.entries[i].side as usize]
+    }
+
+    /// Retire entry slot `i` if it is empty: its index entry goes, and the
+    /// slot and its side return to their free lists with their allocations.
+    fn retire_if_empty(&mut self, i: usize) {
+        if !self.view(i).is_empty() {
+            return;
+        }
+        let entry = &mut self.entries[i];
+        let removed = self.index.remove(entry.obj);
         debug_assert_eq!(removed, Some(i as u32));
+        if entry.side != NONE {
+            self.free_sides
+                .push(std::mem::replace(&mut entry.side, NONE));
+        }
         self.free.push(i as u32);
+    }
+
+    /// Add `holder` (with no successor yet) as the last holder of entry `i`.
+    fn push_holder(&mut self, i: usize, txn: TxnId, mode: LockMode) {
+        let holder = Holder {
+            txn,
+            next: NONE,
+            mode,
+        };
+        if self.entries[i].first.is_none() {
+            self.entries[i].first = Some(holder);
+        } else {
+            self.side_mut(i).holders.push(holder);
+        }
+        self.held_count += 1;
+    }
+
+    /// Remove `txn`'s holder record from entry `i`, keeping the order of
+    /// the rest; returns the record's held-list link.
+    fn remove_holder(&mut self, i: usize, txn: TxnId) -> u32 {
+        let entry = &mut self.entries[i];
+        let first = entry.first.expect("held entry has a holder");
+        let side = (entry.side != NONE).then(|| &mut self.sides[entry.side as usize]);
+        self.held_count -= 1;
+        if first.txn == txn {
+            entry.first = side.and_then(|s| (!s.holders.is_empty()).then(|| s.holders.remove(0)));
+            return first.next;
+        }
+        let holders = &mut side.expect("a second holder lives in the side").holders;
+        let pos = holders
+            .iter()
+            .position(|h| h.txn == txn)
+            .expect("held entry lists the holder");
+        holders.remove(pos).next
+    }
+
+    /// `txn`'s holder record in entry `i`.
+    fn holder_mut(&mut self, i: usize, txn: TxnId) -> &mut Holder {
+        let entry = &mut self.entries[i];
+        match &mut entry.first {
+            Some(h) if h.txn == txn => h,
+            _ => self.sides[entry.side as usize]
+                .holders
+                .iter_mut()
+                .find(|h| h.txn == txn)
+                .expect("held entry lists the holder"),
+        }
+    }
+
+    /// Append entry `i` to the held list of the transaction in slot `si`
+    /// (whose holder record in `i` was just pushed).
+    fn link_held(&mut self, si: usize, i: usize) {
+        let slot = &mut self.txns[si];
+        let (txn, tail) = (slot.tid, slot.tail);
+        slot.tail = i as u32;
+        slot.held += 1;
+        if tail == NONE {
+            slot.head = i as u32;
+        } else {
+            self.holder_mut(tail as usize, txn).next = i as u32;
+        }
+    }
+
+    /// Slot index of `tid` (where it lives if it is live).
+    #[inline]
+    fn slot_index(&self, tid: TxnId) -> usize {
+        (tid.0 % self.txns.len() as u64) as usize
     }
 
     /// The slot currently occupied by `tid`, if it is live.
     fn slot_of(&self, tid: TxnId) -> Option<usize> {
-        let i = (tid.0 % self.txns.len() as u64) as usize;
+        let i = self.slot_index(tid);
         let s = &self.txns[i];
         (s.tid == tid && !s.is_vacant()).then_some(i)
     }
@@ -281,7 +456,7 @@ impl LockManager {
     /// transaction occupies it.
     fn claim_slot(&mut self, tid: TxnId) -> usize {
         loop {
-            let i = (tid.0 % self.txns.len() as u64) as usize;
+            let i = self.slot_index(tid);
             let s = &mut self.txns[i];
             if s.tid == tid || s.is_vacant() {
                 s.tid = tid;
@@ -292,12 +467,15 @@ impl LockManager {
     }
 
     /// Double the slot-array modulus until every live transaction maps to a
-    /// distinct slot, then re-place them.
+    /// distinct slot, then re-place them. Held lists are threaded through
+    /// entry slots, so moving a transaction's slot moves nothing else.
     fn grow_slots(&mut self) {
         let old_len = self.txns.len();
-        let live: Vec<TxnSlot> = std::mem::take(&mut self.txns)
-            .into_iter()
+        let live: Vec<TxnSlot> = self
+            .txns
+            .iter()
             .filter(|s| !s.is_vacant())
+            .copied()
             .collect();
         let mut n = old_len.max(live.len()).max(1);
         loop {
@@ -312,13 +490,11 @@ impl LockManager {
                 break;
             }
         }
-        let mut txns = Vec::with_capacity(n);
-        txns.resize_with(n, TxnSlot::new);
+        self.txns = vec![TxnSlot::VACANT; n];
         for s in live {
             let i = (s.tid.0 % n as u64) as usize;
-            txns[i] = s;
+            self.txns[i] = s;
         }
-        self.txns = txns;
     }
 
     /// Request `mode` on `obj` for `txn`, queueing on conflict (the
@@ -352,7 +528,8 @@ impl LockManager {
             "{txn} already has an outstanding lock request"
         );
         let oi = self.ensure_obj(obj);
-        match self.entries[oi].holder_mode(txn) {
+        let view = self.view(oi);
+        match view.holder_mode(txn) {
             Some(LockMode::Write) => {
                 // Write covers both modes; re-request is a no-op.
                 self.grants += 1;
@@ -364,15 +541,15 @@ impl LockManager {
             }
             Some(LockMode::Read) => {
                 // Upgrade read -> write.
-                if self.entries[oi].is_sole_holder(txn) {
-                    self.entries[oi].holders[0].1 = LockMode::Write;
+                if view.is_sole_holder(txn) {
+                    self.entries[oi].first.as_mut().expect("sole holder").mode = LockMode::Write;
                     self.grants += 1;
                     RequestOutcome::Granted
                 } else if may_queue {
                     let si = self.claim_slot(txn);
-                    let entry = &mut self.entries[oi];
-                    let pos = entry.queue.iter().take_while(|w| w.is_upgrade).count();
-                    entry.queue.insert(
+                    let queue = &mut self.side_mut(oi).queue;
+                    let pos = queue.iter().take_while(|w| w.is_upgrade).count();
+                    queue.insert(
                         pos,
                         Waiter {
                             txn,
@@ -380,7 +557,7 @@ impl LockManager {
                             is_upgrade: true,
                         },
                     );
-                    self.txns[si].waiting = Some(obj);
+                    self.txns[si].waiting = oi as u32;
                     self.blocks += 1;
                     RequestOutcome::Queued
                 } else {
@@ -389,24 +566,23 @@ impl LockManager {
                 }
             }
             None => {
-                if self.entries[oi].queue.is_empty() && self.entries[oi].compatible_for(txn, mode) {
+                if view.queue().is_empty() && view.compatible_for(txn, mode) {
                     let si = self.claim_slot(txn);
-                    self.entries[oi].holders.push((txn, mode));
-                    self.held_count += 1;
+                    self.push_holder(oi, txn, mode);
+                    self.link_held(si, oi);
                     if self.held_count > self.peak_held {
                         self.peak_held = self.held_count;
                     }
-                    self.txns[si].held.push(obj);
                     self.grants += 1;
                     RequestOutcome::Granted
                 } else if may_queue {
                     let si = self.claim_slot(txn);
-                    self.entries[oi].queue.push_back(Waiter {
+                    self.side_mut(oi).queue.push_back(Waiter {
                         txn,
                         mode,
                         is_upgrade: false,
                     });
-                    self.txns[si].waiting = Some(obj);
+                    self.txns[si].waiting = oi as u32;
                     self.blocks += 1;
                     RequestOutcome::Queued
                 } else {
@@ -430,64 +606,40 @@ impl LockManager {
     /// grants are appended to `grants` (existing contents are untouched),
     /// letting the caller reuse one buffer across calls.
     pub fn release_all_into(&mut self, txn: TxnId, grants: &mut Vec<Grant>) {
-        let start = grants.len();
         let Some(si) = self.slot_of(txn) else {
             return; // unknown or already-finished transaction: no-op
         };
         // Cancel an outstanding queued request.
-        if let Some(obj) = self.txns[si].waiting.take() {
-            let ei = self
-                .index
-                .get(obj)
-                .expect("waited-on object has lock state") as usize;
-            let entry = &mut self.entries[ei];
-            entry.queue.retain(|w| w.txn != txn);
+        let waiting = std::mem::replace(&mut self.txns[si].waiting, NONE);
+        if waiting != NONE {
+            let ei = waiting as usize;
+            let side = self.entries[ei].side as usize;
+            self.sides[side].queue.retain(|w| w.txn != txn);
             // Removing a waiter can unblock those behind it (e.g. a
             // queued upgrade vanishing lets queued readers through).
-            let from = grants.len();
-            Self::drain_queue(entry, grants, &mut self.held_count);
-            let emptied = entry.holders.is_empty() && entry.queue.is_empty();
-            Self::patch_grants(obj, grants, from);
-            if emptied {
-                self.retire(obj, ei);
-            }
+            self.drain_queue(ei, grants);
+            self.retire_if_empty(ei);
         }
-        // Release held locks, in acquisition order. The held list is moved
-        // out and handed back so its allocation survives with the slot.
-        // While releasing lock k the index line for lock k+1 is prefetched:
-        // at 10^6-terminal scale the sparse index outgrows cache and every
-        // probe would otherwise start with a cold miss.
-        let mut held = std::mem::take(&mut self.txns[si].held);
-        for k in 0..held.len() {
-            let obj = held[k];
-            if let Some(&next) = held.get(k + 1) {
-                self.index.prefetch(next);
+        // Release held locks, in acquisition order, following the held
+        // list. While releasing lock k the index line for lock k+1 is
+        // prefetched: at 10^6-terminal scale the sparse index outgrows
+        // cache, and retiring the emptied entry probes it.
+        let slot = std::mem::replace(
+            &mut self.txns[si],
+            TxnSlot {
+                tid: txn,
+                ..TxnSlot::VACANT
+            },
+        );
+        let mut ei = slot.head;
+        while ei != NONE {
+            let next = self.remove_holder(ei as usize, txn);
+            if next != NONE {
+                self.index.prefetch(self.entries[next as usize].obj);
             }
-            let ei = self.index.get(obj).expect("held object has lock state") as usize;
-            let entry = &mut self.entries[ei];
-            let before = entry.holders.len();
-            entry.holders.retain(|(t, _)| *t != txn);
-            self.held_count -= before - entry.holders.len();
-            let from = grants.len();
-            Self::drain_queue(entry, grants, &mut self.held_count);
-            let emptied = entry.holders.is_empty() && entry.queue.is_empty();
-            Self::patch_grants(obj, grants, from);
-            if emptied {
-                self.retire(obj, ei);
-            }
-        }
-        held.clear();
-        self.txns[si].held = held;
-        // Index the new grants (an upgrade grant's object is already in the
-        // holder's held list).
-        for &g in &grants[start..] {
-            let gsi = self.claim_slot(g.txn);
-            let slot = &mut self.txns[gsi];
-            slot.waiting = None;
-            if !slot.held.contains(&g.obj) {
-                slot.held.push(g.obj);
-            }
-            self.grants += 1;
+            self.drain_queue(ei as usize, grants);
+            self.retire_if_empty(ei as usize);
+            ei = next;
         }
         // Draining can promote several queued readers in place of one
         // writer, so occupancy may exceed the pre-release peak.
@@ -496,34 +648,39 @@ impl LockManager {
         }
     }
 
-    /// Grant queued requests that have become compatible, FCFS.
-    fn drain_queue(entry: &mut Entry, grants: &mut Vec<Grant>, held_count: &mut usize) {
-        while let Some(head) = entry.queue.front() {
-            if head.is_upgrade {
-                if entry.is_sole_holder(head.txn) {
-                    let txn = head.txn;
-                    entry.holders[0].1 = LockMode::Write;
-                    entry.queue.pop_front();
-                    grants.push(Grant {
-                        txn,
-                        obj: ObjId(0), // patched below
-                        mode: LockMode::Write,
-                    });
-                } else {
-                    break;
-                }
-            } else if entry.compatible_for(head.txn, head.mode) {
-                let w = entry.queue.pop_front().expect("front exists");
-                entry.holders.push((w.txn, w.mode));
-                *held_count += 1;
-                grants.push(Grant {
-                    txn: w.txn,
-                    obj: ObjId(0), // patched below
-                    mode: w.mode,
-                });
+    /// Grant entry `i`'s queued requests that have become compatible, FCFS,
+    /// appending them to `grants` and to the grantees' held lists (an
+    /// upgrade's object is already on its holder's list).
+    fn drain_queue(&mut self, i: usize, grants: &mut Vec<Grant>) {
+        loop {
+            let view = self.view(i);
+            let Some(&head) = view.queue().front() else {
+                return;
+            };
+            let upgrade = head.is_upgrade;
+            let grantable = if upgrade {
+                view.is_sole_holder(head.txn)
             } else {
-                break;
+                view.compatible_for(head.txn, head.mode)
+            };
+            if !grantable {
+                return;
             }
+            self.side_mut(i).queue.pop_front();
+            let si = self.claim_slot(head.txn);
+            self.txns[si].waiting = NONE;
+            if upgrade {
+                self.entries[i].first.as_mut().expect("sole holder").mode = LockMode::Write;
+            } else {
+                self.push_holder(i, head.txn, head.mode);
+                self.link_held(si, i);
+            }
+            grants.push(Grant {
+                txn: head.txn,
+                obj: self.entries[i].obj,
+                mode: head.mode,
+            });
+            self.grants += 1;
         }
     }
 
@@ -534,29 +691,40 @@ impl LockManager {
     /// conflicts with the waiter's requested mode and (b) every waiter
     /// *ahead* of it in the queue with a conflicting mode — FCFS queueing
     /// means those will be granted first, so they are genuine waits.
+    ///
+    /// The search reuses buffers kept in the manager and marks visited
+    /// transactions by slot, so a probe allocates only the cycle it
+    /// returns.
     #[must_use]
     pub fn find_deadlock(&self, txn: TxnId) -> Option<Vec<TxnId>> {
         self.waiting_on(txn)?;
-        find_cycle_through(txn, |t, out| self.waits_for_into(t, out))
+        let mut scratch = self.dfs.borrow_mut();
+        find_cycle_through(
+            txn,
+            &mut scratch,
+            self.txns.len(),
+            |t| self.slot_index(t),
+            |t, out| self.waits_for_into(t, out),
+        )
     }
 
     fn waits_for_into(&self, txn: TxnId, out: &mut Vec<TxnId>) {
-        let Some(obj) = self.waiting_on(txn) else {
+        let s = &self.txns[self.slot_index(txn)];
+        if s.tid != txn || s.waiting == NONE {
+            return;
+        }
+        let view = self.view(s.waiting as usize);
+        let queue = view.queue();
+        let Some(me_pos) = queue.iter().position(|w| w.txn == txn) else {
             return;
         };
-        let Some(entry) = self.entry_of(obj) else {
-            return;
-        };
-        let Some(me_pos) = entry.queue.iter().position(|w| w.txn == txn) else {
-            return;
-        };
-        let my_mode = entry.queue[me_pos].mode;
-        for &(holder, hmode) in &entry.holders {
-            if holder != txn && !(hmode.compatible_with(my_mode)) {
-                out.push(holder);
+        let my_mode = queue[me_pos].mode;
+        for h in view.holders() {
+            if h.txn != txn && !(h.mode.compatible_with(my_mode)) {
+                out.push(h.txn);
             }
         }
-        for ahead in entry.queue.iter().take(me_pos) {
+        for ahead in queue.iter().take(me_pos) {
             if ahead.txn != txn
                 && !(ahead.mode.compatible_with(my_mode) && my_mode.compatible_with(ahead.mode))
             {
@@ -581,22 +749,23 @@ impl LockManager {
     /// Allocation-free form of [`LockManager::blockers`]: blockers are
     /// appended to `out` (existing contents are untouched).
     pub fn blockers_into(&self, txn: TxnId, obj: ObjId, mode: LockMode, out: &mut Vec<TxnId>) {
-        let Some(entry) = self.entry_of(obj) else {
+        let Some(view) = self.view_of(obj) else {
             return;
         };
-        match entry.holder_mode(txn) {
+        let queue = view.queue();
+        match view.holder_mode(txn) {
             Some(LockMode::Write) => {}
             Some(LockMode::Read) if mode == LockMode::Read => {}
             Some(LockMode::Read) => {
                 // Upgrade: waits for every other holder.
-                for &(t, _) in &entry.holders {
-                    if t != txn {
-                        out.push(t);
+                for h in view.holders() {
+                    if h.txn != txn {
+                        out.push(h.txn);
                     }
                 }
                 // Upgrades queue ahead of plain waiters but behind earlier
                 // upgrades, which necessarily conflict (both want Write).
-                for w in entry.queue.iter().take_while(|w| w.is_upgrade) {
+                for w in queue.iter().take_while(|w| w.is_upgrade) {
                     if w.txn != txn {
                         out.push(w.txn);
                     }
@@ -604,12 +773,12 @@ impl LockManager {
             }
             None => {
                 let before = out.len();
-                for &(t, m) in &entry.holders {
-                    if t != txn && !m.compatible_with(mode) {
-                        out.push(t);
+                for h in view.holders() {
+                    if h.txn != txn && !h.mode.compatible_with(mode) {
+                        out.push(h.txn);
                     }
                 }
-                for w in &entry.queue {
+                for w in queue {
                     if w.txn != txn
                         && !(w.mode.compatible_with(mode) && mode.compatible_with(w.mode))
                     {
@@ -619,8 +788,8 @@ impl LockManager {
                 // Even a compatible request must queue behind any waiter
                 // (no overtaking); if the queue is non-empty the request
                 // waits for at least the queue head.
-                if out.len() == before && !entry.queue.is_empty() {
-                    out.push(entry.queue[0].txn);
+                if out.len() == before && !queue.is_empty() {
+                    out.push(queue[0].txn);
                 }
             }
         }
@@ -629,25 +798,20 @@ impl LockManager {
     /// The mode `txn` holds on `obj`, if any.
     #[must_use]
     pub fn holds(&self, txn: TxnId, obj: ObjId) -> Option<LockMode> {
-        self.entry_of(obj).and_then(|e| e.holder_mode(txn))
+        self.view_of(obj).and_then(|v| v.holder_mode(txn))
     }
 
     /// The object `txn` is blocked on, if it is blocked.
     #[must_use]
     pub fn waiting_on(&self, txn: TxnId) -> Option<ObjId> {
-        let i = (txn.0 % self.txns.len() as u64) as usize;
-        let s = &self.txns[i];
-        if s.tid == txn {
-            s.waiting
-        } else {
-            None
-        }
+        let s = &self.txns[self.slot_index(txn)];
+        (s.tid == txn && s.waiting != NONE).then(|| self.entries[s.waiting as usize].obj)
     }
 
     /// Number of locks `txn` currently holds.
     #[must_use]
     pub fn locks_held(&self, txn: TxnId) -> usize {
-        self.slot_of(txn).map_or(0, |i| self.txns[i].held.len())
+        self.slot_of(txn).map_or(0, |i| self.txns[i].held as usize)
     }
 
     /// Total locks currently held across all transactions (table
@@ -671,16 +835,18 @@ impl LockManager {
         self.entries.len()
     }
 
-    /// All current holders of `obj` (test/diagnostic aid).
-    #[must_use]
-    pub fn holders_of(&self, obj: ObjId) -> &[(TxnId, LockMode)] {
-        self.entry_of(obj).map_or(&[], |e| e.holders.as_slice())
+    /// All current holders of `obj`, in holder order (test/diagnostic aid).
+    pub fn holders_of(&self, obj: ObjId) -> impl Iterator<Item = (TxnId, LockMode)> + '_ {
+        self.view_of(obj)
+            .into_iter()
+            .flat_map(View::holders)
+            .map(|h| (h.txn, h.mode))
     }
 
     /// Queue length on `obj`.
     #[must_use]
     pub fn queue_len(&self, obj: ObjId) -> usize {
-        self.entry_of(obj).map_or(0, |e| e.queue.len())
+        self.view_of(obj).map_or(0, |v| v.queue().len())
     }
 
     /// Lifetime counters: `(grants, blocks, denials)`.
@@ -692,25 +858,39 @@ impl LockManager {
     /// Verify internal invariants. Intended for tests; panics on violation.
     ///
     /// # Panics
-    /// Panics if any transaction slot disagrees with the lock table, if
-    /// multiple holders coexist with a writer, if a grantable queue head was
-    /// left waiting, if the occupancy counter drifts, or if the sparse
-    /// table's slot accounting breaks (an indexed entry is empty, a slot is
-    /// both indexed and free, or a pool slot is neither).
+    /// Panics if any transaction slot disagrees with the lock table, if a
+    /// held list does not end at its tail, miscounts, or misses or repeats
+    /// a holder, if multiple holders coexist with a writer, if a grantable
+    /// queue head was left waiting, if the occupancy counter drifts, or if
+    /// the sparse table's slot or side accounting breaks (an indexed entry
+    /// is empty, a slot or side is both in use and free, or neither).
     pub fn assert_consistent(&self) {
         // Sparse-layout accounting: every pool slot is exactly one of
-        // indexed (and then non-empty) or free (and then empty).
+        // indexed (and then non-empty) or free (and then empty, sideless);
+        // every side belongs to exactly one indexed entry or is free.
         let mut seen = vec![false; self.entries.len()];
+        let mut side_seen = vec![false; self.sides.len()];
         for (obj, i) in self.index.iter() {
             let entry = &self.entries[i as usize];
             assert!(
                 !std::mem::replace(&mut seen[i as usize], true),
                 "entry slot {i} indexed twice"
             );
+            assert_eq!(
+                entry.obj, obj,
+                "entry slot {i} indexed under another object"
+            );
             assert!(
-                !entry.holders.is_empty() || !entry.queue.is_empty(),
+                !self.view(i as usize).is_empty(),
                 "{obj}: indexed entry is empty (should be retired)"
             );
+            if entry.side != NONE {
+                assert!(
+                    !std::mem::replace(&mut side_seen[entry.side as usize], true),
+                    "side {} shared by two entries",
+                    entry.side
+                );
+            }
         }
         for &i in &self.free {
             let entry = &self.entries[i as usize];
@@ -719,7 +899,7 @@ impl LockManager {
                 "entry slot {i} free-listed twice or also indexed"
             );
             assert!(
-                entry.holders.is_empty() && entry.queue.is_empty(),
+                entry.first.is_none() && entry.side == NONE,
                 "free entry slot {i} still has lock state"
             );
         }
@@ -727,32 +907,41 @@ impl LockManager {
             seen.iter().all(|&s| s),
             "orphaned entry slot (neither indexed nor free)"
         );
+        for &s in &self.free_sides {
+            let side = &self.sides[s as usize];
+            assert!(
+                !std::mem::replace(&mut side_seen[s as usize], true),
+                "side {s} free-listed twice or also in use"
+            );
+            assert!(
+                side.holders.is_empty() && side.queue.is_empty(),
+                "free side {s} still has lock state"
+            );
+        }
+        assert!(
+            side_seen.iter().all(|&s| s),
+            "orphaned side (neither in use nor free)"
+        );
         let mut holder_pairs = 0usize;
         for (obj, ei) in self.index.iter() {
-            let entry = &self.entries[ei as usize];
-            holder_pairs += entry.holders.len();
-            let writers = entry
-                .holders
-                .iter()
-                .filter(|(_, m)| *m == LockMode::Write)
-                .count();
+            let view = self.view(ei as usize);
+            let holders: Vec<&Holder> = view.holders().collect();
+            holder_pairs += holders.len();
+            if view.entry.first.is_none() {
+                assert!(holders.is_empty(), "{obj}: side holders without a first");
+            }
+            let writers = holders.iter().filter(|h| h.mode == LockMode::Write).count();
             if writers > 0 {
-                assert_eq!(
-                    entry.holders.len(),
-                    1,
-                    "{obj} has a writer plus other holders"
-                );
+                assert_eq!(holders.len(), 1, "{obj} has a writer plus other holders");
             }
-            for &(t, _) in &entry.holders {
-                let si = self.slot_of(t).unwrap_or_else(|| {
-                    panic!("{obj} holder {t} has no transaction slot");
-                });
+            for h in &holders {
                 assert!(
-                    self.txns[si].held.contains(&obj),
-                    "{obj} holder {t} missing from held index"
+                    self.slot_of(h.txn).is_some(),
+                    "{obj} holder {} has no transaction slot",
+                    h.txn
                 );
             }
-            for w in &entry.queue {
+            for w in view.queue() {
                 assert_eq!(
                     self.waiting_on(w.txn),
                     Some(obj),
@@ -761,7 +950,7 @@ impl LockManager {
                 );
                 if w.is_upgrade {
                     assert_eq!(
-                        entry.holder_mode(w.txn),
+                        view.holder_mode(w.txn),
                         Some(LockMode::Read),
                         "upgrade waiter {} does not hold a read lock",
                         w.txn
@@ -769,15 +958,15 @@ impl LockManager {
                 }
             }
             // No grantable head left waiting.
-            if let Some(head) = entry.queue.front() {
+            if let Some(head) = view.queue().front() {
                 if head.is_upgrade {
                     assert!(
-                        !entry.is_sole_holder(head.txn),
+                        !view.is_sole_holder(head.txn),
                         "{obj}: grantable upgrade left queued"
                     );
                 } else {
                     assert!(
-                        !entry.compatible_for(head.txn, head.mode),
+                        !view.compatible_for(head.txn, head.mode),
                         "{obj}: grantable head left queued"
                     );
                 }
@@ -787,36 +976,58 @@ impl LockManager {
             holder_pairs, self.held_count,
             "lock occupancy counter drifted"
         );
+        // Every held list ends at its tail, has exactly `held` entries and
+        // lists each of its transaction's holder records once; together the
+        // lists cover all `held_count` pairs, so no record is unlisted.
+        let mut listed = std::collections::HashSet::new();
         for slot in &self.txns {
             if slot.is_vacant() {
                 continue;
             }
             let txn = slot.tid;
-            for &obj in &slot.held {
+            let (mut ei, mut last, mut n) = (slot.head, NONE, 0u32);
+            while ei != NONE {
+                let view = self.view(ei as usize);
+                let obj = view.entry.obj;
                 assert!(
-                    self.entry_of(obj)
-                        .is_some_and(|e| e.holder_mode(txn).is_some()),
-                    "held index lists {txn} on {obj} but table disagrees"
+                    self.index.get(obj) == Some(ei),
+                    "{txn}'s held list reaches retired entry slot {ei}"
                 );
-            }
-            if let Some(obj) = slot.waiting {
                 assert!(
-                    self.entry_of(obj)
-                        .is_some_and(|e| e.queue.iter().any(|w| w.txn == txn)),
-                    "waiting index lists {txn} on {obj} but queue disagrees"
+                    listed.insert((txn, ei)),
+                    "{txn}'s held list visits {obj} twice"
+                );
+                let holder = view.holders().find(|h| h.txn == txn).unwrap_or_else(|| {
+                    panic!("held list lists {txn} on {obj} but table disagrees")
+                });
+                n += 1;
+                assert!(n <= slot.held, "{txn}'s held list is longer than its count");
+                last = ei;
+                ei = holder.next;
+            }
+            assert_eq!(n, slot.held, "{txn}'s held list is shorter than its count");
+            assert_eq!(
+                last, slot.tail,
+                "{txn}'s held list does not end at its tail"
+            );
+            if n == 0 {
+                assert_eq!(slot.head, NONE, "{txn}'s empty held list has a head");
+            }
+            if slot.waiting != NONE {
+                let view = self.view(slot.waiting as usize);
+                assert!(
+                    self.index.get(view.entry.obj) == Some(slot.waiting)
+                        && view.queue().iter().any(|w| w.txn == txn),
+                    "waiting index lists {txn} on {} but queue disagrees",
+                    view.entry.obj
                 );
             }
         }
-    }
-}
-
-impl LockManager {
-    // `drain_queue` borrows only the entry and cannot see the object id, so
-    // grants are created with a placeholder and patched here.
-    fn patch_grants(obj: ObjId, grants: &mut [Grant], from: usize) {
-        for g in &mut grants[from..] {
-            g.obj = obj;
-        }
+        assert_eq!(
+            listed.len(),
+            self.held_count,
+            "a holder record is on no held list"
+        );
     }
 }
 
@@ -842,7 +1053,7 @@ mod tests {
             lm.request(t(2), o(7), LockMode::Read),
             RequestOutcome::Granted
         );
-        assert_eq!(lm.holders_of(o(7)).len(), 2);
+        assert_eq!(lm.holders_of(o(7)).count(), 2);
         lm.assert_consistent();
     }
 
@@ -996,7 +1207,7 @@ mod tests {
         let grants = lm.release_all(t(1));
         assert_eq!(grants.len(), 2);
         assert!(grants.iter().all(|g| g.mode == LockMode::Read));
-        assert_eq!(lm.holders_of(o(7)).len(), 2);
+        assert_eq!(lm.holders_of(o(7)).count(), 2);
         lm.assert_consistent();
     }
 
@@ -1183,7 +1394,10 @@ mod tests {
         let mut lm = LockManager::new();
         lm.request(t(1), o(1), LockMode::Write);
         lm.release_all(t(1));
-        assert!(lm.holders_of(o(1)).is_empty(), "entry should be emptied");
+        assert!(
+            lm.holders_of(o(1)).next().is_none(),
+            "entry should be emptied"
+        );
         assert_eq!(lm.locks_held(t(1)), 0);
         assert_eq!(lm.locks_in_table(), 0);
         lm.assert_consistent();
@@ -1291,6 +1505,51 @@ mod tests {
         assert_eq!(lm.queue_len(o(9)), 0);
         lm.release_all(t(3));
         assert_eq!(lm.locks_in_table(), 0);
+        lm.assert_consistent();
+    }
+
+    #[test]
+    fn layout_sizes_are_pinned() {
+        // The scale regime keeps ~10^5 transaction slots and ~6 x 10^5
+        // entries live; these sizes are what the storage layout promises.
+        assert_eq!(std::mem::size_of::<TxnSlot>(), 24);
+        assert_eq!(std::mem::size_of::<Entry>(), 32);
+    }
+
+    #[test]
+    fn sides_are_taken_only_for_shared_or_contended_objects() {
+        let mut lm = LockManager::new();
+        for i in 0..100u64 {
+            lm.request(t(i % 8), o(i), LockMode::Read);
+        }
+        lm.request(t(1), o(1), LockMode::Write); // in-place upgrade
+        assert!(lm.sides.is_empty(), "a sole holder took a side");
+        lm.request(t(2), o(1), LockMode::Read); // queued: a side
+        lm.request(t(4), o(3), LockMode::Read); // shared: a side
+        assert_eq!(lm.sides.len(), 2);
+        lm.assert_consistent();
+        for i in 0..8 {
+            lm.release_all(t(i));
+        }
+        lm.assert_consistent();
+        assert_eq!(lm.free_sides.len(), 2, "retired sides are kept");
+        // A new contended object reuses a retired side.
+        lm.request(t(1), o(5), LockMode::Write);
+        lm.request(t(2), o(5), LockMode::Write);
+        assert_eq!((lm.sides.len(), lm.free_sides.len()), (2, 1));
+        lm.assert_consistent();
+    }
+
+    #[test]
+    fn release_promotes_the_second_holder_in_order() {
+        let mut lm = LockManager::new();
+        for i in 1..=4 {
+            lm.request(t(i), o(7), LockMode::Read);
+        }
+        lm.release_all(t(1));
+        lm.release_all(t(3));
+        let holders: Vec<TxnId> = lm.holders_of(o(7)).map(|(t, _)| t).collect();
+        assert_eq!(holders, vec![t(2), t(4)]);
         lm.assert_consistent();
     }
 

@@ -301,7 +301,7 @@ proptest! {
             lm.assert_consistent();
             // Mutual exclusion: no object may have a writer plus anyone else.
             for obj in 0..6 {
-                let holders = lm.holders_of(ObjId(obj));
+                let holders: Vec<(TxnId, LockMode)> = lm.holders_of(ObjId(obj)).collect();
                 let writers = holders
                     .iter()
                     .filter(|(_, m)| *m == LockMode::Write)
@@ -398,8 +398,7 @@ proptest! {
             for o in 0..6u64 {
                 let hi: Vec<(u64, LockMode)> = lm
                     .holders_of(ObjId(o))
-                    .iter()
-                    .map(|&(t, m)| (t.0, m))
+                    .map(|(t, m)| (t.0, m))
                     .collect();
                 prop_assert_eq!(hi, dr.holders_of(o).to_vec(), "holders diverged on obj{}", o);
                 prop_assert_eq!(lm.queue_len(ObjId(o)), dr.queue_len(o));
@@ -507,8 +506,7 @@ proptest! {
                 lm.prefetch(ObjId(wide(o)));
                 let hi: Vec<(u64, LockMode)> = lm
                     .holders_of(ObjId(wide(o)))
-                    .iter()
-                    .map(|&(t, m)| (t.0, m))
+                    .map(|(t, m)| (t.0, m))
                     .collect();
                 prop_assert_eq!(hi, dr.holders_of(o).to_vec(), "holders diverged on obj{}", o);
                 prop_assert_eq!(lm.queue_len(ObjId(wide(o))), dr.queue_len(o));
@@ -544,8 +542,46 @@ proptest! {
             prop_assert!(lm.waiting_on(TxnId(txn)).is_none());
         }
         for obj in 0..4 {
-            prop_assert!(lm.holders_of(ObjId(obj)).is_empty());
+            prop_assert!(lm.holders_of(ObjId(obj)).next().is_none());
             prop_assert_eq!(lm.queue_len(ObjId(obj)), 0);
         }
     }
+}
+
+/// A deadlock probe, then slot-array growth forced by a colliding
+/// transaction id, then a second probe: the search's visited marks are
+/// indexed by slot, so they must follow the resized array. Both verdicts
+/// must match the dense reference.
+#[test]
+fn deadlock_probe_survives_slot_array_growth() {
+    fn request(
+        lm: &mut LockManager,
+        dr: &mut dense_ref::DenseRef,
+        txn: u64,
+        obj: u64,
+    ) -> RequestOutcome {
+        let got = lm.request(TxnId(txn), ObjId(obj), LockMode::Write);
+        assert_eq!(got, dr.request(txn, obj, LockMode::Write, true));
+        got
+    }
+    let mut lm = LockManager::new();
+    let mut dr = dense_ref::DenseRef::new(8);
+    // t1 holds o1 and waits for o2, held by t2: no cycle yet.
+    request(&mut lm, &mut dr, 1, 1);
+    request(&mut lm, &mut dr, 2, 2);
+    assert_eq!(request(&mut lm, &mut dr, 1, 2), RequestOutcome::Queued);
+    assert_eq!(lm.find_deadlock(TxnId(1)).is_some(), dr.has_deadlock(1));
+    assert!(lm.find_deadlock(TxnId(1)).is_none());
+    // t65 collides with t1 modulo the default 64 slots, so claiming its
+    // slot doubles the array; it then closes the cycle t1 -> t2 -> t65 -> t1.
+    request(&mut lm, &mut dr, 65, 3);
+    assert_eq!(request(&mut lm, &mut dr, 2, 3), RequestOutcome::Queued);
+    assert_eq!(request(&mut lm, &mut dr, 65, 1), RequestOutcome::Queued);
+    lm.assert_consistent();
+    for t in [1, 2, 65] {
+        let cycle = lm.find_deadlock(TxnId(t));
+        assert_eq!(cycle.is_some(), dr.has_deadlock(t), "verdict for t{t}");
+    }
+    let cycle = lm.find_deadlock(TxnId(65)).expect("three-way deadlock");
+    assert_eq!(cycle, vec![TxnId(65), TxnId(1), TxnId(2)]);
 }

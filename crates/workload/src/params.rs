@@ -135,6 +135,39 @@ impl std::fmt::Display for ParamError {
 impl std::error::Error for ParamError {}
 
 impl Params {
+    /// The longest duration a valid configuration may carry: every
+    /// duration parameter, the expected service time (the prior of the
+    /// adaptive restart delay) and the run's horizon (see
+    /// `MetricsConfig::validate` in `ccsim-core`) must not exceed it. At
+    /// 2^48 µs it is about 8.9 years of simulated time.
+    ///
+    /// The bound keeps a validated run's clock from wrapping. Every event
+    /// handled happens at or before the horizon (at most `MAX_DURATION`),
+    /// and every event is scheduled that far plus at most one delay. A
+    /// delay is a service time, a batch length, or an exponential draw,
+    /// which is capped at about 36.7 times its mean (see
+    /// `ccsim_des::sample_exponential`). The largest mean is the restart
+    /// floor `obj_io + obj_cpu`, at most `2 * MAX_DURATION`; the adaptive
+    /// mean is its prior or an observed response time, neither above
+    /// `MAX_DURATION`. So no event lies past `75 * 2^48 < 2^55` µs, far
+    /// below the `u64` clock's `2^64`.
+    pub const MAX_DURATION: SimDuration = SimDuration::from_micros(1 << 48);
+
+    /// Reject a duration over [`Params::MAX_DURATION`], naming it `name`.
+    ///
+    /// # Errors
+    /// Returns [`ParamError`] if `d` exceeds the bound.
+    pub fn check_duration(name: &str, d: SimDuration) -> Result<(), ParamError> {
+        if d > Params::MAX_DURATION {
+            return Err(ParamError(format!(
+                "{name} ({} s) exceeds the {} s bound on durations",
+                d.as_secs_f64(),
+                Params::MAX_DURATION.as_secs_f64()
+            )));
+        }
+        Ok(())
+    }
+
     /// The paper's Table 2 baseline: `db_size=1000`, readset uniform on
     /// `[4, 12]` (mean 8), `write_prob=0.25`, 200 terminals, 1 s external
     /// think time, `obj_io=35 ms`, `obj_cpu=15 ms`, 1 CPU and 2 disks,
@@ -286,6 +319,21 @@ impl Params {
                 "primary_weight ({}) must be positive and finite",
                 self.primary_weight
             )));
+        }
+        let restart_mean = match self.restart_delay {
+            RestartDelayPolicy::Fixed(mean) => mean,
+            RestartDelayPolicy::None | RestartDelayPolicy::Adaptive => SimDuration::ZERO,
+        };
+        for (name, d) in [
+            ("ext_think_time", self.ext_think_time),
+            ("int_think_time", self.int_think_time),
+            ("obj_io", self.obj_io),
+            ("obj_cpu", self.obj_cpu),
+            ("cc_cpu", self.cc_cpu),
+            ("restart_delay", restart_mean),
+            ("expected service time", self.expected_service_time()),
+        ] {
+            Params::check_duration(name, d)?;
         }
         for class in &self.extra_classes {
             class.validate(self.db_size)?;
@@ -457,6 +505,41 @@ mod tests {
         assert!(p.validate().is_err());
         p.resources = ResourceSpec::Infinite;
         assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_every_duration() {
+        let max = Params::MAX_DURATION;
+        let over = SimDuration::from_micros(max.as_micros() + 1);
+        let mut p = Params::paper_baseline();
+        p.ext_think_time = max;
+        assert!(p.validate().is_ok(), "the bound itself is allowed");
+        type Setter = fn(&mut Params, SimDuration);
+        let cases: [(&str, Setter); 6] = [
+            ("ext_think_time", |p, d| p.ext_think_time = d),
+            ("int_think_time", |p, d| p.int_think_time = d),
+            ("obj_io", |p, d| p.obj_io = d),
+            ("obj_cpu", |p, d| p.obj_cpu = d),
+            ("cc_cpu", |p, d| p.cc_cpu = d),
+            ("restart_delay", |p, d| {
+                p.restart_delay = RestartDelayPolicy::Fixed(d);
+            }),
+        ];
+        for (name, set) in cases {
+            let mut p = Params::paper_baseline();
+            set(&mut p, over);
+            let err = p.validate().expect_err(name).0;
+            assert!(err.contains(name), "{name}: {err}");
+            // A saturated conversion (`--ext-think 1e300`) is caught too.
+            set(&mut p, SimDuration::from_micros(u64::MAX));
+            assert!(p.validate().is_err(), "{name} at u64::MAX");
+        }
+        // Each access within the bound, but a transaction's expected
+        // service time (the adaptive restart prior) over it.
+        let mut p = Params::paper_baseline();
+        p.obj_io = SimDuration::from_micros(max.as_micros() / 8);
+        let err = p.validate().expect_err("service time").0;
+        assert!(err.contains("expected service time"), "{err}");
     }
 
     #[test]
