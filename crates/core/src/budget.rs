@@ -3,19 +3,16 @@
 //! A long sweep is only as robust as its worst run: one livelocked or
 //! runaway grid point must not be able to wedge the whole experiment. A
 //! [`RunBudget`] puts hard ceilings on a single simulation run — events
-//! processed, simulated time, and wall-clock time — and the engine checks
-//! them inside its event loop. A run that exceeds its budget terminates
-//! with [`RunError::BudgetExhausted`] carrying exactly where it stopped,
+//! processed and simulated time — and the engine checks them inside its
+//! event loop. A run that exceeds its budget terminates with
+//! [`RunError::BudgetExhausted`] carrying exactly where it stopped,
 //! instead of hanging the worker that owns it.
 //!
-//! The event and simulated-time ceilings are *deterministic*: two runs of
-//! the same configuration exhaust them at the same event with the same
-//! counters. The wall-clock ceiling is a last-resort guard against
-//! pathological slowness and is inherently host-dependent; leave it `None`
-//! when reproducibility of the failure itself matters.
+//! Both ceilings are *deterministic*: two runs of the same configuration
+//! exhaust them at the same event with the same counters, so a budget
+//! failure reads the same on every host and thread count.
 
 use std::fmt;
-use std::time::Duration;
 
 use ccsim_des::{SimDuration, SimTime};
 use ccsim_workload::ParamError;
@@ -33,9 +30,6 @@ pub struct RunBudget {
     /// batch horizon already bounds healthy runs, so this mainly guards
     /// misconfigured metrics).
     pub max_sim_time: Option<SimDuration>,
-    /// Maximum wall-clock time for the run (`None` = unlimited).
-    /// Host-dependent — see the module docs.
-    pub max_wall_clock: Option<Duration>,
 }
 
 impl RunBudget {
@@ -48,7 +42,6 @@ impl RunBudget {
         RunBudget {
             max_events: None,
             max_sim_time: None,
-            max_wall_clock: None,
         }
     }
 
@@ -65,13 +58,6 @@ impl RunBudget {
         self.max_sim_time = Some(max_sim_time);
         self
     }
-
-    /// Builder-style wall-clock-ceiling replacement.
-    #[must_use]
-    pub const fn with_max_wall_clock(mut self, max_wall_clock: Duration) -> Self {
-        self.max_wall_clock = Some(max_wall_clock);
-        self
-    }
 }
 
 impl Default for RunBudget {
@@ -79,7 +65,6 @@ impl Default for RunBudget {
         RunBudget {
             max_events: Some(Self::DEFAULT_MAX_EVENTS),
             max_sim_time: None,
-            max_wall_clock: None,
         }
     }
 }
@@ -91,8 +76,6 @@ pub enum BudgetKind {
     Events,
     /// The simulated-time ceiling (`max_sim_time`).
     SimTime,
-    /// The wall-clock ceiling (`max_wall_clock`).
-    WallClock,
 }
 
 impl fmt::Display for BudgetKind {
@@ -100,7 +83,6 @@ impl fmt::Display for BudgetKind {
         f.write_str(match self {
             BudgetKind::Events => "event",
             BudgetKind::SimTime => "simulated-time",
-            BudgetKind::WallClock => "wall-clock",
         })
     }
 }
@@ -110,9 +92,9 @@ impl fmt::Display for BudgetKind {
 pub enum RunError {
     /// The configuration failed validation before the run started.
     InvalidConfig(ParamError),
-    /// The run exceeded its [`RunBudget`] and was terminated. `events`,
-    /// `sim_time`, and `wall_clock` record where it stopped; the first two
-    /// are deterministic for a given configuration, `wall_clock` is not.
+    /// The run exceeded its [`RunBudget`] and was terminated. `events` and
+    /// `sim_time` record where it stopped; both are deterministic for a
+    /// given configuration.
     BudgetExhausted {
         /// The ceiling that was exceeded.
         exceeded: BudgetKind,
@@ -120,8 +102,6 @@ pub enum RunError {
         events: u64,
         /// Simulated instant the run had reached.
         sim_time: SimTime,
-        /// Wall-clock time elapsed since the run started.
-        wall_clock: Duration,
     },
 }
 
@@ -133,12 +113,10 @@ impl fmt::Display for RunError {
                 exceeded,
                 events,
                 sim_time,
-                wall_clock,
             } => write!(
                 f,
                 "run budget exhausted ({exceeded} ceiling) after {events} events, \
-                 sim time {sim_time}, {:.1}s wall clock",
-                wall_clock.as_secs_f64()
+                 sim time {sim_time}"
             ),
         }
     }
@@ -168,7 +146,6 @@ mod tests {
         let b = RunBudget::default();
         assert_eq!(b.max_events, Some(RunBudget::DEFAULT_MAX_EVENTS));
         assert_eq!(b.max_sim_time, None);
-        assert_eq!(b.max_wall_clock, None);
         assert_eq!(RunBudget::unlimited().max_events, None);
     }
 
@@ -176,11 +153,9 @@ mod tests {
     fn builders_set_each_ceiling() {
         let b = RunBudget::unlimited()
             .with_max_events(10)
-            .with_max_sim_time(SimDuration::from_secs(5))
-            .with_max_wall_clock(Duration::from_secs(1));
+            .with_max_sim_time(SimDuration::from_secs(5));
         assert_eq!(b.max_events, Some(10));
         assert_eq!(b.max_sim_time, Some(SimDuration::from_secs(5)));
-        assert_eq!(b.max_wall_clock, Some(Duration::from_secs(1)));
     }
 
     #[test]
@@ -189,11 +164,11 @@ mod tests {
             exceeded: BudgetKind::Events,
             events: 42,
             sim_time: SimTime::from_secs(3),
-            wall_clock: Duration::from_millis(1500),
         };
-        let msg = e.to_string();
-        assert!(msg.contains("event ceiling"), "{msg}");
-        assert!(msg.contains("42 events"), "{msg}");
+        assert_eq!(
+            e.to_string(),
+            "run budget exhausted (event ceiling) after 42 events, sim time 3.000000s"
+        );
         let v = RunError::from(ParamError("mpl must be positive".into()));
         assert!(v.to_string().contains("invalid configuration"));
     }

@@ -386,13 +386,6 @@ impl Simulator {
         false
     }
 
-    /// How often (in events) the wall clock is sampled for budget checks.
-    /// Event and sim-time ceilings are checked on every event; the wall
-    /// clock only every `WALL_CHECK_PERIOD` events because `Instant::now`
-    /// costs more than an event dispatch. The check fires on event 1, so a
-    /// zero wall-clock budget trips immediately (used by tests).
-    const WALL_CHECK_PERIOD: u64 = 8192;
-
     fn run_loop(&mut self) -> Result<(), RunError> {
         let budget = self.cfg.budget;
         let started = std::time::Instant::now();
@@ -405,7 +398,7 @@ impl Simulator {
             let Some((now, ev)) = self.cal.pop() else {
                 break Ok(());
             };
-            if let Err(err) = self.count_event(now, budget, started) {
+            if let Err(err) = self.count_event(now, budget) {
                 break Err(err);
             }
             self.now = now;
@@ -418,17 +411,11 @@ impl Simulator {
         result
     }
 
-    /// Count the event about to run at `now` and check the run budget:
-    /// event and sim-time ceilings on every event, the wall clock every
-    /// [`Self::WALL_CHECK_PERIOD`] events. On a trip the event is not run
-    /// and the error carries the stop point.
+    /// Count the event about to run at `now` and check the run budget's
+    /// event and sim-time ceilings. On a trip the event is not run and the
+    /// error carries the stop point.
     #[inline]
-    fn count_event(
-        &mut self,
-        now: SimTime,
-        budget: crate::RunBudget,
-        started: std::time::Instant,
-    ) -> Result<(), RunError> {
+    fn count_event(&mut self, now: SimTime, budget: crate::RunBudget) -> Result<(), RunError> {
         self.events += 1;
         let events = self.events;
         let exceeded = if budget.max_events.is_some_and(|cap| events > cap) {
@@ -438,12 +425,6 @@ impl Simulator {
             .is_some_and(|cap| now.since(SimTime::ZERO) > cap)
         {
             BudgetKind::SimTime
-        } else if events % Self::WALL_CHECK_PERIOD == 1
-            && budget
-                .max_wall_clock
-                .is_some_and(|cap| started.elapsed() > cap)
-        {
-            BudgetKind::WallClock
         } else {
             return Ok(());
         };
@@ -451,15 +432,14 @@ impl Simulator {
             exceeded,
             events,
             sim_time: now,
-            wall_clock: started.elapsed(),
         })
     }
 
     /// Run until completion *or* budget exhaustion, salvaging whatever was
     /// measured either way: a budget stop is reported in
     /// [`RunOutcome::stopped`] next to the partial report, perf counters,
-    /// streaming quantiles, trace, and history — the scale regime runs
-    /// under a wall-clock budget and still wants its observables. Use
+    /// streaming quantiles, trace, and history — the scale regime runs to
+    /// a simulated-time ceiling and still wants its observables. Use
     /// [`RunOutcome::finished`] when a budget stop is a failure.
     #[must_use]
     pub fn run_collecting(mut self) -> RunOutcome {
@@ -1855,30 +1835,22 @@ mod tests {
     #[test]
     fn event_budget_exhausts_deterministically() {
         let budget = crate::RunBudget::unlimited().with_max_events(500);
-        let exhaust = || run(quick_cfg(CcAlgorithm::Blocking).with_budget(budget));
-        let (a, b) = (exhaust(), exhaust());
-        let Err(RunError::BudgetExhausted {
-            exceeded,
-            events,
-            sim_time,
-            ..
-        }) = a
+        let exhaust = || {
+            run(quick_cfg(CcAlgorithm::Blocking).with_budget(budget))
+                .map(|_| ())
+                .expect_err("expected budget exhaustion")
+        };
+        let a = exhaust();
+        let RunError::BudgetExhausted {
+            exceeded, events, ..
+        } = a
         else {
             panic!("expected budget exhaustion, got {a:?}");
         };
         assert_eq!(exceeded, BudgetKind::Events);
         assert_eq!(events, 501, "stops on the first event past the cap");
-        // The twin run stops at the same event and instant (wall clock is
-        // the one nondeterministic field).
-        let Err(RunError::BudgetExhausted {
-            events: events_b,
-            sim_time: sim_time_b,
-            ..
-        }) = b
-        else {
-            panic!("expected budget exhaustion, got {b:?}");
-        };
-        assert_eq!((events, sim_time), (events_b, sim_time_b));
+        // The twin run fails identically, every field of the error included.
+        assert_eq!(a, exhaust());
     }
 
     #[test]
@@ -1893,22 +1865,6 @@ mod tests {
         };
         assert_eq!(exceeded, BudgetKind::SimTime);
         assert!(sim_time.since(SimTime::ZERO) > SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn zero_wall_clock_budget_trips_on_first_check() {
-        let budget = crate::RunBudget::unlimited().with_max_wall_clock(std::time::Duration::ZERO);
-        let res = run(quick_cfg(CcAlgorithm::Blocking).with_budget(budget));
-        assert!(
-            matches!(
-                res,
-                Err(RunError::BudgetExhausted {
-                    exceeded: BudgetKind::WallClock,
-                    ..
-                })
-            ),
-            "got {res:?}"
-        );
     }
 
     #[test]

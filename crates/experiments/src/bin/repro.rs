@@ -1,53 +1,49 @@
-//! `repro` — regenerate the paper's tables and figures.
-//!
-//! ```text
-//! repro list                    show the experiment catalog
-//! repro <id|figN|all> [flags]   run experiments
-//!
-//! flags:
-//!   --list          show the experiment catalog and exit
-//!   --quick         smoke fidelity (short batches) instead of paper fidelity
-//!   --audit         attach the online invariant auditor to every run; any
-//!                   violation fails the command
-//!   --seed <u64>    base seed (default 0x0C551985)
-//!   --reps <n>      independent replications per point (default 1); means
-//!                   and 90% CIs are then taken across replications, with
-//!                   common random numbers pairing the algorithms
-//!   --threads <n>   worker threads (default: all cores)
-//!   --out <dir>     also write <dir>/<id>.json and <dir>/<id>.txt, and
-//!                   journal completed runs to <dir>/<id>.manifest.jsonl
-//!   --resume        skip runs already journaled in the checkpoint manifest
-//!                   (requires --out); the final output is byte-identical
-//!                   to an uninterrupted run. A final manifest line cut
-//!                   short by a crash is discarded with a warning and its
-//!                   run re-executed
-//!   --retries <n>   attempt each grid point up to n times at full fidelity
-//!                   with deterministic exponential backoff; a recovery is
-//!                   journaled and does not fail the command's measurements
-//!   --backoff-ms <ms>  base backoff before the first retry (default 50;
-//!                   doubles per attempt, capped at 2000, plus jitter)
-//!   --retry-quick   after full-fidelity attempts are exhausted, retry once
-//!                   at quick fidelity so the hole carries a degraded
-//!                   measurement (the failure stays on record and still
-//!                   fails the command)
-//!   --md <path>     write a combined markdown results appendix
-//!   --chart         print an ASCII throughput chart per experiment
-//! ```
+//! `repro` — regenerate the paper's tables and figures. `repro --help`
+//! prints the flags ([`USAGE`]).
 //!
 //! A failed run (panic, budget exhaustion, invalid configuration) never
 //! aborts the sweep: it is reported as an explicit hole and the command
-//! exits non-zero. SIGINT and SIGTERM both request a cooperative shutdown:
-//! in-flight runs finish and are journaled, then the command exits 130
-//! with a `--resume` hint — so a service manager's stop signal checkpoints
-//! exactly like a ctrl-C.
+//! exits non-zero. Holes are never journaled, so after fixing the cause,
+//! `--resume` re-runs exactly the holes. SIGINT and SIGTERM both request a
+//! cooperative shutdown: in-flight runs finish and are journaled, then the
+//! command exits 130 with a `--resume` hint — so a service manager's stop
+//! signal checkpoints exactly like a ctrl-C.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use ccsim_experiments::{
     catalog, checks, json, md, report, run_experiment_supervised, write_atomic, ExperimentSpec,
-    Fidelity, RetryPolicy, RunOptions, SweepControl,
+    Fidelity, RunOptions, SweepControl,
 };
+
+/// What `--help` prints.
+const USAGE: &str = "\
+repro list                    show the experiment catalog
+repro <id|figN|all> [flags]   run experiments
+
+flags:
+  --list          show the experiment catalog and exit
+  --quick         smoke fidelity (short batches) instead of paper fidelity
+  --audit         attach the online invariant auditor to every run; any
+                  violation fails the command
+  --seed <u64>    base seed (default 0x0C551985)
+  --reps <n>      independent replications per point (default 1); means
+                  and 90% CIs are then taken across replications, with
+                  common random numbers pairing the algorithms
+  --threads <n>   worker threads (default: all cores)
+  --out <dir>     also write <dir>/<id>.json and <dir>/<id>.txt, and
+                  journal completed runs to <dir>/<id>.manifest.jsonl
+  --resume        skip runs already journaled in the checkpoint manifest
+                  (requires --out); the final output is byte-identical
+                  to an uninterrupted run. Holes are never journaled, so
+                  a resume re-runs exactly them. A final manifest line
+                  cut short by a crash is discarded with a warning and
+                  its run re-executed
+  --md <path>     write a combined markdown results appendix
+  --chart         print an ASCII throughput chart per experiment
+  -h, --help      print this help and exit
+";
 
 /// Cooperative shutdown flag, set by SIGINT *and* SIGTERM and installed
 /// via the raw C `signal` interface so no extra dependency is needed. The
@@ -88,41 +84,23 @@ struct Cli {
     resume: bool,
 }
 
-fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+/// Parse the arguments after the program name. `Ok(None)` is a request
+/// for [`USAGE`].
+fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Option<Cli>, String> {
     let mut targets = Vec::new();
     let mut opts = RunOptions::default();
     let mut out = None;
     let mut md_out = None;
     let mut chart = false;
     let mut resume = false;
-    // Applied after the loop, so an explicit backoff (0 included) wins
-    // over the --retries default whatever the flag order.
-    let mut backoff_ms = None;
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
+            "-h" | "--help" => return Ok(None),
             "--quick" => opts.fidelity = Fidelity::Quick,
             "--audit" => opts.audit = true,
             "--chart" => chart = true,
             "--resume" => resume = true,
-            "--retry-quick" => opts.retry.degrade_to_quick = true,
-            "--retries" => {
-                let v = args.next().ok_or("--retries needs a value")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|e| format!("bad retry count {v:?}: {e}"))?;
-                if n == 0 {
-                    return Err("--retries must be at least 1".to_string());
-                }
-                opts.retry = RetryPolicy {
-                    degrade_to_quick: opts.retry.degrade_to_quick,
-                    ..RetryPolicy::retries(n)
-                };
-            }
-            "--backoff-ms" => {
-                let v = args.next().ok_or("--backoff-ms needs a value")?;
-                backoff_ms = Some(v.parse().map_err(|e| format!("bad backoff {v:?}: {e}"))?);
-            }
             "--list" => targets.push("list".to_string()),
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -151,12 +129,11 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
                 let v = args.next().ok_or("--md needs a file path")?;
                 md_out = Some(PathBuf::from(v));
             }
-            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag {flag} (see --help)"))
+            }
             target => targets.push(target.to_string()),
         }
-    }
-    if let Some(ms) = backoff_ms {
-        opts.retry.base_backoff_ms = ms;
     }
     if resume && out.is_none() {
         return Err("--resume needs --out <dir> (the manifest lives there)".to_string());
@@ -164,14 +141,14 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     if targets.is_empty() {
         targets.push("list".to_string());
     }
-    Ok(Cli {
+    Ok(Some(Cli {
         targets,
         opts,
         out,
         md_out,
         chart,
         resume,
-    })
+    }))
 }
 
 /// Resolve run targets to catalog entries: exact id, figure name, or a
@@ -220,7 +197,11 @@ fn list_catalog() {
 
 fn main() {
     let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(c) => c,
+        Ok(Some(c)) => c,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -385,9 +366,10 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
-        parse_args(args.iter().map(ToString::to_string))
+        parse_args(args.iter().map(ToString::to_string)).map(|c| c.expect("not a --help request"))
     }
 
     #[test]
@@ -396,7 +378,6 @@ mod tests {
         assert_eq!(cli.targets, vec!["list"]);
         assert!(!cli.opts.audit);
         assert!(!cli.resume);
-        assert_eq!(cli.opts.retry, RetryPolicy::none());
         assert!(resolve_specs(&cli.targets).expect("resolves").is_none());
     }
 
@@ -412,7 +393,6 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--retry-quick",
             "--out",
             "results",
             "--resume",
@@ -424,34 +404,21 @@ mod tests {
         assert_eq!(cli.opts.base_seed, 9);
         assert_eq!(cli.opts.replications, 3);
         assert_eq!(cli.opts.threads, 2);
-        assert!(cli.opts.retry.degrade_to_quick);
         assert!(cli.resume);
         assert_eq!(cli.out.as_deref(), Some(std::path::Path::new("results")));
     }
 
     #[test]
-    fn retry_flags_compose_in_any_order() {
-        let cli = parse(&["exp3", "--retries", "3"]).expect("parses");
-        assert_eq!(cli.opts.retry.max_attempts, 3);
-        assert_eq!(cli.opts.retry.base_backoff_ms, 50);
-        assert_eq!(cli.opts.retry.max_backoff_ms, 2_000);
-        assert!(!cli.opts.retry.degrade_to_quick);
-        // Explicit backoff survives regardless of flag order.
-        let a = parse(&["exp3", "--backoff-ms", "10", "--retries", "3"]).expect("parses");
-        let b = parse(&["exp3", "--retries", "3", "--backoff-ms", "10"]).expect("parses");
-        assert_eq!(a.opts.retry, b.opts.retry);
-        assert_eq!(a.opts.retry.base_backoff_ms, 10);
-        // ...including an explicit zero, which is not "unset".
-        let a = parse(&["exp3", "--backoff-ms", "0", "--retries", "3"]).expect("parses");
-        let b = parse(&["exp3", "--retries", "3", "--backoff-ms", "0"]).expect("parses");
-        assert_eq!(a.opts.retry, b.opts.retry);
-        assert_eq!(a.opts.retry.base_backoff_ms, 0);
-        // --retry-quick composes with full-fidelity retries.
-        let c = parse(&["exp3", "--retry-quick", "--retries", "2"]).expect("parses");
-        assert_eq!(c.opts.retry.max_attempts, 2);
-        assert!(c.opts.retry.degrade_to_quick);
-        assert!(parse(&["exp3", "--retries", "0"]).is_err());
-        assert!(parse(&["exp3", "--backoff-ms", "x"]).is_err());
+    fn help_flags_ask_for_usage_wherever_they_appear() {
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["exp3", "--quick", "--help"],
+            &["-h", "--bogus"],
+        ] {
+            let parsed = parse_args(args.iter().map(ToString::to_string));
+            assert!(matches!(parsed, Ok(None)), "{args:?}");
+        }
     }
 
     #[test]
@@ -508,5 +475,72 @@ mod tests {
             .expect("resolves")
             .expect("runs");
         assert_eq!(specs.len(), 1);
+    }
+
+    /// The flag names `parse_args` knows, values that parse, values that
+    /// do not, and flags that were retired or never existed.
+    const WORDS: &[&str] = &[
+        "--list",
+        "--quick",
+        "--audit",
+        "--seed",
+        "--reps",
+        "--threads",
+        "--out",
+        "--resume",
+        "--md",
+        "--chart",
+        "--help",
+        "-h",
+        "--retries",
+        "--bogus",
+        "--",
+        "-",
+        "",
+        "0",
+        "1",
+        "7",
+        "-1",
+        "x",
+        "0x10",
+        "1e3",
+        "4294967296",
+        "18446744073709551616",
+        "exp3",
+        "all",
+        "list",
+        "results",
+        " 3",
+        "é",
+        "\u{0}",
+    ];
+
+    proptest! {
+        /// Any argv over the real flag names and junk values parses, asks
+        /// for help, or fails with an error that quotes the rejected flag
+        /// or value. It never panics.
+        #[test]
+        fn parse_args_never_panics_and_names_what_it_rejects(
+            ix in proptest::collection::vec(0..WORDS.len(), 0..8),
+        ) {
+            let argv: Vec<String> = ix.iter().map(|&i| WORDS[i].to_string()).collect();
+            match parse_args(argv.clone()) {
+                Ok(Some(cli)) => {
+                    prop_assert!(!cli.targets.is_empty());
+                    prop_assert!(!cli.resume || cli.out.is_some());
+                    prop_assert!(cli.opts.replications >= 1);
+                }
+                Ok(None) => {
+                    prop_assert!(argv.iter().any(|a| a == "--help" || a == "-h"));
+                }
+                Err(e) => {
+                    let named = argv.iter().any(|a| {
+                        (a.starts_with("--") && e.contains(a.as_str()))
+                            || e.contains(&format!("{a:?}"))
+                    });
+                    prop_assert!(named, "{:?} names nothing in {:?}", e, argv);
+                }
+            }
+        }
     }
 }

@@ -1,44 +1,7 @@
 //! `simulate` — run one configuration of the model and print the full
 //! report (the exploratory companion to `repro`'s fixed figure catalog).
 //!
-//! ```text
-//! simulate --algo blocking --mpl 25 --cpus 1 --disks 2
-//! simulate --algo optimistic --mpl 200 --infinite --db 1000 --check-serializable
-//!
-//! flags (defaults = the paper's Table 2 baseline):
-//!   --algo <name>           blocking | immediate-restart | optimistic |
-//!                           wait-die | wound-wait | no-waiting |
-//!                           static-locking | basic-to | mvcc-si |
-//!                           silo-occ | tictoc | no-cc
-//!   --mpl <n>               multiprogramming level
-//!   --db <n>                database size in pages
-//!   --terminals <n>         number of terminals
-//!   --write-prob <p>        probability a read is also written
-//!   --min-size/--max-size   readset size range
-//!   --cpus <n> --disks <n>  physical resources
-//!   --infinite              infinite resources
-//!   --ext-think <secs> --int-think <secs>
-//!   --seed <u64>            master seed
-//!   --reps <n>              independent replications (default 1); prints
-//!                           per-replication throughput and the Student-t
-//!                           interval across replication means
-//!   --batches <n> --batch-secs <n> --warmup <n>
-//!   --max-events <n>        run-budget event ceiling (0 = unlimited;
-//!                           default 2000000000); an exhausted budget is a
-//!                           structured error, not a hang
-//!   --out <path>            also write the report to <path> (atomic
-//!                           temp-then-rename write)
-//!   --check-serializable    record the history and run the checker
-//!   --perf                  also print engine throughput (events/sec) and
-//!                           peak calendar / lock-table occupancy
-//!   --profile               also print the per-stage cycle breakdown from
-//!                           the in-engine stage profiler (requires a build
-//!                           with `--features profile`; implies the --perf
-//!                           lines)
-//!   --audit                 attach the online invariant auditor; any
-//!                           violation is printed with its event context
-//!                           and fails the command
-//! ```
+//! `simulate --help` prints the flags ([`USAGE`]).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -50,6 +13,49 @@ use ccsim_core::{
 use ccsim_des::{derive_seed, SimDuration, MICROS_PER_SEC};
 use ccsim_experiments::{aggregate_reports, write_atomic};
 use ccsim_stats::Replications;
+
+/// What `--help` prints.
+const USAGE: &str = "\
+simulate --algo blocking --mpl 25 --cpus 1 --disks 2
+simulate --algo optimistic --mpl 200 --infinite --db 1000 --check-serializable
+
+flags (defaults = the paper's Table 2 baseline):
+  --algo <name>           blocking | immediate-restart | optimistic |
+                          wait-die | wound-wait | no-waiting |
+                          static-locking | basic-to | mvcc-si |
+                          silo-occ | tictoc | no-cc
+  --mpl <n>               multiprogramming level
+  --db <n>                database size in pages
+  --terminals <n>         number of terminals
+  --write-prob <p>        probability a read is also written
+  --min-size/--max-size   readset size range
+  --cpus <n> --disks <n>  physical resources
+  --infinite              infinite resources
+  --ext-think <secs> --int-think <secs>
+  --seed <u64>            master seed
+  --reps <n>              independent replications (default 1); prints
+                          per-replication throughput and the Student-t
+                          interval across replication means
+  --batches <n> --batch-secs <n> --warmup <n>
+  --quick                 smoke fidelity (short batches) instead of the
+                          paper's batch means
+  --max-events <n>        run-budget event ceiling (0 = unlimited;
+                          default 2000000000); an exhausted budget is a
+                          structured error, not a hang
+  --out <path>            also write the report to <path> (atomic
+                          temp-then-rename write)
+  --check-serializable    record the history and run the checker
+  --perf                  also print engine throughput (events/sec) and
+                          peak calendar / lock-table occupancy
+  --profile               also print the per-stage cycle breakdown from
+                          the in-engine stage profiler (requires a build
+                          with `--features profile`; implies the --perf
+                          lines)
+  --audit                 attach the online invariant auditor; any
+                          violation is printed with its event context
+                          and fails the command
+  -h, --help              print this help and exit
+";
 
 fn algo_by_name(name: &str) -> Option<CcAlgorithm> {
     CcAlgorithm::ALL
@@ -68,7 +74,8 @@ struct Cli {
     out: Option<PathBuf>,
 }
 
-fn parse() -> Result<Cli, String> {
+/// Parse the command line. `Ok(None)` is a request for [`USAGE`].
+fn parse() -> Result<Option<Cli>, String> {
     let mut algo = CcAlgorithm::Blocking;
     let mut params = Params::paper_baseline();
     let mut metrics = MetricsConfig::paper();
@@ -90,6 +97,7 @@ fn parse() -> Result<Cli, String> {
     };
     while let Some(a) = args.next() {
         match a.as_str() {
+            "-h" | "--help" => return Ok(None),
             "--algo" => {
                 let v = next_val(&mut args, "--algo")?;
                 algo = algo_by_name(&v).ok_or(format!("unknown algorithm {v:?}"))?;
@@ -143,7 +151,7 @@ fn parse() -> Result<Cli, String> {
             "--profile" => profile = true,
             "--audit" => audit = true,
             "--quick" => metrics = MetricsConfig::quick(),
-            other => return Err(format!("unknown flag {other} (see --help in the source)")),
+            other => return Err(format!("unknown flag {other} (see --help)")),
         }
     }
     if infinite {
@@ -179,7 +187,7 @@ fn parse() -> Result<Cli, String> {
                 .to_string(),
         );
     }
-    Ok(Cli {
+    Ok(Some(Cli {
         cfg,
         check_serializable,
         audit,
@@ -187,7 +195,7 @@ fn parse() -> Result<Cli, String> {
         profile,
         reps,
         out,
-    })
+    }))
 }
 
 /// Parse `v`, the value of `flag`, as a duration in seconds: finite, not
@@ -367,7 +375,11 @@ fn emit(cli: &Cli, text: &str) {
 
 fn main() {
     let cli = match parse() {
-        Ok(c) => c,
+        Ok(Some(c)) => c,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);

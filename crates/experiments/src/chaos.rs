@@ -1,18 +1,17 @@
 //! Deterministic fault injection for supervisor tests (feature `chaos`).
 //!
 //! A [`ChaosPoint`] targets one grid coordinate by `(series index, mpl,
-//! replication)` and makes its first `fail_attempts` attempts fail —
-//! either by panicking inside the worker (exercising `catch_unwind`
-//! isolation) or by shrinking the run's budget to a few events (exercising
-//! the engine's [`ccsim_core::RunError::BudgetExhausted`] path). Attempt
-//! `fail_attempts + 1` and resumed runs are left alone, so retry and
-//! recovery paths can be proven to converge on the clean result. Injection
-//! is coordinate-keyed, never time- or scheduling-keyed, so chaos runs are
-//! exactly reproducible.
+//! replication)` and makes its run fail — either by panicking inside the
+//! worker (exercising `catch_unwind` isolation) or by shrinking the run's
+//! budget to a few events (exercising the engine's
+//! [`ccsim_core::RunError::BudgetExhausted`] path). A sweep runs each
+//! coordinate once, so the fault always lands; resuming the sweep without
+//! the fault re-runs the hole and must converge on the clean result.
+//! Injection is coordinate-keyed, never time- or scheduling-keyed, so chaos
+//! runs are exactly reproducible.
 //!
 //! The `repro` binary reads the `CCSIM_CHAOS` environment variable (e.g.
-//! `CCSIM_CHAOS=panic@1:50:0` or, failing the first two attempts,
-//! `CCSIM_CHAOS=panic@1:50:0*2`) when built with this feature; integration
+//! `CCSIM_CHAOS=panic@1:50:0`) when built with this feature; integration
 //! tests construct [`ChaosPoint`]s directly.
 
 /// How the targeted run should fail.
@@ -36,10 +35,6 @@ pub struct ChaosPoint {
     pub rep: u32,
     /// Failure mode.
     pub kind: ChaosKind,
-    /// How many leading attempts at the coordinate fail (default 1).
-    /// Attempt `fail_attempts + 1` succeeds — the hook retry tests use to
-    /// prove a point recovers on exactly the attempt the policy allows.
-    pub fail_attempts: u32,
 }
 
 impl ChaosPoint {
@@ -47,35 +42,18 @@ impl ChaosPoint {
     /// to trip within milliseconds, large enough to pass engine priming.
     pub const TINY_EVENT_BUDGET: u64 = 64;
 
-    /// Parse `panic@si:mpl:rep` or `budget@si:mpl:rep`, with an optional
-    /// `*N` suffix failing the first `N` attempts instead of just the
-    /// first (`panic@1:50:0*2`).
+    /// Parse `panic@si:mpl:rep` or `budget@si:mpl:rep`.
     ///
     /// # Errors
     /// Returns a description of the malformed field.
     pub fn parse(s: &str) -> Result<ChaosPoint, String> {
         let (kind, coord) = s
             .split_once('@')
-            .ok_or_else(|| format!("chaos spec {s:?} has no '@' (want kind@si:mpl:rep[*n])"))?;
+            .ok_or_else(|| format!("chaos spec {s:?} has no '@' (want kind@si:mpl:rep)"))?;
         let kind = match kind {
             "panic" => ChaosKind::Panic,
             "budget" => ChaosKind::BudgetExhaust,
             other => return Err(format!("unknown chaos kind {other:?} (panic|budget)")),
-        };
-        let (coord, fail_attempts) = match coord.split_once('*') {
-            Some((c, n)) => (
-                c,
-                n.parse::<u32>()
-                    .map_err(|e| format!("bad attempt count {n:?}: {e}"))
-                    .and_then(|n| {
-                        if n == 0 {
-                            Err("attempt count must be at least 1".to_string())
-                        } else {
-                            Ok(n)
-                        }
-                    })?,
-            ),
-            None => (coord, 1),
         };
         let fields: Vec<&str> = coord.split(':').collect();
         let [si, mpl, rep] = fields.as_slice() else {
@@ -90,7 +68,6 @@ impl ChaosPoint {
                 .parse()
                 .map_err(|e| format!("bad replication {rep:?}: {e}"))?,
             kind,
-            fail_attempts,
         })
     }
 
@@ -106,13 +83,10 @@ impl ChaosPoint {
         }
     }
 
-    /// Does this fault hit the given grid coordinate on this attempt?
+    /// Does this fault hit the given grid coordinate?
     #[must_use]
-    pub fn targets(&self, series_ix: usize, mpl: u32, rep: u32, attempt: u32) -> bool {
-        self.series_ix == series_ix
-            && self.mpl == mpl
-            && self.rep == rep
-            && attempt <= self.fail_attempts
+    pub fn targets(&self, series_ix: usize, mpl: u32, rep: u32) -> bool {
+        self.series_ix == series_ix && self.mpl == mpl && self.rep == rep
     }
 }
 
@@ -129,7 +103,6 @@ mod tests {
                 mpl: 50,
                 rep: 0,
                 kind: ChaosKind::Panic,
-                fail_attempts: 1,
             })
         );
         assert_eq!(
@@ -139,17 +112,8 @@ mod tests {
                 mpl: 5,
                 rep: 2,
                 kind: ChaosKind::BudgetExhaust,
-                fail_attempts: 1,
             })
         );
-    }
-
-    #[test]
-    fn parses_attempt_count_suffix() {
-        let p = ChaosPoint::parse("panic@1:50:0*3").unwrap();
-        assert_eq!(p.fail_attempts, 3);
-        assert!(ChaosPoint::parse("panic@1:50:0*0").is_err());
-        assert!(ChaosPoint::parse("panic@1:50:0*x").is_err());
     }
 
     #[test]
@@ -158,19 +122,15 @@ mod tests {
         assert!(ChaosPoint::parse("explode@1:2:3").is_err());
         assert!(ChaosPoint::parse("panic@1:2").is_err());
         assert!(ChaosPoint::parse("panic@a:2:3").is_err());
+        assert!(ChaosPoint::parse("panic@1:50:0*2").is_err());
     }
 
     #[test]
-    fn targeting_is_exact_and_attempt_bounded() {
+    fn targeting_is_exact() {
         let p = ChaosPoint::parse("panic@1:50:0").unwrap();
-        assert!(p.targets(1, 50, 0, 1));
-        assert!(!p.targets(1, 50, 0, 2), "only the first attempt fails");
-        assert!(!p.targets(1, 50, 1, 1));
-        assert!(!p.targets(0, 50, 0, 1));
-        assert!(!p.targets(1, 25, 0, 1));
-        let p = ChaosPoint::parse("budget@1:50:0*2").unwrap();
-        assert!(p.targets(1, 50, 0, 1));
-        assert!(p.targets(1, 50, 0, 2));
-        assert!(!p.targets(1, 50, 0, 3), "attempt 3 recovers");
+        assert!(p.targets(1, 50, 0));
+        assert!(!p.targets(1, 50, 1));
+        assert!(!p.targets(0, 50, 0));
+        assert!(!p.targets(1, 25, 0));
     }
 }

@@ -142,9 +142,6 @@ pub fn to_json(result: &ExperimentResult) -> String {
             escape(f.kind.token(), &mut out);
             out.push_str(",\"detail\":");
             escape(&f.detail, &mut out);
-            out.push_str(",\"retry\":");
-            escape(f.retry.token(), &mut out);
-            let _ = write!(out, ",\"retry_attempts\":{}", f.retry.attempts());
             out.push('}');
         }
         out.push(']');
@@ -596,7 +593,7 @@ mod tests {
 
     #[test]
     fn failures_and_interruption_emit_only_when_present() {
-        use crate::spec::{FailureKind, PointFailure, RetryOutcome};
+        use crate::spec::{FailureKind, PointFailure};
         let clean = to_json(&tiny_result());
         assert!(!clean.contains("\"failures\""));
         assert!(!clean.contains("\"interrupted\""));
@@ -607,14 +604,12 @@ mod tests {
             rep: 1,
             kind: FailureKind::Panic,
             detail: "chaos: injected panic".into(),
-            retry: RetryOutcome::Failed { attempts: 3 },
         });
         r.interrupted = true;
         let j = to_json(&r);
         assert!(j.contains(
             "\"failures\":[{\"series\":\"optimistic\",\"mpl\":25,\"rep\":1,\
-             \"kind\":\"panic\",\"detail\":\"chaos: injected panic\",\
-             \"retry\":\"failed\",\"retry_attempts\":3}]"
+             \"kind\":\"panic\",\"detail\":\"chaos: injected panic\"}]"
         ));
         assert!(j.ends_with(",\"interrupted\":true}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -627,35 +622,6 @@ mod tests {
             Some("panic")
         );
         assert_eq!(v.get("interrupted").and_then(Value::as_bool), Some(true));
-    }
-
-    #[test]
-    fn retry_outcomes_round_trip_through_json() {
-        use crate::spec::{FailureKind, PointFailure, RetryOutcome};
-        for retry in [
-            RetryOutcome::NotAttempted,
-            RetryOutcome::Degraded { attempts: 2 },
-            RetryOutcome::Recovered { attempts: 3 },
-            RetryOutcome::Failed { attempts: 4 },
-        ] {
-            let mut r = tiny_result();
-            r.failures.push(PointFailure {
-                series: "blocking".into(),
-                mpl: 5,
-                rep: 0,
-                kind: FailureKind::Budget,
-                detail: "d".into(),
-                retry,
-            });
-            let v = parse(&to_json(&r)).expect("parses");
-            let f = &v.get("failures").and_then(Value::as_arr).expect("array")[0];
-            let token = f.get("retry").and_then(Value::as_str).expect("token");
-            let attempts = f
-                .get("retry_attempts")
-                .and_then(Value::as_u64)
-                .expect("attempts") as u32;
-            assert_eq!(RetryOutcome::from_parts(token, attempts), Some(retry));
-        }
     }
 
     #[test]

@@ -35,10 +35,10 @@ pub use chaos::{ChaosKind, ChaosPoint};
 pub use manifest::{write_atomic, Manifest, ManifestEntry, ManifestError};
 pub use replicate::{aggregate_reports, NoReplications};
 pub use runner::{
-    run_experiment, run_experiment_supervised, Fidelity, PointProgress, RetryPolicy, RunOptions,
-    SweepControl, SweepError,
+    run_experiment, run_experiment_supervised, Fidelity, PointProgress, RunOptions, SweepControl,
+    SweepError,
 };
 pub use spec::{
     DataPoint, ExperimentResult, ExperimentSpec, FailureKind, FigureKind, FigureView, PointFailure,
-    RetryOutcome, Series,
+    Series,
 };

@@ -14,7 +14,7 @@
 //! Floats are written with Rust's shortest round-trip formatting (plus the
 //! `NaN`/`inf`/`-inf` lexemes) so a parsed-back report is bit-identical to
 //! the one that was recorded. Failed runs are deliberately *not*
-//! journaled: resume retries them.
+//! journaled: resume re-runs them.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;

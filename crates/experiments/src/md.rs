@@ -187,11 +187,9 @@ mod tests {
             rep: 1,
             kind: crate::spec::FailureKind::Budget,
             detail: "budget exhausted".to_string(),
-            retry: crate::spec::RetryOutcome::Failed { attempts: 2 },
         });
         let md = experiment_to_markdown(&result, &[]);
         assert!(md.contains("Run failures"));
-        assert!(md.contains("⚠️ optimistic@25 rep 1 [budget]"));
-        assert!(md.contains("(all 2 attempts failed)"));
+        assert!(md.contains("- ⚠️ optimistic@25 rep 1 [budget] budget exhausted\n"));
     }
 }

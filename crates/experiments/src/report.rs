@@ -288,7 +288,6 @@ mod tests {
             rep: 0,
             kind: crate::spec::FailureKind::Panic,
             detail: "chaos: injected panic".to_string(),
-            retry: crate::spec::RetryOutcome::NotAttempted,
         });
         result.interrupted = true;
         let text = render_experiment(&result);

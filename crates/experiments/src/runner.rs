@@ -18,21 +18,22 @@
 //!
 //! # Resilience
 //!
-//! Every run executes under `catch_unwind` with the engine's
+//! Every run executes once, under `catch_unwind` with the engine's
 //! [`ccsim_core::RunBudget`] active, so a panicking, misconfigured, or
 //! livelocked run becomes a typed [`PointFailure`] hole in the result
-//! instead of aborting the sweep. A [`RetryPolicy`] re-attempts failed
-//! runs with deterministic exponential backoff, optionally falling back to
-//! one degraded quick-fidelity fill. With a [`SweepControl::checkpoint`]
-//! path, completed runs are journaled to a manifest (atomic rewrite on
-//! every update); a later run with [`SweepControl::resume`] skips
-//! journaled runs and — because seeds are coordinate-derived — produces
-//! byte-identical final output. A [`SweepControl::progress`] callback
-//! streams every settled coordinate as it lands.
+//! instead of aborting the sweep. A run is a pure function of its grid
+//! coordinate, so running it again would fail the same way, and the hole's
+//! record reads the same on every host and thread count. With a
+//! [`SweepControl::checkpoint`] path, completed runs are journaled to a
+//! manifest (atomic rewrite on every update); holes never are, so a later
+//! run with [`SweepControl::resume`] skips the journaled runs, re-runs
+//! exactly the holes, and — because seeds are coordinate-derived —
+//! produces byte-identical final output once their cause is fixed. A
+//! [`SweepControl::progress`] callback streams every settled coordinate as
+//! it lands.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use ccsim_core::{MetricsConfig, Report, RunBudget, RunError, Simulator};
 use ccsim_des::derive_seed;
@@ -42,9 +43,7 @@ use crossbeam::channel;
 use crate::chaos::{ChaosKind, ChaosPoint};
 use crate::manifest::{Manifest, ManifestEntry, ManifestError};
 use crate::replicate::aggregate_reports;
-use crate::spec::{
-    DataPoint, ExperimentResult, ExperimentSpec, FailureKind, PointFailure, RetryOutcome,
-};
+use crate::spec::{DataPoint, ExperimentResult, ExperimentSpec, FailureKind, PointFailure};
 
 /// Fidelity of a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,124 +76,6 @@ impl Fidelity {
     }
 }
 
-/// Per-point retry discipline: how many times a failed grid point is
-/// re-attempted, how long to wait between attempts, and whether to fall
-/// back to one degraded quick-fidelity fill once full-fidelity attempts
-/// are exhausted.
-///
-/// Backoff is exponential with **deterministic jitter**: the wait before
-/// attempt `k` is `min(base · 2^(k-2), max)` plus a jitter term derived
-/// from `jitter_seed` and the grid coordinate — two sweeps with the same
-/// policy produce the identical backoff schedule, point for point, so
-/// retry behavior is as replayable as the simulations themselves (and
-/// concurrently failing points still de-synchronize, since the jitter
-/// varies per coordinate).
-///
-/// Attempt numbering is 1-based and counts every execution: attempt 1 is
-/// the original run, attempts `2..=max_attempts` are full-fidelity
-/// retries, and the optional degraded fill (when [`degrade_to_quick`] is
-/// set) is one further attempt. A full-fidelity retry that succeeds is
-/// recorded as [`RetryOutcome::Recovered`] and **is** checkpointed — the
-/// report is exactly what the first attempt should have produced, because
-/// seeds derive from the coordinate, not the attempt. A degraded fill is
-/// recorded as [`RetryOutcome::Degraded`] and is **never** checkpointed,
-/// so a resumed sweep re-attempts the point at full fidelity.
-///
-/// [`degrade_to_quick`]: RetryPolicy::degrade_to_quick
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total full-fidelity attempts per point, including the first
-    /// (0 is treated as 1).
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in milliseconds. 0 disables
-    /// waiting entirely.
-    pub base_backoff_ms: u64,
-    /// Ceiling on the exponential backoff (before jitter), in
-    /// milliseconds.
-    pub max_backoff_ms: u64,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-    /// After the last failed full-fidelity attempt, run once more at
-    /// [`Fidelity::Quick`] to fill the hole with a degraded measurement.
-    pub degrade_to_quick: bool,
-}
-
-impl RetryPolicy {
-    /// No retries at all: one attempt, failures become holes.
-    #[must_use]
-    pub const fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            jitter_seed: 0,
-            degrade_to_quick: false,
-        }
-    }
-
-    /// The historical `--retry-quick` behavior: no full-fidelity retries,
-    /// one degraded quick-fidelity fill.
-    #[must_use]
-    pub const fn quick_once() -> Self {
-        RetryPolicy {
-            degrade_to_quick: true,
-            ..Self::none()
-        }
-    }
-
-    /// `max_attempts` full-fidelity attempts with the default backoff
-    /// curve (50 ms base, 2 s ceiling) and no degraded fill.
-    #[must_use]
-    pub const fn retries(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            base_backoff_ms: 50,
-            max_backoff_ms: 2_000,
-            jitter_seed: 0xBACC_0FF5,
-            degrade_to_quick: false,
-        }
-    }
-
-    /// Deterministic backoff (milliseconds) to wait *before* attempt
-    /// `attempt` at the given grid coordinate. Attempt 1 (the original
-    /// run) never waits; retries wait `min(base · 2^(attempt-2), max)`
-    /// plus a jitter of up to a quarter of that, derived from
-    /// `jitter_seed` and the coordinate.
-    #[must_use]
-    pub fn backoff_ms(&self, series_ix: usize, mpl: u32, rep: u32, attempt: u32) -> u64 {
-        if attempt <= 1 || self.base_backoff_ms == 0 {
-            return 0;
-        }
-        let exp = (attempt - 2).min(20);
-        let ceiling = self.max_backoff_ms.max(self.base_backoff_ms);
-        let raw = self
-            .base_backoff_ms
-            .saturating_mul(1u64 << exp)
-            .min(ceiling);
-        let span = raw / 4;
-        let jitter = if span == 0 {
-            0
-        } else {
-            derive_seed(
-                self.jitter_seed,
-                &[
-                    series_ix as u64 + 1,
-                    u64::from(mpl),
-                    u64::from(rep),
-                    u64::from(attempt),
-                ],
-            ) % (span + 1)
-        };
-        raw + jitter
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::none()
-    }
-}
-
 /// Options for [`run_experiment`].
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -213,8 +94,6 @@ pub struct RunOptions {
     /// Violations do not abort the sweep; they are collected as summary
     /// lines in [`ExperimentResult::audit_failures`].
     pub audit: bool,
-    /// Retry discipline for failed grid points (see [`RetryPolicy`]).
-    pub retry: RetryPolicy,
 }
 
 impl Default for RunOptions {
@@ -225,14 +104,13 @@ impl Default for RunOptions {
             threads: 0,
             replications: 1,
             audit: false,
-            retry: RetryPolicy::none(),
         }
     }
 }
 
 /// One settled grid coordinate, streamed to [`SweepControl::progress`] the
 /// moment the supervisor records it. `report` is `None` for a point that
-/// failed without a fill.
+/// failed.
 #[derive(Debug, Clone, Copy)]
 pub struct PointProgress<'a> {
     /// Index of the series in the experiment spec.
@@ -241,7 +119,7 @@ pub struct PointProgress<'a> {
     pub mpl: u32,
     /// Replication index of the point.
     pub rep: u32,
-    /// The point's report; `None` when the point failed unfilled.
+    /// The point's report; `None` when the point failed.
     pub report: Option<&'a Report>,
 }
 
@@ -269,7 +147,7 @@ pub struct SweepControl<'a> {
     /// replayed from a resumed checkpoint manifest are not reported.
     pub progress: Option<&'a (dyn Fn(PointProgress<'_>) + Sync)>,
     /// Deterministic fault injection (feature `chaos`): the targeted grid
-    /// coordinate's first `fail_attempts` attempts fail.
+    /// coordinate's run fails.
     #[cfg(feature = "chaos")]
     pub chaos: Option<ChaosPoint>,
 }
@@ -353,40 +231,36 @@ struct ChaosPlan {
 }
 
 impl ChaosPlan {
-    fn panic_at(self, series_ix: usize, mpl: u32, rep: u32, attempt: u32) -> bool {
+    fn panic_at(self, series_ix: usize, mpl: u32, rep: u32) -> bool {
         #[cfg(feature = "chaos")]
         if let Some(p) = self.point {
-            return p.kind == ChaosKind::Panic && p.targets(series_ix, mpl, rep, attempt);
+            return p.kind == ChaosKind::Panic && p.targets(series_ix, mpl, rep);
         }
-        let _ = (series_ix, mpl, rep, attempt);
+        let _ = (series_ix, mpl, rep);
         false
     }
 
-    fn budget_cap_at(self, series_ix: usize, mpl: u32, rep: u32, attempt: u32) -> Option<u64> {
+    fn budget_cap_at(self, series_ix: usize, mpl: u32, rep: u32) -> Option<u64> {
         #[cfg(feature = "chaos")]
         if let Some(p) = self.point {
-            if p.kind == ChaosKind::BudgetExhaust && p.targets(series_ix, mpl, rep, attempt) {
+            if p.kind == ChaosKind::BudgetExhaust && p.targets(series_ix, mpl, rep) {
                 return Some(ChaosPoint::TINY_EVENT_BUDGET);
             }
         }
-        let _ = (series_ix, mpl, rep, attempt);
+        let _ = (series_ix, mpl, rep);
         None
     }
 }
 
-/// What a worker reports back for one grid coordinate. A clean run has
-/// `success` only; an unfilled failure has `failure` only; a recovered or
-/// degraded retry carries both — the filling report plugs the hole while
-/// the original failure stays on record. `journal` marks reports safe to
-/// checkpoint: clean runs and full-fidelity recoveries, never degraded
-/// quick-fidelity fills.
+/// A run's report and audit summaries, or the typed failure for its hole.
+type PointResult = Result<(Report, Vec<String>), (FailureKind, String)>;
+
+/// What a worker reports back for one grid coordinate.
 struct PointMsg {
     series_ix: usize,
     mpl: u32,
     rep: u32,
-    success: Option<(Report, Vec<String>)>,
-    failure: Option<(FailureKind, String, RetryOutcome)>,
-    journal: bool,
+    outcome: PointResult,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -401,30 +275,27 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Execute one run under panic isolation. `Err` carries the typed failure
 /// for the hole record.
-#[allow(clippy::too_many_arguments)]
 fn run_point(
     spec: &ExperimentSpec,
     opts: &RunOptions,
-    metrics: MetricsConfig,
     series_ix: usize,
     mpl: u32,
     rep: u32,
     chaos: ChaosPlan,
-    attempt: u32,
-) -> Result<(Report, Vec<String>), (FailureKind, String)> {
+) -> PointResult {
     let series = &spec.series[series_ix];
     let mut cfg = spec
         .config(
             series,
             mpl,
-            metrics,
+            opts.fidelity.metrics(),
             control_seed(opts.base_seed, series_ix, mpl, rep),
         )
         .with_workload_seed(workload_seed(opts.base_seed, mpl, rep));
-    if let Some(cap) = chaos.budget_cap_at(series_ix, mpl, rep, attempt) {
+    if let Some(cap) = chaos.budget_cap_at(series_ix, mpl, rep) {
         cfg = cfg.with_budget(RunBudget::unlimited().with_max_events(cap));
     }
-    let inject_panic = chaos.panic_at(series_ix, mpl, rep, attempt);
+    let inject_panic = chaos.panic_at(series_ix, mpl, rep);
     let audit = opts.audit;
     let label = series.label.clone();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -449,120 +320,6 @@ fn run_point(
         Ok(Err(e @ RunError::BudgetExhausted { .. })) => Err((FailureKind::Budget, e.to_string())),
         Ok(Err(e @ RunError::InvalidConfig(_))) => Err((FailureKind::Config, e.to_string())),
         Err(payload) => Err((FailureKind::Panic, panic_message(payload.as_ref()))),
-    }
-}
-
-/// Sleep `ms` milliseconds in short slices, returning early (false) if the
-/// sweep is cancelled — a long backoff must not delay shutdown.
-fn backoff_sleep(ms: u64, cancel: &AtomicBool) -> bool {
-    const SLICE_MS: u64 = 25;
-    let mut left = ms;
-    while left > 0 {
-        if cancel.load(Ordering::Relaxed) {
-            return false;
-        }
-        let step = left.min(SLICE_MS);
-        std::thread::sleep(Duration::from_millis(step));
-        left -= step;
-    }
-    !cancel.load(Ordering::Relaxed)
-}
-
-/// Drive one grid coordinate through the full retry discipline: the
-/// original run, up to `max_attempts - 1` full-fidelity retries with
-/// deterministic backoff, then (optionally) one degraded quick-fidelity
-/// fill. The first failure's kind and detail are what gets recorded — the
-/// later attempts exist to fill the hole, not to re-diagnose it.
-#[allow(clippy::too_many_arguments)]
-fn attempt_point(
-    spec: &ExperimentSpec,
-    opts: &RunOptions,
-    metrics: MetricsConfig,
-    si: usize,
-    mpl: u32,
-    rep: u32,
-    chaos: ChaosPlan,
-    cancel: &AtomicBool,
-) -> PointMsg {
-    let policy = opts.retry;
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempt = 1u32;
-    let mut first_failure: Option<(FailureKind, String)> = None;
-    loop {
-        match run_point(spec, opts, metrics, si, mpl, rep, chaos, attempt) {
-            Ok(success) => {
-                let failure = first_failure.map(|(kind, detail)| {
-                    (kind, detail, RetryOutcome::Recovered { attempts: attempt })
-                });
-                return PointMsg {
-                    series_ix: si,
-                    mpl,
-                    rep,
-                    success: Some(success),
-                    failure,
-                    journal: true,
-                };
-            }
-            Err((kind, detail)) => {
-                if first_failure.is_none() {
-                    first_failure = Some((kind, detail));
-                }
-                if attempt < max_attempts {
-                    attempt += 1;
-                    if backoff_sleep(policy.backoff_ms(si, mpl, rep, attempt), cancel) {
-                        continue;
-                    }
-                    // Cancelled mid-backoff: give up on the point without
-                    // burning more attempts.
-                    attempt -= 1;
-                }
-                break;
-            }
-        }
-    }
-    let (kind, detail) = first_failure.expect("loop only breaks after a failure");
-    if policy.degrade_to_quick && !cancel.load(Ordering::Relaxed) {
-        attempt += 1;
-        return match run_point(
-            spec,
-            opts,
-            Fidelity::Quick.metrics(),
-            si,
-            mpl,
-            rep,
-            chaos,
-            attempt,
-        ) {
-            Ok(success) => PointMsg {
-                series_ix: si,
-                mpl,
-                rep,
-                success: Some(success),
-                failure: Some((kind, detail, RetryOutcome::Degraded { attempts: attempt })),
-                journal: false,
-            },
-            Err(_) => PointMsg {
-                series_ix: si,
-                mpl,
-                rep,
-                success: None,
-                failure: Some((kind, detail, RetryOutcome::Failed { attempts: attempt })),
-                journal: false,
-            },
-        };
-    }
-    let retry = if attempt > 1 {
-        RetryOutcome::Failed { attempts: attempt }
-    } else {
-        RetryOutcome::NotAttempted
-    };
-    PointMsg {
-        series_ix: si,
-        mpl,
-        rep,
-        success: None,
-        failure: Some((kind, detail, retry)),
-        journal: false,
     }
 }
 
@@ -654,7 +411,7 @@ pub fn run_experiment_supervised(
     drop(job_tx);
 
     let cancel = AtomicBool::new(false);
-    let mut failures_raw: Vec<(usize, u32, u32, FailureKind, String, RetryOutcome)> = Vec::new();
+    let mut failures_raw: Vec<(usize, u32, u32, FailureKind, String)> = Vec::new();
     let mut manifest_err: Option<ManifestError> = None;
     let mut newly_completed: u64 = 0;
 
@@ -669,7 +426,13 @@ pub fn run_experiment_supervised(
                     let Ok((si, mpl, rep)) = job_rx.recv() else {
                         break;
                     };
-                    let msg = attempt_point(spec_ref, opts, metrics, si, mpl, rep, chaos, cancel);
+                    let outcome = run_point(spec_ref, opts, si, mpl, rep, chaos);
+                    let msg = PointMsg {
+                        series_ix: si,
+                        mpl,
+                        rep,
+                        outcome,
+                    };
                     if res_tx.send(msg).is_err() {
                         break;
                     }
@@ -687,16 +450,32 @@ pub fn run_experiment_supervised(
             cancel.store(true, Ordering::Relaxed);
             while job_rx.try_recv().is_some() {}
         };
-        while let Ok(msg) = res_rx.recv() {
-            if let Some((report, audit)) = msg.success {
-                // Clean runs and full-fidelity recoveries are journaled
-                // and count toward stop_after; degraded fills are neither.
-                if msg.journal {
+        while let Ok(PointMsg {
+            series_ix,
+            mpl,
+            rep,
+            outcome,
+        }) = res_rx.recv()
+        {
+            let progress = |report| {
+                if let Some(cb) = ctl.progress {
+                    cb(PointProgress {
+                        series_ix,
+                        mpl,
+                        rep,
+                        report,
+                    });
+                }
+            };
+            match outcome {
+                // A completed run is journaled and counts toward
+                // stop_after; a hole is neither, so a resume re-runs it.
+                Ok((report, audit)) => {
                     if let Some(m) = manifest.as_mut() {
                         if let Err(e) = m.record(ManifestEntry {
-                            series_ix: msg.series_ix,
-                            mpl: msg.mpl,
-                            rep: msg.rep,
+                            series_ix,
+                            mpl,
+                            rep,
                             audit: audit.clone(),
                             report: report.clone(),
                         }) {
@@ -707,26 +486,13 @@ pub fn run_experiment_supervised(
                         }
                     }
                     newly_completed += 1;
+                    progress(Some(&report));
+                    collected.push((series_ix, mpl, rep, report, audit));
                 }
-                if let Some(cb) = ctl.progress {
-                    cb(PointProgress {
-                        series_ix: msg.series_ix,
-                        mpl: msg.mpl,
-                        rep: msg.rep,
-                        report: Some(&report),
-                    });
+                Err((kind, detail)) => {
+                    progress(None);
+                    failures_raw.push((series_ix, mpl, rep, kind, detail));
                 }
-                collected.push((msg.series_ix, msg.mpl, msg.rep, report, audit));
-            } else if let Some(cb) = ctl.progress {
-                cb(PointProgress {
-                    series_ix: msg.series_ix,
-                    mpl: msg.mpl,
-                    rep: msg.rep,
-                    report: None,
-                });
-            }
-            if let Some((kind, detail, retry)) = msg.failure {
-                failures_raw.push((msg.series_ix, msg.mpl, msg.rep, kind, detail, retry));
             }
             let stop_hit = ctl.stop_after.is_some_and(|k| newly_completed >= k);
             let intr_hit = ctl.interrupt.is_some_and(|f| f.load(Ordering::Relaxed));
@@ -766,13 +532,12 @@ pub fn run_experiment_supervised(
     failures_raw.sort_by_key(|a| (a.0, a.1, a.2));
     let failures = failures_raw
         .into_iter()
-        .map(|(si, mpl, rep, kind, detail, retry)| PointFailure {
+        .map(|(si, mpl, rep, kind, detail)| PointFailure {
             series: spec.series[si].label.clone(),
             mpl,
             rep,
             kind,
             detail,
-            retry,
         })
         .collect();
     Ok(ExperimentResult {
@@ -800,7 +565,6 @@ mod tests {
             threads: 0,
             replications: 1,
             audit: false,
-            retry: RetryPolicy::none(),
         }
     }
 
@@ -951,7 +715,6 @@ mod tests {
         for f in &result.failures {
             assert_eq!(f.kind, FailureKind::Config);
             assert_eq!(f.mpl, 0);
-            assert_eq!(f.retry, RetryOutcome::NotAttempted);
         }
         // The valid mpl still ran everywhere.
         assert_eq!(result.points.len(), 3);
@@ -1000,50 +763,6 @@ mod tests {
         assert_eq!(seen.len(), spec.num_runs());
         assert!(seen.iter().all(|&(.., ok)| ok));
         assert_eq!(result.points.len(), spec.num_runs());
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_exponential_and_capped() {
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            base_backoff_ms: 100,
-            max_backoff_ms: 800,
-            jitter_seed: 7,
-            degrade_to_quick: false,
-        };
-        // Attempt 1 (the original run) never waits.
-        assert_eq!(policy.backoff_ms(0, 50, 0, 1), 0);
-        // Identical inputs give identical waits...
-        assert_eq!(
-            policy.backoff_ms(0, 50, 0, 2),
-            policy.backoff_ms(0, 50, 0, 2)
-        );
-        // ...and different coordinates de-synchronize via jitter (the
-        // probability all three agree by chance is ~(1/26)^2).
-        let waits: Vec<u64> = [(0usize, 0u32), (1, 0), (0, 1)]
-            .iter()
-            .map(|&(si, rep)| policy.backoff_ms(si, 50, rep, 2))
-            .collect();
-        assert!(
-            waits[0] != waits[1] || waits[0] != waits[2],
-            "jitter failed to separate coordinates: {waits:?}"
-        );
-        for attempt in 2..=8 {
-            let raw_exp = 100u64 << (attempt - 2);
-            let raw = raw_exp.min(800);
-            let w = policy.backoff_ms(2, 10, 3, attempt);
-            assert!(
-                w >= raw && w <= raw + raw / 4,
-                "attempt {attempt}: wait {w} outside [{raw}, {}]",
-                raw + raw / 4
-            );
-        }
-        // Zero base disables waiting entirely.
-        assert_eq!(RetryPolicy::none().backoff_ms(0, 50, 0, 5), 0);
-        // quick_once reproduces the historical one-shot degraded retry.
-        let q = RetryPolicy::quick_once();
-        assert_eq!(q.max_attempts, 1);
-        assert!(q.degrade_to_quick);
     }
 
     #[test]

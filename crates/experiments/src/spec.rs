@@ -195,74 +195,6 @@ impl std::fmt::Display for FailureKind {
     }
 }
 
-/// How the supervisor's per-point retries went (see
-/// [`crate::RetryPolicy`]). `attempts` counts every attempt made on the
-/// point, including the first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryOutcome {
-    /// Retries were not enabled (or not applicable).
-    NotAttempted,
-    /// A retry at degraded (quick) fidelity produced a report that fills
-    /// the hole; the original failure is still recorded and the point is
-    /// not journaled, so a resumed sweep re-attempts it at full fidelity.
-    Degraded {
-        /// Total attempts, including the first failed one.
-        attempts: u32,
-    },
-    /// A retry at *full* fidelity recovered the point. The report is
-    /// bit-identical to one from an untroubled first attempt (seeds are
-    /// coordinate-derived), so it is journaled and cacheable; the earlier
-    /// failures stay on record here.
-    Recovered {
-        /// Total attempts, including the failed ones.
-        attempts: u32,
-    },
-    /// Every attempt failed; the hole stands.
-    Failed {
-        /// Total attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl RetryOutcome {
-    /// Stable lowercase token used in JSON.
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            RetryOutcome::NotAttempted => "not-attempted",
-            RetryOutcome::Degraded { .. } => "degraded",
-            RetryOutcome::Recovered { .. } => "recovered",
-            RetryOutcome::Failed { .. } => "failed",
-        }
-    }
-
-    /// Total attempts made on the point (0 for [`RetryOutcome::NotAttempted`],
-    /// where only the single implicit attempt ran).
-    #[must_use]
-    pub fn attempts(self) -> u32 {
-        match self {
-            RetryOutcome::NotAttempted => 0,
-            RetryOutcome::Degraded { attempts }
-            | RetryOutcome::Recovered { attempts }
-            | RetryOutcome::Failed { attempts } => attempts,
-        }
-    }
-
-    /// Rebuild an outcome from its JSON parts: the token written by
-    /// [`RetryOutcome::token`] plus the `retry_attempts` count (ignored
-    /// for `"not-attempted"`). `None` for an unknown token.
-    #[must_use]
-    pub fn from_parts(token: &str, attempts: u32) -> Option<Self> {
-        match token {
-            "not-attempted" => Some(RetryOutcome::NotAttempted),
-            "degraded" => Some(RetryOutcome::Degraded { attempts }),
-            "recovered" => Some(RetryOutcome::Recovered { attempts }),
-            "failed" => Some(RetryOutcome::Failed { attempts }),
-            _ => None,
-        }
-    }
-}
-
 /// One failed run: a typed hole in the sweep grid. The sweep keeps going;
 /// the failure is recorded here instead of aborting the experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,8 +209,6 @@ pub struct PointFailure {
     pub kind: FailureKind,
     /// Human-readable detail (panic message, budget counters, ...).
     pub detail: String,
-    /// Outcome of the optional one-shot quick retry.
-    pub retry: RetryOutcome,
 }
 
 impl std::fmt::Display for PointFailure {
@@ -287,19 +217,7 @@ impl std::fmt::Display for PointFailure {
             f,
             "{}@{} rep {} [{}] {}",
             self.series, self.mpl, self.rep, self.kind, self.detail
-        )?;
-        match self.retry {
-            RetryOutcome::NotAttempted => Ok(()),
-            RetryOutcome::Degraded { attempts } => {
-                write!(f, " (quick retry filled the hole on attempt {attempts})")
-            }
-            RetryOutcome::Recovered { attempts } => {
-                write!(f, " (recovered at full fidelity on attempt {attempts})")
-            }
-            RetryOutcome::Failed { attempts } => {
-                write!(f, " (all {attempts} attempts failed)")
-            }
-        }
+        )
     }
 }
 
@@ -316,7 +234,7 @@ pub struct ExperimentResult {
     pub audit_failures: Vec<String>,
     /// Failed runs — the typed holes in the grid. A `(series, mpl)` point
     /// whose every replication failed has no [`DataPoint`] at all; one
-    /// whose retry succeeded has a (degraded) point *and* an entry here.
+    /// where only some failed aggregates the replications that ran.
     pub failures: Vec<PointFailure>,
     /// True when the sweep was stopped early (ctrl-C or a supervisor stop
     /// request) — remaining points were never attempted.
@@ -383,22 +301,6 @@ impl ExperimentResult {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.failures.is_empty() && !self.interrupted
-    }
-
-    /// True when every grid point carries a full-fidelity measurement:
-    /// the sweep ran to the end of its grid, there are no holes, and any
-    /// recorded failures were [`RetryOutcome::Recovered`] at full
-    /// fidelity (whose reports are bit-identical to untroubled runs).
-    /// Such a result is the sweep's canonical answer; a degraded
-    /// (quick-retry) fill or a standing hole is real data but is not.
-    #[must_use]
-    pub fn fully_measured(&self) -> bool {
-        !self.interrupted
-            && self.holes().is_empty()
-            && self
-                .failures
-                .iter()
-                .all(|f| matches!(f.retry, RetryOutcome::Recovered { .. }))
     }
 
     /// `(series, mpl)` coordinates that have no data point at all — every
@@ -493,7 +395,6 @@ mod tests {
                     rep: 0,
                     kind: FailureKind::Panic,
                     detail: "boom".into(),
-                    retry: RetryOutcome::NotAttempted,
                 },
                 PointFailure {
                     series: "blocking".into(),
@@ -501,100 +402,16 @@ mod tests {
                     rep: 1,
                     kind: FailureKind::Budget,
                     detail: "over".into(),
-                    retry: RetryOutcome::Failed { attempts: 3 },
                 },
             ],
             interrupted: false,
         };
         assert!(!result.is_clean());
         assert_eq!(result.holes(), vec![("blocking".to_string(), 10)]);
-        let shown = result.failures[0].to_string();
-        assert!(shown.contains("blocking@10 rep 0 [panic] boom"), "{shown}");
-    }
-
-    #[test]
-    fn retry_outcomes_round_trip_their_parts() {
-        for o in [
-            RetryOutcome::NotAttempted,
-            RetryOutcome::Degraded { attempts: 2 },
-            RetryOutcome::Recovered { attempts: 4 },
-            RetryOutcome::Failed { attempts: 3 },
-        ] {
-            assert_eq!(RetryOutcome::from_parts(o.token(), o.attempts()), Some(o));
-        }
-        assert_eq!(RetryOutcome::from_parts("bogus", 1), None);
-        assert_eq!(RetryOutcome::NotAttempted.attempts(), 0);
-    }
-
-    #[test]
-    fn fully_measured_accepts_recovered_but_not_degraded_failures() {
-        let report = Report {
-            throughput: ccsim_core::Estimate {
-                mean: 1.0,
-                half_width: 0.1,
-            },
-            throughput_per_batch: vec![1.0],
-            throughput_lag1: 0.0,
-            response_time_mean: 1.0,
-            response_time_std: 0.5,
-            response_time_max: 2.0,
-            response_time_p50: 1.0,
-            response_time_p95: 1.5,
-            response_time_p99: 1.9,
-            block_ratio: 0.0,
-            restart_ratio: 0.0,
-            disk_util_total: ccsim_core::Estimate {
-                mean: 0.5,
-                half_width: 0.0,
-            },
-            disk_util_useful: ccsim_core::Estimate {
-                mean: 0.5,
-                half_width: 0.0,
-            },
-            cpu_util_total: ccsim_core::Estimate {
-                mean: 0.5,
-                half_width: 0.0,
-            },
-            cpu_util_useful: ccsim_core::Estimate {
-                mean: 0.5,
-                half_width: 0.0,
-            },
-            avg_active: 1.0,
-            class_reports: vec![],
-            commits: 10,
-            blocks: 0,
-            restarts: 0,
-            deadlocks: 0,
-        };
-        let mut result = ExperimentResult {
-            spec: demo_spec(),
-            points: vec![DataPoint::single("blocking".into(), 10, report)],
-            audit_failures: vec![],
-            warnings: vec![],
-            failures: vec![],
-            interrupted: false,
-        };
-        assert!(result.fully_measured());
-        result.failures.push(PointFailure {
-            series: "blocking".into(),
-            mpl: 10,
-            rep: 0,
-            kind: FailureKind::Panic,
-            detail: "boom".into(),
-            retry: RetryOutcome::Recovered { attempts: 2 },
-        });
-        // A recovered failure leaves no hole (its report landed) and the
-        // report is full fidelity: still canonical.
-        assert!(!result.is_clean());
-        assert!(result.fully_measured());
-        result.failures[0].retry = RetryOutcome::Degraded { attempts: 2 };
-        assert!(!result.fully_measured(), "degraded fill is not canonical");
-        result.failures[0].retry = RetryOutcome::Failed { attempts: 2 };
-        result.points.clear();
-        assert!(!result.fully_measured(), "a standing hole is not canonical");
-        result.failures.clear();
-        result.interrupted = true;
-        assert!(!result.fully_measured());
+        assert_eq!(
+            result.failures[0].to_string(),
+            "blocking@10 rep 0 [panic] boom"
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! parser and the checkpoint manifest it backs. Both read only files on
 //! disk, which a crash can tear and a disk can corrupt, so neither may
 //! panic on what it reads, and a manifest must never replay an entry
-//! that does not belong to its sweep.
+//! that does not belong to its sweep. With the `chaos` feature, the
+//! `CCSIM_CHAOS` spec parser is held to the same rule.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -390,5 +391,81 @@ proptest! {
             Err(e @ ManifestError::Io(_)) => return Err(fail(e)),
         }
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[cfg(feature = "chaos")]
+mod chaos_spec {
+    use ccsim_experiments::{ChaosKind, ChaosPoint};
+    use proptest::prelude::*;
+
+    /// Pieces of chaos specs, well-formed and not.
+    const PIECES: &[&str] = &[
+        "panic",
+        "budget",
+        "explode",
+        "@",
+        ":",
+        "*",
+        "0",
+        "1",
+        "50",
+        "-1",
+        "x",
+        " ",
+        "",
+        "4294967296",
+        "18446744073709551616",
+        "é",
+        "\u{0}",
+    ];
+
+    fn kind() -> impl Strategy<Value = (ChaosKind, &'static str)> {
+        any::<bool>().prop_map(|panic| {
+            if panic {
+                (ChaosKind::Panic, "panic")
+            } else {
+                (ChaosKind::BudgetExhaust, "budget")
+            }
+        })
+    }
+
+    proptest! {
+        /// Any string of spec pieces parses or is rejected; it never panics.
+        #[test]
+        fn parse_never_panics(ix in proptest::collection::vec(0..PIECES.len(), 0..12)) {
+            let spec: String = ix.into_iter().map(|i| PIECES[i]).collect();
+            let _ = ChaosPoint::parse(&spec);
+        }
+
+        /// Every `panic|budget@si:mpl:rep` parses back to its parts.
+        #[test]
+        fn parse_round_trips_every_coordinate(
+            kind in kind(),
+            series_ix in any::<usize>(),
+            mpl in any::<u32>(),
+            rep in any::<u32>(),
+        ) {
+            let (kind, token) = kind;
+            let spec = format!("{token}@{series_ix}:{mpl}:{rep}");
+            prop_assert_eq!(
+                ChaosPoint::parse(&spec),
+                Ok(ChaosPoint { series_ix, mpl, rep, kind })
+            );
+        }
+
+        /// A fault hits its coordinate's one run, so an attempt-count
+        /// suffix means nothing and is rejected.
+        #[test]
+        fn attempt_suffix_is_rejected(
+            kind in kind(),
+            coord in (any::<u8>(), any::<u32>(), any::<u32>()),
+            n in proptest::collection::vec(0..PIECES.len(), 0..3),
+        ) {
+            let ((_, token), (si, mpl, rep)) = (kind, coord);
+            let n: String = n.into_iter().map(|i| PIECES[i]).collect();
+            let spec = format!("{token}@{si}:{mpl}:{rep}*{n}");
+            prop_assert!(ChaosPoint::parse(&spec).is_err(), "{:?} parsed", spec);
+        }
     }
 }

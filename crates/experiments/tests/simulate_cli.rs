@@ -129,3 +129,24 @@ fn horizon_over_the_duration_bound_is_rejected() {
     assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
     assert!(stderr.contains("horizon"), "{stderr}");
 }
+
+/// `--help` and `-h` print the usage to stdout and exit 0; an unknown flag
+/// still exits 2 and points at `--help`.
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = simulate(&["--quick", flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag}");
+        let usage = String::from_utf8(out.stdout).expect("utf-8 usage");
+        assert!(usage.contains("--max-events"), "{flag}: {usage}");
+        assert!(usage.contains("-h, --help"), "{flag}: {usage}");
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
+    let out = simulate(&["--bogus"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --bogus (see --help)"),
+        "{stderr}"
+    );
+}

@@ -10,7 +10,7 @@ use ccsim_core::{
     TraceEvent,
 };
 use ccsim_des::SimDuration;
-use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RetryPolicy, RunOptions};
+use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
 use proptest::prelude::*;
 
 /// A short but contended configuration: small database, writes likely,
@@ -107,7 +107,6 @@ fn audited_sweep_replays_identically_across_thread_counts() {
         threads,
         replications: 1,
         audit: true,
-        retry: RetryPolicy::none(),
     };
     let one = run_experiment(&spec, &opts(1)).expect("sweep completes");
     let four = run_experiment(&spec, &opts(4)).expect("sweep completes");

@@ -6,7 +6,7 @@ use ccsim_core::{
     run, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
-use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RetryPolicy, RunOptions};
+use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
 
 fn quick() -> MetricsConfig {
     MetricsConfig {
@@ -42,7 +42,6 @@ fn experiment_results_and_json_replay_exactly() {
         threads: 1,
         replications: 1,
         audit: false,
-        retry: RetryPolicy::none(),
     };
     let a = run_experiment(&spec, &opts).expect("sweep completes");
     let b = run_experiment(&spec, &opts).expect("sweep completes");

@@ -9,7 +9,7 @@
 
 use ccsim_experiments::{
     catalog, json, run_experiment, run_experiment_supervised, ChaosKind, ChaosPoint, FailureKind,
-    Fidelity, RetryOutcome, RetryPolicy, RunOptions, SweepControl,
+    Fidelity, RunOptions, SweepControl,
 };
 
 #[test]
@@ -22,7 +22,6 @@ fn injected_worker_panic_is_loud_and_leaves_a_typed_hole() {
         threads,
         replications: 1,
         audit: false,
-        retry: RetryPolicy::none(),
     };
 
     // The reference: one thread, no chaos.
@@ -37,7 +36,6 @@ fn injected_worker_panic_is_loud_and_leaves_a_typed_hole() {
             mpl: 25,
             rep: 0,
             kind: ChaosKind::Panic,
-            fail_attempts: 1,
         }),
         ..SweepControl::default()
     };
@@ -52,7 +50,6 @@ fn injected_worker_panic_is_loud_and_leaves_a_typed_hole() {
         f.detail.contains("injected panic"),
         "hole lost the panic message: {f}"
     );
-    assert_eq!(f.retry, RetryOutcome::NotAttempted);
     assert_eq!(holed.holes(), vec![("blocking".to_string(), 25)]);
 
     // The sibling workers' points are untouched by the panic.

@@ -10,7 +10,7 @@
 
 use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
 use ccsim_des::SimDuration;
-use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RetryPolicy, RunOptions};
+use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
 
 fn quick() -> MetricsConfig {
     MetricsConfig {
@@ -28,7 +28,6 @@ fn tiny_opts(threads: usize, replications: u32) -> RunOptions {
         threads,
         replications,
         audit: false,
-        retry: RetryPolicy::none(),
     }
 }
 

@@ -2,11 +2,13 @@
 //!
 //! * an injected worker panic or budget exhaustion becomes a typed hole in
 //!   the result while the rest of the sweep completes untouched;
-//! * the one-shot quick retry fills the hole and keeps the failure on
-//!   record;
+//! * a hole is a deterministic fact: a sweep with one gives byte-identical
+//!   JSON and text at any thread count, and a budget hole names the event
+//!   count and simulated time its run stopped at;
 //! * a checkpointed sweep interrupted after K completed runs resumes to a
 //!   byte-identical final JSON, for K at the start, middle, and end of the
-//!   grid — and likewise after a chaos-injected failure;
+//!   grid — and a sweep with a hole, resumed without the fault, re-runs
+//!   exactly the hole and lands on the clean result;
 //! * a manifest written by a different sweep, or holding an entry outside
 //!   the sweep's grid, is rejected, not silently merged.
 //!
@@ -16,9 +18,8 @@
 use std::path::PathBuf;
 
 use ccsim_experiments::{
-    catalog, json, run_experiment, run_experiment_supervised, ChaosKind, ChaosPoint,
-    ExperimentSpec, FailureKind, Fidelity, ManifestError, RetryOutcome, RetryPolicy, RunOptions,
-    SweepControl, SweepError,
+    catalog, json, report, run_experiment, run_experiment_supervised, ChaosKind, ChaosPoint,
+    ExperimentSpec, FailureKind, Fidelity, ManifestError, RunOptions, SweepControl, SweepError,
 };
 
 fn tiny_spec() -> ExperimentSpec {
@@ -34,7 +35,6 @@ fn tiny_opts() -> RunOptions {
         threads: 0,
         replications: 1,
         audit: false,
-        retry: RetryPolicy::none(),
     }
 }
 
@@ -68,7 +68,6 @@ fn chaos_panic_is_isolated_to_one_hole() {
             mpl: 25,
             rep: 0,
             kind: ChaosKind::Panic,
-            fail_attempts: 1,
         }),
         ..SweepControl::default()
     };
@@ -83,7 +82,6 @@ fn chaos_panic_is_isolated_to_one_hole() {
         ("immediate-restart", 25, 0)
     );
     assert!(f.detail.contains("injected panic"), "detail: {}", f.detail);
-    assert_eq!(f.retry, RetryOutcome::NotAttempted);
     assert_eq!(result.holes(), vec![("immediate-restart".to_string(), 25)]);
     // Every other point is bit-identical to the clean sweep.
     assert_eq!(result.points.len(), clean.points.len() - 1);
@@ -106,7 +104,6 @@ fn chaos_budget_exhaustion_is_a_typed_budget_hole() {
             mpl: 5,
             rep: 0,
             kind: ChaosKind::BudgetExhaust,
-            fail_attempts: 1,
         }),
         ..SweepControl::default()
     };
@@ -124,33 +121,48 @@ fn chaos_budget_exhaustion_is_a_typed_budget_hole() {
 }
 
 #[test]
-fn retry_quick_fills_the_hole_and_keeps_the_failure_on_record() {
+fn budget_hole_is_byte_identical_across_thread_counts() {
     let spec = tiny_spec();
     let ctl = SweepControl {
         chaos: Some(ChaosPoint {
             series_ix: 2,
-            mpl: 5,
+            mpl: 25,
             rep: 0,
-            kind: ChaosKind::Panic,
-            fail_attempts: 1,
+            kind: ChaosKind::BudgetExhaust,
         }),
         ..SweepControl::default()
     };
-    let opts = RunOptions {
-        retry: RetryPolicy::quick_once(),
-        ..tiny_opts()
+    let sweep = |threads| {
+        let opts = RunOptions {
+            threads,
+            ..tiny_opts()
+        };
+        run_experiment_supervised(&spec, &opts, &ctl).expect("sweep survives")
     };
-    let result = run_experiment_supervised(&spec, &opts, &ctl).expect("sweep survives");
-    // No hole: the grid is complete...
-    assert_eq!(result.points.len(), spec.num_runs());
-    assert!(result.holes().is_empty());
-    // ...but the failure is still recorded, marked as retried.
-    assert_eq!(result.failures.len(), 1);
+    let (one, all_cores) = (sweep(1), sweep(0));
+    assert_eq!(json::to_json(&one), json::to_json(&all_cores));
     assert_eq!(
-        result.failures[0].retry,
-        RetryOutcome::Degraded { attempts: 2 }
+        report::render_experiment(&one),
+        report::render_experiment(&all_cores)
     );
-    assert!(!result.is_clean());
+
+    assert_eq!(one.failures.len(), 1);
+    let f = &one.failures[0];
+    assert_eq!(f.kind, FailureKind::Budget);
+    assert_eq!((f.series.as_str(), f.mpl, f.rep), ("optimistic", 25, 0));
+    // The detail is where the run stopped, in simulation terms only: the
+    // first event past the cap and the simulated instant it fell at.
+    let prefix = format!(
+        "run budget exhausted (event ceiling) after {} events, sim time ",
+        ChaosPoint::TINY_EVENT_BUDGET + 1
+    );
+    let sim_secs = f
+        .detail
+        .strip_prefix(&prefix)
+        .and_then(|t| t.strip_suffix('s'))
+        .and_then(|t| t.parse::<f64>().ok());
+    assert!(sim_secs.is_some(), "detail: {}", f.detail);
+    assert!(report::render_experiment(&one).contains(&format!("[HOLE] {f}\n")));
 }
 
 /// Interrupt a checkpointed sweep after `k` completed runs, resume it, and
@@ -240,7 +252,6 @@ fn resume_after_chaos_panic_converges_on_the_clean_result() {
                 mpl: 25,
                 rep: 0,
                 kind: ChaosKind::Panic,
-                fail_attempts: 1,
             }),
             ..SweepControl::default()
         },
@@ -250,8 +261,8 @@ fn resume_after_chaos_panic_converges_on_the_clean_result() {
     assert_eq!(broken.points.len(), spec.num_runs() - 1);
 
     // Failed runs are never journaled, so resuming (with the fault gone,
-    // as when CCSIM_CHAOS is unset on the retry) re-runs exactly the
-    // failed point and lands on the clean result.
+    // as when CCSIM_CHAOS is unset for the `--resume` run) re-runs exactly
+    // the failed point and lands on the clean result.
     let resumed = run_experiment_supervised(
         &spec,
         &opts,
@@ -327,151 +338,6 @@ fn out_of_grid_manifest_entry_is_rejected_on_resume() {
         "unexpected error: {err}"
     );
     assert!(err.to_string().contains("outside the sweep grid"), "{err}");
-}
-
-#[test]
-fn retry_recovers_on_the_attempt_after_chaos_stops_failing() {
-    // Chaos fails the first 2 attempts; a 3-attempt policy recovers on
-    // attempt 3 with the full-fidelity report — the result is bit-identical
-    // to a clean sweep, with the failure (and its attempt count) on record.
-    let spec = tiny_spec();
-    let clean = run_experiment(&spec, &tiny_opts()).expect("clean sweep");
-    let opts = RunOptions {
-        retry: RetryPolicy {
-            max_attempts: 3,
-            base_backoff_ms: 1, // keep the test fast; determinism is tested elsewhere
-            max_backoff_ms: 2,
-            jitter_seed: 9,
-            degrade_to_quick: false,
-        },
-        ..tiny_opts()
-    };
-    let ctl = SweepControl {
-        chaos: Some(ChaosPoint {
-            series_ix: 1,
-            mpl: 5,
-            rep: 0,
-            kind: ChaosKind::Panic,
-            fail_attempts: 2,
-        }),
-        ..SweepControl::default()
-    };
-    let result = run_experiment_supervised(&spec, &opts, &ctl).expect("sweep survives");
-    assert!(result.holes().is_empty());
-    assert_eq!(result.failures.len(), 1);
-    assert_eq!(
-        result.failures[0].retry,
-        RetryOutcome::Recovered { attempts: 3 }
-    );
-    assert_eq!(result.failures[0].kind, FailureKind::Panic);
-    assert!(result.fully_measured(), "a recovered sweep is canonical");
-    // Recovery is invisible in the measurements: every point matches the
-    // clean sweep bit for bit.
-    assert_eq!(result.points.len(), clean.points.len());
-    for (p, c) in result.points.iter().zip(clean.points.iter()) {
-        assert_eq!(
-            p.report, c.report,
-            "{}@{} perturbed by retry",
-            p.series, p.mpl
-        );
-    }
-}
-
-#[test]
-fn retry_attempts_are_capped_by_the_policy() {
-    // Chaos outlasts the policy: 2 attempts allowed, first 5 fail.
-    let spec = tiny_spec();
-    let opts = RunOptions {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            base_backoff_ms: 1,
-            max_backoff_ms: 2,
-            jitter_seed: 9,
-            degrade_to_quick: false,
-        },
-        ..tiny_opts()
-    };
-    let ctl = SweepControl {
-        chaos: Some(ChaosPoint {
-            series_ix: 0,
-            mpl: 25,
-            rep: 0,
-            kind: ChaosKind::Panic,
-            fail_attempts: 5,
-        }),
-        ..SweepControl::default()
-    };
-    let result = run_experiment_supervised(&spec, &opts, &ctl).expect("sweep survives");
-    assert_eq!(result.failures.len(), 1);
-    assert_eq!(
-        result.failures[0].retry,
-        RetryOutcome::Failed { attempts: 2 }
-    );
-    assert_eq!(result.holes(), vec![("blocking".to_string(), 25)]);
-    assert!(!result.fully_measured());
-}
-
-#[test]
-fn recovered_points_are_journaled_so_resume_skips_them() {
-    // A chaos-hit point that recovers on attempt 2 is checkpointed like a
-    // clean run; resuming the manifest re-runs nothing and the output is
-    // byte-identical to an uninterrupted, fault-free sweep.
-    let spec = tiny_spec();
-    let opts = RunOptions {
-        retry: RetryPolicy {
-            max_attempts: 2,
-            base_backoff_ms: 0,
-            max_backoff_ms: 0,
-            jitter_seed: 0,
-            degrade_to_quick: false,
-        },
-        ..tiny_opts()
-    };
-    let clean = run_experiment(&spec, &tiny_opts()).expect("clean sweep");
-    let baseline = json::to_json(&clean);
-    let scratch = Scratch::new("recovered-journal.manifest.jsonl");
-    let faulted = run_experiment_supervised(
-        &spec,
-        &opts,
-        &SweepControl {
-            checkpoint: Some(&scratch.0),
-            chaos: Some(ChaosPoint {
-                series_ix: 2,
-                mpl: 25,
-                rep: 0,
-                kind: ChaosKind::BudgetExhaust,
-                fail_attempts: 1,
-            }),
-            ..SweepControl::default()
-        },
-    )
-    .expect("sweep survives");
-    assert_eq!(
-        faulted.failures[0].retry,
-        RetryOutcome::Recovered { attempts: 2 }
-    );
-    // The failure stays on record (so the JSON differs by exactly that),
-    // but every measurement matches the fault-free sweep bit for bit.
-    assert_eq!(faulted.points.len(), clean.points.len());
-    for (p, c) in faulted.points.iter().zip(clean.points.iter()) {
-        assert_eq!(p.report, c.report, "{}@{} perturbed", p.series, p.mpl);
-    }
-
-    let resumed = run_experiment_supervised(
-        &spec,
-        &opts,
-        &SweepControl {
-            checkpoint: Some(&scratch.0),
-            resume: true,
-            ..SweepControl::default()
-        },
-    )
-    .expect("resumed sweep completes");
-    assert!(
-        resumed.is_clean(),
-        "every run was journaled; nothing re-ran"
-    );
-    assert_eq!(json::to_json(&resumed), baseline);
 }
 
 #[test]
