@@ -12,13 +12,17 @@
 //!   lengths, so the record carries no copy of its program.
 //! * The readsets live in one shared flat array of `num_terms × cap`
 //!   objects, where `cap` is the largest readset any workload class can
-//!   draw; terminal `t` owns the slice `[t*cap, (t+1)*cap)`. The write set
-//!   is a subset of the readset, so it is a per-terminal bitmask over the
-//!   readset, `ceil(cap / 64)` words wide, rather than a second copy of the
-//!   objects: bit `i` is set when the `i`-th read is also written, and the
-//!   written objects in write order are the set bits in read order. The
-//!   static-locking plan and the history-only read-times arrays are
-//!   allocated lazily on first use, so runs that need neither pay nothing.
+//!   draw; terminal `t` owns the slice `[t*cap, (t+1)*cap)`. Each object
+//!   is stored as a 4-byte id ([`ObjId::narrow`], a checked conversion:
+//!   `Params::validate` bounds `db_size` by 2^32 − 1, so every id fits),
+//!   and the accessors widen them back to [`ObjId`], so no caller sees the
+//!   narrow form. The write set is a subset of the readset, so it is a
+//!   per-terminal bitmask over the readset, `ceil(cap / 64)` words wide,
+//!   rather than a second copy of the objects: bit `i` is set when the
+//!   `i`-th read is also written, and the written objects in write order
+//!   are the set bits in read order. The static-locking plan (4-byte ids
+//!   too) and the history-only read-times arrays are allocated lazily on
+//!   first use, so runs that need neither pay nothing.
 //!
 //! Installing a new transaction copies its [`TxnSpec`] into the terminal's
 //! region; the spec's own buffers are recycled by the engine through the
@@ -180,14 +184,16 @@ pub(crate) struct TxnArena {
     shape: ProgramShape,
     thinks: bool,
     recs: Vec<TxnRec>,
-    /// Readsets, in access order: terminal `t` owns `[t*cap, (t+1)*cap)`.
-    reads: Vec<ObjId>,
+    /// Readsets as 4-byte ids, in access order: terminal `t` owns
+    /// `[t*cap, (t+1)*cap)`.
+    reads: Vec<u32>,
     /// Write flags over the readsets: terminal `t` owns words
     /// `[t*mask_words, (t+1)*mask_words)`, bit `i` flagging read `i`.
     write_mask: Vec<u64>,
     /// Static-locking preclaim plans `(object, write?)` in ascending object
-    /// order. Empty unless the run's shape is `Static2pl`.
-    lock_plan: Vec<(ObjId, bool)>,
+    /// order, objects as 4-byte ids. Empty unless the run's shape is
+    /// `Static2pl`.
+    lock_plan: Vec<(u32, bool)>,
     /// Read-completion times (history recording only). Empty until first use.
     read_times: Vec<SimTime>,
     /// Observed validity bounds (`rts` at read time), parallel to
@@ -211,7 +217,7 @@ impl TxnArena {
             shape,
             thinks,
             recs: vec![TxnRec::VACANT; num_terms],
-            reads: vec![ObjId(0); num_terms * cap],
+            reads: vec![0; num_terms * cap],
             write_mask: vec![0; num_terms * mask_words],
             lock_plan: Vec::new(),
             read_times: Vec::new(),
@@ -299,7 +305,9 @@ impl TxnArena {
             self.cap
         );
         let base = term * self.cap;
-        self.reads[base..base + n].copy_from_slice(spec.reads());
+        for (slot, &obj) in self.reads[base..base + n].iter_mut().zip(spec.reads()) {
+            *slot = obj.narrow();
+        }
         let mask = &mut self.write_mask[term * self.mask_words..(term + 1) * self.mask_words];
         mask.fill(0);
         for i in (0..n).filter(|&i| spec.writes_at(i)) {
@@ -307,11 +315,11 @@ impl TxnArena {
         }
         if self.shape == ProgramShape::Static2pl {
             if self.lock_plan.is_empty() {
-                self.lock_plan = vec![(ObjId(0), false); self.recs.len() * self.cap];
+                self.lock_plan = vec![(0, false); self.recs.len() * self.cap];
             }
             let plan = &mut self.lock_plan[base..base + n];
             for (i, slot) in plan.iter_mut().enumerate() {
-                *slot = (spec.read_at(i), spec.writes_at(i));
+                *slot = (self.reads[base + i], spec.writes_at(i));
             }
             plan.sort_unstable_by_key(|&(obj, _)| obj);
         }
@@ -333,10 +341,11 @@ impl TxnArena {
 
     /// The readset of `term`'s transaction, in access order.
     #[inline]
-    #[must_use]
-    pub fn reads(&self, term: usize) -> &[ObjId] {
+    pub fn reads(&self, term: usize) -> impl ExactSizeIterator<Item = ObjId> + '_ {
         let base = term * self.cap;
-        &self.reads[base..base + self.recs[term].n_reads as usize]
+        self.reads[base..base + self.recs[term].n_reads as usize]
+            .iter()
+            .map(|&obj| ObjId::from(obj))
     }
 
     /// The `i`-th object read by `term`'s transaction.
@@ -344,7 +353,7 @@ impl TxnArena {
     #[must_use]
     pub fn read_at(&self, term: usize, i: usize) -> ObjId {
         debug_assert!(i < self.recs[term].n_reads as usize);
-        self.reads[term * self.cap + i]
+        ObjId::from(self.reads[term * self.cap + i])
     }
 
     /// `term`'s write-mask words.
@@ -373,7 +382,7 @@ impl TxnArena {
                     (bits != 0).then(|| {
                         let i = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        reads[w * 64 + i]
+                        ObjId::from(reads[w * 64 + i])
                     })
                 })
             })
@@ -399,7 +408,9 @@ impl TxnArena {
                 for _ in 0..j {
                     bits &= bits - 1;
                 }
-                return self.reads[term * self.cap + w * 64 + bits.trailing_zeros() as usize];
+                return ObjId::from(
+                    self.reads[term * self.cap + w * 64 + bits.trailing_zeros() as usize],
+                );
             }
             j -= n;
         }
@@ -411,7 +422,8 @@ impl TxnArena {
     #[must_use]
     pub fn lock_plan_at(&self, term: usize, k: usize) -> (ObjId, bool) {
         debug_assert!(k < self.recs[term].n_reads as usize);
-        self.lock_plan[term * self.cap + k]
+        let (obj, write) = self.lock_plan[term * self.cap + k];
+        (ObjId::from(obj), write)
     }
 
     /// Record the completion time of `term`'s next read (history recording).
@@ -490,7 +502,7 @@ mod tests {
         assert_eq!(rec.state, TxnState::Ready);
         assert_eq!(rec.published_at(), None);
         assert_eq!(a.step(2), Step::LockRead(0));
-        assert_eq!(a.reads(2), s.reads());
+        assert_eq!(a.reads(2).collect::<Vec<_>>(), s.reads());
         assert_eq!(a.write_objs(2).collect::<Vec<_>>(), [ObjId(10)]);
         assert_eq!(a.num_writes(2), 1);
         assert_eq!(a.read_at(2, 1), ObjId(10));
@@ -589,6 +601,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stored_object_ids_are_4_bytes() {
+        let mut a = TxnArena::new(3, 5, ProgramShape::Static2pl, false);
+        assert_eq!(std::mem::size_of_val(a.reads.as_slice()), 3 * 5 * 4);
+        let top = ObjId(u64::from(u32::MAX) - 1);
+        let s = TxnSpec::new(vec![top, ObjId(0)], vec![true, false]);
+        install(&mut a, 1, 1, &s, SimTime::ZERO, 0);
+        assert_eq!(
+            std::mem::size_of_val(a.lock_plan.as_slice()),
+            3 * 5 * 8,
+            "a plan entry is a 4-byte id and a write flag"
+        );
+        // The widest legal id survives the round trip through every view.
+        assert_eq!(a.reads(1).collect::<Vec<_>>(), [top, ObjId(0)]);
+        assert_eq!(a.read_at(1, 0), top);
+        assert_eq!(a.write_obj_at(1, 0), top);
+        assert_eq!(a.write_objs(1).collect::<Vec<_>>(), [top]);
+        assert_eq!(a.lock_plan_at(1, 1), (top, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "fits in 32 bits")]
+    fn install_rejects_ids_past_32_bits() {
+        let mut a = TxnArena::new(1, 2, ProgramShape::LockFree, false);
+        let s = TxnSpec::new(vec![ObjId(1 << 32)], vec![false]);
+        install(&mut a, 0, 1, &s, SimTime::ZERO, 0);
     }
 
     #[test]

@@ -168,9 +168,10 @@ pub struct Simulator {
     /// Scratch `(object, observed word)` pairs for TicToc validation; same
     /// reuse discipline.
     tt_scratch: Vec<(ObjId, TtWord)>,
-    /// Scratch write set for the MVCC and TicToc commits, which take it as
-    /// a slice (the arena stores it as a mask over the readset); same
-    /// reuse discipline.
+    /// Scratch object list for the validators that take a slice: the
+    /// readset for Kung–Robinson validation (the arena stores 4-byte ids),
+    /// the write set for the MVCC and TicToc commits (the arena stores it
+    /// as a mask over the readset); same reuse discipline.
     ws_scratch: Vec<ObjId>,
     cpus: Option<ServerPool<Payload>>,
     disks: Option<DiskArray<Payload>>,
@@ -1172,7 +1173,11 @@ impl Simulator {
             .expect("terminal has no active transaction");
         let tid = txn.id;
         let start = txn.attempt_start;
-        let outcome = self.validator.validate(start, self.arena.reads(term));
+        let mut reads = std::mem::take(&mut self.ws_scratch);
+        reads.clear();
+        reads.extend(self.arena.reads(term));
+        let outcome = self.validator.validate(start, &reads);
+        self.ws_scratch = reads;
         if let Err(conflict) = outcome {
             self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
             self.abort_and_restart(term, AbortCause::Validation, now);
@@ -1238,8 +1243,6 @@ impl Simulator {
         scratch.extend(
             self.arena
                 .reads(term)
-                .iter()
-                .copied()
                 .zip(self.arena.read_times(term).iter().copied()),
         );
         let outcome = self.silo.validate(&scratch);
@@ -1273,10 +1276,9 @@ impl Simulator {
         scratch.extend(
             self.arena
                 .reads(term)
-                .iter()
                 .zip(self.arena.read_times(term))
                 .zip(self.arena.read_auxes(term))
-                .map(|((&obj, &wts), &rts)| (obj, TtWord { wts, rts })),
+                .map(|((obj, &wts), &rts)| (obj, TtWord { wts, rts })),
         );
         let mut writes = std::mem::take(&mut self.ws_scratch);
         self.arena.write_set_into(term, &mut writes);
@@ -1476,8 +1478,6 @@ impl Simulator {
                 reads: self
                     .arena
                     .reads(term)
-                    .iter()
-                    .copied()
                     .zip(self.arena.read_times(term).iter().copied())
                     .collect(),
                 writes: self.arena.write_objs(term).collect(),

@@ -25,7 +25,8 @@ flags (defaults = the paper's Table 2 baseline):
                           static-locking | basic-to | mvcc-si |
                           silo-occ | tictoc | no-cc
   --mpl <n>               multiprogramming level
-  --db <n>                database size in pages
+  --db <n>                database size in pages, at most 2^32 - 1
+                          (4294967295: object ids are stored in 32 bits)
   --terminals <n>         number of terminals
   --write-prob <p>        probability a read is also written
   --min-size/--max-size   readset size range

@@ -130,6 +130,25 @@ fn horizon_over_the_duration_bound_is_rejected() {
     assert!(stderr.contains("horizon"), "{stderr}");
 }
 
+/// A database past the 32-bit object-id domain is a configuration error:
+/// exit 2 with `db_size` named, no panic and no report. The largest legal
+/// database runs.
+#[test]
+fn database_past_the_object_id_domain_is_rejected() {
+    let out = simulate(&["--quick", "--batches", "1", "--db", "4294967296"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains("db_size"),
+        "stderr does not name db_size:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed a report");
+    let out = simulate(&["--quick", "--batches", "1", "--db", "4294967295"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+}
+
 /// `--help` and `-h` print the usage to stdout and exit 0; an unknown flag
 /// still exits 2 and points at `--help`.
 #[test]

@@ -22,11 +22,15 @@
 //! [`ObjId`] would cost gigabytes while a run touches a vanishing fraction
 //! of the database. Each fact is stored once:
 //!
-//! * `entries` is a pool of 32-byte [`Entry`] slots; `index` is an
+//! * `entries` is a pool of 24-byte [`Entry`] slots; `index` is an
 //!   open-addressed hash map (`ObjId → slot`, Fibonacci hashing,
-//!   backward-shift deletion) over that pool. An entry keeps its object id
-//!   and its first holder inline, which is all most locked objects ever
-//!   need.
+//!   backward-shift deletion) over that pool, 8 bytes a slot. An entry
+//!   keeps its object id and its first holder inline, which is all most
+//!   locked objects ever need.
+//! * Object ids are stored as 4-byte keys, in the entry and in the index
+//!   ([`ObjId::narrow`], a checked conversion: `Params::validate` bounds
+//!   `db_size` by 2^32 − 1, so every id fits). The API takes and returns
+//!   [`ObjId`].
 //! * Further holders and the wait queue live in a [`Side`] allocation,
 //!   taken from `sides` only when an object becomes shared or contended.
 //!   When a release or queue cancellation empties an entry (no holders, no
@@ -136,10 +140,19 @@ struct Side {
 /// holder at all.
 #[derive(Debug)]
 struct Entry {
-    obj: ObjId,
+    /// The object, as a 4-byte id (see [`Entry::obj`]).
+    obj: u32,
     first: Option<Holder>,
     /// Index into `sides`, or [`NONE`].
     side: u32,
+}
+
+impl Entry {
+    /// The entry's object.
+    #[inline]
+    fn obj(&self) -> ObjId {
+        ObjId::from(self.obj)
+    }
 }
 
 /// The wait queue of an object without a side.
@@ -309,9 +322,10 @@ impl LockManager {
         if let Some(i) = self.index.get(obj) {
             return i as usize;
         }
+        let key = obj.narrow();
         let i = match self.free.pop() {
             Some(i) => {
-                self.entries[i as usize].obj = obj;
+                self.entries[i as usize].obj = key;
                 i as usize
             }
             None => {
@@ -321,7 +335,7 @@ impl LockManager {
                     "more than 2^32 - 1 concurrently locked objects"
                 );
                 self.entries.push(Entry {
-                    obj,
+                    obj: key,
                     first: None,
                     side: NONE,
                 });
@@ -369,7 +383,7 @@ impl LockManager {
             return;
         }
         let entry = &mut self.entries[i];
-        let removed = self.index.remove(entry.obj);
+        let removed = self.index.remove(entry.obj());
         debug_assert_eq!(removed, Some(i as u32));
         if entry.side != NONE {
             self.free_sides
@@ -635,7 +649,7 @@ impl LockManager {
         while ei != NONE {
             let next = self.remove_holder(ei as usize, txn);
             if next != NONE {
-                self.index.prefetch(self.entries[next as usize].obj);
+                self.index.prefetch(self.entries[next as usize].obj());
             }
             self.drain_queue(ei as usize, grants);
             self.retire_if_empty(ei as usize);
@@ -677,7 +691,7 @@ impl LockManager {
             }
             grants.push(Grant {
                 txn: head.txn,
-                obj: self.entries[i].obj,
+                obj: self.entries[i].obj(),
                 mode: head.mode,
             });
             self.grants += 1;
@@ -805,7 +819,7 @@ impl LockManager {
     #[must_use]
     pub fn waiting_on(&self, txn: TxnId) -> Option<ObjId> {
         let s = &self.txns[self.slot_index(txn)];
-        (s.tid == txn && s.waiting != NONE).then(|| self.entries[s.waiting as usize].obj)
+        (s.tid == txn && s.waiting != NONE).then(|| self.entries[s.waiting as usize].obj())
     }
 
     /// Number of locks `txn` currently holds.
@@ -877,7 +891,8 @@ impl LockManager {
                 "entry slot {i} indexed twice"
             );
             assert_eq!(
-                entry.obj, obj,
+                entry.obj(),
+                obj,
                 "entry slot {i} indexed under another object"
             );
             assert!(
@@ -988,7 +1003,7 @@ impl LockManager {
             let (mut ei, mut last, mut n) = (slot.head, NONE, 0u32);
             while ei != NONE {
                 let view = self.view(ei as usize);
-                let obj = view.entry.obj;
+                let obj = view.entry.obj();
                 assert!(
                     self.index.get(obj) == Some(ei),
                     "{txn}'s held list reaches retired entry slot {ei}"
@@ -1016,10 +1031,10 @@ impl LockManager {
             if slot.waiting != NONE {
                 let view = self.view(slot.waiting as usize);
                 assert!(
-                    self.index.get(view.entry.obj) == Some(slot.waiting)
+                    self.index.get(view.entry.obj()) == Some(slot.waiting)
                         && view.queue().iter().any(|w| w.txn == txn),
                     "waiting index lists {txn} on {} but queue disagrees",
-                    view.entry.obj
+                    view.entry.obj()
                 );
             }
         }
@@ -1513,7 +1528,7 @@ mod tests {
         // The scale regime keeps ~10^5 transaction slots and ~6 x 10^5
         // entries live; these sizes are what the storage layout promises.
         assert_eq!(std::mem::size_of::<TxnSlot>(), 24);
-        assert_eq!(std::mem::size_of::<Entry>(), 32);
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
     }
 
     #[test]

@@ -408,9 +408,10 @@ proptest! {
     }
 
     /// The lockstep comparison again, with three twists aimed at the
-    /// hashed index's probe path: object ids are remapped to arbitrary
-    /// 64-bit keys (so home slots collide and cluster unpredictably instead
-    /// of landing in Fibonacci-spread order), the table starts at minimum
+    /// hashed index's probe path: object ids are remapped to arbitrary keys
+    /// spread over the table's whole key domain, ids below `u32::MAX` (so
+    /// home slots collide and cluster unpredictably instead of landing in
+    /// Fibonacci-spread order), the table starts at minimum
     /// capacity (so the run crosses growth/rehash boundaries and the cached
     /// hash shift must track them), and `prefetch` is interleaved before
     /// every request and release. Prefetch is a pure hint — if it ever
@@ -421,9 +422,11 @@ proptest! {
         salt in any::<u64>(),
         ops in proptest::collection::vec(op_strategy(8, 6), 1..400)
     ) {
-        // Injective for obj < 64: distinct top-6 bits, salt scrambles the
-        // rest (including the bits the Fibonacci hash feeds the home slot).
-        let wide = |o: u64| (o << 58) ^ (salt & ((1u64 << 58) - 1));
+        // Injective for obj < 64: distinct bits 26 and up, salt scrambles
+        // the low 26 (including the bits the Fibonacci hash feeds the home
+        // slot). For the 6 objects used every key is below 6 << 26, inside
+        // the 32-bit key domain.
+        let wide = |o: u64| (o << 26) ^ (salt & ((1u64 << 26) - 1));
         let mut lm = LockManager::with_capacity(1, 8);
         let mut dr = dense_ref::DenseRef::new(6);
         let mut blocked: std::collections::HashSet<u64> = Default::default();

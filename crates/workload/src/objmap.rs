@@ -15,6 +15,8 @@
 //!   is only used for order-insensitive consistency checks and pruning.)
 //! * **Compactness.** Open addressing with linear probing in two parallel
 //!   arrays (keys, values) — no per-entry boxes, no chaining pointers.
+//!   Keys are stored as 4-byte ids, so a lock-index slot (`u32` key, `u32`
+//!   entry slot) costs 8 bytes.
 //! * **No tombstones.** Removal backward-shifts the following probe
 //!   cluster, so long-running simulations that acquire and release locks
 //!   millions of times never degrade into tombstone scans.
@@ -25,12 +27,20 @@
 //!   behaviour: the hash function and probe order are unchanged, so layouts
 //!   and iteration order stay byte-identical with or without prefetching.
 //!
-//! `ObjId(u64::MAX)` is reserved as the empty-slot sentinel; inserting it
-//! panics (object ids are database indices, far below the sentinel).
+//! **Key domain.** A key is an object id below `u32::MAX` (2^32 − 1); the
+//! value `u32::MAX` is reserved as the empty-slot sentinel.
+//! `Params::validate` bounds `db_size` by 2^32 − 1, so every id a validated
+//! run draws lies in the domain. [`ObjMap::insert`] panics on an id outside
+//! it; the lookups ([`ObjMap::get`], [`ObjMap::get_mut`],
+//! [`ObjMap::contains`], [`ObjMap::remove`]) report it absent, and
+//! [`ObjMap::prefetch`] ignores it. The hash widens the stored key back to
+//! 64 bits before the multiply, so home slots, probe order and iteration
+//! order are those of a map keyed by the full `u64`.
 
 use crate::types::ObjId;
 
-const EMPTY: u64 = u64::MAX;
+/// The empty-slot sentinel, and the first id outside the key domain.
+const EMPTY: u32 = u32::MAX;
 /// 2^64 / φ, the usual Fibonacci-hashing multiplier.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 const MIN_CAP: usize = 8;
@@ -43,8 +53,9 @@ const MIN_CAP: usize = 8;
 /// safe code (the only `unsafe` is the effect-free [`Self::prefetch`] hint).
 #[derive(Debug, Clone)]
 pub struct ObjMap<V> {
-    /// Slot keys; `EMPTY` marks a vacant slot. Length is a power of two.
-    keys: Vec<u64>,
+    /// Slot keys as 4-byte ids; `EMPTY` marks a vacant slot. Length is a
+    /// power of two.
+    keys: Vec<u32>,
     /// Slot values, parallel to `keys` (default-filled where vacant).
     vals: Vec<V>,
     /// Number of occupied slots.
@@ -118,25 +129,33 @@ impl<V: Copy + Default> ObjMap<V> {
         self.keys.len() - 1
     }
 
-    /// Home slot of `key`: the top bits of a Fibonacci multiply, mapped
-    /// onto the power-of-two table.
+    /// Home slot of `key`: the top bits of a Fibonacci multiply of the
+    /// widened key, mapped onto the power-of-two table.
     #[inline]
-    fn home(&self, key: u64) -> usize {
+    fn home(&self, key: u32) -> usize {
         debug_assert_eq!(self.shift, Self::shift_for(self.keys.len()));
-        (key.wrapping_mul(FIB) >> self.shift) as usize
+        (u64::from(key).wrapping_mul(FIB) >> self.shift) as usize
+    }
+
+    /// The stored form of `key`, or `None` if it lies outside the key
+    /// domain (at or above the sentinel).
+    #[inline]
+    fn key_of(key: ObjId) -> Option<u32> {
+        u32::try_from(key.0).ok().filter(|&k| k != EMPTY)
     }
 
     /// Hint the CPU to pull `key`'s home slot into cache ahead of an
     /// upcoming `get`/`insert`/`remove` for the same key.
     ///
     /// Purely a performance hint: it reads nothing, writes nothing, and has
-    /// no effect on layout, probe order, or any observable behaviour. On
-    /// non-x86_64 targets it compiles to nothing.
+    /// no effect on layout, probe order, or any observable behaviour. A key
+    /// outside the key domain is ignored. On non-x86_64 targets it compiles
+    /// to nothing.
     #[inline]
     pub fn prefetch(&self, key: ObjId) {
         #[cfg(target_arch = "x86_64")]
-        {
-            let i = self.home(key.0);
+        if let Some(key) = Self::key_of(key) {
+            let i = self.home(key);
             // SAFETY: `i` is in-bounds for both parallel arrays, and
             // prefetch is a pure hint with no memory effects — it cannot
             // fault even on a dangling pointer, let alone a valid one.
@@ -154,7 +173,8 @@ impl<V: Copy + Default> ObjMap<V> {
 
     /// Find the slot holding `key`, if present.
     #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
+    fn find(&self, key: ObjId) -> Option<usize> {
+        let key = Self::key_of(key)?;
         let mask = self.mask();
         let mut i = self.home(key);
         loop {
@@ -173,40 +193,43 @@ impl<V: Copy + Default> ObjMap<V> {
     #[inline]
     #[must_use]
     pub fn get(&self, key: ObjId) -> Option<V> {
-        self.find(key.0).map(|i| self.vals[i])
+        self.find(key).map(|i| self.vals[i])
     }
 
     /// Look up `key`, returning a mutable reference to the value.
     #[inline]
     pub fn get_mut(&mut self, key: ObjId) -> Option<&mut V> {
-        self.find(key.0).map(|i| &mut self.vals[i])
+        self.find(key).map(|i| &mut self.vals[i])
     }
 
     /// True if `key` is present.
     #[inline]
     #[must_use]
     pub fn contains(&self, key: ObjId) -> bool {
-        self.find(key.0).is_some()
+        self.find(key).is_some()
     }
 
     /// Insert or overwrite `key`, returning the previous value if any.
     ///
     /// # Panics
-    /// Panics if `key` is the reserved sentinel `ObjId(u64::MAX)`.
+    /// Panics if `key` lies outside the key domain: ids at or above
+    /// `u32::MAX`, the reserved sentinel.
     pub fn insert(&mut self, key: ObjId, val: V) -> Option<V> {
-        assert_ne!(key.0, EMPTY, "ObjId(u64::MAX) is reserved");
+        let Some(key) = Self::key_of(key) else {
+            panic!("{key} is outside the key domain: ids must lie below u32::MAX (reserved)");
+        };
         if (self.len + 1) * 4 >= self.capacity() * 3 {
             self.grow();
         }
         let mask = self.mask();
-        let mut i = self.home(key.0);
+        let mut i = self.home(key);
         loop {
             let k = self.keys[i];
-            if k == key.0 {
+            if k == key {
                 return Some(std::mem::replace(&mut self.vals[i], val));
             }
             if k == EMPTY {
-                self.keys[i] = key.0;
+                self.keys[i] = key;
                 self.vals[i] = val;
                 self.len += 1;
                 return None;
@@ -217,7 +240,7 @@ impl<V: Copy + Default> ObjMap<V> {
 
     /// Remove `key`, returning its value if it was present.
     pub fn remove(&mut self, key: ObjId) -> Option<V> {
-        let i = self.find(key.0)?;
+        let i = self.find(key)?;
         let val = self.vals[i];
         self.shift_out(i);
         self.len -= 1;
@@ -278,7 +301,7 @@ impl<V: Copy + Default> ObjMap<V> {
             .iter()
             .zip(self.vals.iter())
             .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, &v)| (ObjId(k), v))
+            .map(|(&k, &v)| (ObjId::from(k), v))
     }
 
     /// Keep only the entries for which `f` returns true.
@@ -360,6 +383,43 @@ mod tests {
     fn sentinel_key_rejected() {
         let mut m: ObjMap<u32> = ObjMap::new();
         m.insert(ObjId(u64::MAX), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below u32::MAX")]
+    fn insert_past_the_key_domain_panics_naming_the_bound() {
+        let mut m: ObjMap<u32> = ObjMap::new();
+        m.insert(ObjId(1 << 32), 0);
+    }
+
+    #[test]
+    fn lookups_past_the_key_domain_find_nothing() {
+        let mut m: ObjMap<u32> = ObjMap::new();
+        // A truncating conversion would alias `1 << 32` with `ObjId(0)` and
+        // `u64::MAX` with the sentinel; the highest legal key sits next to
+        // the sentinel.
+        m.insert(ObjId(0), 1);
+        m.insert(ObjId(u64::from(u32::MAX) - 1), 2);
+        for key in [ObjId(1 << 32), ObjId(u64::from(u32::MAX)), ObjId(u64::MAX)] {
+            m.prefetch(key);
+            assert_eq!(m.get(key), None, "{key}");
+            assert!(m.get_mut(key).is_none(), "{key}");
+            assert!(!m.contains(key), "{key}");
+            assert_eq!(m.remove(key), None, "{key}");
+        }
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(ObjId(0)), Some(1));
+        assert_eq!(m.get(ObjId(u64::from(u32::MAX) - 1)), Some(2));
+    }
+
+    #[test]
+    fn key_slots_are_4_bytes() {
+        let m: ObjMap<u32> = ObjMap::with_capacity(100);
+        assert_eq!(
+            std::mem::size_of_val(m.keys.as_slice()),
+            4 * m.capacity(),
+            "a key slot is a 4-byte id"
+        );
     }
 
     #[test]

@@ -153,6 +153,14 @@ impl Params {
     /// below the `u64` clock's `2^64`.
     pub const MAX_DURATION: SimDuration = SimDuration::from_micros(1 << 48);
 
+    /// The largest database a valid configuration may carry: 2^32 − 1
+    /// objects. Object ids run from 0 to `db_size − 1`, and the engine
+    /// stores each as a 4-byte id (the transaction arena, the lock table
+    /// and the sparse `ObjMap` index, whose empty-slot sentinel is
+    /// `u32::MAX`), so every id of a validated run fits below the
+    /// sentinel. Every catalog configuration stays at or below 10^8.
+    pub const MAX_DB_SIZE: u64 = u32::MAX as u64;
+
     /// Reject a duration over [`Params::MAX_DURATION`], naming it `name`.
     ///
     /// # Errors
@@ -274,6 +282,13 @@ impl Params {
     pub fn validate(&self) -> Result<(), ParamError> {
         if self.db_size == 0 {
             return Err(ParamError("db_size must be positive".into()));
+        }
+        if self.db_size > Params::MAX_DB_SIZE {
+            return Err(ParamError(format!(
+                "db_size ({}) exceeds the {} bound on database size (2^32 - 1)",
+                self.db_size,
+                Params::MAX_DB_SIZE
+            )));
         }
         if self.min_size == 0 {
             return Err(ParamError("min_size must be positive".into()));
@@ -468,6 +483,18 @@ mod tests {
 
         let mut p = Params::paper_baseline();
         p.min_size = 0;
+        assert!(p.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_db_size_by_the_stored_id_width() {
+        let mut p = Params::paper_baseline();
+        p.db_size = (1 << 32) - 1;
+        assert!(p.validate().is_ok(), "2^32 - 1 objects fit 4-byte ids");
+        p.db_size = 1 << 32;
+        let err = p.validate().expect_err("2^32 objects").0;
+        assert!(err.contains("db_size"), "{err}");
+        p.db_size = u64::MAX;
         assert!(p.validate().is_err());
     }
 

@@ -6,6 +6,31 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjId(pub u64);
 
+impl ObjId {
+    /// The 4-byte form in which the simulator stores object ids: the
+    /// transaction arena, the lock table and the [`ObjMap`](crate::ObjMap)
+    /// index keep ids this wide, and widen them back with
+    /// `ObjId::from(u32)`. [`Params::validate`](crate::Params::validate)
+    /// bounds `db_size` by [`Params::MAX_DB_SIZE`](crate::Params::MAX_DB_SIZE),
+    /// so every id of a validated run fits.
+    ///
+    /// # Panics
+    /// Panics if the id does not fit in 32 bits.
+    #[inline]
+    #[must_use]
+    pub fn narrow(self) -> u32 {
+        u32::try_from(self.0).expect("object id fits in 32 bits (db_size ≤ 2^32 − 1)")
+    }
+}
+
+impl From<u32> for ObjId {
+    /// Widen a stored 4-byte id (see [`ObjId::narrow`]).
+    #[inline]
+    fn from(stored: u32) -> ObjId {
+        ObjId(u64::from(stored))
+    }
+}
+
 /// A transaction. Identifiers are unique across the whole run (a restarted
 /// transaction keeps its id; a *new* transaction from the same terminal gets
 /// a fresh one).

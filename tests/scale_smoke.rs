@@ -43,13 +43,13 @@ fn scale_cfg() -> SimConfig {
         .with_budget(RunBudget::unlimited().with_max_events(max_events))
 }
 
-/// Peak-RSS ceiling (636.5 MiB): 1.25x the 509.2 MiB `VmHWM` of the
+/// Peak-RSS ceiling (523.75 MiB): 1.25x the 419.0 MiB `VmHWM` of the
 /// audited release smoke itself. The usual rule, 1.5x the `VmHWM` of the
 /// full exp-scale point run unaudited to 10 million events (blocking, seed
-/// 52357), gives 1.5 x 323.0 = 484.5 MiB, which the audited smoke does
+/// 52357), gives 1.5 x 225.9 = 338.9 MiB, which the audited smoke does
 /// not fit under: the auditor's own state is the difference. The debug
-/// smoke peaks near 58 MiB (2-core x86-64 Linux).
-const RSS_CEILING_BYTES: u64 = 667_418_624;
+/// smoke peaks near 49 MiB (2-core x86-64 Linux).
+const RSS_CEILING_BYTES: u64 = 549_191_680;
 
 /// Peak resident set (`VmHWM`) of this test process.
 #[cfg(target_os = "linux")]
