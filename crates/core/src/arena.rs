@@ -39,6 +39,17 @@
 //! cache of `step_at`'s output, so the step sequence — and every
 //! simulation output — is byte-identical to the decoded path (debug builds
 //! assert the equivalence on every advance).
+//!
+//! Beside each decoded step the table keeps the [`ServiceRun`] that starts
+//! there: the maximal run of consecutive service steps (`ReadIo`,
+//! `ReadCpu`, `WriteCpu`, `UpdateIo`) and its I/O and CPU step counts.
+//! Under infinite resources no service ever waits, so the engine retires a
+//! whole run with one calendar event; the table lets it size the run at
+//! submission and apply it at completion without scanning the program. A
+//! run stops at the first lock, `Validate`, `IntThink` or `Commit` step,
+//! and, in an arena built with `read_ends_run` (TicToc, whose read
+//! observes the object's current word when it completes), after every
+//! `ReadCpu`.
 
 use ccsim_des::SimTime;
 use ccsim_workload::{ObjId, TxnId, TxnSpec};
@@ -140,23 +151,46 @@ impl TxnRec {
     };
 }
 
+/// The maximal run of consecutive service steps that starts at one step of
+/// a program (see the module docs); empty at a non-service step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ServiceRun {
+    /// I/O steps in the run (`ReadIo`, `UpdateIo`).
+    pub ios: u32,
+    /// CPU steps in the run (`ReadCpu`, `WriteCpu`).
+    pub cpus: u32,
+}
+
+impl ServiceRun {
+    /// Number of steps the run covers.
+    #[inline]
+    #[must_use]
+    pub fn len(self) -> usize {
+        (self.ios + self.cpus) as usize
+    }
+}
+
 /// Cache of decoded step programs shared by every terminal (see the module
-/// docs). The shape and think flag are the run's, so a program is keyed by
-/// its read and write counts alone, in a dense `(reads, writes)` grid.
+/// docs). The shape, think flag and run rule are the run's, so a program is
+/// keyed by its read and write counts alone, in a dense `(reads, writes)`
+/// grid.
 #[derive(Debug, Default)]
 struct ProgramTable {
     /// `(reads, writes) → offset into steps`; `ABSENT` = not yet decoded.
     index: Vec<u32>,
     /// Every distinct decoded program, concatenated.
     steps: Vec<Step>,
+    /// The service run starting at each step, parallel to `steps`.
+    runs: Vec<ServiceRun>,
 }
 
 impl ProgramTable {
     const ABSENT: u32 = u32::MAX;
 
     /// The offset of `program`'s decoded steps, decoding it on first sight;
-    /// `cap` bounds both of its counts.
-    fn ensure(&mut self, cap: usize, program: Program) -> u32 {
+    /// `cap` bounds both of its counts, and `read_ends_run` ends a service
+    /// run after every `ReadCpu`.
+    fn ensure(&mut self, cap: usize, program: Program, read_ends_run: bool) -> u32 {
         let stride = cap + 1;
         if self.index.is_empty() {
             self.index.resize(stride * stride, Self::ABSENT);
@@ -167,6 +201,29 @@ impl ProgramTable {
             base = u32::try_from(self.steps.len()).expect("program table overflow");
             self.steps
                 .extend((0..program.len()).map(|pc| program.step_at(pc)));
+            // Back to front: a step's run is the step plus the run after it.
+            self.runs.resize(self.steps.len(), ServiceRun::default());
+            let mut after = ServiceRun::default();
+            for pc in (base as usize..self.steps.len()).rev() {
+                let step = self.steps[pc];
+                let tail = if read_ends_run && matches!(step, Step::ReadCpu(_)) {
+                    ServiceRun::default()
+                } else {
+                    after
+                };
+                after = match step {
+                    Step::ReadIo(_) | Step::UpdateIo(_) => ServiceRun {
+                        ios: tail.ios + 1,
+                        ..tail
+                    },
+                    Step::ReadCpu(_) | Step::WriteCpu(_) => ServiceRun {
+                        cpus: tail.cpus + 1,
+                        ..tail
+                    },
+                    _ => ServiceRun::default(),
+                };
+                self.runs[pc] = after;
+            }
             self.index[slot] = base;
         }
         base
@@ -180,9 +237,10 @@ pub(crate) struct TxnArena {
     cap: usize,
     /// Per-terminal write-mask width in words: `ceil(cap / 64)`.
     mask_words: usize,
-    /// The run's program shape and think flag.
+    /// The run's program shape, think flag and service-run rule.
     shape: ProgramShape,
     thinks: bool,
+    read_ends_run: bool,
     recs: Vec<TxnRec>,
     /// Readsets as 4-byte ids, in access order: terminal `t` owns
     /// `[t*cap, (t+1)*cap)`.
@@ -206,16 +264,23 @@ pub(crate) struct TxnArena {
 impl TxnArena {
     /// An arena for `num_terms` terminals whose transactions read at most
     /// `cap` objects and run `shape` programs, with an internal think step
-    /// when `thinks`.
+    /// when `thinks`; `read_ends_run` ends every service run after a
+    /// `ReadCpu` (see the module docs).
     #[must_use]
-    pub fn new(num_terms: usize, cap: usize, shape: ProgramShape, thinks: bool) -> Self {
-        let cap = cap.max(1);
-        let mask_words = cap.div_ceil(64);
+    pub fn new(
+        num_terms: usize,
+        cap: usize,
+        shape: ProgramShape,
+        thinks: bool,
+        read_ends_run: bool,
+    ) -> Self {
+        let (cap, mask_words) = Self::region_widths(cap);
         TxnArena {
             cap,
             mask_words,
             shape,
             thinks,
+            read_ends_run,
             recs: vec![TxnRec::VACANT; num_terms],
             reads: vec![0; num_terms * cap],
             write_mask: vec![0; num_terms * mask_words],
@@ -224,6 +289,54 @@ impl TxnArena {
             read_auxes: Vec::new(),
             programs: ProgramTable::default(),
         }
+    }
+
+    /// Per-terminal region widths for readsets of at most `cap` objects:
+    /// `(objects, write-mask words)`.
+    fn region_widths(cap: usize) -> (usize, usize) {
+        let cap = cap.max(1);
+        (cap, cap.div_ceil(64))
+    }
+
+    /// The bytes of every array an arena for `num_terms` terminals and
+    /// readsets of at most `cap` objects allocates, by structure: the
+    /// records, the readset region and write mask, and the lazily allocated
+    /// regions a run will use — the static-locking plan when `shape` is
+    /// `Static2pl`, the read times when `read_times`, and the observed
+    /// bounds when `read_auxes`.
+    #[must_use]
+    pub fn footprint(
+        num_terms: usize,
+        cap: usize,
+        shape: ProgramShape,
+        read_times: bool,
+        read_auxes: bool,
+    ) -> [(&'static str, u128); 5] {
+        let (cap, mask_words) = Self::region_widths(cap);
+        let per_term = |bytes: usize, used: bool| {
+            if used {
+                num_terms as u128 * bytes as u128
+            } else {
+                0
+            }
+        };
+        let region = |elem: usize, used: bool| per_term(elem * cap, used);
+        [
+            ("transaction records", per_term(size_of::<TxnRec>(), true)),
+            (
+                "readset region and write mask",
+                region(size_of::<u32>(), true) + per_term(mask_words * size_of::<u64>(), true),
+            ),
+            (
+                "static-locking plan",
+                region(size_of::<(u32, bool)>(), shape == ProgramShape::Static2pl),
+            ),
+            ("read times", region(size_of::<SimTime>(), read_times)),
+            (
+                "observed read bounds",
+                region(size_of::<SimTime>(), read_auxes),
+            ),
+        ]
     }
 
     /// The step `term`'s transaction is at: one indexed load from the
@@ -235,11 +348,35 @@ impl TxnArena {
         self.programs.steps[rec.prog_base as usize + rec.pc as usize]
     }
 
+    /// The service run starting at `term`'s current step (empty when that
+    /// step is not a service step): one indexed load, like
+    /// [`TxnArena::step`].
+    #[inline]
+    #[must_use]
+    pub fn run(&self, term: usize) -> ServiceRun {
+        let rec = &self.recs[term];
+        self.programs.runs[rec.prog_base as usize + rec.pc as usize]
+    }
+
+    /// The step `k` places past `term`'s current step.
+    #[inline]
+    #[must_use]
+    pub fn step_ahead(&self, term: usize, k: usize) -> Step {
+        let rec = &self.recs[term];
+        self.programs.steps[rec.prog_base as usize + rec.pc as usize + k]
+    }
+
     /// Advance `term`'s transaction to its next step.
     #[inline]
     pub fn advance(&mut self, term: usize) {
+        self.advance_by(term, 1);
+    }
+
+    /// Advance `term`'s transaction `n` steps.
+    #[inline]
+    pub fn advance_by(&mut self, term: usize, n: usize) {
         let rec = &mut self.recs[term];
-        rec.pc += 1;
+        rec.pc += n as u32;
         rec.cc_charged = false;
         debug_assert_eq!(
             self.step(term),
@@ -329,7 +466,7 @@ impl TxnArena {
             arrival,
             attempt_start: arrival,
             epoch,
-            prog_base: self.programs.ensure(self.cap, program),
+            prog_base: self.programs.ensure(self.cap, program, self.read_ends_run),
             n_reads: u32::try_from(n).expect("readset length fits in u32"),
             n_writes: u32::try_from(spec.num_writes()).expect("write-set length fits in u32"),
             class: u32::try_from(class).expect("class index fits in u32"),
@@ -493,7 +630,7 @@ mod tests {
 
     #[test]
     fn install_copies_spec_into_region() {
-        let mut a = TxnArena::new(4, 8, ProgramShape::Dynamic2pl, false);
+        let mut a = TxnArena::new(4, 8, ProgramShape::Dynamic2pl, false, false);
         assert!(a.get(2).is_none());
         let s = spec(3, &[1]);
         install(&mut a, 2, 7, &s, SimTime::from_secs(1), 0);
@@ -513,7 +650,7 @@ mod tests {
 
     #[test]
     fn static_plan_is_sorted_by_object() {
-        let mut a = TxnArena::new(2, 4, ProgramShape::Static2pl, false);
+        let mut a = TxnArena::new(2, 4, ProgramShape::Static2pl, false, false);
         let s = TxnSpec::new(
             vec![ObjId(30), ObjId(10), ObjId(20)],
             vec![true, false, true],
@@ -528,7 +665,7 @@ mod tests {
 
     #[test]
     fn lifecycle_matches_old_txn_semantics() {
-        let mut a = TxnArena::new(1, 4, ProgramShape::Dynamic2pl, false);
+        let mut a = TxnArena::new(1, 4, ProgramShape::Dynamic2pl, false, false);
         let s = spec(2, &[1]);
         install(&mut a, 0, 7, &s, SimTime::from_secs(1), 0);
         a.push_read_time(0, SimTime::from_secs(2));
@@ -557,7 +694,7 @@ mod tests {
 
     #[test]
     fn reinstall_overwrites_without_leaking_lengths() {
-        let mut a = TxnArena::new(1, 8, ProgramShape::LockFree, false);
+        let mut a = TxnArena::new(1, 8, ProgramShape::LockFree, false, false);
         install(&mut a, 0, 1, &spec(6, &[0, 1, 2]), SimTime::ZERO, 0);
         assert_eq!(a.reads(0).len(), 6);
         assert_eq!(a.write_objs(0).count(), 3);
@@ -580,7 +717,7 @@ mod tests {
             ProgramShape::LockFree,
         ] {
             for thinks in [false, true] {
-                let mut a = TxnArena::new(1, 6, shape, thinks);
+                let mut a = TxnArena::new(1, 6, shape, thinks, false);
                 for reads in 1..=6usize {
                     for nw in 0..=reads {
                         let wr: Vec<usize> = (0..nw).collect();
@@ -604,8 +741,84 @@ mod tests {
     }
 
     #[test]
+    fn run_table_matches_a_scan_of_step_at() {
+        // The run at each step, recomputed by scanning the arithmetic
+        // reference: it covers consecutive service steps, stops at the
+        // first step that is not one and, when reads end runs, right after
+        // the first `ReadCpu`; its counts are those of the steps covered.
+        fn scan(program: Program, pc: usize, read_ends_run: bool) -> (ServiceRun, Vec<Step>) {
+            let mut run = ServiceRun::default();
+            let mut steps = Vec::new();
+            for step in (pc..program.len()).map(|k| program.step_at(k)) {
+                match step {
+                    Step::ReadIo(_) | Step::UpdateIo(_) => run.ios += 1,
+                    Step::ReadCpu(_) | Step::WriteCpu(_) => run.cpus += 1,
+                    _ => break,
+                }
+                steps.push(step);
+                if read_ends_run && matches!(step, Step::ReadCpu(_)) {
+                    break;
+                }
+            }
+            (run, steps)
+        }
+        const CAP: usize = 12;
+        for shape in [
+            ProgramShape::Dynamic2pl,
+            ProgramShape::Static2pl,
+            ProgramShape::LockFree,
+        ] {
+            for thinks in [false, true] {
+                for read_ends_run in [false, true] {
+                    let mut a = TxnArena::new(1, CAP, shape, thinks, read_ends_run);
+                    for reads in 1..=CAP {
+                        for nw in 0..=reads {
+                            let wr: Vec<usize> = (0..nw).collect();
+                            install(&mut a, 0, 1, &spec(reads, &wr), SimTime::ZERO, 0);
+                            let program = Program::new(shape, thinks, reads, nw);
+                            for pc in 0..program.len() {
+                                a.recs[0].pc = u32::try_from(pc).unwrap();
+                                let (want, steps) = scan(program, pc, read_ends_run);
+                                let at = format!(
+                                    "{shape:?} {thinks} {read_ends_run} {reads} {nw} pc={pc}"
+                                );
+                                assert_eq!(a.run(0), want, "{at}");
+                                assert_eq!(want.len(), steps.len(), "{at}");
+                                let covered: Vec<Step> =
+                                    (0..want.len()).map(|k| a.step_ahead(0, k)).collect();
+                                assert_eq!(covered, steps, "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn footprint_matches_the_allocated_regions() {
+        let mut a = TxnArena::new(3, 70, ProgramShape::Static2pl, false, true);
+        install(&mut a, 0, 1, &spec(2, &[1]), SimTime::ZERO, 0);
+        a.push_read_obs(0, SimTime::ZERO, SimTime::ZERO);
+        let bytes = |v: usize| v as u128;
+        let got = TxnArena::footprint(3, 70, ProgramShape::Static2pl, true, true);
+        assert_eq!(
+            got.map(|(_, b)| b),
+            [
+                bytes(size_of_val(a.recs.as_slice())),
+                bytes(size_of_val(a.reads.as_slice()) + size_of_val(a.write_mask.as_slice())),
+                bytes(size_of_val(a.lock_plan.as_slice())),
+                bytes(size_of_val(a.read_times.as_slice())),
+                bytes(size_of_val(a.read_auxes.as_slice())),
+            ]
+        );
+        let unused = TxnArena::footprint(3, 70, ProgramShape::LockFree, false, false);
+        assert_eq!(unused[2..].iter().map(|&(_, b)| b).sum::<u128>(), 0);
+    }
+
+    #[test]
     fn stored_object_ids_are_4_bytes() {
-        let mut a = TxnArena::new(3, 5, ProgramShape::Static2pl, false);
+        let mut a = TxnArena::new(3, 5, ProgramShape::Static2pl, false, false);
         assert_eq!(std::mem::size_of_val(a.reads.as_slice()), 3 * 5 * 4);
         let top = ObjId(u64::from(u32::MAX) - 1);
         let s = TxnSpec::new(vec![top, ObjId(0)], vec![true, false]);
@@ -626,7 +839,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "fits in 32 bits")]
     fn install_rejects_ids_past_32_bits() {
-        let mut a = TxnArena::new(1, 2, ProgramShape::LockFree, false);
+        let mut a = TxnArena::new(1, 2, ProgramShape::LockFree, false, false);
         let s = TxnSpec::new(vec![ObjId(1 << 32)], vec![false]);
         install(&mut a, 0, 1, &s, SimTime::ZERO, 0);
     }
@@ -634,7 +847,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds arena region capacity")]
     fn oversized_readset_panics() {
-        let mut a = TxnArena::new(1, 2, ProgramShape::LockFree, false);
+        let mut a = TxnArena::new(1, 2, ProgramShape::LockFree, false, false);
         install(&mut a, 0, 1, &spec(3, &[]), SimTime::ZERO, 0);
     }
 
@@ -656,7 +869,7 @@ mod tests {
             let objs: Vec<ObjId> = (0..n as u64).map(|v| ObjId(v * 7 + 3)).collect();
             let s = TxnSpec::new(objs.clone(), flags[..n].to_vec());
             let neighbour = TxnSpec::new(objs.clone(), other[..n].to_vec());
-            let mut a = TxnArena::new(3, cap, ProgramShape::Dynamic2pl, false);
+            let mut a = TxnArena::new(3, cap, ProgramShape::Dynamic2pl, false, false);
             install(&mut a, 1, 1, &s, SimTime::ZERO, 0);
             install(&mut a, 0, 2, &neighbour, SimTime::ZERO, 0);
             install(&mut a, 2, 3, &neighbour, SimTime::ZERO, 0);

@@ -35,7 +35,7 @@ use ccsim_tso::{
 use ccsim_workload::{Generator, ObjId, ParamError, ResourceSpec, RestartDelayPolicy, TxnId};
 
 use crate::algorithm::{CcAlgorithm, VictimPolicy};
-use crate::arena::TxnArena;
+use crate::arena::{ServiceRun, TxnArena};
 use crate::budget::{BudgetKind, RunError};
 use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report};
@@ -97,8 +97,10 @@ pub(crate) enum Event {
         /// Attempt epoch.
         epoch: u32,
     },
-    /// A service completed under infinite resources.
-    InfDone(usize, u32, ServiceKind),
+    /// Under infinite resources: a whole service run, or a
+    /// concurrency-control CPU charge, completed (see
+    /// [`Simulator::inf_done`]).
+    InfDone(usize, u32),
     /// An internal-think or restart delay elapsed.
     Delay(usize, u32, DelayKind),
     /// A batch boundary.
@@ -175,8 +177,6 @@ pub struct Simulator {
     ws_scratch: Vec<ObjId>,
     cpus: Option<ServerPool<Payload>>,
     disks: Option<DiskArray<Payload>>,
-    inf_cpu_busy_us: u64,
-    inf_io_busy_us: u64,
     ready: VecDeque<usize>,
     active: usize,
     metrics: Metrics,
@@ -263,6 +263,7 @@ impl Simulator {
     /// Returns [`ParamError`] if the configuration fails validation.
     pub fn new(cfg: SimConfig) -> Result<Self, ParamError> {
         cfg.validate()?;
+        check_footprint(&cfg)?;
         // Workload-facing streams (arrivals, think times, access patterns,
         // disk selection) come from `workload_seed` when set, so paired
         // runs of different algorithms can share one transaction mix
@@ -289,12 +290,7 @@ impl Simulator {
         let observed = trace.is_some();
         let db_size = params.db_size as usize;
         let num_terms = params.num_terms as usize;
-        // Region width of the arena: the largest readset any class can draw.
-        let txn_cap = ccsim_workload::class_table(params)
-            .iter()
-            .map(|c| c.max_size as usize)
-            .max()
-            .unwrap_or(1);
+        let txn_cap = readset_cap(params);
         Ok(Simulator {
             generator,
             scratch_reads: Vec::new(),
@@ -316,13 +312,12 @@ impl Simulator {
             ws_scratch: Vec::new(),
             cpus,
             disks,
-            inf_cpu_busy_us: 0,
-            inf_io_busy_us: 0,
             arena: TxnArena::new(
                 num_terms,
                 txn_cap,
                 cfg.algorithm.program_shape(),
                 !params.int_think_time.is_zero(),
+                cfg.algorithm == CcAlgorithm::TicToc,
             ),
             ready: VecDeque::new(),
             active: 0,
@@ -508,6 +503,11 @@ impl Simulator {
             .schedule(SimTime::ZERO + self.cfg.metrics.batch_time, Event::BatchEnd);
     }
 
+    // Inlined into the event loop: left to the inliner, the handler's
+    // size with the infinite-resource run arm tips it out of line, and an
+    // out-of-line handler slowed the physical-resource loop by about 10%
+    // (ccbench `ref-1x2`, 2-core x86-64).
+    #[inline(always)]
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
             Event::Arrive(term) => self.on_arrive(term, now),
@@ -562,7 +562,7 @@ impl Simulator {
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Io, now);
             }
-            Event::InfDone(term, epoch, kind) => self.service_done((term, epoch), kind, now),
+            Event::InfDone(term, epoch) => self.inf_done(term, epoch, now),
             Event::Delay(term, epoch, kind) => self.on_delay_done(term, epoch, kind, now),
         }
         self.prof.switch(Stage::Dispatch);
@@ -665,27 +665,25 @@ impl Simulator {
         }
     }
 
-    /// A CPU or I/O service completed for `payload`.
+    /// Is `(term, epoch)` the attempt now running at `term`? A completion
+    /// for an attempt that restarted is stale: its work stays wasted.
+    fn is_current(&self, term: usize, epoch: u32) -> bool {
+        self.arena.get(term).is_some_and(|txn| txn.epoch == epoch)
+    }
+
+    /// A CPU or I/O service completed for `payload` on a physical resource.
     fn service_done(&mut self, payload: Payload, kind: ServiceKind, now: SimTime) {
         let (term, epoch) = payload;
-        let Some(txn) = self.arena.get(term) else {
+        if !self.is_current(term, epoch) {
             return;
-        };
-        if txn.epoch != epoch {
-            return; // stale: work done for an aborted attempt stays wasted
         }
         let step = self.arena.step(term);
         let txn = self.arena.get_mut(term).expect("live txn");
         let params = &self.cfg.params;
         match step {
             Step::PreclaimLock(_) | Step::LockRead(_) | Step::LockWrite(_) | Step::Validate => {
-                // The completed service was the concurrency-control CPU
-                // charge for this step; now perform the actual request.
                 debug_assert_eq!(kind, ServiceKind::Cpu);
-                debug_assert!(!txn.cc_charged);
-                txn.cc_charged = true;
-                txn.usage.add_cpu(params.cc_cpu);
-                self.work.push_back((term, epoch));
+                self.cc_charge_done(term, epoch);
             }
             Step::ReadIo(_) | Step::UpdateIo(_) => {
                 debug_assert_eq!(kind, ServiceKind::Io);
@@ -696,49 +694,8 @@ impl Simulator {
             Step::ReadCpu(i) => {
                 debug_assert_eq!(kind, ServiceKind::Cpu);
                 txn.usage.add_cpu(params.obj_cpu);
-                let snapshot = txn.attempt_start;
                 self.arena.advance(term);
-                match self.cfg.algorithm {
-                    // Basic T/O records its reads at the timestamp-check
-                    // grant instead (the version is fixed there; a larger-
-                    // timestamp writer may legally publish between the
-                    // grant and this access completion).
-                    CcAlgorithm::BasicTO => {}
-                    // Silo validates its read set at commit against the
-                    // per-object TID words, so the observation instant is
-                    // needed whether or not history is recorded.
-                    CcAlgorithm::SiloOcc => {
-                        debug_assert_eq!(self.arena.read_times(term).len(), i);
-                        self.arena.push_read_time(term, now);
-                    }
-                    // TicToc reads a *version* — identified by its write
-                    // timestamp — not an instant; validation needs the
-                    // whole observed word (the `rts` bound is what lets a
-                    // superseded read still commit in the past), and the
-                    // history records the wts.
-                    CcAlgorithm::TicToc => {
-                        let obj = self.arena.read_at(term, i);
-                        let observed = self.tictoc.word(obj);
-                        debug_assert_eq!(self.arena.read_times(term).len(), i);
-                        self.arena.push_read_obs(term, observed.wts, observed.rts);
-                    }
-                    // Snapshot isolation reads as of the attempt start:
-                    // recording that instant makes the history checker's
-                    // "last writer committed at or before read time" rule
-                    // derive exactly the snapshot's version.
-                    CcAlgorithm::MvccSi => {
-                        if self.history.is_some() {
-                            debug_assert_eq!(self.arena.read_times(term).len(), i);
-                            self.arena.push_read_time(term, snapshot);
-                        }
-                    }
-                    _ => {
-                        if self.history.is_some() {
-                            debug_assert_eq!(self.arena.read_times(term).len(), i);
-                            self.arena.push_read_time(term, now);
-                        }
-                    }
-                }
+                self.record_read(term, i, now);
                 self.work.push_back((term, epoch));
             }
             Step::WriteCpu(_) => {
@@ -749,6 +706,115 @@ impl Simulator {
             }
             Step::IntThink | Step::Commit => {
                 unreachable!("no service completes at step {step:?}")
+            }
+        }
+    }
+
+    /// Under infinite resources, `term`'s service run or CC-CPU charge
+    /// completed. No request waits for a server there, so a run of
+    /// consecutive service steps is one fixed delay: [`Simulator::submit_run`]
+    /// schedules one event for all of it, and this applies all of it at
+    /// once — usage, program counter, and each read at the instant its own
+    /// step completed. Nothing else observable happens inside a run (see
+    /// the run rule in [`crate::arena`]).
+    fn inf_done(&mut self, term: usize, epoch: u32, now: SimTime) {
+        if !self.is_current(term, epoch) {
+            return;
+        }
+        let run = self.arena.run(term);
+        if run.len() == 0 {
+            // Not a service step: the charge for a lock request or
+            // `Validate` completed.
+            self.cc_charge_done(term, epoch);
+            return;
+        }
+        let (io, cpu) = (self.cfg.params.obj_io, self.cfg.params.obj_cpu);
+        let txn = self.arena.get_mut(term).expect("live txn");
+        txn.usage.io_us += u64::from(run.ios) * io.as_micros();
+        txn.usage.cpu_us += u64::from(run.cpus) * cpu.as_micros();
+        if self.records_reads() {
+            let mut at = SimTime::from_micros(now.as_micros() - run_micros(run, io, cpu));
+            for k in 0..run.len() {
+                match self.arena.step_ahead(term, k) {
+                    Step::ReadIo(_) | Step::UpdateIo(_) => at += io,
+                    Step::WriteCpu(_) => at += cpu,
+                    Step::ReadCpu(i) => {
+                        at += cpu;
+                        self.record_read(term, i, at);
+                    }
+                    step => unreachable!("{step:?} inside a service run"),
+                }
+            }
+            debug_assert_eq!(at, now);
+        }
+        self.arena.advance_by(term, run.len());
+        self.work.push_back((term, epoch));
+    }
+
+    /// The concurrency-control CPU charge for `term`'s current step (a lock
+    /// request or `Validate`) completed; now perform the actual request.
+    fn cc_charge_done(&mut self, term: usize, epoch: u32) {
+        let txn = self.arena.get_mut(term).expect("live txn");
+        debug_assert!(!txn.cc_charged);
+        txn.cc_charged = true;
+        txn.usage.add_cpu(self.cfg.params.cc_cpu);
+        self.work.push_back((term, epoch));
+    }
+
+    /// Does the algorithm record its reads at access completion
+    /// ([`Simulator::record_read`] does something)?
+    fn records_reads(&self) -> bool {
+        match self.cfg.algorithm {
+            CcAlgorithm::BasicTO => false,
+            CcAlgorithm::SiloOcc | CcAlgorithm::TicToc => true,
+            _ => self.history.is_some(),
+        }
+    }
+
+    /// Record `term`'s `i`-th read, whose access completed at `at`, as the
+    /// algorithm and history recording need it.
+    fn record_read(&mut self, term: usize, i: usize, at: SimTime) {
+        match self.cfg.algorithm {
+            // Basic T/O records its reads at the timestamp-check grant
+            // instead (the version is fixed there; a larger-timestamp
+            // writer may legally publish between the grant and this access
+            // completion).
+            CcAlgorithm::BasicTO => {}
+            // Silo validates its read set at commit against the per-object
+            // TID words, so the observation instant is needed whether or
+            // not history is recorded.
+            CcAlgorithm::SiloOcc => {
+                debug_assert_eq!(self.arena.read_times(term).len(), i);
+                self.arena.push_read_time(term, at);
+            }
+            // TicToc reads a *version* — identified by its write timestamp
+            // — not an instant; validation needs the whole observed word
+            // (the `rts` bound is what lets a superseded read still commit
+            // in the past), and the history records the wts. The word is
+            // the one current now, so a TicToc run ends at each read.
+            CcAlgorithm::TicToc => {
+                debug_assert_eq!(at, self.now);
+                let obj = self.arena.read_at(term, i);
+                let observed = self.tictoc.word(obj);
+                debug_assert_eq!(self.arena.read_times(term).len(), i);
+                self.arena.push_read_obs(term, observed.wts, observed.rts);
+            }
+            // Snapshot isolation reads as of the attempt start: recording
+            // that instant makes the history checker's "last writer
+            // committed at or before read time" rule derive exactly the
+            // snapshot's version.
+            CcAlgorithm::MvccSi => {
+                if self.history.is_some() {
+                    let snapshot = self.arena.get(term).expect("live txn").attempt_start;
+                    debug_assert_eq!(self.arena.read_times(term).len(), i);
+                    self.arena.push_read_time(term, snapshot);
+                }
+            }
+            _ => {
+                if self.history.is_some() {
+                    debug_assert_eq!(self.arena.read_times(term).len(), i);
+                    self.arena.push_read_time(term, at);
+                }
             }
         }
     }
@@ -822,6 +888,12 @@ impl Simulator {
                         CcAction::Proceed => continue,
                         CcAction::Suspend => return,
                     }
+                }
+                Step::ReadIo(_) | Step::ReadCpu(_) | Step::WriteCpu(_) | Step::UpdateIo(_)
+                    if self.disks.is_none() =>
+                {
+                    self.submit_run(term, epoch, now);
+                    return;
                 }
                 Step::ReadIo(i) => {
                     let obj = self.arena.read_at(term, i);
@@ -1578,10 +1650,11 @@ impl Simulator {
         now: SimTime,
     ) {
         match &mut self.cpus {
+            // Under infinite resources only CC charges come here; service
+            // steps go through `submit_run`.
             None => {
-                self.inf_cpu_busy_us += dur.as_micros();
-                self.cal
-                    .schedule(now + dur, Event::InfDone(term, epoch, ServiceKind::Cpu));
+                debug_assert_eq!(prio, Priority::High);
+                self.cal.schedule(now + dur, Event::InfDone(term, epoch));
             }
             Some(pool) => {
                 // Uncontended fast path: an idle server means the request
@@ -1619,11 +1692,7 @@ impl Simulator {
         let _ = obj;
         let dur = self.cfg.params.obj_io;
         match &mut self.disks {
-            None => {
-                self.inf_io_busy_us += dur.as_micros();
-                self.cal
-                    .schedule(now + dur, Event::InfDone(term, epoch, ServiceKind::Io));
-            }
+            None => unreachable!("I/O under infinite resources goes through submit_run"),
             Some(array) => {
                 // The paper's I/O model: "chooses a disk (at random, with
                 // all disks being equally likely)" (§3). A static
@@ -1654,15 +1723,24 @@ impl Simulator {
         }
     }
 
+    /// Under infinite resources, start the service run at `term`'s current
+    /// step: one event at the end of the whole run (see
+    /// [`Simulator::inf_done`]).
+    fn submit_run(&mut self, term: usize, epoch: u32, now: SimTime) {
+        let run = self.arena.run(term);
+        debug_assert!(run.len() > 0);
+        let us = run_micros(run, self.cfg.params.obj_io, self.cfg.params.obj_cpu);
+        self.cal.schedule(
+            now + SimDuration::from_micros(us),
+            Event::InfDone(term, epoch),
+        );
+    }
+
+    /// Busy microseconds of the CPUs and disks so far; zero under infinite
+    /// resources, where no utilization is measured.
     fn busy_micros(&self, now: SimTime) -> (u64, u64) {
-        let cpu = self
-            .cpus
-            .as_ref()
-            .map_or(self.inf_cpu_busy_us, |p| p.busy_micros(now));
-        let io = self
-            .disks
-            .as_ref()
-            .map_or(self.inf_io_busy_us, |d| d.busy_micros(now));
+        let cpu = self.cpus.as_ref().map_or(0, |p| p.busy_micros(now));
+        let io = self.disks.as_ref().map_or(0, |d| d.busy_micros(now));
         (cpu, io)
     }
 
@@ -1709,6 +1787,78 @@ impl Simulator {
             .expect("terminal has no active transaction");
         matches!(self.arena.step(term), Step::UpdateIo(_) | Step::Commit)
     }
+}
+
+/// Microseconds of service a run takes when no request waits.
+fn run_micros(run: ServiceRun, io: SimDuration, cpu: SimDuration) -> u64 {
+    u64::from(run.ios) * io.as_micros() + u64::from(run.cpus) * cpu.as_micros()
+}
+
+/// Region width of the arena: the largest readset any class can draw.
+fn readset_cap(params: &ccsim_workload::Params) -> usize {
+    ccsim_workload::class_table(params)
+        .iter()
+        .map(|c| c.max_size as usize)
+        .max()
+        .unwrap_or(1)
+}
+
+/// The most bytes [`Simulator::new`] may commit to the arrays sized by the
+/// terminal count: 4 GiB.
+///
+/// Basis: the largest catalog point, exp-scale at mpl 10^6 (10^6
+/// terminals, readsets of at most 12 objects), needs 183 MiB of them, and
+/// at most 366 MiB under any algorithm with history recorded (the lazily
+/// allocated regions: the static-locking plan or TicToc's bounds, and the
+/// read times), so the ceiling leaves it more than tenfold headroom.
+/// Without a ceiling, a configuration too large for memory aborts the
+/// process on a failed allocation, which neither `simulate` nor a sweep's
+/// per-point isolation can turn into an error; with it, the configuration
+/// is rejected before anything is allocated.
+const MAX_FOOTPRINT_BYTES: u64 = 1 << 32;
+
+/// The bytes of the arrays [`Simulator::new`] sizes by the terminal count,
+/// by structure. The sizes come from the constructors' own accounting: the
+/// arena's records and regions, the lock table's transaction slots, and
+/// the calendar nodes `prime` schedules (one arrival per terminal plus the
+/// first batch boundary).
+fn footprint(cfg: &SimConfig) -> impl Iterator<Item = (&'static str, u128)> + Clone {
+    let params = &cfg.params;
+    let num_terms = params.num_terms as usize;
+    let algo = cfg.algorithm;
+    let arena = TxnArena::footprint(
+        num_terms,
+        readset_cap(params),
+        algo.program_shape(),
+        cfg.record_history || matches!(algo, CcAlgorithm::SiloOcc | CcAlgorithm::TicToc),
+        algo == CcAlgorithm::TicToc,
+    );
+    let lock_slots = (
+        "lock-table transaction slots",
+        LockManager::slot_bytes(num_terms),
+    );
+    let calendar = (
+        "calendar nodes",
+        (num_terms as u128 + 1) * Calendar::<Event>::node_bytes() as u128,
+    );
+    arena.into_iter().chain([lock_slots, calendar])
+}
+
+/// Reject `cfg` if [`footprint`] exceeds [`MAX_FOOTPRINT_BYTES`], naming
+/// the largest structure.
+fn check_footprint(cfg: &SimConfig) -> Result<(), ParamError> {
+    let parts = footprint(cfg);
+    let total: u128 = parts.clone().map(|(_, bytes)| bytes).sum();
+    if total <= u128::from(MAX_FOOTPRINT_BYTES) {
+        return Ok(());
+    }
+    let (name, bytes) = parts
+        .max_by_key(|&(_, bytes)| bytes)
+        .expect("footprint has parts");
+    Err(ParamError(format!(
+        "memory footprint of {total} bytes exceeds the {MAX_FOOTPRINT_BYTES}-byte ceiling \
+         (largest: {name}, {bytes} bytes)"
+    )))
 }
 
 /// Everything a run produces (see [`Simulator::run_collecting`]).
@@ -1780,6 +1930,34 @@ mod tests {
         // grows every pending calendar node, which at 10^6 pending events
         // is tens of MiB of resident memory.
         assert_eq!(std::mem::size_of::<Event>(), 16);
+    }
+
+    #[test]
+    fn footprint_ceiling_admits_the_scale_point() {
+        // The ceiling's basis: exp-scale's 10^6 terminals need 183 MiB of
+        // terminal-sized arrays, and at most 366 MiB under any algorithm
+        // with history recorded.
+        let total = |cfg: &SimConfig| footprint(cfg).map(|(_, b)| b).sum::<u128>();
+        let scale = Params::exp_scale().with_mpl(1_000_000);
+        let plain = SimConfig::new(CcAlgorithm::Blocking).with_params(scale.clone());
+        assert_eq!(total(&plain), 192_000_032);
+        let mut most = 0;
+        for algo in CcAlgorithm::ALL.into_iter().chain([CcAlgorithm::NoCc]) {
+            let cfg = SimConfig::new(algo)
+                .with_params(scale.clone())
+                .with_history(true);
+            assert!(check_footprint(&cfg).is_ok(), "{algo}");
+            most = most.max(total(&cfg));
+        }
+        assert_eq!(most, 384_000_032);
+        let mut over = scale;
+        over.num_terms = 100_000_000;
+        let err = check_footprint(&SimConfig::new(CcAlgorithm::Blocking).with_params(over))
+            .expect_err("10^8 terminals exceed the ceiling");
+        assert!(
+            err.0.contains("transaction records, 8000000000 bytes"),
+            "{err}"
+        );
     }
 
     #[test]

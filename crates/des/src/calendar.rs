@@ -262,6 +262,13 @@ impl<E: Copy> Calendar<E> {
         self.len() == 0
     }
 
+    /// Bytes one pending event occupies: a node carries its `(time, seq)`
+    /// key and the event inline, in either tier.
+    #[must_use]
+    pub const fn node_bytes() -> usize {
+        size_of::<Node<E>>()
+    }
+
     /// The most events ever pending at once (peak occupancy).
     #[must_use]
     pub fn peak_len(&self) -> usize {

@@ -149,6 +149,41 @@ fn database_past_the_object_id_domain_is_rejected() {
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
 }
 
+/// Inputs whose terminal-sized arrays would not fit in memory are
+/// configuration errors: exit 2 naming the footprint and its largest
+/// structure, before anything is allocated, instead of an abort on a
+/// failed allocation.
+#[test]
+fn oversized_footprints_are_rejected_before_allocation() {
+    for (flags, structure) in [
+        (
+            &["--terminals", "100000000", "--mpl", "10"][..],
+            "transaction records",
+        ),
+        (
+            &["--max-size", "100000000", "--db", "100000000", "--mpl", "2"][..],
+            "readset region",
+        ),
+        (
+            &["--terminals", "4000000000", "--mpl", "1"][..],
+            "transaction records",
+        ),
+    ] {
+        let mut args = vec!["--algo", "blocking", "--quick"];
+        args.extend_from_slice(flags);
+        let out = simulate(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?} stderr:\n{stderr}");
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("memory footprint")
+                && stderr.contains(structure),
+            "{flags:?} does not name the footprint and {structure}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flags:?} printed a report");
+    }
+}
+
 /// `--help` and `-h` print the usage to stdout and exit 0; an unknown flag
 /// still exits 2 and points at `--help`.
 #[test]

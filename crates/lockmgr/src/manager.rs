@@ -277,6 +277,18 @@ impl LockManager {
         LockManager::with_capacity(0, DEFAULT_TXN_SLOTS)
     }
 
+    /// Length of the per-transaction slot array for `txn_slots` slots.
+    fn slot_count(txn_slots: usize) -> usize {
+        txn_slots.max(1)
+    }
+
+    /// Bytes of the per-transaction slot array that
+    /// [`LockManager::with_capacity`] allocates for `txn_slots` slots.
+    #[must_use]
+    pub fn slot_bytes(txn_slots: usize) -> u128 {
+        Self::slot_count(txn_slots) as u128 * size_of::<TxnSlot>() as u128
+    }
+
     /// An empty lock table presized for `db_size` objects and `txn_slots`
     /// concurrently live transactions. When transaction ids are assigned as
     /// `serial * txn_slots + index` (the engine's terminal numbering), the
@@ -294,7 +306,7 @@ impl LockManager {
             free: Vec::new(),
             sides: Vec::new(),
             free_sides: Vec::new(),
-            txns: vec![TxnSlot::VACANT; txn_slots.max(1)],
+            txns: vec![TxnSlot::VACANT; Self::slot_count(txn_slots)],
             dfs: RefCell::default(),
             held_count: 0,
             peak_held: 0,
