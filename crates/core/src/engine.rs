@@ -107,6 +107,20 @@ pub(crate) enum Event {
     BatchEnd,
 }
 
+impl Event {
+    /// The terminal the event is addressed to, if any.
+    #[inline]
+    fn term(self) -> Option<usize> {
+        match self {
+            Event::Arrive(term) | Event::InfDone(term, _) | Event::Delay(term, ..) => Some(term),
+            Event::CpuDoneFast { term, .. } | Event::DiskDoneFast { term, .. } => {
+                Some(term as usize)
+            }
+            Event::CpuDone(_) | Event::DiskDone(_) | Event::BatchEnd => None,
+        }
+    }
+}
+
 /// Why a transaction is being aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AbortCause {
@@ -434,8 +448,8 @@ impl Simulator {
     /// Run until completion *or* budget exhaustion, salvaging whatever was
     /// measured either way: a budget stop is reported in
     /// [`RunOutcome::stopped`] next to the partial report, perf counters,
-    /// streaming quantiles, trace, and history — the scale regime runs to
-    /// a simulated-time ceiling and still wants its observables. Use
+    /// trace, and history — the scale regime runs to a simulated-time
+    /// ceiling and still wants its observables. Use
     /// [`RunOutcome::finished`] when a budget stop is a failure.
     #[must_use]
     pub fn run_collecting(mut self) -> RunOutcome {
@@ -453,7 +467,6 @@ impl Simulator {
                 elided_cpu_hops: self.elided_cpu,
                 elided_disk_hops: self.elided_disk,
             },
-            quantiles: self.metrics.streaming_quantiles(),
             stages: self.prof.report(),
             trace: self.trace,
             history: self.history,
@@ -510,7 +523,10 @@ impl Simulator {
     #[inline(always)]
     fn handle(&mut self, now: SimTime, ev: Event) {
         match ev {
-            Event::Arrive(term) => self.on_arrive(term, now),
+            Event::Arrive(term) => {
+                self.prefetch_next_event();
+                self.on_arrive(term, now);
+            }
             Event::BatchEnd => self.on_batch_end(now),
             Event::CpuDone(server) => {
                 let (payload, next) = self
@@ -562,12 +578,27 @@ impl Simulator {
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Io, now);
             }
-            Event::InfDone(term, epoch) => self.inf_done(term, epoch, now),
+            Event::InfDone(term, epoch) => {
+                self.prefetch_next_event();
+                self.inf_done(term, epoch, now);
+            }
             Event::Delay(term, epoch, kind) => self.on_delay_done(term, epoch, kind, now),
         }
         self.prof.switch(Stage::Dispatch);
         self.drain_work(now);
         self.prof.switch(Stage::Handle);
+    }
+
+    /// Look one event ahead: start pulling the next event's terminal state
+    /// into cache, so its misses overlap this event's work instead of
+    /// stalling the next one. Called from the `Arrive` and `InfDone` arms,
+    /// the event kinds of the infinite-resource scale point (see DESIGN §7,
+    /// "One event loop"); a pure hint, so nothing it does is observable.
+    #[inline]
+    fn prefetch_next_event(&self) {
+        if let Some(term) = self.cal.peek().and_then(|(_, ev)| ev.term()) {
+            self.arena.prefetch(term);
+        }
     }
 
     /// Mark `term`'s transaction as ready to continue at the current
@@ -1871,8 +1902,6 @@ pub struct RunOutcome {
     pub stopped: Option<RunError>,
     /// Engine perf counters up to the stopping point.
     pub perf: PerfStats,
-    /// Streaming response quantiles up to the stopping point.
-    pub quantiles: crate::metrics::StreamingQuantiles,
     /// Per-stage wall-time breakdown (`stage-profiler` builds only).
     pub stages: Option<StageProfile>,
     /// The trace ring's retained events; `Some` exactly when

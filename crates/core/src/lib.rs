@@ -47,7 +47,7 @@ pub use algorithm::{CcAlgorithm, VictimPolicy};
 pub use budget::{BudgetKind, RunBudget, RunError};
 pub use config::{MetricsConfig, SimConfig};
 pub use engine::{run, PerfStats, RunOutcome, Simulator};
-pub use metrics::{ClassReport, Metrics, Report, StreamingQuantiles};
+pub use metrics::{ClassReport, Metrics, Report};
 pub use profiler::{Stage, StageProfile, StageSample, STAGE_COUNT, STAGE_PROFILER_COMPILED};
 pub use sink::{CenterFlow, EventSink, FlowStats};
 pub use trace::{Trace, TraceEvent};

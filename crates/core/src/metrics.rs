@@ -6,9 +6,7 @@
 //! *useful* resource utilization (Figures 9, 13, 15, 17, 19, 21).
 
 use ccsim_des::{SimDuration, SimTime};
-use ccsim_stats::{
-    BatchMeans, Confidence, Estimate, LogHistogram, P2Quantile, TimeWeighted, Welford,
-};
+use ccsim_stats::{BatchMeans, Confidence, Estimate, LogHistogram, TimeWeighted, Welford};
 
 use crate::config::MetricsConfig;
 
@@ -56,13 +54,6 @@ pub struct Metrics {
     cpu_util_useful: BatchMeans,
     response: Welford,
     response_hist: LogHistogram,
-    // O(1)-memory streaming response quantiles (P²), kept strictly out of
-    // [`Report`]: the scale regime reads them through
-    // [`Metrics::streaming_quantiles`] while serialized experiment output
-    // stays byte-identical to the buffered-only collector.
-    response_p50: P2Quantile,
-    response_p95: P2Quantile,
-    response_p99: P2Quantile,
     classes: Vec<ClassStats>,
     active: TimeWeighted,
     avg_active_batches: Welford,
@@ -101,9 +92,6 @@ impl Metrics {
             cpu_util_useful: BatchMeans::new(conf),
             response: Welford::new(),
             response_hist: LogHistogram::for_latencies(),
-            response_p50: P2Quantile::new(0.5),
-            response_p95: P2Quantile::new(0.95),
-            response_p99: P2Quantile::new(0.99),
             classes: vec![ClassStats::default(); num_classes.max(1)],
             active: TimeWeighted::new(SimTime::ZERO, 0.0),
             avg_active_batches: Welford::new(),
@@ -130,9 +118,6 @@ impl Metrics {
         let secs = response.as_secs_f64();
         self.response.add(secs);
         self.response_hist.add(secs);
-        self.response_p50.add(secs);
-        self.response_p95.add(secs);
-        self.response_p99.add(secs);
         let cs = &mut self.classes[class];
         cs.commits += 1;
         cs.response.add(response.as_secs_f64());
@@ -259,35 +244,6 @@ impl Metrics {
     pub fn confidence(&self) -> Confidence {
         self.cfg.confidence
     }
-
-    /// The O(1)-memory streaming response-time quantiles (seconds). Parallel
-    /// to the histogram estimates in [`Report`] but never serialized, so the
-    /// scale regime can observe latencies without touching experiment
-    /// output.
-    #[must_use]
-    pub fn streaming_quantiles(&self) -> StreamingQuantiles {
-        StreamingQuantiles {
-            p50: self.response_p50.quantile(),
-            p95: self.response_p95.quantile(),
-            p99: self.response_p99.quantile(),
-            count: self.response_p50.count(),
-        }
-    }
-}
-
-/// Streaming (P²) response-time quantile estimates in seconds, with the
-/// number of committed transactions they summarize. Deliberately not part
-/// of [`Report`]: reading them cannot perturb serialized experiment output.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamingQuantiles {
-    /// Median response time estimate.
-    pub p50: f64,
-    /// 95th-percentile estimate.
-    pub p95: f64,
-    /// 99th-percentile estimate.
-    pub p99: f64,
-    /// Observations (commits) summarized.
-    pub count: u64,
 }
 
 /// Per-transaction-class observables (class 0 = the primary class).
@@ -462,30 +418,31 @@ mod tests {
     }
 
     #[test]
-    fn streaming_quantiles_track_buffered_estimates() {
+    fn report_quantiles_track_the_response_distribution() {
         let mut m = Metrics::new(cfg(0, 1, 10), 1, 1, 1);
-        // 1..=1000 ms of response times: p50 ≈ 0.5 s, p95 ≈ 0.95 s.
+        // 1..=1000 ms of response times: p50 ≈ 0.5 s, p95 ≈ 0.95 s, within
+        // the histogram's 5% buckets.
         for i in 1..=1000 {
             m.on_commit(0, SimDuration::from_millis(i), 0, 0);
         }
         m.on_batch_end(SimTime::from_secs(10), 0, 0);
-        let q = m.streaming_quantiles();
-        assert_eq!(q.count, 1000);
-        assert!((q.p50 - 0.5).abs() < 0.05, "p50 {}", q.p50);
-        assert!((q.p95 - 0.95).abs() < 0.05, "p95 {}", q.p95);
-        assert!((q.p99 - 0.99).abs() < 0.05, "p99 {}", q.p99);
-        // The serialized report is produced from the histogram, not P²: the
-        // two must agree within the histogram's resolution.
         let r = m.report();
-        assert!((r.response_time_p50 - q.p50).abs() < 0.1 * q.p50.max(1e-9));
+        for (got, want) in [
+            (r.response_time_p50, 0.5),
+            (r.response_time_p95, 0.95),
+            (r.response_time_p99, 0.99),
+        ] {
+            assert!((got - want).abs() <= 0.06 * want, "{got} vs {want}");
+        }
     }
 
     #[test]
-    fn streaming_quantiles_ignore_warmup_and_empty_runs() {
+    fn report_quantiles_ignore_warmup_and_empty_runs() {
         let mut m = Metrics::new(cfg(1, 1, 10), 1, 1, 1);
         m.on_commit(0, SimDuration::from_secs(9), 0, 0);
-        assert_eq!(m.streaming_quantiles().count, 0);
-        assert_eq!(m.streaming_quantiles().p99, 0.0);
+        let r = m.report();
+        assert_eq!(r.commits, 0);
+        assert_eq!(r.response_time_p99, 0.0);
     }
 
     #[test]

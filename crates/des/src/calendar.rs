@@ -30,6 +30,10 @@
 //!   events a bucket holds, and so delivery order, is unaffected.
 //! * A 4-ary heap layout halves the tree depth of a binary heap, so the
 //!   pop-side sift touches far less memory than `BinaryHeap` did.
+//! * [`Calendar::peek`] answers, read-only, which event the next pop
+//!   delivers when the heap's root and the parked lane bucket's root tell
+//!   it, so a caller can prefetch for the next event while it handles the
+//!   current one. It never scans.
 //! * There is no cancellation: every scheduled event is delivered. A
 //!   simulation that must ignore an event once it is delivered (a
 //!   completion for an aborted attempt) tags the payload — the engine
@@ -365,6 +369,40 @@ impl<E: Copy> Calendar<E> {
             "lane accounting broken: {} events unreachable within the horizon",
             self.lane_len
         );
+    }
+
+    /// The event the next [`Calendar::pop`] delivers if nothing is
+    /// scheduled before it, when that is known without a scan; otherwise
+    /// `None`.
+    ///
+    /// Reads two roots and changes nothing: the heap's root, and the root
+    /// of the lane bucket the min-scan last parked on. When that bucket has
+    /// drained (or a schedule into an earlier bucket moved the scan cursor
+    /// onto a bucket not yet heapified) while other lane events remain,
+    /// only the scan in `pop` could find the lane's minimum, so the answer
+    /// is `None`. Whatever is returned is pending. Meant for look-ahead
+    /// hints: a caller may act on the answer only in ways that cannot
+    /// change what the simulation computes.
+    #[inline]
+    #[must_use]
+    pub fn peek(&self) -> Option<(SimTime, E)> {
+        let heap = self.heap.first();
+        let lane = if self.lane_len == 0 {
+            None
+        } else {
+            let b = self.scan_from.max(self.now.as_micros() >> BUCKET_SHIFT);
+            let ring = &self.lane[(b % NEAR_BUCKETS) as usize];
+            if ring.bucket != b || !ring.heaped {
+                return None;
+            }
+            Some(ring.nodes.first()?)
+        };
+        let node = match (lane, heap) {
+            (Some(l), Some(h)) if h.key() < l.key() => h,
+            (Some(l), _) => l,
+            (None, h) => h?,
+        };
+        Some((node.at, node.event))
     }
 
     /// Remove and return the earliest event together with its timestamp,
@@ -704,6 +742,50 @@ mod tests {
             .all(|r| r.nodes.capacity() <= RETAINED_BUCKET_CAP));
         assert_eq!(two_tier.stats().pops, 3 * 10_126);
         assert_eq!(two_tier.stats().heap_schedules, 3);
+    }
+
+    #[test]
+    fn peek_names_the_next_pop_from_either_root() {
+        let at = |us: u64| SimTime::from_micros(us);
+        for heap_only in [false, true] {
+            let mut cal = if heap_only {
+                Calendar::heap_only()
+            } else {
+                Calendar::new()
+            };
+            assert_eq!(cal.peek(), None);
+            // Beyond the horizon at clock 0: both go to the heap.
+            cal.schedule(at(270_000), "far-1");
+            cal.schedule(at(270_100), "far-2");
+            cal.schedule(at(20_000), "filler");
+            assert_eq!(cal.pop(), Some((at(20_000), "filler")));
+            // Inside the horizon now: lane bucket 264, after the heap's 263.
+            cal.schedule(at(270_500), "near-1");
+            cal.schedule(at(270_600), "near-2");
+            let before = cal.stats();
+            let order = ["far-1", "far-2", "near-1", "near-2"];
+            for (i, want) in order.into_iter().enumerate() {
+                let peeked = cal.peek();
+                if heap_only || i > 0 {
+                    // The heap-only calendar always knows; the two-tier one
+                    // knows once the min-scan parked on the lane bucket
+                    // (the first pop), and then compares the two roots:
+                    // `far-2` is the heap root and beats the lane's root.
+                    assert_eq!(peeked.map(|(_, e)| e), Some(want), "heap_only={heap_only}");
+                } else {
+                    // The filler's bucket drained and the lane's minimum
+                    // needs the scan.
+                    assert_eq!(peeked, None);
+                }
+                let popped = cal.pop().expect("pending");
+                assert_eq!(popped.1, want);
+                if let Some(p) = peeked {
+                    assert_eq!(p, popped);
+                }
+            }
+            assert_eq!(cal.peek(), None);
+            assert_eq!(cal.stats().pops - before.pops, 4, "peek never pops");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`Xoshiro256StarStar`] / [`RngStreams`] — reproducible random number
 //!   streams (one per stochastic model component);
 //! * [`Exponential`], [`UniformInclusive`], [`sample_distinct`] — the
-//!   variate generators the workload model needs.
+//!   variate generators the workload model needs;
+//! * [`prefetch`] — the one cache-prefetch hint, safe to call on any
+//!   reference.
 //!
 //! # Example
 //!
@@ -33,6 +35,7 @@
 
 mod calendar;
 mod dist;
+mod prefetch;
 mod rng;
 mod time;
 
@@ -41,6 +44,7 @@ pub use dist::{
     sample_distinct, sample_distinct_into, sample_exponential, ExpBlock, Exponential, UniformBlock,
     UniformInclusive,
 };
+pub use prefetch::prefetch;
 pub use rng::{
     derive_point_seed, derive_seed, BufferedRng, RandomSource, RngStreams, SplitMix64,
     Xoshiro256StarStar,

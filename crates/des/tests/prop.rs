@@ -125,6 +125,67 @@ proptest! {
         prop_assert_eq!(cal.stats().heap_schedules, 0);
     }
 
+    /// `peek` against a reference queue, two-tier and heap-only, over
+    /// interleaved schedules (near and far), at-`now` bursts, pops and
+    /// peeks: whatever a peek returns is pending, and when nothing is
+    /// scheduled between a peek that returns an event and the next pop,
+    /// that pop delivers the same event. A heap-only calendar always
+    /// answers.
+    #[test]
+    fn calendar_peek_names_the_next_pop(
+        heap_only in any::<bool>(),
+        ops in proptest::collection::vec((0u8..8, 0u64..600_000, 0usize..64), 1..400),
+    ) {
+        let mut cal = if heap_only { Calendar::heap_only() } else { Calendar::new() };
+        let mut model: Vec<(SimTime, usize)> = Vec::new();
+        let mut next_payload = 0usize;
+        let mut peeked = None;
+        for &(kind, t, sel) in &ops {
+            match kind {
+                0..=2 => {
+                    // Mostly near the clock, so lane buckets fill densely.
+                    let at = cal.now() + SimDuration::from_micros(if sel % 4 == 0 { t } else { t % 2_048 });
+                    cal.schedule(at, next_payload);
+                    model.push((at, next_payload));
+                    next_payload += 1;
+                    peeked = None;
+                }
+                3 => {
+                    for _ in 0..=sel % 4 {
+                        cal.schedule(cal.now(), next_payload);
+                        model.push((cal.now(), next_payload));
+                        next_payload += 1;
+                    }
+                    peeked = None;
+                }
+                4 | 5 => {
+                    let popped = model_min(&model).map(|i| model.remove(i));
+                    prop_assert_eq!(cal.pop(), popped);
+                    if let Some(p) = peeked.take() {
+                        prop_assert_eq!(Some(p), popped);
+                    }
+                }
+                _ => {
+                    let p = cal.peek();
+                    if let Some(p) = p {
+                        prop_assert!(model.contains(&p), "peeked {:?} is not pending", p);
+                    }
+                    if heap_only {
+                        prop_assert_eq!(p.is_some(), !model.is_empty());
+                    }
+                    peeked = p;
+                }
+            }
+        }
+        while let Some(i) = model_min(&model) {
+            if let Some(p) = cal.peek() {
+                prop_assert_eq!(p, model[i]);
+            }
+            prop_assert_eq!(cal.pop(), Some(model.remove(i)));
+        }
+        prop_assert_eq!(cal.peek(), None);
+    }
+
     /// `sample_distinct` yields exactly `k` distinct in-range values.
     #[test]
     fn sample_distinct_invariants(seed in any::<u64>(), n in 1u64..5_000, k_frac in 0.0f64..1.0) {

@@ -718,12 +718,18 @@ impl LockManager {
     /// *ahead* of it in the queue with a conflicting mode — FCFS queueing
     /// means those will be granted first, so they are genuine waits.
     ///
-    /// The search reuses buffers kept in the manager and marks visited
-    /// transactions by slot, so a probe allocates only the cycle it
-    /// returns.
+    /// A cycle through `txn` needs an edge into it, so the search runs only
+    /// when some other transaction could wait for `txn` (see
+    /// [`LockManager::may_be_waited_for`]); otherwise the answer is `None`
+    /// without it. The search reuses buffers kept in the manager and marks
+    /// visited transactions by slot, so a probe allocates only the cycle
+    /// it returns.
     #[must_use]
     pub fn find_deadlock(&self, txn: TxnId) -> Option<Vec<TxnId>> {
         self.waiting_on(txn)?;
+        if !self.may_be_waited_for(txn) {
+            return None;
+        }
         let mut scratch = self.dfs.borrow_mut();
         find_cycle_through(
             txn,
@@ -732,6 +738,37 @@ impl LockManager {
             |t| self.slot_index(t),
             |t, out| self.waits_for_into(t, out),
         )
+    }
+
+    /// Could another transaction wait for the waiting `txn`? Only
+    /// [`LockManager::waits_for_into`] draws edges, and it draws one into
+    /// `txn` only from a waiter on an object `txn` holds or from a waiter
+    /// queued behind `txn` on the object `txn` waits for. False when there
+    /// is neither; true does not promise an edge.
+    fn may_be_waited_for(&self, txn: TxnId) -> bool {
+        let s = &self.txns[self.slot_index(txn)];
+        debug_assert!(s.tid == txn && s.waiting != NONE);
+        if self
+            .view(s.waiting as usize)
+            .queue()
+            .back()
+            .is_some_and(|w| w.txn != txn)
+        {
+            return true;
+        }
+        let mut ei = s.head;
+        while ei != NONE {
+            let view = self.view(ei as usize);
+            if view.queue().iter().any(|w| w.txn != txn) {
+                return true;
+            }
+            ei = view
+                .holders()
+                .find(|h| h.txn == txn)
+                .expect("held entry lists the holder")
+                .next;
+        }
+        false
     }
 
     fn waits_for_into(&self, txn: TxnId, out: &mut Vec<TxnId>) {
@@ -1310,6 +1347,100 @@ mod tests {
         ); // waits on t3
         let cycle = lm.find_deadlock(t(1)).expect("3-cycle through queue edge");
         assert!(cycle.contains(&t(1)) && cycle.contains(&t(3)));
+        lm.assert_consistent();
+    }
+
+    #[test]
+    fn upgrade_with_a_plain_waiter_behind_it_is_searched() {
+        // t1 and t2 share o1; t1's upgrade queues ahead of t3's plain read,
+        // and t3 holds o2, which t2 then waits for. The only edge into t1
+        // comes from t3, queued behind it on the object it waits for (and
+        // holds).
+        let mut lm = LockManager::new();
+        lm.request(t(3), o(2), LockMode::Write);
+        lm.request(t(1), o(1), LockMode::Read);
+        lm.request(t(2), o(1), LockMode::Read);
+        assert_eq!(
+            lm.request(t(1), o(1), LockMode::Write),
+            RequestOutcome::Queued
+        );
+        assert_eq!(
+            lm.request(t(3), o(1), LockMode::Read),
+            RequestOutcome::Queued
+        );
+        assert_eq!(
+            lm.request(t(2), o(2), LockMode::Write),
+            RequestOutcome::Queued
+        );
+        for requester in [t(1), t(2)] {
+            let mut cycle = lm.find_deadlock(requester).expect("3-cycle");
+            cycle.sort();
+            assert_eq!(cycle, vec![t(1), t(2), t(3)]);
+        }
+        lm.assert_consistent();
+    }
+
+    #[test]
+    fn waiter_queued_behind_a_plain_requester_is_searched() {
+        // t2 holds nothing; its only in-edge is from t3, queued behind it
+        // on o1: t2 -> t1 -> t3 -> t2.
+        let mut lm = LockManager::new();
+        lm.request(t(1), o(1), LockMode::Read);
+        lm.request(t(3), o(2), LockMode::Write);
+        lm.request(t(2), o(1), LockMode::Write);
+        lm.request(t(3), o(1), LockMode::Read);
+        lm.request(t(1), o(2), LockMode::Read);
+        let mut cycle = lm.find_deadlock(t(2)).expect("cycle through t2");
+        cycle.sort();
+        assert_eq!(cycle, vec![t(1), t(2), t(3)]);
+    }
+
+    #[test]
+    fn held_object_with_a_waiter_is_searched() {
+        let mut lm = LockManager::new();
+        lm.request(t(1), o(1), LockMode::Write);
+        lm.request(t(2), o(2), LockMode::Write);
+        lm.request(t(1), o(3), LockMode::Read);
+        lm.request(t(3), o(3), LockMode::Write);
+        // t3 waits on o3, which t1 holds, but t1 waits for no one yet.
+        assert_eq!(
+            lm.request(t(1), o(2), LockMode::Read),
+            RequestOutcome::Queued
+        );
+        assert!(lm.find_deadlock(t(1)).is_none());
+        // t2 holds o2, where t1 waits: t2 -> t1 -> t2.
+        assert_eq!(
+            lm.request(t(2), o(1), LockMode::Read),
+            RequestOutcome::Queued
+        );
+        let mut cycle = lm.find_deadlock(t(2)).expect("2-cycle");
+        cycle.sort();
+        assert_eq!(cycle, vec![t(1), t(2)]);
+    }
+
+    #[test]
+    fn requester_nobody_waits_for_finds_no_deadlock_beside_a_cycle() {
+        let mut lm = LockManager::new();
+        lm.request(t(1), o(1), LockMode::Write);
+        lm.request(t(2), o(2), LockMode::Write);
+        lm.request(t(4), o(4), LockMode::Write);
+        lm.request(t(1), o(2), LockMode::Write);
+        lm.request(t(2), o(1), LockMode::Write);
+        // Left unresolved: t1 and t2 wait for each other.
+        assert!(lm.find_deadlock(t(1)).is_some());
+        // t3 holds nothing, t4 holds an object nobody waits on; both queue
+        // last, behind the cycle.
+        assert_eq!(
+            lm.request(t(3), o(1), LockMode::Read),
+            RequestOutcome::Queued
+        );
+        assert_eq!(
+            lm.request(t(4), o(2), LockMode::Write),
+            RequestOutcome::Queued
+        );
+        assert!(lm.find_deadlock(t(3)).is_none());
+        assert!(lm.find_deadlock(t(4)).is_none());
+        assert!(lm.find_deadlock(t(2)).is_some());
         lm.assert_consistent();
     }
 

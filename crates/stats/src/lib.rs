@@ -12,9 +12,9 @@
 //!   lag-1 autocorrelation diagnostic;
 //! * [`TimeWeighted`] — time-weighted averages of step signals (e.g. the
 //!   *actual* multiprogramming level the paper discusses in §4.3);
-//! * [`RunningAvg`] / [`Ewma`] — the adaptive restart-delay estimators;
-//! * [`LogHistogram`] — log-bucketed latency histogram with quantiles;
-//! * [`P2Quantile`] — O(1)-memory streaming quantiles for the scale regime;
+//! * [`RunningAvg`] — the adaptive restart-delay estimator;
+//! * [`LogHistogram`] — log-bucketed latency histogram with quantiles, in
+//!   O(1) memory at any run length;
 //! * [`Replications`] / [`paired_t`] — independent-replication intervals and
 //!   paired comparisons under common random numbers.
 
@@ -23,7 +23,6 @@
 
 mod batch;
 mod histogram;
-mod p2;
 mod replication;
 mod running;
 mod timeweighted;
@@ -32,9 +31,8 @@ mod welford;
 
 pub use batch::{BatchMeans, Confidence, Estimate};
 pub use histogram::LogHistogram;
-pub use p2::P2Quantile;
 pub use replication::{paired_t, PairedT, Replications};
-pub use running::{Ewma, RunningAvg};
+pub use running::RunningAvg;
 pub use timeweighted::TimeWeighted;
 pub use ttable::{t_quantile_90, t_quantile_95};
 pub use welford::Welford;

@@ -4,7 +4,6 @@
 //! exponential whose mean is "the running average of the transaction
 //! response time". [`RunningAvg`] is that cumulative average, with a
 //! configurable prior used until the first observation arrives.
-//! [`Ewma`] is provided as an alternative policy for sensitivity studies.
 
 use ccsim_des::SimDuration;
 
@@ -50,53 +49,6 @@ impl RunningAvg {
     }
 }
 
-/// Exponentially weighted moving average of durations.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: f64,
-    seeded: bool,
-    prior: SimDuration,
-}
-
-impl Ewma {
-    /// Create with smoothing factor `alpha` in `(0, 1]` and a prior.
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside `(0, 1]`.
-    #[must_use]
-    pub fn new(alpha: f64, prior: SimDuration) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Ewma {
-            alpha,
-            value: 0.0,
-            seeded: false,
-            prior,
-        }
-    }
-
-    /// Record an observation.
-    pub fn observe(&mut self, d: SimDuration) {
-        let x = d.as_micros() as f64;
-        if self.seeded {
-            self.value += self.alpha * (x - self.value);
-        } else {
-            self.value = x;
-            self.seeded = true;
-        }
-    }
-
-    /// Current smoothed value (the prior if nothing observed yet).
-    #[must_use]
-    pub fn value(&self) -> SimDuration {
-        if self.seeded {
-            SimDuration::from_micros(self.value.round() as u64)
-        } else {
-            self.prior
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,31 +78,5 @@ mod tests {
             r.observe(SimDuration::from_secs(1_000));
         }
         assert_eq!(r.value(), SimDuration::from_secs(1_000));
-    }
-
-    #[test]
-    fn ewma_seeds_with_first_value() {
-        let mut e = Ewma::new(0.5, SimDuration::from_secs(9));
-        assert_eq!(e.value(), SimDuration::from_secs(9));
-        e.observe(SimDuration::from_secs(4));
-        assert_eq!(e.value(), SimDuration::from_secs(4));
-        e.observe(SimDuration::from_secs(8));
-        assert_eq!(e.value(), SimDuration::from_secs(6));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be in (0, 1]")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn ewma_converges_toward_constant() {
-        let mut e = Ewma::new(0.2, SimDuration::ZERO);
-        for _ in 0..100 {
-            e.observe(SimDuration::from_millis(500));
-        }
-        let v = e.value().as_millis_f64();
-        assert!((v - 500.0).abs() < 1.0, "v = {v}");
     }
 }

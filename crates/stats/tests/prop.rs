@@ -3,7 +3,7 @@
 
 use ccsim_des::{SimDuration, SimTime};
 use ccsim_stats::{
-    paired_t, BatchMeans, Confidence, LogHistogram, P2Quantile, Replications, TimeWeighted, Welford,
+    paired_t, BatchMeans, Confidence, LogHistogram, Replications, TimeWeighted, Welford,
 };
 use proptest::prelude::*;
 
@@ -34,14 +34,6 @@ fn adversarial_values() -> impl Strategy<Value = Vec<f64>> {
             }
         }),
     ]
-}
-
-/// Exact nearest-rank quantile of a buffered sample.
-fn exact_quantile(xs: &[f64], q: f64) -> f64 {
-    let mut s = xs.to_vec();
-    s.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-    let rank = ((q * s.len() as f64).ceil() as usize).clamp(1, s.len());
-    s[rank - 1]
 }
 
 proptest! {
@@ -208,65 +200,6 @@ proptest! {
                 var
             );
         }
-    }
-
-    /// P² estimates are always bracketed by the observed extrema, and the
-    /// exact sample quantile of the same buffered data falls inside the
-    /// estimator's neighboring-marker bracket... on any input whatsoever.
-    #[test]
-    fn p2_stays_within_observed_range(
-        xs in prop_oneof![finite_values(), adversarial_values()],
-        qi in 1usize..20,
-    ) {
-        let q = qi as f64 / 20.0;
-        let mut p = P2Quantile::new(q);
-        for &x in &xs {
-            p.add(x);
-        }
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let est = p.quantile();
-        prop_assert!(est >= lo && est <= hi, "estimate {est} outside [{lo}, {hi}]");
-        prop_assert_eq!(p.count(), xs.len() as u64);
-    }
-
-    /// On constant sequences the P² estimate is *exactly* the constant.
-    #[test]
-    fn p2_exact_on_constants(c in -1.0e6f64..1.0e6, n in 1usize..500, qi in 1usize..20) {
-        let mut p = P2Quantile::new(qi as f64 / 20.0);
-        for _ in 0..n {
-            p.add(c);
-        }
-        prop_assert_eq!(p.quantile(), c);
-    }
-
-    /// On well-populated samples the P² estimate's *rank* within the
-    /// buffered data is close to the target quantile — a distribution-free
-    /// accuracy bound that holds even when values cluster.
-    #[test]
-    fn p2_rank_tracks_target_quantile(
-        xs in proptest::collection::vec(0.0f64..1000.0, 200..600),
-        qi in 1usize..10,
-    ) {
-        let q = qi as f64 / 10.0;
-        let mut p = P2Quantile::new(q);
-        for &x in &xs {
-            p.add(x);
-        }
-        let est = p.quantile();
-        let n = xs.len() as f64;
-        let rank = xs.iter().filter(|&&x| x <= est).count() as f64 / n;
-        prop_assert!(
-            (rank - q).abs() <= 0.15,
-            "estimate {est} sits at rank {rank}, target {q}"
-        );
-        // And against the exact buffered quantile, the value error is
-        // bounded by a modest fraction of the observed spread.
-        let exact = exact_quantile(&xs, q);
-        prop_assert!(
-            (est - exact).abs() <= 0.2 * 1000.0,
-            "estimate {est} vs exact {exact}"
-        );
     }
 
     /// The time-weighted average of a step signal equals the Riemann sum.

@@ -50,7 +50,7 @@ const MIN_CAP: usize = 8;
 /// `V` is constrained to `Copy + Default` so empty slots can hold a real
 /// (ignored) value — every payload in this workspace is a small index or
 /// timestamp, so the constraint costs nothing and keeps all slot accesses
-/// safe code (the only `unsafe` is the effect-free [`Self::prefetch`] hint).
+/// safe code.
 #[derive(Debug, Clone)]
 pub struct ObjMap<V> {
     /// Slot keys as 4-byte ids; `EMPTY` marks a vacant slot. Length is a
@@ -147,27 +147,16 @@ impl<V: Copy + Default> ObjMap<V> {
     /// Hint the CPU to pull `key`'s home slot into cache ahead of an
     /// upcoming `get`/`insert`/`remove` for the same key.
     ///
-    /// Purely a performance hint: it reads nothing, writes nothing, and has
-    /// no effect on layout, probe order, or any observable behaviour. A key
-    /// outside the key domain is ignored. On non-x86_64 targets it compiles
-    /// to nothing.
+    /// Purely a performance hint ([`ccsim_des::prefetch`], a no-op off
+    /// x86_64): it writes nothing and has no effect on layout, probe order,
+    /// or any observable behaviour. A key outside the key domain is
+    /// ignored.
     #[inline]
     pub fn prefetch(&self, key: ObjId) {
-        #[cfg(target_arch = "x86_64")]
         if let Some(key) = Self::key_of(key) {
             let i = self.home(key);
-            // SAFETY: `i` is in-bounds for both parallel arrays, and
-            // prefetch is a pure hint with no memory effects — it cannot
-            // fault even on a dangling pointer, let alone a valid one.
-            unsafe {
-                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch(self.keys.as_ptr().add(i).cast::<i8>(), _MM_HINT_T0);
-                _mm_prefetch(self.vals.as_ptr().add(i).cast::<i8>(), _MM_HINT_T0);
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = key;
+            ccsim_des::prefetch(&self.keys[i]);
+            ccsim_des::prefetch(&self.vals[i]);
         }
     }
 

@@ -121,11 +121,11 @@ fn uncontended_elision_does_not_perturb_the_run() {
 #[test]
 fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
     // A budgeted slice of the `exp-scale` regime (10^8 objects, sparse
-    // lock table, arena txn state, streaming quantiles), scaled down to
-    // tens of thousands of in-flight transactions so the test stays
-    // quick. Three pure observer/representation switches must leave the
-    // salvaged window byte-identical: attaching the trace ring, eliding
-    // uncontended resource hops, and the two-tier calendar itself.
+    // lock table, arena txn state), scaled down to tens of thousands of
+    // in-flight transactions so the test stays quick. Three pure
+    // observer/representation switches must leave the salvaged window
+    // byte-identical: attaching the trace ring, eliding uncontended
+    // resource hops, and the two-tier calendar itself.
     let mk = || {
         let mut params = Params::exp_scale();
         params.num_terms = 50_000;
@@ -154,21 +154,18 @@ fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
         base.report, traced.report,
         "attaching the trace ring changed the scale run"
     );
-    assert_eq!(base.quantiles, traced.quantiles);
 
     let unelided = collect(mk().with_elision(false));
     assert_eq!(
         base.report, unelided.report,
         "elision changed the scale run"
     );
-    assert_eq!(base.quantiles, unelided.quantiles);
 
     let heap_only = collect(mk().with_two_tier_calendar(false));
     assert_eq!(
         base.report, heap_only.report,
         "the two-tier calendar changed the scale run"
     );
-    assert_eq!(base.quantiles, heap_only.quantiles);
     assert_eq!(
         base.perf.events, heap_only.perf.events,
         "calendar tiers disagreed on the event count"
@@ -181,6 +178,64 @@ fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
         base.perf.calendar.lane_schedules > 0,
         "two-tier run never used the near lane"
     );
+}
+
+#[test]
+fn many_terminal_infinite_resource_runs_match_across_calendars() {
+    // While it handles an arrival or an infinite-resource completion, the
+    // engine asks the calendar which event comes next and prefetches that
+    // terminal's state. The heap-only calendar always answers the peek and
+    // the two-tier one only when its parked bucket knows, so the look-ahead
+    // touches different terminals in the two runs; as a pure hint it must
+    // leave the report, the engine counters and the trace identical. 10^5
+    // terminals at mpl 10^4 keep thousands of events per lane bucket.
+    let mk = |two_tier| {
+        let mut params = Params::exp_scale();
+        params.num_terms = 100_000;
+        params.mpl = 10_000;
+        SimConfig::new(CcAlgorithm::Blocking)
+            .with_params(params)
+            .with_metrics(MetricsConfig {
+                warmup_batches: 0,
+                batches: 400,
+                batch_time: SimDuration::from_millis(250),
+                confidence: Confidence::Ninety,
+            })
+            .with_seed(0x5CA1ED)
+            .with_budget(RunBudget::unlimited().with_max_events(300_000))
+            .with_trace_capacity(1 << 16)
+            .with_two_tier_calendar(two_tier)
+    };
+    let collect = |cfg| Simulator::new(cfg).unwrap().run_collecting();
+    let (two_tier, heap_only) = (collect(mk(true)), collect(mk(false)));
+    assert!(
+        two_tier.stopped.is_some(),
+        "the point should stop on its event budget"
+    );
+    assert!(
+        two_tier.report.commits > 0,
+        "salvaged window has no commits"
+    );
+    assert_eq!(two_tier.report, heap_only.report);
+    let counters = |p: &ccsim_core::PerfStats| {
+        (
+            p.events,
+            p.peak_calendar,
+            p.peak_lock_table,
+            p.calendar.schedules,
+            p.calendar.pops,
+        )
+    };
+    assert_eq!(counters(&two_tier.perf), counters(&heap_only.perf));
+    assert!(two_tier.perf.calendar.lane_pops > 0);
+    assert_eq!(heap_only.perf.calendar.lane_pops, 0);
+    let events = |out: &ccsim_core::RunOutcome| {
+        let trace = out.trace.as_ref().expect("tracing is on");
+        (trace.dropped(), trace.events().copied().collect::<Vec<_>>())
+    };
+    let (dropped, two_tier_events) = events(&two_tier);
+    assert!(dropped > 0 && two_tier_events.len() == 1 << 16);
+    assert_eq!((dropped, two_tier_events), events(&heap_only));
 }
 
 #[test]
@@ -223,21 +278,18 @@ fn modern_scale_points_are_deterministic_under_toggles() {
             base.report, traced.report,
             "{algo}: attaching the trace ring changed the scale run"
         );
-        assert_eq!(base.quantiles, traced.quantiles);
 
         let unelided = collect(mk().with_elision(false));
         assert_eq!(
             base.report, unelided.report,
             "{algo}: elision changed the scale run"
         );
-        assert_eq!(base.quantiles, unelided.quantiles);
 
         let heap_only = collect(mk().with_two_tier_calendar(false));
         assert_eq!(
             base.report, heap_only.report,
             "{algo}: the two-tier calendar changed the scale run"
         );
-        assert_eq!(base.quantiles, heap_only.quantiles);
     }
 }
 

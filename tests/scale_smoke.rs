@@ -28,7 +28,7 @@ fn scale_cfg() -> SimConfig {
         2_000_000
     };
     // Budget, not horizon, ends the run: no warmup and short batches so
-    // the salvaged window carries batch counts and streaming quantiles
+    // the salvaged window carries batch counts and response quantiles
     // from the first commit.
     let metrics = MetricsConfig {
         warmup_batches: 0,
@@ -85,14 +85,15 @@ fn budgeted_scale_point_audits_clean_and_stays_under_the_rss_ceiling() {
     }
     assert!(out.perf.events >= budget_events);
     assert!(out.report.commits > 0, "salvaged window has no commits");
+    let r = &out.report;
     assert!(
-        out.quantiles.count > 0,
-        "streaming quantiles saw no commits"
-    );
-    assert!(
-        out.quantiles.p50 <= out.quantiles.p95 && out.quantiles.p95 <= out.quantiles.p99,
-        "quantiles out of order: {:?}",
-        out.quantiles
+        r.response_time_p50 > 0.0
+            && r.response_time_p50 <= r.response_time_p95
+            && r.response_time_p95 <= r.response_time_p99,
+        "response quantiles out of order: p50 {} p95 {} p99 {}",
+        r.response_time_p50,
+        r.response_time_p95,
+        r.response_time_p99
     );
 
     // The auditor saw the whole run — including the budget-stop finish —
