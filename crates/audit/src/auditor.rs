@@ -8,7 +8,10 @@
 //! commit while blocked, two writers on one object, a restart no rule
 //! permits for the configured algorithm — is recorded as a [`Violation`]
 //! carrying the simulated time, the transaction, and the last few trace
-//! events for context.
+//! events for context. The facts a history is built from must sit where
+//! the history recorder reads them: a read inside its attempt, at an
+//! instant the algorithm can read at, and a commit's publications and
+//! commit point directly before its `Commit`.
 //!
 //! At end of run the auditor additionally checks global conservation laws:
 //! every arrival is accounted for (committed or still in the closed loop),
@@ -138,6 +141,11 @@ enum Expect {
     /// A `VersionInstalled` for this transaction (after `Commit` under
     /// multiversion CC: every MVCC commit must account for its versions).
     Install(TxnId),
+    /// A further `Publish` or the `CommitPoint` for this transaction (after
+    /// a `Publish`).
+    Publication(TxnId),
+    /// The `Commit` for this transaction (after its `CommitPoint`).
+    Commit(TxnId),
 }
 
 impl Expect {
@@ -146,6 +154,10 @@ impl Expect {
             (Expect::Release(t), TraceEvent::LocksReleased(u, _)) => t == *u,
             (Expect::Restart(t), TraceEvent::Restart(u)) => t == *u,
             (Expect::Install(t), TraceEvent::VersionInstalled(u, _)) => t == *u,
+            (Expect::Publication(t), TraceEvent::Publish(u, _) | TraceEvent::CommitPoint(u, _)) => {
+                t == *u
+            }
+            (Expect::Commit(t), TraceEvent::Commit(u)) => t == *u,
             _ => false,
         }
     }
@@ -155,6 +167,8 @@ impl Expect {
             Expect::Release(t) => format!("LocksReleased for {t}"),
             Expect::Restart(t) => format!("Restart for {t}"),
             Expect::Install(t) => format!("VersionInstalled for {t}"),
+            Expect::Publication(t) => format!("Publish or CommitPoint for {t}"),
+            Expect::Commit(t) => format!("Commit for {t}"),
         }
     }
 }
@@ -164,6 +178,8 @@ impl Expect {
 struct TermState {
     id: TxnId,
     phase: Phase,
+    /// When the current attempt was admitted (its snapshot under MVCC).
+    admitted: SimTime,
     /// Locks this transaction holds, per the event stream.
     holdings: HashMap<ObjId, LockMode>,
 }
@@ -331,7 +347,12 @@ impl Auditor {
         use CcAlgorithm as A;
         let algo = self.algo;
         let ok = match event {
-            TraceEvent::Arrive(_) | TraceEvent::Admit(_) | TraceEvent::Commit(_) => true,
+            TraceEvent::Arrive(_)
+            | TraceEvent::Admit(_)
+            | TraceEvent::Commit(_)
+            | TraceEvent::Read(..)
+            | TraceEvent::Publish(..)
+            | TraceEvent::CommitPoint(..) => true,
             TraceEvent::Acquire(..) | TraceEvent::LocksReleased(..) => algo.uses_locks(),
             // Only algorithms that can wait ever block or receive queued
             // grants: the blocking family, wait-die/wound-wait, and basic
@@ -375,6 +396,7 @@ impl Auditor {
                 self.slots[term] = Some(TermState {
                     id: t,
                     phase: Phase::Queued,
+                    admitted: at,
                     holdings: HashMap::new(),
                 });
                 self.arrivals += 1;
@@ -385,6 +407,7 @@ impl Auditor {
                 }
                 if let Some(s) = self.slot_mut(t) {
                     s.phase = Phase::Active;
+                    s.admitted = at;
                 }
                 self.active += 1;
                 if self.active > self.mpl {
@@ -541,6 +564,44 @@ impl Auditor {
                 {
                     self.slots[term] = None;
                 }
+            }
+            TraceEvent::Read(t, obj, read_at) => {
+                if let Err(m) = self.check_phase(t, &[Phase::Active]) {
+                    self.violate(
+                        at,
+                        Some(t),
+                        format!("read of {obj} outside its attempt: {m}"),
+                    );
+                }
+                let admitted = self.slot_mut(t).map_or(at, |s| s.admitted);
+                // The instant fixes the version read: the snapshot under
+                // MVCC, a point of the attempt elsewhere. TicToc names a
+                // version by its logical write timestamp, which may lie
+                // anywhere before the read.
+                let in_attempt = match self.algo {
+                    CcAlgorithm::TicToc => true,
+                    CcAlgorithm::MvccSi => read_at == admitted,
+                    _ => admitted <= read_at && read_at <= at,
+                };
+                if !in_attempt {
+                    self.violate(
+                        at,
+                        Some(t),
+                        format!(
+                            "read of {obj} as of {read_at} is outside the attempt \
+                             admitted at {admitted}"
+                        ),
+                    );
+                }
+            }
+            TraceEvent::Publish(t, _) | TraceEvent::CommitPoint(t, _) => {
+                if let Err(m) = self.check_phase(t, &[Phase::Active]) {
+                    self.violate(at, Some(t), m);
+                }
+                self.expect = Some(match event {
+                    TraceEvent::Publish(..) => Expect::Publication(t),
+                    _ => Expect::Commit(t),
+                });
             }
             TraceEvent::LocksReleased(t, n) => {
                 // Adjacency is enforced by the expectation mechanism; an
@@ -979,6 +1040,132 @@ mod tests {
                 .iter()
                 .any(|v| v.message.contains("illegal under")));
         }
+    }
+
+    #[test]
+    fn history_facts_in_place_are_clean() {
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
+        feed(&mut a, 1, TraceEvent::Admit(t(1)));
+        feed(
+            &mut a,
+            3,
+            TraceEvent::Read(t(1), o(5), SimTime::from_secs(2)),
+        );
+        feed(&mut a, 4, TraceEvent::Publish(t(1), o(5)));
+        feed(
+            &mut a,
+            4,
+            TraceEvent::CommitPoint(t(1), SimTime::from_secs(3)),
+        );
+        feed(&mut a, 4, TraceEvent::Commit(t(1)));
+        assert!(a.report().is_clean(), "{}", a.report().render());
+    }
+
+    #[test]
+    fn read_outside_its_attempt_is_flagged() {
+        // Before admission: no attempt is running yet.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
+        feed(
+            &mut a,
+            1,
+            TraceEvent::Read(t(1), o(5), SimTime::from_secs(1)),
+        );
+        assert!(a.report().violations[0]
+            .message
+            .contains("outside its attempt"));
+        // After the restart that ended the attempt.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
+        feed(&mut a, 1, TraceEvent::Admit(t(1)));
+        feed(&mut a, 2, TraceEvent::ValidationFailure(t(1), o(5)));
+        feed(&mut a, 2, TraceEvent::Restart(t(1)));
+        feed(
+            &mut a,
+            3,
+            TraceEvent::Read(t(1), o(5), SimTime::from_secs(3)),
+        );
+        assert_eq!(a.report().total, 1, "{}", a.report().render());
+        // An instant before the admission, or past the event itself.
+        for read_at in [0, 4] {
+            let mut a = Auditor::new(&cfg(CcAlgorithm::Blocking));
+            feed(&mut a, 1, TraceEvent::Arrive(t(1)));
+            feed(&mut a, 1, TraceEvent::Admit(t(1)));
+            feed(
+                &mut a,
+                3,
+                TraceEvent::Read(t(1), o(5), SimTime::from_secs(read_at)),
+            );
+            assert!(
+                a.report().violations[0]
+                    .message
+                    .contains("outside the attempt"),
+                "{}",
+                a.report().render()
+            );
+        }
+        // Snapshot isolation reads as of the admission, never later.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::MvccSi));
+        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
+        feed(&mut a, 1, TraceEvent::Admit(t(1)));
+        feed(
+            &mut a,
+            3,
+            TraceEvent::Read(t(1), o(5), SimTime::from_secs(1)),
+        );
+        assert!(a.report().is_clean(), "{}", a.report().render());
+        feed(
+            &mut a,
+            3,
+            TraceEvent::Read(t(1), o(6), SimTime::from_secs(3)),
+        );
+        assert_eq!(a.report().total, 1, "{}", a.report().render());
+    }
+
+    #[test]
+    fn publication_or_commit_point_away_from_its_commit_is_flagged() {
+        let start = |a: &mut Auditor| {
+            for i in [1, 2] {
+                feed(a, 1, TraceEvent::Arrive(t(i)));
+                feed(a, 1, TraceEvent::Admit(t(i)));
+            }
+        };
+        // A publication followed by another transaction's event.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        start(&mut a);
+        feed(&mut a, 2, TraceEvent::Publish(t(1), o(5)));
+        feed(&mut a, 2, TraceEvent::Publish(t(2), o(6)));
+        assert!(a.report().violations[0]
+            .message
+            .contains("expected Publish or CommitPoint for txn1"));
+        // A commit point not followed by its commit.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        start(&mut a);
+        feed(
+            &mut a,
+            2,
+            TraceEvent::CommitPoint(t(1), SimTime::from_secs(2)),
+        );
+        feed(
+            &mut a,
+            2,
+            TraceEvent::Read(t(1), o(5), SimTime::from_secs(2)),
+        );
+        assert!(a.report().violations[0]
+            .message
+            .contains("expected Commit for txn1"));
+        // A publication straight to the commit, skipping the commit point.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        start(&mut a);
+        feed(&mut a, 2, TraceEvent::Publish(t(1), o(5)));
+        feed(&mut a, 2, TraceEvent::Commit(t(1)));
+        assert_eq!(a.report().total, 1, "{}", a.report().render());
+        // A publication from a transaction not in an attempt.
+        let mut a = Auditor::new(&cfg(CcAlgorithm::Optimistic));
+        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
+        feed(&mut a, 2, TraceEvent::Publish(t(1), o(5)));
+        assert!(a.report().violations[0].message.contains("Queued"));
     }
 
     #[test]

@@ -16,13 +16,19 @@ use std::path::Path;
 use ccsim_core::{Report, SimConfig, Trace};
 
 /// Serialize a run's full event trace (plus a config header and an
-/// aggregate footer) into the stable golden text form.
+/// aggregate footer) into the stable golden text form. The facts only a
+/// history needs ([`ccsim_core::TraceEvent::is_history_fact`]) are left
+/// out, so the form stays the one the checked-in files were written in.
 ///
 /// The caller must use a trace capacity large enough that nothing was
 /// dropped; a truncated trace would produce an unstable serialization, so
 /// it is reported in the header to make the mistake visible.
 #[must_use]
 pub fn serialize_trace(cfg: &SimConfig, trace: &Trace, report: &Report) -> String {
+    let events: Vec<_> = trace
+        .events()
+        .filter(|(_, e)| !e.is_history_fact())
+        .collect();
     let mut out = String::new();
     let p = &cfg.params;
     let _ = writeln!(out, "# ccsim golden trace v1");
@@ -38,8 +44,8 @@ pub fn serialize_trace(cfg: &SimConfig, trace: &Trace, report: &Report) -> Strin
         p.max_size,
         p.write_prob,
     );
-    let _ = writeln!(out, "# events={} dropped={}", trace.len(), trace.dropped());
-    for (at, e) in trace.events() {
+    let _ = writeln!(out, "# events={} dropped={}", events.len(), trace.dropped());
+    for (at, e) in events {
         let _ = writeln!(out, "[{at}] {e}");
     }
     let _ = writeln!(
@@ -153,25 +159,29 @@ mod tests {
 
     #[test]
     fn serialization_is_deterministic() {
-        use ccsim_core::{run, CcAlgorithm, MetricsConfig, SimConfig};
+        use ccsim_core::{CcAlgorithm, MetricsConfig, SimConfig, Simulator};
+        use std::{cell::RefCell, rc::Rc};
         let cfg = || {
-            let mut c = SimConfig::new(CcAlgorithm::Blocking)
-                .with_metrics(MetricsConfig::quick())
-                .with_trace_capacity(1_000_000);
+            let mut c = SimConfig::new(CcAlgorithm::Blocking).with_metrics(MetricsConfig::quick());
             c.params.num_terms = 10;
             c.params.mpl = 4;
             c.seed = 7;
             c
         };
         let serialized = || {
-            let out = run(cfg()).expect("valid");
-            let trace = out.trace.expect("tracing is on");
+            let mut sim = Simulator::new(cfg()).expect("valid");
+            let trace = Rc::new(RefCell::new(Trace::with_capacity(1_000_000)));
+            sim.add_sink(Box::new(Rc::clone(&trace)));
+            let out = sim.run_collecting().finished().expect("within budget");
+            let trace = trace.borrow();
             assert_eq!(trace.dropped(), 0);
+            assert!(trace.events().any(|(_, e)| e.is_history_fact()));
             serialize_trace(&cfg(), &trace, &out.report)
         };
         let (s1, s2) = (serialized(), serialized());
         assert_eq!(s1, s2);
         assert!(s1.contains("# ccsim golden trace v1"));
         assert!(s1.contains("algorithm=blocking"));
+        assert!(!s1.contains("reads") && !s1.contains("commit point"));
     }
 }

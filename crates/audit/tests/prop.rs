@@ -3,11 +3,16 @@
 //! and saturated multiprogramming levels must audit clean, and each
 //! protocol's event stream must stay inside its legal vocabulary — no
 //! blocking-family events ever, no deadlocks, no timestamp rejections, and
-//! version installations from the multiversion protocol only.
+//! version installations from the multiversion protocol only. The facts a
+//! history is built from (reads, publications, commit points) belong to
+//! every protocol's vocabulary.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ccsim_audit::attach;
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, TraceEvent,
+    CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace, TraceEvent,
 };
 use ccsim_des::SimDuration;
 use proptest::prelude::*;
@@ -45,7 +50,10 @@ fn legal_modern_event(event: &TraceEvent, installs: bool) -> bool {
         | TraceEvent::Admit(_)
         | TraceEvent::Commit(_)
         | TraceEvent::Restart(_)
-        | TraceEvent::ValidationFailure(..) => true,
+        | TraceEvent::ValidationFailure(..)
+        | TraceEvent::Read(..)
+        | TraceEvent::Publish(..)
+        | TraceEvent::CommitPoint(..) => true,
         TraceEvent::VersionInstalled(..) => installs,
         TraceEvent::Acquire(..)
         | TraceEvent::Block(..)
@@ -108,8 +116,11 @@ proptest! {
             let installs = algo == CcAlgorithm::MvccSi;
             for mpl in MPLS {
                 let cfg = contended(algo, mpl, db_size, write_prob, seed);
-                let out = run(cfg.with_trace_capacity(4_000_000)).expect("valid config");
-                let trace = out.trace.expect("tracing is on");
+                let mut sim = Simulator::new(cfg).expect("valid config");
+                let trace = Rc::new(RefCell::new(Trace::with_capacity(4_000_000)));
+                sim.add_sink(Box::new(Rc::clone(&trace)));
+                sim.run_collecting().finished().expect("run within budget");
+                let trace = trace.borrow();
                 prop_assert_eq!(trace.dropped(), 0, "{}@{} trace overflowed", algo, mpl);
                 let mut installed = 0u64;
                 for (at, e) in trace.events() {

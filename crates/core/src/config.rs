@@ -98,12 +98,6 @@ pub struct SimConfig {
     /// algorithm-vs-algorithm comparisons. When `None`, every stream
     /// derives from `seed` exactly as before.
     pub workload_seed: Option<u64>,
-    /// Record every committed transaction's footprint for offline
-    /// serializability checking (see `ccsim-history`). Off by default —
-    /// long runs accumulate large histories.
-    pub record_history: bool,
-    /// Retain the last N structured trace events (0 = tracing off).
-    pub trace_capacity: usize,
     /// Elide the calendar hop for resource requests that find an idle
     /// server (the uncontended fast path). On by default: the elision is a
     /// pure cost optimization — the event sequence, all accounting, and
@@ -134,8 +128,6 @@ impl SimConfig {
             restart_delay_for_all: false,
             seed: 0x5EED_CC85,
             workload_seed: None,
-            record_history: false,
-            trace_capacity: 0,
             elide_uncontended: true,
             two_tier_calendar: true,
             metrics: MetricsConfig::paper(),
@@ -175,21 +167,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Builder-style trace-ring capacity (see [`SimConfig::trace_capacity`]).
-    #[must_use]
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Builder-style toggle for history recording (see
-    /// [`SimConfig::record_history`]).
-    #[must_use]
-    pub fn with_history(mut self, record: bool) -> Self {
-        self.record_history = record;
         self
     }
 

@@ -9,13 +9,17 @@
 //! One method drives every run: [`Simulator::run_collecting`] runs the
 //! event loop until the configured batches finish or the
 //! [`crate::RunBudget`] stops it, and returns a [`RunOutcome`] holding the
-//! report, the stop reason, the engine counters, and the trace ring and
-//! committed-transaction history when the configuration asks for them
-//! ([`SimConfig::trace_capacity`], [`SimConfig::record_history`]).
+//! report, the stop reason and the engine counters.
 //! [`RunOutcome::finished`] turns a budget stop into an error, and [`run`]
-//! is `Simulator::new(cfg)?.run_collecting().finished()`. Any further
-//! observer (an invariant auditor, custom instrumentation) attaches with
-//! [`Simulator::add_sink`] before the run.
+//! is `Simulator::new(cfg)?.run_collecting().finished()`.
+//!
+//! Every observer of a run — the trace ring, the history recorder, an
+//! invariant auditor, custom instrumentation — is an [`EventSink`]
+//! attached with [`Simulator::add_sink`] before the run; the engine knows
+//! none of them by name. With no sink attached it emits nothing: `emit` is
+//! one predicted branch, and the facts only a history needs (each read's
+//! version instant, each published write, the commit point) are gathered
+//! in `#[cold]` helpers behind the same flag.
 
 use std::collections::VecDeque;
 
@@ -23,7 +27,6 @@ use ccsim_des::{
     sample_exponential, Calendar, CalendarStats, ExpBlock, Exponential, RngStreams, SimDuration,
     SimTime, UniformBlock, Xoshiro256StarStar,
 };
-use ccsim_history::{CommittedTxn, History};
 use ccsim_lockmgr::{Grant, LockManager, LockMode, RequestOutcome};
 use ccsim_mvcc::MvccManager;
 use ccsim_occ::{SiloValidator, Validator};
@@ -41,7 +44,7 @@ use crate::config::SimConfig;
 use crate::metrics::{Metrics, Report};
 use crate::profiler::{Stage, StageProfile, StageProfiler};
 use crate::sink::{CenterFlow, EventSink, FlowStats};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use crate::txn::{Step, TxnState};
 
 /// RNG stream ids (stable; see `ccsim_des::RngStreams`).
@@ -195,9 +198,7 @@ pub struct Simulator {
     active: usize,
     metrics: Metrics,
     resp_avg: RunningAvg,
-    history: Option<History>,
-    trace: Option<Trace>,
-    /// Additional observers of the event stream (see [`EventSink`]).
+    /// The observers of the event stream (see [`EventSink`]).
     sinks: Vec<Box<dyn EventSink>>,
     /// The instant of the event being handled (the run's end time once the
     /// loop finishes).
@@ -212,8 +213,8 @@ pub struct Simulator {
     /// keeps grant/abort cascades at bounded stack depth.
     work: VecDeque<(usize, u32)>,
     done: bool,
-    /// Cached `trace.is_some() || !sinks.is_empty()` so [`Simulator::emit`]
-    /// is a single predictable branch when nothing observes the run.
+    /// Cached `!sinks.is_empty()` so [`Simulator::emit`] is a single
+    /// predictable branch when nothing observes the run.
     observed: bool,
     /// Scratch buffer for lock-release grant cascades, reused across events.
     grant_buf: Vec<Grant>,
@@ -300,8 +301,6 @@ impl Simulator {
         };
         let generator = Generator::new(params, workload_streams.stream(streams::WORKLOAD));
         let metrics = Metrics::new(cfg.metrics, ncpu, ndisk, generator.num_classes());
-        let trace = (cfg.trace_capacity > 0).then(|| Trace::with_capacity(cfg.trace_capacity));
-        let observed = trace.is_some();
         let db_size = params.db_size as usize;
         let num_terms = params.num_terms as usize;
         let txn_cap = readset_cap(params);
@@ -341,8 +340,6 @@ impl Simulator {
                 Calendar::heap_only()
             },
             resp_avg: RunningAvg::new(params.expected_service_time()),
-            history: cfg.record_history.then(History::new),
-            trace,
             sinks: Vec::new(),
             now: SimTime::ZERO,
             #[cfg(feature = "test-hooks")]
@@ -351,7 +348,7 @@ impl Simulator {
             work: VecDeque::new(),
             metrics,
             done: false,
-            observed,
+            observed: false,
             grant_buf: Vec::new(),
             blocker_buf: Vec::new(),
             events: 0,
@@ -447,10 +444,11 @@ impl Simulator {
 
     /// Run until completion *or* budget exhaustion, salvaging whatever was
     /// measured either way: a budget stop is reported in
-    /// [`RunOutcome::stopped`] next to the partial report, perf counters,
-    /// trace, and history — the scale regime runs to a simulated-time
-    /// ceiling and still wants its observables. Use
-    /// [`RunOutcome::finished`] when a budget stop is a failure.
+    /// [`RunOutcome::stopped`] next to the partial report and perf
+    /// counters, and every sink has seen the run up to the stop — the
+    /// scale regime runs to a simulated-time ceiling and still wants its
+    /// observables. Use [`RunOutcome::finished`] when a budget stop is a
+    /// failure.
     #[must_use]
     pub fn run_collecting(mut self) -> RunOutcome {
         let stopped = self.run_loop().err();
@@ -468,8 +466,6 @@ impl Simulator {
                 elided_disk_hops: self.elided_disk,
             },
             stages: self.prof.report(),
-            trace: self.trace,
-            history: self.history,
         }
     }
 
@@ -792,28 +788,28 @@ impl Simulator {
         self.work.push_back((term, epoch));
     }
 
-    /// Does the algorithm record its reads at access completion
-    /// ([`Simulator::record_read`] does something)?
+    /// Does a completed read need recording ([`Simulator::record_read`]
+    /// does something): for Silo's and TicToc's validation, or as a `Read`
+    /// event when something observes the run?
     fn records_reads(&self) -> bool {
         match self.cfg.algorithm {
             CcAlgorithm::BasicTO => false,
             CcAlgorithm::SiloOcc | CcAlgorithm::TicToc => true,
-            _ => self.history.is_some(),
+            _ => self.observed,
         }
     }
 
     /// Record `term`'s `i`-th read, whose access completed at `at`, as the
-    /// algorithm and history recording need it.
+    /// algorithm's validation and the run's observers need it.
     fn record_read(&mut self, term: usize, i: usize, at: SimTime) {
         match self.cfg.algorithm {
-            // Basic T/O records its reads at the timestamp-check grant
+            // Basic T/O announces its reads at the timestamp-check grant
             // instead (the version is fixed there; a larger-timestamp
             // writer may legally publish between the grant and this access
             // completion).
-            CcAlgorithm::BasicTO => {}
+            CcAlgorithm::BasicTO => return,
             // Silo validates its read set at commit against the per-object
-            // TID words, so the observation instant is needed whether or
-            // not history is recorded.
+            // TID words, so it keeps the observation instant.
             CcAlgorithm::SiloOcc => {
                 debug_assert_eq!(self.arena.read_times(term).len(), i);
                 self.arena.push_read_time(term, at);
@@ -821,8 +817,8 @@ impl Simulator {
             // TicToc reads a *version* — identified by its write timestamp
             // — not an instant; validation needs the whole observed word
             // (the `rts` bound is what lets a superseded read still commit
-            // in the past), and the history records the wts. The word is
-            // the one current now, so a TicToc run ends at each read.
+            // in the past). The word is the one current now, so a TicToc
+            // run ends at each read.
             CcAlgorithm::TicToc => {
                 debug_assert_eq!(at, self.now);
                 let obj = self.arena.read_at(term, i);
@@ -830,24 +826,29 @@ impl Simulator {
                 debug_assert_eq!(self.arena.read_times(term).len(), i);
                 self.arena.push_read_obs(term, observed.wts, observed.rts);
             }
-            // Snapshot isolation reads as of the attempt start: recording
-            // that instant makes the history checker's "last writer
-            // committed at or before read time" rule derive exactly the
-            // snapshot's version.
-            CcAlgorithm::MvccSi => {
-                if self.history.is_some() {
-                    let snapshot = self.arena.get(term).expect("live txn").attempt_start;
-                    debug_assert_eq!(self.arena.read_times(term).len(), i);
-                    self.arena.push_read_time(term, snapshot);
-                }
-            }
-            _ => {
-                if self.history.is_some() {
-                    debug_assert_eq!(self.arena.read_times(term).len(), i);
-                    self.arena.push_read_time(term, at);
-                }
-            }
+            _ => {}
         }
+        if self.observed {
+            self.emit_read(term, i, at);
+        }
+    }
+
+    /// Announce `term`'s `i`-th read, whose access completed at `at`, with
+    /// the instant that fixes the version it observed: the history
+    /// checker's "last writer committed at or before the read" rule then
+    /// derives exactly that version.
+    #[cold]
+    fn emit_read(&mut self, term: usize, i: usize, at: SimTime) {
+        let txn = self.arena.get(term).expect("live txn");
+        let version_at = match self.cfg.algorithm {
+            // Snapshot isolation reads as of the attempt start.
+            CcAlgorithm::MvccSi => txn.attempt_start,
+            // TicToc reads the version its observed `wts` names.
+            CcAlgorithm::TicToc => self.arena.read_times(term)[i],
+            _ => at,
+        };
+        let event = TraceEvent::Read(txn.id, self.arena.read_at(term, i), version_at);
+        self.emit_observed(self.now, event);
     }
 
     // ------------------------------------------------------------------
@@ -1194,11 +1195,9 @@ impl Simulator {
             LockMode::Read => match self.tso.read(tid, obj, ts) {
                 TsoRead::Granted => {
                     self.arena.advance(term);
-                    if self.history.is_some() {
-                        // The version this read observes is decided *now*:
-                        // record the grant instant as the read time.
-                        self.arena.push_read_time(term, now);
-                    }
+                    // The version this read observes is decided *now*: the
+                    // grant instant is its read time.
+                    self.emit(now, TraceEvent::Read(tid, obj, now));
                     CcAction::Proceed
                 }
                 TsoRead::Wait => {
@@ -1399,9 +1398,9 @@ impl Simulator {
                     .arena
                     .get_mut(term)
                     .expect("terminal has no active transaction");
-                // The *logical* commit instant: the history records it so
-                // the serializability check follows TicToc's timestamp
-                // order rather than physical validation order.
+                // The *logical* commit instant: the commit point announces
+                // it, so the serializability check follows TicToc's
+                // timestamp order rather than physical validation order.
                 txn.publish(commit_ts);
                 self.arena.advance(term);
                 CcAction::Proceed
@@ -1570,24 +1569,21 @@ impl Simulator {
         let response = now.since(txn.arrival);
         let usage = txn.usage;
         let class = txn.class as usize;
-        let attempt_start = txn.attempt_start;
+        let ts = (txn.attempt_start, tid);
         let commit_at = txn.published_at().unwrap_or(now);
         txn.state = TxnState::AtTerminal;
 
-        if let Some(history) = self.history.as_mut() {
-            history.push(CommittedTxn {
-                id: tid,
-                start: attempt_start,
-                reads: self
-                    .arena
-                    .reads(term)
-                    .zip(self.arena.read_times(term).iter().copied())
-                    .collect(),
-                writes: self.arena.write_objs(term).collect(),
-                commit_at,
-            });
+        // Basic T/O applies its buffered writes now, before the commit is
+        // announced: the Thomas write rule may skip stale ones, and only
+        // the applied ones are published.
+        let (tso_woken, tso_applied) = if self.cfg.algorithm == CcAlgorithm::BasicTO {
+            self.tso.commit(tid, ts)
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        if self.observed {
+            self.emit_commit_facts(term, &tso_applied, commit_at);
         }
-
         self.emit(now, TraceEvent::Commit(tid));
         if self.cfg.algorithm == CcAlgorithm::MvccSi {
             // The versions were installed at validation; announcing them at
@@ -1611,27 +1607,6 @@ impl Simulator {
             self.lockmgr.release_all_into(tid, &mut grants);
             self.emit(now, TraceEvent::LocksReleased(tid, held));
         }
-        let tso_woken = if self.cfg.algorithm == CcAlgorithm::BasicTO {
-            let ts = (
-                self.arena
-                    .get(term)
-                    .expect("terminal has no active transaction")
-                    .attempt_start,
-                tid,
-            );
-            let (woken, applied) = self.tso.commit(tid, ts);
-            // The Thomas write rule may have skipped stale writes: only the
-            // applied ones were published (fix the history record).
-            if let Some(history) = self.history.as_mut() {
-                if let Some(last) = history.txns().last() {
-                    debug_assert_eq!(last.id, tid);
-                }
-                history.amend_last_writes(&applied);
-            }
-            woken
-        } else {
-            Vec::new()
-        };
 
         // The terminal starts thinking about its next transaction.
         self.prof.switch(Stage::Variate);
@@ -1644,6 +1619,27 @@ impl Simulator {
         self.grant_buf = grants;
         self.process_tso_wakeups(tso_woken, now);
         self.try_admit(now);
+    }
+
+    /// Announce what `term`'s commit publishes, directly before its
+    /// `Commit`: one `Publish` per write — under basic T/O the writes the
+    /// Thomas write rule applied, `tso_applied`; otherwise the whole write
+    /// set — then the `CommitPoint` at `commit_at`.
+    #[cold]
+    fn emit_commit_facts(&mut self, term: usize, tso_applied: &[ObjId], commit_at: SimTime) {
+        let tid = self.arena.get(term).expect("live txn").id;
+        let mut writes = std::mem::take(&mut self.ws_scratch);
+        self.arena.write_set_into(term, &mut writes);
+        let published = if self.cfg.algorithm == CcAlgorithm::BasicTO {
+            tso_applied
+        } else {
+            &writes
+        };
+        for &obj in published {
+            self.emit_observed(self.now, TraceEvent::Publish(tid, obj));
+        }
+        self.ws_scratch = writes;
+        self.emit_observed(self.now, TraceEvent::CommitPoint(tid, commit_at));
     }
 
     /// Resume transactions whose queued lock requests were just granted.
@@ -1779,10 +1775,10 @@ impl Simulator {
     // Helpers
     // ------------------------------------------------------------------
 
-    /// Publish `event` to the trace ring and any sinks. When neither is
-    /// attached (`observed` is false — the common experiment-sweep case)
-    /// this is one predicted-not-taken branch; whether anything observes
-    /// the run must never influence the simulation itself.
+    /// Publish `event` to the attached sinks. When none is attached
+    /// (`observed` is false — the common experiment-sweep case) this is one
+    /// predicted-not-taken branch; whether anything observes the run must
+    /// never influence the simulation itself.
     #[inline]
     fn emit(&mut self, now: SimTime, event: TraceEvent) {
         if !self.observed {
@@ -1793,9 +1789,6 @@ impl Simulator {
 
     #[cold]
     fn emit_observed(&mut self, now: SimTime, event: TraceEvent) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.push(now, event);
-        }
         for sink in &mut self.sinks {
             sink.on_event(now, &event);
         }
@@ -1839,9 +1832,8 @@ fn readset_cap(params: &ccsim_workload::Params) -> usize {
 ///
 /// Basis: the largest catalog point, exp-scale at mpl 10^6 (10^6
 /// terminals, readsets of at most 12 objects), needs 183 MiB of them, and
-/// at most 366 MiB under any algorithm with history recorded (the lazily
-/// allocated regions: the static-locking plan or TicToc's bounds, and the
-/// read times), so the ceiling leaves it more than tenfold headroom.
+/// at most 366 MiB under any algorithm (TicToc's lazily allocated read
+/// times and bounds), so the ceiling leaves it more than tenfold headroom.
 /// Without a ceiling, a configuration too large for memory aborts the
 /// process on a failed allocation, which neither `simulate` nor a sweep's
 /// per-point isolation can turn into an error; with it, the configuration
@@ -1861,7 +1853,7 @@ fn footprint(cfg: &SimConfig) -> impl Iterator<Item = (&'static str, u128)> + Cl
         num_terms,
         readset_cap(params),
         algo.program_shape(),
-        cfg.record_history || matches!(algo, CcAlgorithm::SiloOcc | CcAlgorithm::TicToc),
+        matches!(algo, CcAlgorithm::SiloOcc | CcAlgorithm::TicToc),
         algo == CcAlgorithm::TicToc,
     );
     let lock_slots = (
@@ -1904,12 +1896,6 @@ pub struct RunOutcome {
     pub perf: PerfStats,
     /// Per-stage wall-time breakdown (`stage-profiler` builds only).
     pub stages: Option<StageProfile>,
-    /// The trace ring's retained events; `Some` exactly when
-    /// [`SimConfig::trace_capacity`] is above zero.
-    pub trace: Option<Trace>,
-    /// Every committed transaction's footprint; `Some` exactly when
-    /// [`SimConfig::record_history`] is set.
-    pub history: Option<History>,
 }
 
 impl RunOutcome {
@@ -1940,7 +1926,20 @@ pub fn run(cfg: SimConfig) -> Result<RunOutcome, RunError> {
 mod tests {
     use super::*;
     use crate::config::MetricsConfig;
+    use crate::trace::Trace;
     use ccsim_workload::Params;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Run `cfg` with a trace ring of `capacity` attached.
+    fn traced(cfg: SimConfig, capacity: usize) -> (Report, Trace) {
+        let mut sim = Simulator::new(cfg).expect("valid config");
+        let trace = Rc::new(RefCell::new(Trace::with_capacity(capacity)));
+        sim.add_sink(Box::new(Rc::clone(&trace)));
+        let out = sim.run_collecting().finished().expect("run within budget");
+        let trace = Rc::into_inner(trace).expect("the run released the ring");
+        (out.report, trace.into_inner())
+    }
 
     fn quick_cfg(algo: CcAlgorithm) -> SimConfig {
         SimConfig::new(algo)
@@ -1964,17 +1963,14 @@ mod tests {
     #[test]
     fn footprint_ceiling_admits_the_scale_point() {
         // The ceiling's basis: exp-scale's 10^6 terminals need 183 MiB of
-        // terminal-sized arrays, and at most 366 MiB under any algorithm
-        // with history recorded.
+        // terminal-sized arrays, and at most 366 MiB under any algorithm.
         let total = |cfg: &SimConfig| footprint(cfg).map(|(_, b)| b).sum::<u128>();
         let scale = Params::exp_scale().with_mpl(1_000_000);
         let plain = SimConfig::new(CcAlgorithm::Blocking).with_params(scale.clone());
         assert_eq!(total(&plain), 192_000_032);
         let mut most = 0;
         for algo in CcAlgorithm::ALL.into_iter().chain([CcAlgorithm::NoCc]) {
-            let cfg = SimConfig::new(algo)
-                .with_params(scale.clone())
-                .with_history(true);
+            let cfg = SimConfig::new(algo).with_params(scale.clone());
             assert!(check_footprint(&cfg).is_ok(), "{algo}");
             most = most.max(total(&cfg));
         }
@@ -2338,9 +2334,7 @@ mod tests {
 
     #[test]
     fn trace_captures_transaction_lifecycles() {
-        let out = run(quick_cfg(CcAlgorithm::Blocking).with_trace_capacity(100_000))
-            .expect("valid config");
-        let (report, trace) = (out.report, out.trace.expect("tracing is on"));
+        let (report, trace) = traced(quick_cfg(CcAlgorithm::Blocking), 100_000);
         assert!(!trace.is_empty());
         // Every lifecycle event kind should appear under contention.
         let mut commits = 0u64;
@@ -2372,18 +2366,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_capacity_never_perturbs_results() {
-        // Recording is pure observation: a disabled ring (capacity 0), a
-        // tiny evicting ring, and a lossless one must all report the same
-        // simulation.
-        let mk = |capacity| {
-            let mut cfg = quick_cfg(CcAlgorithm::Blocking);
-            cfg.trace_capacity = capacity;
-            run(cfg).expect("valid config").report
-        };
-        let silent = mk(0);
-        assert_eq!(silent, mk(8), "small evicting ring changed the run");
-        assert_eq!(silent, mk(100_000), "lossless ring changed the run");
+    fn trace_ring_never_perturbs_results() {
+        // Recording is pure observation: no ring, a disabled ring
+        // (capacity 0), a tiny evicting ring, and a lossless one must all
+        // report the same simulation.
+        let cfg = || quick_cfg(CcAlgorithm::Blocking);
+        let silent = run(cfg()).expect("valid config").report;
+        for capacity in [0, 8, 100_000] {
+            let (report, _) = traced(cfg(), capacity);
+            assert_eq!(silent, report, "a ring of {capacity} changed the run");
+        }
     }
 
     #[test]
@@ -2468,8 +2460,7 @@ mod tests {
 
     #[test]
     fn optimistic_trace_records_validation_failures() {
-        let out = run(quick_cfg(CcAlgorithm::Optimistic).with_trace_capacity(200_000)).unwrap();
-        let (report, trace) = (out.report, out.trace.expect("tracing is on"));
+        let (report, trace) = traced(quick_cfg(CcAlgorithm::Optimistic), 200_000);
         assert!(report.restarts > 0);
         let failures = trace
             .events()

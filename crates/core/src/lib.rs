@@ -25,9 +25,26 @@
 //! [`run`] is shorthand for the one run path: build a [`Simulator`], attach
 //! any [`EventSink`] observers with [`Simulator::add_sink`], drive it with
 //! [`Simulator::run_collecting`], and call [`RunOutcome::finished`] to
-//! treat a budget stop as an error. Set [`SimConfig::trace_capacity`] or
-//! [`SimConfig::record_history`] to get [`RunOutcome::trace`] or
-//! [`RunOutcome::history`] back with the report.
+//! treat a budget stop as an error.
+//!
+//! Observers are the one way to see inside a run. The [`Trace`] ring keeps
+//! the last N events, and the [`HistoryRecorder`] builds the
+//! committed-transaction [`History`] that [`check_conflict_serializable`]
+//! and [`check_snapshot_isolation`] judge. Attach each through an
+//! `Rc<RefCell<_>>` handle and read it once the run is over:
+//!
+//! ```
+//! use std::{cell::RefCell, rc::Rc};
+//! use ccsim_core::{check_conflict_serializable, CcAlgorithm, HistoryRecorder};
+//! use ccsim_core::{MetricsConfig, SimConfig, Simulator};
+//!
+//! let cfg = SimConfig::new(CcAlgorithm::Blocking).with_metrics(MetricsConfig::quick());
+//! let mut sim = Simulator::new(cfg).expect("valid configuration");
+//! let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+//! sim.add_sink(Box::new(Rc::clone(&recorder)));
+//! sim.run_collecting().finished().expect("run within budget");
+//! assert!(check_conflict_serializable(recorder.borrow().history()).is_ok());
+//! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -49,7 +66,7 @@ pub use config::{MetricsConfig, SimConfig};
 pub use engine::{run, PerfStats, RunOutcome, Simulator};
 pub use metrics::{ClassReport, Metrics, Report};
 pub use profiler::{Stage, StageProfile, StageSample, STAGE_COUNT, STAGE_PROFILER_COMPILED};
-pub use sink::{CenterFlow, EventSink, FlowStats};
+pub use sink::{CenterFlow, EventSink, FlowStats, HistoryRecorder};
 pub use trace::{Trace, TraceEvent};
 pub use txn::{AttemptUsage, Program, ProgramShape, Step, TxnState};
 

@@ -1,11 +1,15 @@
-//! The [`EventSink`] observer interface.
+//! The [`EventSink`] observer interface: the one way to observe a run.
 //!
-//! The engine's typed event stream (see [`crate::TraceEvent`]) originally
-//! fed exactly one consumer: the bounded [`Trace`] ring buffer. `EventSink`
-//! generalizes that into an observer trait so any number of consumers —
-//! the trace buffer, an online invariant auditor (`ccsim-audit`), custom
-//! instrumentation — can subscribe to every state transition via
-//! [`crate::Simulator::add_sink`] without the engine knowing about them.
+//! The engine's typed event stream (see [`crate::TraceEvent`]) goes to
+//! every sink attached with [`crate::Simulator::add_sink`], and to nothing
+//! else. Any number of consumers subscribe alike, without the engine
+//! knowing about them: the bounded [`Trace`] ring buffer, the
+//! [`HistoryRecorder`] that builds the committed-transaction [`History`]
+//! for the serializability and snapshot-isolation oracles, an online
+//! invariant auditor (`ccsim-audit`), custom instrumentation. A caller
+//! keeps an `Rc<RefCell<_>>` handle on the sink it attaches to read its
+//! findings once the run is over. With no sink attached the engine emits
+//! nothing at all.
 //!
 //! At the end of a run each sink also receives the final [`Report`] plus
 //! [`FlowStats`], the physical resource centers' queueing totals. The
@@ -16,9 +20,12 @@
 //! by requests — as an exact identity.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use ccsim_des::SimTime;
+use ccsim_history::{CommittedTxn, History};
+use ccsim_workload::TxnId;
 
 use crate::metrics::Report;
 use crate::trace::{Trace, TraceEvent};
@@ -89,6 +96,79 @@ impl EventSink for Trace {
     }
 }
 
+/// The sink that records the committed-transaction [`History`] from the
+/// event stream. An attempt starts at its `Admit`, collects its `Read`s,
+/// `Publish`es and `CommitPoint`, and becomes one [`CommittedTxn`] at its
+/// `Commit`; a `Restart` drops it, so an aborted attempt's reads never
+/// reach the history.
+#[derive(Debug, Default)]
+pub struct HistoryRecorder {
+    history: History,
+    /// The attempts in flight, keyed by transaction.
+    attempts: HashMap<TxnId, CommittedTxn>,
+}
+
+impl HistoryRecorder {
+    /// A recorder with an empty history.
+    #[must_use]
+    pub fn new() -> Self {
+        HistoryRecorder::default()
+    }
+
+    /// The transactions committed so far, in commit-event order.
+    #[must_use]
+    pub fn history(&self) -> &History {
+        &self.history
+    }
+
+    /// The recorded history.
+    #[must_use]
+    pub fn into_history(self) -> History {
+        self.history
+    }
+}
+
+impl EventSink for HistoryRecorder {
+    fn on_event(&mut self, now: SimTime, event: &TraceEvent) {
+        match *event {
+            TraceEvent::Admit(id) => {
+                let attempt = CommittedTxn {
+                    id,
+                    start: now,
+                    reads: Vec::new(),
+                    writes: Vec::new(),
+                    commit_at: now,
+                };
+                self.attempts.insert(id, attempt);
+            }
+            TraceEvent::Restart(id) => {
+                self.attempts.remove(&id);
+            }
+            TraceEvent::Read(id, obj, at) => {
+                if let Some(t) = self.attempts.get_mut(&id) {
+                    t.reads.push((obj, at));
+                }
+            }
+            TraceEvent::Publish(id, obj) => {
+                if let Some(t) = self.attempts.get_mut(&id) {
+                    t.writes.push(obj);
+                }
+            }
+            TraceEvent::CommitPoint(id, at) => {
+                if let Some(t) = self.attempts.get_mut(&id) {
+                    t.commit_at = at;
+                }
+            }
+            TraceEvent::Commit(id) => {
+                if let Some(t) = self.attempts.remove(&id) {
+                    self.history.push(t);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A shared sink: the engine owns one handle and the caller keeps another,
 /// to read the observer's findings once the run has consumed the
 /// simulator.
@@ -105,7 +185,6 @@ impl<S: EventSink> EventSink for Rc<RefCell<S>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim_workload::TxnId;
 
     #[test]
     fn trace_is_an_event_sink() {
@@ -114,6 +193,34 @@ mod tests {
         sink.on_event(SimTime::from_secs(1), &TraceEvent::Arrive(TxnId(1)));
         sink.on_event(SimTime::from_secs(2), &TraceEvent::Commit(TxnId(1)));
         assert_eq!(trace.len(), 2);
+    }
+
+    #[test]
+    fn aborted_attempt_reads_never_reach_the_history() {
+        use ccsim_workload::ObjId;
+        let (t, o, at) = (TxnId(3), ObjId(7), SimTime::from_secs);
+        let mut rec = HistoryRecorder::new();
+        for (s, e) in [
+            (1, TraceEvent::Arrive(t)),
+            (1, TraceEvent::Admit(t)),
+            (2, TraceEvent::Read(t, ObjId(5), at(2))),
+            (3, TraceEvent::Restart(t)),
+            (4, TraceEvent::Admit(t)),
+            (5, TraceEvent::Read(t, o, at(5))),
+            (6, TraceEvent::Publish(t, o)),
+            (6, TraceEvent::CommitPoint(t, at(6))),
+            (6, TraceEvent::Commit(t)),
+        ] {
+            rec.on_event(at(s), &e);
+        }
+        let expected = CommittedTxn {
+            id: t,
+            start: at(4),
+            reads: vec![(o, at(5))],
+            writes: vec![o],
+            commit_at: at(6),
+        };
+        assert_eq!(rec.into_history().txns(), &[expected]);
     }
 
     #[test]

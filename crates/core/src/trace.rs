@@ -1,11 +1,12 @@
 //! Structured execution tracing.
 //!
-//! When enabled (the `trace_capacity` field of [`crate::SimConfig`]), the engine
-//! appends one typed [`TraceEvent`] per interesting state transition to a
-//! bounded ring buffer. Traces make the model's behaviour inspectable —
-//! which transaction blocked on which object, who was picked as a deadlock
-//! victim, when validation failed — without attaching a debugger to a
-//! discrete-event simulation.
+//! The engine emits one typed [`TraceEvent`] per interesting state
+//! transition to every attached [`crate::EventSink`]. [`Trace`] is the sink
+//! that keeps them: a bounded ring buffer, attached like any other observer
+//! with [`crate::Simulator::add_sink`]. Traces make the model's behaviour
+//! inspectable — which transaction blocked on which object, who was picked
+//! as a deadlock victim, when validation failed — without attaching a
+//! debugger to a discrete-event simulation.
 //!
 //! The buffer is bounded ([`Trace::with_capacity`]) so tracing long runs
 //! keeps the *last* N events; tests and examples use small horizons where
@@ -67,6 +68,23 @@ pub enum TraceEvent {
     /// multiversion analogue of `LocksReleased`, letting the auditor
     /// cross-check version installation against the write set.
     VersionInstalled(TxnId, u32),
+    /// A read of an object, with the instant that fixes the version it
+    /// observed: the access instant under the lock-based, optimistic and
+    /// Silo protocols, the attempt's snapshot under snapshot isolation, the
+    /// observed write timestamp under TicToc, and the timestamp-check grant
+    /// under basic T/O. The event carries the instant itself because one
+    /// infinite-resource service-run event applies several reads whose
+    /// instants lie before it.
+    Read(TxnId, ObjId, SimTime),
+    /// A write the committing transaction publishes (under basic T/O, only
+    /// the writes the Thomas write rule applies). Emitted just before the
+    /// transaction's `CommitPoint`.
+    Publish(TxnId, ObjId),
+    /// The commit point: the instant the transaction's writes became
+    /// visible (its validation, or TicToc's logical commit timestamp), else
+    /// the commit instant. Emitted immediately before every `Commit`,
+    /// read-only ones included.
+    CommitPoint(TxnId, SimTime),
 }
 
 impl TraceEvent {
@@ -84,9 +102,22 @@ impl TraceEvent {
             | TraceEvent::TsRejected(t, _)
             | TraceEvent::Commit(t)
             | TraceEvent::LocksReleased(t, _)
-            | TraceEvent::VersionInstalled(t, _) => t,
+            | TraceEvent::VersionInstalled(t, _)
+            | TraceEvent::Read(t, ..)
+            | TraceEvent::Publish(t, _)
+            | TraceEvent::CommitPoint(t, _) => t,
             TraceEvent::Deadlock { detector, .. } => detector,
         }
+    }
+
+    /// True for the facts only a history needs (`Read`, `Publish`,
+    /// `CommitPoint`); the golden-trace writer leaves them out.
+    #[must_use]
+    pub fn is_history_fact(&self) -> bool {
+        matches!(
+            self,
+            TraceEvent::Read(..) | TraceEvent::Publish(..) | TraceEvent::CommitPoint(..)
+        )
     }
 }
 
@@ -111,6 +142,9 @@ impl fmt::Display for TraceEvent {
             TraceEvent::Commit(t) => write!(f, "{t} commits"),
             TraceEvent::LocksReleased(t, n) => write!(f, "{t} releases {n} lock(s)"),
             TraceEvent::VersionInstalled(t, n) => write!(f, "{t} installs {n} version(s)"),
+            TraceEvent::Read(t, o, at) => write!(f, "{t} reads {o} as of {at}"),
+            TraceEvent::Publish(t, o) => write!(f, "{t} publishes {o}"),
+            TraceEvent::CommitPoint(t, at) => write!(f, "{t} commit point {at}"),
         }
     }
 }
@@ -304,6 +338,17 @@ mod tests {
             "txn8 installs 2 version(s)"
         );
         assert_eq!(TraceEvent::VersionInstalled(t(8), 2).txn(), t(8));
+        assert_eq!(
+            TraceEvent::Read(t(9), ObjId(4), at(2)).to_string(),
+            "txn9 reads obj4 as of 2.000000s"
+        );
+        assert_eq!(
+            TraceEvent::Publish(t(9), ObjId(4)).to_string(),
+            "txn9 publishes obj4"
+        );
+        assert_eq!(TraceEvent::CommitPoint(t(9), at(3)).txn(), t(9));
+        assert!(TraceEvent::CommitPoint(t(9), at(3)).is_history_fact());
+        assert!(!TraceEvent::Commit(t(9)).is_history_fact());
     }
 
     #[test]

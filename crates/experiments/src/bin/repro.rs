@@ -25,8 +25,10 @@ repro <id|figN|all> [flags]   run experiments
 flags:
   --list          show the experiment catalog and exit
   --quick         smoke fidelity (short batches) instead of paper fidelity
-  --audit         attach the online invariant auditor to every run; any
-                  violation fails the command
+  --audit         attach the online invariant auditor and the history
+                  oracle to every run (snapshot isolation for mvcc-si,
+                  conflict serializability otherwise); any violation
+                  fails the command
   --seed <u64>    base seed (default 0x0C551985)
   --reps <n>      independent replications per point (default 1); means
                   and 90% CIs are then taken across replications, with
@@ -304,11 +306,11 @@ fn main() {
         }
         if cli.opts.audit {
             if result.audit_failures.is_empty() {
-                println!("Invariant audit: clean across all runs.");
+                println!("Invariant audit and history oracle: clean across all runs.");
             } else {
                 failures += result.audit_failures.len();
                 println!(
-                    "Invariant audit: {} violation(s):",
+                    "Invariant audit and history oracle: {} violation(s):",
                     result.audit_failures.len()
                 );
                 for v in &result.audit_failures {

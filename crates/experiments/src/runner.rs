@@ -32,10 +32,15 @@
 //! [`SweepControl::progress`] callback streams every settled coordinate as
 //! it lands.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ccsim_core::{MetricsConfig, Report, RunBudget, RunError, Simulator};
+use ccsim_core::{
+    check_conflict_serializable, check_snapshot_isolation, CcAlgorithm, History, HistoryRecorder,
+    MetricsConfig, Report, RunBudget, RunError, Simulator,
+};
 use ccsim_des::derive_seed;
 use crossbeam::channel;
 
@@ -90,9 +95,10 @@ pub struct RunOptions {
     /// as 1). Replication `i` reuses one workload stream across all
     /// series — common random numbers.
     pub replications: u32,
-    /// Attach the online invariant auditor (`ccsim-audit`) to every run.
-    /// Violations do not abort the sweep; they are collected as summary
-    /// lines in [`ExperimentResult::audit_failures`].
+    /// Attach the online invariant auditor (`ccsim-audit`) and the history
+    /// recorder to every run, and judge each run's history with
+    /// [`check_history`]. Violations do not abort the sweep; they are
+    /// collected as summary lines in [`ExperimentResult::audit_failures`].
     pub audit: bool,
 }
 
@@ -252,6 +258,29 @@ impl ChaosPlan {
     }
 }
 
+/// The history oracle: judge `history` by the guarantee `algo` makes —
+/// snapshot isolation for mvcc-si, conflict serializability for every other
+/// algorithm, no-cc included (the unsafe baseline, which is expected to
+/// fail). Returns the guarantee's name and either a summary of a history
+/// that keeps it or the violation found.
+pub fn check_history(
+    algo: CcAlgorithm,
+    history: &History,
+) -> (&'static str, Result<String, String>) {
+    let n = history.len();
+    if algo == CcAlgorithm::MvccSi {
+        let verdict = check_snapshot_isolation(history).map(|si| {
+            let skew = si.write_skew_pairs.len();
+            format!("{n} committed transactions, {skew} write-skew pair(s)")
+        });
+        ("snapshot isolation", verdict.map_err(|v| v.to_string()))
+    } else {
+        let verdict = check_conflict_serializable(history)
+            .map(|_| format!("{n} committed transactions, witness order found"));
+        ("serializability", verdict.map_err(|c| c.to_string()))
+    }
+}
+
 /// A run's report and audit summaries, or the typed failure for its hole.
 type PointResult = Result<(Report, Vec<String>), (FailureKind, String)>;
 
@@ -297,6 +326,7 @@ fn run_point(
     }
     let inject_panic = chaos.panic_at(series_ix, mpl, rep);
     let audit = opts.audit;
+    let algo = cfg.algorithm;
     let label = series.label.clone();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         assert!(
@@ -304,11 +334,19 @@ fn run_point(
             "chaos: injected panic at {label}@{mpl} rep {rep}"
         );
         let mut sim = Simulator::new(cfg)?;
-        let auditor = audit.then(|| ccsim_audit::attach(&mut sim));
+        let observers = audit.then(|| {
+            let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+            sim.add_sink(Box::new(Rc::clone(&recorder)));
+            (ccsim_audit::attach(&mut sim), recorder)
+        });
         let out = sim.run_collecting().finished()?;
-        let failures = auditor.map_or_else(Vec::new, |a| {
-            let summaries = a.borrow().report().summaries();
-            summaries
+        let failures = observers.map_or_else(Vec::new, |(auditor, recorder)| {
+            let mut found = auditor.borrow().report().summaries();
+            let (guarantee, verdict) = check_history(algo, recorder.borrow().history());
+            if let Err(violation) = verdict {
+                found.push(format!("history oracle: {guarantee} VIOLATED: {violation}"));
+            }
+            found
                 .into_iter()
                 .map(|v| format!("{label}@{mpl} rep {rep}: {v}"))
                 .collect()
@@ -677,6 +715,47 @@ mod tests {
                 a.series, a.mpl
             );
         }
+    }
+
+    #[test]
+    fn audited_sweep_runs_the_history_oracle_on_every_point() {
+        let mut spec = tiny_spec();
+        spec.mpls = vec![50];
+        let mut unsafe_series = spec.series[0].clone();
+        unsafe_series.label = "no-cc".to_string();
+        unsafe_series.algorithm = CcAlgorithm::NoCc;
+        spec.series = vec![spec.series[0].clone(), unsafe_series];
+        spec.params.db_size = 200;
+        let audited = run_experiment(
+            &spec,
+            &RunOptions {
+                audit: true,
+                replications: 2,
+                ..tiny_opts()
+            },
+        )
+        .expect("sweep completes");
+        // The unsafe baseline fails the oracle at every point; the blocking
+        // series stays clean.
+        for rep in 0..2 {
+            let prefix = format!("no-cc@50 rep {rep}: history oracle: serializability VIOLATED");
+            assert!(
+                audited
+                    .audit_failures
+                    .iter()
+                    .any(|f| f.starts_with(&prefix)),
+                "{prefix}: {:?}",
+                audited.audit_failures
+            );
+        }
+        assert!(
+            audited
+                .audit_failures
+                .iter()
+                .all(|f| f.starts_with("no-cc@")),
+            "{:?}",
+            audited.audit_failures
+        );
     }
 
     #[test]

@@ -83,6 +83,59 @@ fn finished_runs_print_the_lines_their_mode_asks_for() {
     assert!(both.contains("serializability  OK"), "{both}");
 }
 
+/// `--check-serializable` judges each algorithm by its own guarantee:
+/// mvcc-si's histories by snapshot isolation, which admits write skew, and
+/// every other algorithm's by conflict serializability, which the unsafe
+/// no-cc baseline fails at this point.
+#[test]
+fn check_serializable_uses_each_algorithm_s_own_oracle() {
+    let point = [
+        "--quick",
+        "--mpl",
+        "50",
+        "--db",
+        "200",
+        "--check-serializable",
+    ];
+    let out = simulate(&[&["--algo", "mvcc-si"], &point[..]].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("snapshot isolation  OK ("), "{stdout}");
+    assert!(stdout.contains("write-skew pair(s)"), "{stdout}");
+    let out = simulate(&[&["--algo", "no-cc"], &point[..]].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("serializability  VIOLATED: "), "{stdout}");
+}
+
+/// Batch means define no interval from one batch and no lag-1
+/// autocorrelation from fewer than three: those print `n/a`, not a zero
+/// that reads as exact.
+#[test]
+fn undefined_batch_statistics_print_as_not_available() {
+    let one = finished_run(&[]);
+    assert!(one.contains(" ± n/a tps"), "{one}");
+    assert!(one.contains("autocorrelation n/a"), "{one}");
+    let two = finished_run(&["--batches", "2"]);
+    assert!(!two.contains(" ± n/a tps"), "{two}");
+    assert!(two.contains("autocorrelation n/a"), "{two}");
+    let three = finished_run(&["--batches", "3"]);
+    assert!(!three.contains("n/a"), "{three}");
+    // Each replication's own interval too; the aggregate's interval, taken
+    // across the replications' means, is defined.
+    let reps = finished_run(&["--reps", "2"]);
+    assert_eq!(
+        reps.matches(" ± n/a tps (batch means)").count(),
+        2,
+        "{reps}"
+    );
+    let aggregate = reps
+        .lines()
+        .find(|l| l.contains("throughput  "))
+        .unwrap_or_default();
+    assert!(!aggregate.contains("n/a"), "{reps}");
+}
+
 /// Duration inputs that would wrap the simulated clock (or silently become
 /// zero) are rejected up front: exit 2, the offending flag named, no
 /// panic and no report.

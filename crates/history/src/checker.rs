@@ -15,7 +15,7 @@
 //! checker returns a witness serial order (a topological sort) or the
 //! offending cycle with its labeled conflict edges.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ccsim_des::SimTime;
 use ccsim_workload::{ObjId, TxnId};
@@ -77,7 +77,9 @@ pub(crate) fn conflict_edges(history: &History) -> Vec<Conflict> {
         writers: Vec<(SimTime, TxnId)>, // sorted by commit time
         readers: Vec<(SimTime, TxnId)>, // read-completion time
     }
-    let mut objects: HashMap<ObjId, Timeline> = HashMap::new();
+    // Ordered by object, so the edges — and with them the witness order
+    // and the cycle reported — are the same on every run.
+    let mut objects: BTreeMap<ObjId, Timeline> = BTreeMap::new();
     for t in txns {
         for &(obj, at) in &t.reads {
             objects.entry(obj).or_default().readers.push((at, t.id));

@@ -19,7 +19,7 @@
 //!    write skew (a pair of concurrent transactions, each anti-depending on
 //!    the other) counted explicitly — anomalies are surfaced, never hidden.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ccsim_workload::TxnId;
 
@@ -106,8 +106,9 @@ pub fn check_snapshot_isolation(history: &History) -> Result<SiReport, SiViolati
     // First committer wins: per object, writers sorted by commit instant
     // must have pairwise-disjoint intervals; since commit times are sorted,
     // checking consecutive pairs suffices.
-    let mut writers: HashMap<ccsim_workload::ObjId, Vec<&crate::record::CommittedTxn>> =
-        HashMap::new();
+    // Ordered by object, so the violation reported is the same on every run.
+    let mut writers: BTreeMap<ccsim_workload::ObjId, Vec<&crate::record::CommittedTxn>> =
+        BTreeMap::new();
     for t in txns {
         for &obj in &t.writes {
             writers.entry(obj).or_default().push(t);

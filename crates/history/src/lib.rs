@@ -3,10 +3,11 @@
 //!
 //! The simulator's concurrency control algorithms are supposed to admit
 //! only serializable executions; this crate *checks* that claim instead of
-//! assuming it. The engine (with history recording enabled) emits one
-//! [`CommittedTxn`] per commit — when each object was read, which objects
-//! were written, and the commit instant at which the writes were atomically
-//! published (the deferred-update model makes publication atomic). The
+//! assuming it. The engine's history recorder (an event sink in
+//! `ccsim-core`) builds one [`CommittedTxn`] per commit from the event
+//! stream — when each object was read, which objects were written, and the
+//! commit instant at which the writes were atomically published (the
+//! deferred-update model makes publication atomic). The
 //! checker rebuilds the conflict graph from those timestamps and verifies
 //! it is acyclic, producing either a witness serial order or the offending
 //! cycle.

@@ -59,16 +59,6 @@ impl History {
         &self.txns
     }
 
-    /// Replace the most recent record's writeset. Basic timestamp ordering
-    /// applies the Thomas write rule at commit, so some buffered writes are
-    /// never published; the engine amends the record it just pushed to list
-    /// only the applied ones.
-    pub fn amend_last_writes(&mut self, writes: &[ccsim_workload::ObjId]) {
-        if let Some(last) = self.txns.last_mut() {
-            last.writes = writes.to_vec();
-        }
-    }
-
     /// Number of committed transactions.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -115,20 +105,6 @@ mod tests {
         h.push(t(1, 5));
         h.push(t(2, 1));
         assert_eq!(h.len(), 2);
-    }
-
-    #[test]
-    fn amend_last_writes_replaces_writeset() {
-        let mut h = History::new();
-        let mut w = t(1, 1);
-        w.writes = vec![ObjId(1), ObjId(2)];
-        h.push(w);
-        h.amend_last_writes(&[ObjId(2)]);
-        assert_eq!(h.txns()[0].writes, vec![ObjId(2)]);
-        // Amending an empty history is a no-op.
-        let mut e = History::new();
-        e.amend_last_writes(&[ObjId(9)]);
-        assert!(e.is_empty());
     }
 
     #[test]

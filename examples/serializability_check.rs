@@ -1,13 +1,20 @@
 //! Serializability as an observable: record the execution history of a
-//! contended run and verify it with the conflict-graph checker — then do
-//! the same with concurrency control switched off (`NoCc`) and watch the
-//! checker produce a concrete conflict cycle.
+//! contended run with the history-recording event sink and verify it with
+//! the conflict-graph checker — then do the same with concurrency control
+//! switched off (`NoCc`) and watch the checker produce a concrete conflict
+//! cycle.
 //!
 //! ```text
 //! cargo run --release --example serializability_check
 //! ```
 
-use ccsim_core::{check_conflict_serializable, run, CcAlgorithm, MetricsConfig, Params, SimConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use ccsim_core::{
+    check_conflict_serializable, CcAlgorithm, HistoryRecorder, MetricsConfig, Params, SimConfig,
+    Simulator,
+};
 
 fn contended() -> Params {
     let mut p = Params::paper_baseline().with_mpl(20);
@@ -26,10 +33,16 @@ fn main() {
     ] {
         let cfg = SimConfig::new(algo)
             .with_params(contended())
-            .with_metrics(MetricsConfig::quick())
-            .with_history(true);
-        let out = run(cfg).expect("valid configuration");
-        let (report, history) = (out.report, out.history.expect("history is on"));
+            .with_metrics(MetricsConfig::quick());
+        let mut sim = Simulator::new(cfg).expect("valid configuration");
+        let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+        sim.add_sink(Box::new(Rc::clone(&recorder)));
+        let report = sim
+            .run_collecting()
+            .finished()
+            .expect("run within budget")
+            .report;
+        let history = recorder.take().into_history();
         print!(
             "{:<18} {:>6} commits, {:>5} restarts  ->  ",
             algo.label(),

@@ -1,17 +1,20 @@
 //! Structured tracing: follow individual transactions through the model.
 //!
-//! Runs a short, highly contended simulation with tracing enabled, then
-//! prints (a) the full lifecycle of the transaction that restarted the most
-//! and (b) the deadlock victims picked by the blocking algorithm.
+//! Runs a short, highly contended simulation with the trace ring attached as
+//! an event sink, then prints (a) the full lifecycle of the transaction that
+//! restarted the most and (b) the deadlock victims picked by the blocking
+//! algorithm.
 //!
 //! ```text
 //! cargo run --release --example trace_inspection
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, TraceEvent, TxnId,
+    CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace, TraceEvent, TxnId,
 };
 use ccsim_des::SimDuration;
 
@@ -27,10 +30,16 @@ fn main() {
             batch_time: SimDuration::from_secs(20),
             confidence: Confidence::Ninety,
         })
-        .with_seed(0x7ACE)
-        .with_trace_capacity(100_000);
-    let out = run(cfg).expect("valid configuration");
-    let (report, trace) = (out.report, out.trace.expect("tracing is on"));
+        .with_seed(0x7ACE);
+    let mut sim = Simulator::new(cfg).expect("valid configuration");
+    let trace = Rc::new(RefCell::new(Trace::with_capacity(100_000)));
+    sim.add_sink(Box::new(Rc::clone(&trace)));
+    let report = sim
+        .run_collecting()
+        .finished()
+        .expect("run within budget")
+        .report;
+    let trace = trace.borrow();
 
     println!(
         "20 simulated seconds: {} commits, {} blocks, {} restarts, {} deadlocks\n",

@@ -4,10 +4,12 @@
 //! invariant break must be caught with a contextual report, and auditing a
 //! sweep must not perturb it no matter how many worker threads run it.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ccsim_audit::{attach, AuditReport};
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, Report, SimConfig, Simulator, Trace,
-    TraceEvent,
+    CcAlgorithm, Confidence, MetricsConfig, Params, Report, SimConfig, Simulator, Trace, TraceEvent,
 };
 use ccsim_des::SimDuration;
 use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
@@ -46,8 +48,12 @@ fn audited(cfg: SimConfig) -> (Report, AuditReport) {
 
 /// Run `cfg` with a trace ring large enough to keep every event.
 fn traced(cfg: SimConfig) -> Trace {
-    let out = run(cfg.with_trace_capacity(1_000_000)).expect("valid config");
-    out.trace.expect("tracing is on")
+    let mut sim = Simulator::new(cfg).expect("valid config");
+    let trace = Rc::new(RefCell::new(Trace::with_capacity(1_000_000)));
+    sim.add_sink(Box::new(Rc::clone(&trace)));
+    sim.run_collecting().finished().expect("run within budget");
+    let trace = trace.borrow();
+    trace.clone()
 }
 
 #[test]

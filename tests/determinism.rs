@@ -2,8 +2,12 @@
 //! seeds must replay bit-for-bit through the whole stack, including the
 //! experiment harness and its JSON serialization.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, SimConfig, Simulator,
+    run, CcAlgorithm, Confidence, History, HistoryRecorder, MetricsConfig, Params, RunBudget,
+    RunOutcome, SimConfig, Simulator, Trace,
 };
 use ccsim_des::SimDuration;
 use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
@@ -15,6 +19,19 @@ fn quick() -> MetricsConfig {
         batch_time: SimDuration::from_secs(25),
         confidence: Confidence::Ninety,
     }
+}
+
+/// Run `cfg` to its end or its budget with a trace ring of `capacity` and
+/// the history recorder attached.
+fn observed(cfg: SimConfig, capacity: usize) -> (RunOutcome, Trace, History) {
+    let mut sim = Simulator::new(cfg).expect("valid config");
+    let trace = Rc::new(RefCell::new(Trace::with_capacity(capacity)));
+    let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+    sim.add_sink(Box::new(Rc::clone(&trace)));
+    sim.add_sink(Box::new(Rc::clone(&recorder)));
+    let out = sim.run_collecting();
+    let trace = trace.borrow().clone();
+    (out, trace, recorder.take().into_history())
 }
 
 #[test]
@@ -52,11 +69,11 @@ fn experiment_results_and_json_replay_exactly() {
 fn trace_ring_does_not_perturb_the_run() {
     // The engine skips event emission entirely when nothing observes the
     // run; that fast path must be a pure observer effect. Attaching the
-    // trace ring (exp3's resource-limited baseline, mpl 50) must leave the
-    // report byte-identical to the unobserved run, and so must recording
-    // the committed-transaction history. The modern in-memory protocols
-    // ride the same loop: their validation managers (version chains, TID
-    // words, timestamp intervals) must be equally observer-independent.
+    // trace ring and the history recorder (exp3's resource-limited
+    // baseline, mpl 50) must leave the report byte-identical to the
+    // unobserved run. The modern in-memory protocols ride the same loop:
+    // their validation managers (version chains, TID words, timestamp
+    // intervals) must be equally observer-independent.
     for algo in CcAlgorithm::PAPER_TRIO
         .into_iter()
         .chain(CcAlgorithm::MODERN_TRIO)
@@ -68,24 +85,16 @@ fn trace_ring_does_not_perturb_the_run() {
                 .with_seed(0x7ACE)
         };
         let detached = run(mk()).unwrap();
-        assert!(detached.trace.is_none() && detached.history.is_none());
-        let attached = run(mk().with_trace_capacity(4096)).unwrap();
+        let (attached, trace, history) = observed(mk(), 4096);
         assert!(
-            !attached.trace.expect("tracing is on").is_empty(),
+            !trace.is_empty(),
             "{algo}: trace ring attached but recorded nothing"
         );
+        assert!(!history.is_empty(), "{algo}: history recorded nothing");
         assert_eq!(
-            detached.report, attached.report,
-            "{algo}: attaching the trace ring changed the run"
-        );
-        let recorded = run(mk().with_history(true)).unwrap();
-        assert!(
-            !recorded.history.expect("history is on").is_empty(),
-            "{algo}: history recorded nothing"
-        );
-        assert_eq!(
-            detached.report, recorded.report,
-            "{algo}: recording the history changed the run"
+            detached.report,
+            attached.finished().unwrap().report,
+            "{algo}: attaching the trace ring and the history recorder changed the run"
         );
     }
 }
@@ -112,9 +121,13 @@ fn uncontended_elision_does_not_perturb_the_run() {
         assert_eq!(on, off, "{algo}: elision changed the run");
         // The fast path must also be observer-independent: attaching the
         // trace ring with elision on matches the unobserved elided run.
-        let traced = run(mk(true).with_trace_capacity(4096)).unwrap();
-        assert!(!traced.trace.expect("tracing is on").is_empty());
-        assert_eq!(on, traced.report, "{algo}: elision + trace ring diverged");
+        let (traced, trace, _) = observed(mk(true), 4096);
+        assert!(!trace.is_empty());
+        assert_eq!(
+            on,
+            traced.finished().unwrap().report,
+            "{algo}: elision + trace ring diverged"
+        );
     }
 }
 
@@ -149,7 +162,7 @@ fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
     );
     assert!(base.report.commits > 0, "salvaged window has no commits");
 
-    let traced = collect(mk().with_trace_capacity(4096));
+    let (traced, _, _) = observed(mk(), 4096);
     assert_eq!(
         base.report, traced.report,
         "attaching the trace ring changed the scale run"
@@ -203,11 +216,10 @@ fn many_terminal_infinite_resource_runs_match_across_calendars() {
             })
             .with_seed(0x5CA1ED)
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
-            .with_trace_capacity(1 << 16)
             .with_two_tier_calendar(two_tier)
     };
-    let collect = |cfg| Simulator::new(cfg).unwrap().run_collecting();
-    let (two_tier, heap_only) = (collect(mk(true)), collect(mk(false)));
+    let ((two_tier, two_tier_trace, _), (heap_only, heap_only_trace, _)) =
+        (observed(mk(true), 1 << 16), observed(mk(false), 1 << 16));
     assert!(
         two_tier.stopped.is_some(),
         "the point should stop on its event budget"
@@ -229,13 +241,10 @@ fn many_terminal_infinite_resource_runs_match_across_calendars() {
     assert_eq!(counters(&two_tier.perf), counters(&heap_only.perf));
     assert!(two_tier.perf.calendar.lane_pops > 0);
     assert_eq!(heap_only.perf.calendar.lane_pops, 0);
-    let events = |out: &ccsim_core::RunOutcome| {
-        let trace = out.trace.as_ref().expect("tracing is on");
-        (trace.dropped(), trace.events().copied().collect::<Vec<_>>())
-    };
-    let (dropped, two_tier_events) = events(&two_tier);
+    let events = |trace: &Trace| (trace.dropped(), trace.events().copied().collect::<Vec<_>>());
+    let (dropped, two_tier_events) = events(&two_tier_trace);
     assert!(dropped > 0 && two_tier_events.len() == 1 << 16);
-    assert_eq!((dropped, two_tier_events), events(&heap_only));
+    assert_eq!((dropped, two_tier_events), events(&heap_only_trace));
 }
 
 #[test]
@@ -273,7 +282,7 @@ fn modern_scale_points_are_deterministic_under_toggles() {
             "{algo}: salvaged window has no commits"
         );
 
-        let traced = collect(mk().with_trace_capacity(4096));
+        let (traced, _, _) = observed(mk(), 4096);
         assert_eq!(
             base.report, traced.report,
             "{algo}: attaching the trace ring changed the scale run"

@@ -12,17 +12,18 @@
 //!
 //! then review the trace diffs like any other code change.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 use ccsim_audit::golden::{check_or_update, serialize_trace};
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
+use ccsim_core::{CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace};
 use ccsim_des::SimDuration;
 
 /// The fixed scenario behind every golden file: a dozen terminals hammering
 /// a 50-page database with half the accesses writing, so all three
 /// algorithms block/restart/validate within a 5-second horizon — short
-/// enough that the full event stream fits in a reviewable text file. The
-/// trace ring is large enough to keep all of it.
+/// enough that the full event stream fits in a reviewable text file.
 fn golden_config(algo: CcAlgorithm) -> SimConfig {
     let mut params = Params::paper_baseline();
     params.db_size = 50;
@@ -41,13 +42,16 @@ fn golden_config(algo: CcAlgorithm) -> SimConfig {
             confidence: Confidence::Ninety,
         })
         .with_seed(0x601D)
-        .with_trace_capacity(1_000_000)
 }
 
-/// Run `cfg` and serialize its trace in the golden text form.
+/// Run `cfg` with a trace ring large enough to keep every event and
+/// serialize its trace in the golden text form.
 fn golden_text(cfg: &SimConfig) -> String {
-    let out = run(cfg.clone()).unwrap();
-    let trace = out.trace.expect("tracing is on");
+    let mut sim = Simulator::new(cfg.clone()).unwrap();
+    let trace = Rc::new(RefCell::new(Trace::with_capacity(1_000_000)));
+    sim.add_sink(Box::new(Rc::clone(&trace)));
+    let out = sim.run_collecting().finished().unwrap();
+    let trace = trace.borrow();
     let algo = cfg.algorithm;
     assert_eq!(trace.dropped(), 0, "{algo} golden trace overflowed");
     assert!(!trace.is_empty(), "{algo} golden run recorded nothing");

@@ -8,10 +8,13 @@
 //! first guarded. Speedup is a side effect the benchmarks measure;
 //! *these* tests pin the part that must never drift.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ccsim_audit::attach;
 use ccsim_audit::golden::serialize_trace;
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, SimConfig, Simulator,
+    run, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, SimConfig, Simulator, Trace,
 };
 use ccsim_des::SimDuration;
 
@@ -94,9 +97,13 @@ fn window_mode_golden_traces_are_byte_identical() {
                 .with_two_tier_calendar(two_tier)
         };
         let traced = |two_tier| {
-            let cfg = mk(two_tier).with_trace_capacity(1_000_000);
-            let out = run(cfg.clone()).unwrap();
-            serialize_trace(&cfg, &out.trace.expect("tracing is on"), &out.report)
+            let cfg = mk(two_tier);
+            let mut sim = Simulator::new(cfg.clone()).unwrap();
+            let trace = Rc::new(RefCell::new(Trace::with_capacity(1_000_000)));
+            sim.add_sink(Box::new(Rc::clone(&trace)));
+            let out = sim.run_collecting().finished().unwrap();
+            let trace = trace.borrow();
+            serialize_trace(&cfg, &trace, &out.report)
         };
         let off_text = traced(false);
         let on_text = traced(true);

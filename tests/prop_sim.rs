@@ -6,9 +6,12 @@
 //! stays fast; the fidelity-sensitive assertions live in the deterministic
 //! integration tests instead.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ccsim_core::{
-    check_conflict_serializable, run, CcAlgorithm, Confidence, MetricsConfig, Params, ResourceSpec,
-    SimConfig,
+    check_conflict_serializable, run, CcAlgorithm, Confidence, HistoryRecorder, MetricsConfig,
+    Params, ResourceSpec, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 use proptest::prelude::*;
@@ -89,7 +92,7 @@ fn build(rc: &RandomConfig) -> Option<SimConfig> {
     params.resources = rc.resources;
     params.ext_think_time = SimDuration::from_millis(500);
     params.validate().ok()?;
-    let mut cfg = SimConfig::new(rc.algo)
+    let cfg = SimConfig::new(rc.algo)
         .with_params(params)
         .with_metrics(MetricsConfig {
             warmup_batches: 0,
@@ -98,7 +101,6 @@ fn build(rc: &RandomConfig) -> Option<SimConfig> {
             confidence: Confidence::Ninety,
         })
         .with_seed(rc.seed);
-    cfg.record_history = true;
     Some(cfg)
 }
 
@@ -117,8 +119,11 @@ proptest! {
         };
         let mpl = cfg.params.mpl;
         let terms = cfg.params.num_terms;
-        let out = run(cfg).expect("validated config");
-        let (report, history) = (out.report, out.history.expect("history is on"));
+        let mut sim = Simulator::new(cfg).expect("validated config");
+        let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+        sim.add_sink(Box::new(Rc::clone(&recorder)));
+        let report = sim.run_collecting().finished().expect("run within budget").report;
+        let history = recorder.take().into_history();
 
         // Structural invariants.
         prop_assert!(report.avg_active <= f64::from(mpl.min(terms)) + 1e-9);

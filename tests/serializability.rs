@@ -11,9 +11,12 @@
 //! vulnerable anti-dependencies, and the skew that *does* occur is counted,
 //! not hidden.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use ccsim_core::{
-    check_conflict_serializable, check_snapshot_isolation, run, CcAlgorithm, Confidence, History,
-    MetricsConfig, Params, Report, ResourceSpec, SimConfig,
+    check_conflict_serializable, check_snapshot_isolation, CcAlgorithm, Confidence, History,
+    HistoryRecorder, MetricsConfig, Params, Report, ResourceSpec, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 
@@ -40,13 +43,16 @@ fn cfg(algo: CcAlgorithm, seed: u64) -> SimConfig {
         .with_params(hot_params())
         .with_metrics(metrics())
         .with_seed(seed)
-        .with_history(true)
 }
 
-/// Run `c` to completion; returns its report and recorded history.
+/// Run `c` to completion with the history recorder attached; returns its
+/// report and recorded history.
 fn recorded(c: SimConfig) -> (Report, History) {
-    let out = run(c).unwrap();
-    (out.report, out.history.expect("history is on"))
+    let mut sim = Simulator::new(c).unwrap();
+    let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+    sim.add_sink(Box::new(Rc::clone(&recorder)));
+    let out = sim.run_collecting().finished().unwrap();
+    (out.report, recorder.take().into_history())
 }
 
 #[test]

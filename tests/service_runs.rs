@@ -7,11 +7,17 @@
 //! scheduling position could reorder. The two must then agree on every
 //! observable: the trace, the committed history with its read instants,
 //! and the report apart from the utilization estimates, which infinite
-//! resources do not measure.
+//! resources do not measure. The one difference is when a read is
+//! announced: a service run announces its reads, each with its own
+//! instant, when the whole run completes, so the trace comparison leaves
+//! out the facts only a history needs and the histories compare those.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, Report, ResourceSpec, RunOutcome,
-    SimConfig, TraceEvent,
+    CcAlgorithm, CommittedTxn, Confidence, HistoryRecorder, MetricsConfig, Params, Report,
+    ResourceSpec, RunOutcome, SimConfig, Simulator, Trace, TraceEvent,
 };
 use ccsim_des::{SimDuration, SimTime};
 
@@ -37,8 +43,35 @@ fn config(
             confidence: Confidence::Ninety,
         })
         .with_seed(0x5E41_CE55)
-        .with_history(true)
-        .with_trace_capacity(1 << 20)
+}
+
+/// What one run shows: its outcome, its trace without the history facts,
+/// and its committed history.
+struct Observed {
+    out: RunOutcome,
+    trace: Vec<(SimTime, TraceEvent)>,
+    history: Vec<CommittedTxn>,
+}
+
+/// Run `cfg` with a lossless trace ring and the history recorder attached.
+fn observe(cfg: SimConfig) -> Observed {
+    let mut sim = Simulator::new(cfg).expect("valid config");
+    let trace = Rc::new(RefCell::new(Trace::with_capacity(1 << 20)));
+    let recorder = Rc::new(RefCell::new(HistoryRecorder::new()));
+    sim.add_sink(Box::new(Rc::clone(&trace)));
+    sim.add_sink(Box::new(Rc::clone(&recorder)));
+    let out = sim.run_collecting().finished().expect("run within budget");
+    let trace = trace.borrow();
+    assert_eq!(trace.dropped(), 0, "the ring must keep every event");
+    Observed {
+        out,
+        trace: trace
+            .events()
+            .filter(|(_, e)| !e.is_history_fact())
+            .copied()
+            .collect(),
+        history: recorder.take().into_history().txns().to_vec(),
+    }
 }
 
 /// The report with the four utilization estimates blanked.
@@ -49,12 +82,6 @@ fn without_utilization(mut report: Report) -> Report {
     report.disk_util_total = blank;
     report.disk_util_useful = blank;
     report
-}
-
-fn trace_of(out: &RunOutcome) -> Vec<(SimTime, TraceEvent)> {
-    let trace = out.trace.as_ref().expect("tracing is on");
-    assert_eq!(trace.dropped(), 0, "the ring must keep every event");
-    trace.events().copied().collect()
 }
 
 #[test]
@@ -71,35 +98,32 @@ fn infinite_resources_match_one_cpu_one_disk_at_mpl_one() {
                     let at = format!(
                         "{algo}, {terminals} terminals, internal think {int_think}, cc_cpu {cc_cpu}"
                     );
-                    let inf = run(config(
+                    let inf = observe(config(
                         algo,
                         ResourceSpec::Infinite,
                         terminals,
                         int_think,
                         cc_cpu,
-                    ))
-                    .expect("valid config");
-                    let phys = run(config(algo, one_by_one, terminals, int_think, cc_cpu))
-                        .expect("valid config");
-                    let trace = trace_of(&inf);
+                    ));
+                    let phys = observe(config(algo, one_by_one, terminals, int_think, cc_cpu));
+                    let trace = &inf.trace;
                     assert!(trace.len() > 100, "{at}: only {} events", trace.len());
-                    assert!(trace == trace_of(&phys), "{at}: traces differ");
-                    let history = inf.history.as_ref().expect("history is on").txns();
-                    assert!(!history.is_empty(), "{at}: nothing committed");
+                    assert!(*trace == phys.trace, "{at}: traces differ");
+                    assert!(!inf.history.is_empty(), "{at}: nothing committed");
                     assert!(
-                        history == phys.history.as_ref().expect("history is on").txns(),
+                        inf.history == phys.history,
                         "{at}: committed histories differ"
                     );
                     assert_eq!(
-                        without_utilization(inf.report.clone()),
-                        without_utilization(phys.report.clone()),
+                        without_utilization(inf.out.report.clone()),
+                        without_utilization(phys.out.report.clone()),
                         "{at}: reports differ"
                     );
                     assert!(
-                        inf.perf.events < phys.perf.events,
+                        inf.out.perf.events < phys.out.perf.events,
                         "{at}: {} infinite-resource events vs {} on 1 CPU / 1 disk",
-                        inf.perf.events,
-                        phys.perf.events
+                        inf.out.perf.events,
+                        phys.out.perf.events
                     );
                 }
             }
