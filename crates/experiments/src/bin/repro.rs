@@ -3,11 +3,12 @@
 //!
 //! A failed run (panic, budget exhaustion, invalid configuration) never
 //! aborts the sweep: it is reported as an explicit hole and the command
-//! exits non-zero. Holes are never journaled, so after fixing the cause,
-//! `--resume` re-runs exactly the holes. SIGINT and SIGTERM both request a
-//! cooperative shutdown: in-flight runs finish and are journaled, then the
-//! command exits 130 with a `--resume` hint — so a service manager's stop
-//! signal checkpoints exactly like a ctrl-C.
+//! exits non-zero. A hole fails the same way on every run, so fix its
+//! cause and run the command again. Ctrl-C or `kill` ends the process at
+//! once; every result file is written with [`write_atomic`], so each one
+//! is left either as it was or complete.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -34,48 +35,11 @@ flags:
                   and 90% CIs are then taken across replications, with
                   common random numbers pairing the algorithms
   --threads <n>   worker threads (default: all cores)
-  --out <dir>     also write <dir>/<id>.json and <dir>/<id>.txt, and
-                  journal completed runs to <dir>/<id>.manifest.jsonl
-  --resume        skip runs already journaled in the checkpoint manifest
-                  (requires --out); the final output is byte-identical
-                  to an uninterrupted run. Holes are never journaled, so
-                  a resume re-runs exactly them. A final manifest line
-                  cut short by a crash is discarded with a warning and
-                  its run re-executed
+  --out <dir>     also write <dir>/<id>.json and <dir>/<id>.txt
   --md <path>     write a combined markdown results appendix
   --chart         print an ASCII throughput chart per experiment
   -h, --help      print this help and exit
 ";
-
-/// Cooperative shutdown flag, set by SIGINT *and* SIGTERM and installed
-/// via the raw C `signal` interface so no extra dependency is needed. The
-/// handlers only flip an atomic; the supervisor notices between run
-/// completions.
-mod shutdown {
-    use std::sync::atomic::AtomicBool;
-
-    pub static INTERRUPTED: AtomicBool = AtomicBool::new(false);
-
-    #[cfg(unix)]
-    pub fn install() {
-        use std::sync::atomic::Ordering;
-        extern "C" fn on_signal(_sig: i32) {
-            INTERRUPTED.store(true, Ordering::Relaxed);
-        }
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
-            signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
-        }
-    }
-
-    #[cfg(not(unix))]
-    pub fn install() {}
-}
 
 struct Cli {
     targets: Vec<String>,
@@ -83,7 +47,6 @@ struct Cli {
     out: Option<PathBuf>,
     md_out: Option<PathBuf>,
     chart: bool,
-    resume: bool,
 }
 
 /// Parse the arguments after the program name. `Ok(None)` is a request
@@ -94,7 +57,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Option<Cli>, Stri
     let mut out = None;
     let mut md_out = None;
     let mut chart = false;
-    let mut resume = false;
     let mut args = raw.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -102,7 +64,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Option<Cli>, Stri
             "--quick" => opts.fidelity = Fidelity::Quick,
             "--audit" => opts.audit = true,
             "--chart" => chart = true,
-            "--resume" => resume = true,
             "--list" => targets.push("list".to_string()),
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -137,9 +98,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Option<Cli>, Stri
             target => targets.push(target.to_string()),
         }
     }
-    if resume && out.is_none() {
-        return Err("--resume needs --out <dir> (the manifest lives there)".to_string());
-    }
     if targets.is_empty() {
         targets.push("list".to_string());
     }
@@ -149,7 +107,6 @@ fn parse_args(raw: impl IntoIterator<Item = String>) -> Result<Option<Cli>, Stri
         out,
         md_out,
         chart,
-        resume,
     }))
 }
 
@@ -237,35 +194,24 @@ fn main() {
             std::process::exit(2);
         }
     };
-
-    shutdown::install();
+    let ctl = SweepControl {
+        progress: None,
+        #[cfg(feature = "chaos")]
+        chaos,
+    };
 
     let mut failures = 0usize;
     let mut collected = Vec::new();
     for spec in &specs {
         let started = Instant::now();
         eprintln!(
-            ">> {} ({} runs x {} rep(s), {:?} fidelity{}{})...",
+            ">> {} ({} runs x {} rep(s), {:?} fidelity{})...",
             spec.id,
             spec.num_runs(),
             cli.opts.replications.max(1),
             cli.opts.fidelity,
-            if cli.opts.audit { ", audited" } else { "" },
-            if cli.resume { ", resuming" } else { "" }
+            if cli.opts.audit { ", audited" } else { "" }
         );
-        let manifest_path = cli
-            .out
-            .as_ref()
-            .map(|dir| dir.join(format!("{}.manifest.jsonl", spec.id)));
-        let ctl = SweepControl {
-            checkpoint: manifest_path.as_deref(),
-            resume: cli.resume,
-            interrupt: Some(&shutdown::INTERRUPTED),
-            stop_after: None,
-            progress: None,
-            #[cfg(feature = "chaos")]
-            chaos,
-        };
         let result = match run_experiment_supervised(spec, &cli.opts, &ctl) {
             Ok(r) => r,
             Err(e) => {
@@ -274,31 +220,6 @@ fn main() {
             }
         };
         let elapsed = started.elapsed();
-        for w in &result.warnings {
-            eprintln!("warning: {}: {w}", spec.id);
-        }
-
-        if result.interrupted {
-            // Partial results are not written (a stale complete .json must
-            // not be overwritten by a truncated one); the manifest already
-            // holds every completed run.
-            eprintln!(
-                "interrupted: {} with {} point(s) collected",
-                spec.id,
-                result.points.len()
-            );
-            match &manifest_path {
-                Some(m) => eprintln!(
-                    "hint: completed runs are journaled in {}; re-run with --resume to continue",
-                    m.display()
-                ),
-                None => eprintln!(
-                    "hint: run with --out <dir> to checkpoint progress so --resume can continue"
-                ),
-            }
-            std::process::exit(130);
-        }
-
         let text = report::render_experiment(&result);
         println!("{text}");
         if cli.chart {
@@ -379,7 +300,6 @@ mod tests {
         let cli = parse(&[]).expect("parses");
         assert_eq!(cli.targets, vec!["list"]);
         assert!(!cli.opts.audit);
-        assert!(!cli.resume);
         assert!(resolve_specs(&cli.targets).expect("resolves").is_none());
     }
 
@@ -397,7 +317,6 @@ mod tests {
             "2",
             "--out",
             "results",
-            "--resume",
         ])
         .expect("parses");
         assert_eq!(cli.targets, vec!["exp3"]);
@@ -406,7 +325,6 @@ mod tests {
         assert_eq!(cli.opts.base_seed, 9);
         assert_eq!(cli.opts.replications, 3);
         assert_eq!(cli.opts.threads, 2);
-        assert!(cli.resume);
         assert_eq!(cli.out.as_deref(), Some(std::path::Path::new("results")));
     }
 
@@ -434,12 +352,10 @@ mod tests {
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--seed"]).is_err(), "missing value");
         assert!(parse(&["--reps", "0"]).is_err(), "reps must be positive");
-    }
-
-    #[test]
-    fn resume_requires_out() {
-        assert!(parse(&["exp3", "--resume"]).is_err());
-        assert!(parse(&["exp3", "--resume", "--out", "r"]).is_ok());
+        for retired in ["--resume", "--retries"] {
+            let err = parse(&["exp3", "--out", "r", retired]).err();
+            assert_eq!(err, Some(format!("unknown flag {retired} (see --help)")));
+        }
     }
 
     #[test]
@@ -489,11 +405,11 @@ mod tests {
         "--reps",
         "--threads",
         "--out",
-        "--resume",
         "--md",
         "--chart",
         "--help",
         "-h",
+        "--resume",
         "--retries",
         "--bogus",
         "--",
@@ -529,7 +445,6 @@ mod tests {
             match parse_args(argv.clone()) {
                 Ok(Some(cli)) => {
                     prop_assert!(!cli.targets.is_empty());
-                    prop_assert!(!cli.resume || cli.out.is_some());
                     prop_assert!(cli.opts.replications >= 1);
                 }
                 Ok(None) => {

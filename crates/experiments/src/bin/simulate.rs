@@ -3,6 +3,8 @@
 //!
 //! `simulate --help` prints the flags ([`USAGE`]).
 
+#![forbid(unsafe_code)]
+
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -2,10 +2,11 @@
 //!
 //! The approved dependency list has `serde` but no `serde_json`, and our
 //! output is a fixed shape, so a ~hundred-line emitter keeps the tree small
-//! and honest. The checkpoint manifest (`crate::manifest`) additionally
-//! needs to read its own lines back, so a small recursive-descent parser
-//! lives here too. Numbers are kept as raw lexemes so `u64` seeds and
-//! bit-exact `f64` round trips both survive.
+//! and honest. A small recursive-descent parser reads archived results
+//! back, for tests and tools that inspect `results/*.json`. It reads no
+//! `NaN` or `inf` lexeme: the writer turns non-finite floats into `null`,
+//! so none is ever written. Numbers are kept as raw lexemes so `u64` seeds
+//! and bit-exact `f64` round trips both survive.
 
 use std::fmt::Write as _;
 
@@ -128,8 +129,8 @@ pub fn to_json(result: &ExperimentResult) -> String {
         point_json(p, &mut out);
     }
     out.push(']');
-    // Failure holes and interruption are emitted only when present, so a
-    // clean sweep's JSON is byte-identical to what older archives hold.
+    // Failure holes are emitted only when present, so a clean sweep's JSON
+    // is byte-identical to what older archives hold.
     if !result.failures.is_empty() {
         out.push_str(",\"failures\":[");
         for (i, f) in result.failures.iter().enumerate() {
@@ -145,9 +146,6 @@ pub fn to_json(result: &ExperimentResult) -> String {
             out.push('}');
         }
         out.push(']');
-    }
-    if result.interrupted {
-        out.push_str(",\"interrupted\":true");
     }
     out.push('}');
     out
@@ -207,8 +205,6 @@ impl Value {
     /// The number as an `f64` (`null` maps to NaN).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            // `f64::from_str` accepts our non-finite lexemes (NaN, inf,
-            // -inf) as well as ordinary JSON numbers.
             Value::Num(raw) => raw.parse().ok(),
             Value::Null => Some(f64::NAN),
             _ => None,
@@ -229,27 +225,28 @@ impl Value {
 /// `[[[[…` would overflow the stack instead of failing cleanly.
 const MAX_DEPTH: usize = 128;
 
-/// Parse one JSON document. Accepts the output of this module plus the
-/// non-finite number lexemes `NaN` / `inf` / `-inf` that the manifest
-/// writes for lossless float round trips. Nesting deeper than 128
-/// arrays/objects is an error.
+/// Parse one JSON document. Nesting deeper than 128 arrays/objects is an
+/// error, and so are the non-JSON lexemes `NaN`, `inf` and `-inf`.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        src: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err(format!("trailing bytes at offset {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread character. Every step but one
+    /// consumes ASCII, and that one a whole character, so `pos` always
+    /// lies on a character boundary.
     pos: usize,
     /// Arrays/objects currently open.
     depth: usize,
@@ -258,8 +255,7 @@ struct Parser<'a> {
 impl Parser<'_> {
     fn skip_ws(&mut self) {
         while self
-            .bytes
-            .get(self.pos)
+            .peek()
             .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
         {
             self.pos += 1;
@@ -267,7 +263,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -285,7 +281,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             true
         } else {
@@ -394,7 +390,8 @@ impl Parser<'_> {
                             // Exactly four hex digits (`from_str_radix`
                             // would also take a leading `+`).
                             let code = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .and_then(|hex| {
                                     hex.iter().try_fold(0, |code, &b| {
@@ -410,11 +407,8 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one whole character.
+                    let c = self.src[self.pos..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -424,12 +418,6 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        // Non-finite lexemes written by the manifest for lossless floats.
-        for lit in ["-inf", "inf", "NaN"] {
-            if self.eat_literal(lit) {
-                return Ok(Value::Num(lit.to_string()));
-            }
-        }
         while self
             .peek()
             .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
@@ -439,9 +427,7 @@ impl Parser<'_> {
         if self.pos == start {
             return Err(format!("expected a value at offset {start}"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .to_string();
+        let raw = self.src[start..self.pos].to_string();
         // Validate the lexeme parses as a float at all.
         raw.parse::<f64>()
             .map_err(|e| format!("bad number {raw:?}: {e}"))?;
@@ -592,11 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn failures_and_interruption_emit_only_when_present() {
+    fn failures_emit_only_when_present() {
         use crate::spec::{FailureKind, PointFailure};
         let clean = to_json(&tiny_result());
         assert!(!clean.contains("\"failures\""));
-        assert!(!clean.contains("\"interrupted\""));
         let mut r = tiny_result();
         r.failures.push(PointFailure {
             series: "optimistic".into(),
@@ -605,13 +590,11 @@ mod tests {
             kind: FailureKind::Panic,
             detail: "chaos: injected panic".into(),
         });
-        r.interrupted = true;
         let j = to_json(&r);
         assert!(j.contains(
             "\"failures\":[{\"series\":\"optimistic\",\"mpl\":25,\"rep\":1,\
              \"kind\":\"panic\",\"detail\":\"chaos: injected panic\"}]"
         ));
-        assert!(j.ends_with(",\"interrupted\":true}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         // And the parser reads its own output back.
         let v = parse(&j).expect("parses");
@@ -621,7 +604,6 @@ mod tests {
             failures[0].get("kind").and_then(Value::as_str),
             Some("panic")
         );
-        assert_eq!(v.get("interrupted").and_then(Value::as_bool), Some(true));
     }
 
     #[test]
@@ -652,17 +634,21 @@ mod tests {
             Some(u64::MAX),
             "seed lexeme must not round-trip through f64"
         );
-        // ...floats round-trip bit-exactly through shortest formatting...
+        // ...and floats round-trip bit-exactly through shortest formatting.
         let x = 0.1f64 + 0.2f64;
         let v = parse(&format!("[{x}]")).expect("parses");
         assert_eq!(v.as_arr().unwrap()[0].as_f64(), Some(x));
-        // ...and the manifest's non-finite lexemes are accepted.
-        let v = parse("[NaN,inf,-inf,null]").expect("parses");
-        let items = v.as_arr().unwrap();
-        assert!(items[0].as_f64().unwrap().is_nan());
-        assert_eq!(items[1].as_f64(), Some(f64::INFINITY));
-        assert_eq!(items[2].as_f64(), Some(f64::NEG_INFINITY));
-        assert!(items[3].as_f64().unwrap().is_nan());
+    }
+
+    #[test]
+    fn non_finite_lexemes_are_rejected() {
+        // The writer emits `null` for a non-finite float, and that is the
+        // only way to read one back.
+        for doc in ["NaN", "inf", "-inf", "[NaN]", "[1,inf]", "{\"x\":-inf}"] {
+            assert!(parse(doc).is_err(), "{doc} parsed");
+        }
+        let v = parse("[null]").expect("parses");
+        assert!(v.as_arr().unwrap()[0].as_f64().unwrap().is_nan());
     }
 
     #[test]

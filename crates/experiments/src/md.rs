@@ -77,12 +77,6 @@ pub fn experiment_to_markdown(result: &ExperimentResult, checks: &[CheckOutcome]
             "_{reps} independent replications per point; ± is the Student-t interval across replication means (common random numbers pair the series)._\n"
         );
     }
-    if result.interrupted {
-        let _ = writeln!(
-            out,
-            "_Sweep interrupted: tables cover only the completed runs._\n"
-        );
-    }
     for view in &result.spec.views {
         md_view(result, view, &mut out);
     }

@@ -143,12 +143,6 @@ pub fn render_experiment(result: &ExperimentResult) -> String {
             "{reps} replications per point; ± is the Student-t interval across replication means.\n"
         );
     }
-    if result.interrupted {
-        let _ = writeln!(
-            out,
-            "NOTE: sweep was interrupted; tables cover only the completed runs.\n"
-        );
-    }
     for view in &result.spec.views {
         out.push_str(&render_view(result, view));
         out.push('\n');
@@ -277,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn failures_and_interruption_render_explicitly() {
+    fn failures_render_explicitly() {
         let mut result = small_result();
         result
             .points
@@ -289,11 +283,9 @@ mod tests {
             kind: crate::spec::FailureKind::Panic,
             detail: "chaos: injected panic".to_string(),
         });
-        result.interrupted = true;
         let text = render_experiment(&result);
         assert!(text.contains("Run failures (1)"));
         assert!(text.contains("[HOLE] blocking@25 rep 0 [panic]"));
-        assert!(text.contains("sweep was interrupted"));
     }
 
     #[test]

@@ -23,19 +23,15 @@
 //! livelocked run becomes a typed [`PointFailure`] hole in the result
 //! instead of aborting the sweep. A run is a pure function of its grid
 //! coordinate, so running it again would fail the same way, and the hole's
-//! record reads the same on every host and thread count. With a
-//! [`SweepControl::checkpoint`] path, completed runs are journaled to a
-//! manifest (atomic rewrite on every update); holes never are, so a later
-//! run with [`SweepControl::resume`] skips the journaled runs, re-runs
-//! exactly the holes, and — because seeds are coordinate-derived —
-//! produces byte-identical final output once their cause is fixed. A
-//! [`SweepControl::progress`] callback streams every settled coordinate as
-//! it lands.
+//! record reads the same on every host and thread count. The supervisor
+//! queues the whole grid, lets the workers drain it, and collects every
+//! result; a [`SweepControl::progress`] callback streams each settled
+//! coordinate as it lands. There is no checkpoint: a paper-fidelity
+//! `repro all` takes well under a minute, and a sweep that is stopped is
+//! simply run again.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use ccsim_core::{
     check_conflict_serializable, check_snapshot_isolation, CcAlgorithm, History, HistoryRecorder,
@@ -46,7 +42,6 @@ use crossbeam::channel;
 
 #[cfg(feature = "chaos")]
 use crate::chaos::{ChaosKind, ChaosPoint};
-use crate::manifest::{Manifest, ManifestEntry, ManifestError};
 use crate::replicate::aggregate_reports;
 use crate::spec::{DataPoint, ExperimentResult, ExperimentSpec, FailureKind, PointFailure};
 
@@ -68,15 +63,6 @@ impl Fidelity {
         match self {
             Fidelity::Paper => MetricsConfig::paper(),
             Fidelity::Quick => MetricsConfig::quick(),
-        }
-    }
-
-    /// Stable lowercase token (used in the checkpoint manifest header).
-    #[must_use]
-    pub fn token(self) -> &'static str {
-        match self {
-            Fidelity::Paper => "paper",
-            Fidelity::Quick => "quick",
         }
     }
 }
@@ -129,28 +115,13 @@ pub struct PointProgress<'a> {
     pub report: Option<&'a Report>,
 }
 
-/// Supervisor controls orthogonal to [`RunOptions`]: checkpointing,
-/// resumption, stop requests, and progress streaming.
-/// `SweepControl::default()` runs a plain uncheckpointed sweep.
+/// Supervisor controls orthogonal to [`RunOptions`]: progress streaming
+/// and, with feature `chaos`, fault injection.
+/// `SweepControl::default()` runs a plain sweep.
 #[derive(Default)]
 pub struct SweepControl<'a> {
-    /// Journal completed runs to this manifest path (see
-    /// [`crate::manifest`]).
-    pub checkpoint: Option<&'a std::path::Path>,
-    /// Skip runs already journaled in the checkpoint manifest (which must
-    /// match this sweep's spec and options).
-    pub resume: bool,
-    /// Cooperative stop flag (e.g. set by a SIGINT handler). Checked
-    /// between run completions; in-flight runs finish and are journaled,
-    /// queued runs are abandoned, and the result is marked
-    /// [`ExperimentResult::interrupted`].
-    pub interrupt: Option<&'a AtomicBool>,
-    /// Stop (as if interrupted) after this many newly journaled runs —
-    /// the deterministic "kill after K points" hook used by resume tests.
-    pub stop_after: Option<u64>,
     /// Called (on the supervisor thread) for every coordinate this sweep
-    /// settles, completions and failures alike, as they land. Runs
-    /// replayed from a resumed checkpoint manifest are not reported.
+    /// settles, completions and failures alike, as they land.
     pub progress: Option<&'a (dyn Fn(PointProgress<'_>) + Sync)>,
     /// Deterministic fault injection (feature `chaos`): the targeted grid
     /// coordinate's run fails.
@@ -161,11 +132,7 @@ pub struct SweepControl<'a> {
 impl std::fmt::Debug for SweepControl<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("SweepControl");
-        d.field("checkpoint", &self.checkpoint)
-            .field("resume", &self.resume)
-            .field("interrupt", &self.interrupt)
-            .field("stop_after", &self.stop_after)
-            .field("progress", &self.progress.map(|_| "<callback>"));
+        d.field("progress", &self.progress.map(|_| "<callback>"));
         #[cfg(feature = "chaos")]
         d.field("chaos", &self.chaos);
         d.finish()
@@ -178,33 +145,17 @@ impl std::fmt::Debug for SweepControl<'_> {
 pub enum SweepError {
     /// The worker pool failed outside the per-run isolation guard.
     Pool(String),
-    /// The checkpoint manifest could not be opened, validated, or written.
-    Manifest(ManifestError),
 }
 
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepError::Pool(m) => write!(f, "worker pool failure: {m}"),
-            SweepError::Manifest(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for SweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SweepError::Pool(_) => None,
-            SweepError::Manifest(e) => Some(e),
-        }
-    }
-}
-
-impl From<ManifestError> for SweepError {
-    fn from(e: ManifestError) -> Self {
-        SweepError::Manifest(e)
-    }
-}
+impl std::error::Error for SweepError {}
 
 /// Domain tags keeping the workload and control seed families disjoint.
 const WORKLOAD_DOMAIN: u64 = 1;
@@ -363,8 +314,8 @@ fn run_point(
 
 /// Run every replication of every point of `spec` and collect the results
 /// (ordered by series, then mpl, regardless of completion order). Failed
-/// runs become [`PointFailure`] holes; only a supervisor-level fault
-/// (worker pool, checkpoint manifest) aborts the sweep.
+/// runs become [`PointFailure`] holes; only a worker-pool fault aborts the
+/// sweep.
 ///
 /// # Errors
 /// Returns [`SweepError`] on supervisor-level faults.
@@ -375,14 +326,12 @@ pub fn run_experiment(
     run_experiment_supervised(spec, opts, &SweepControl::default())
 }
 
-/// [`run_experiment`] with explicit supervisor controls: checkpointing,
-/// resume, cooperative interruption, and (with feature `chaos`) fault
-/// injection.
+/// [`run_experiment`] with explicit supervisor controls: progress
+/// streaming and (with feature `chaos`) fault injection.
 ///
 /// # Errors
-/// Returns [`SweepError`] on supervisor-level faults — a manifest that
-/// cannot be opened/validated/written, or a worker-pool failure outside
-/// the per-run isolation guard.
+/// Returns [`SweepError`] when a worker thread fails outside the per-run
+/// isolation guard.
 pub fn run_experiment_supervised(
     spec: &ExperimentSpec,
     opts: &RunOptions,
@@ -390,25 +339,6 @@ pub fn run_experiment_supervised(
 ) -> Result<ExperimentResult, SweepError> {
     let metrics = opts.fidelity.metrics();
     let reps = opts.replications.max(1);
-
-    let mut manifest = match ctl.checkpoint {
-        Some(path) => Some(Manifest::open(path, spec, opts, ctl.resume)?),
-        None => None,
-    };
-    let done: HashSet<(usize, u32, u32)> = manifest
-        .as_ref()
-        .map(Manifest::completed)
-        .unwrap_or_default();
-    // Journaled runs enter the collection exactly as if they had just run.
-    let mut collected: Vec<(usize, u32, u32, Report, Vec<String>)> = manifest
-        .as_ref()
-        .map(|m| {
-            m.entries()
-                .iter()
-                .map(|e| (e.series_ix, e.mpl, e.rep, e.report.clone(), e.audit.clone()))
-                .collect()
-        })
-        .unwrap_or_default();
     let jobs: Vec<(usize, u32, u32)> = spec
         .series
         .iter()
@@ -418,7 +348,6 @@ pub fn run_experiment_supervised(
                 .iter()
                 .flat_map(move |&mpl| (0..reps).map(move |rep| (si, mpl, rep)))
         })
-        .filter(|coord| !done.contains(coord))
         .collect();
 
     let threads = if opts.threads == 0 {
@@ -435,38 +364,23 @@ pub fn run_experiment_supervised(
 
     let (job_tx, job_rx) = channel::unbounded::<(usize, u32, u32)>();
     let (res_tx, res_rx) = channel::unbounded::<PointMsg>();
-    let mut interrupted = false;
-    // An interrupt raised before the sweep starts abandons the whole queue
-    // (checked here, before any sweep thread starts, so no run can slip
-    // through).
-    if ctl.interrupt.is_some_and(|f| f.load(Ordering::Relaxed)) {
-        interrupted = true;
-    } else {
-        for job in &jobs {
-            job_tx.send(*job).expect("queueing jobs");
-        }
+    for job in &jobs {
+        job_tx.send(*job).expect("queueing jobs");
     }
     drop(job_tx);
 
-    let cancel = AtomicBool::new(false);
+    let mut collected: Vec<(usize, u32, u32, Report, Vec<String>)> = Vec::new();
     let mut failures_raw: Vec<(usize, u32, u32, FailureKind, String)> = Vec::new();
-    let mut manifest_err: Option<ManifestError> = None;
-    let mut newly_completed: u64 = 0;
 
     let pool = crossbeam::scope(|s| {
         for _ in 0..threads {
             let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
-            let cancel = &cancel;
-            let spec_ref = &*spec;
             s.spawn(move |_| {
-                while !cancel.load(Ordering::Relaxed) {
-                    let Ok((si, mpl, rep)) = job_rx.recv() else {
-                        break;
-                    };
-                    let outcome = run_point(spec_ref, opts, si, mpl, rep, chaos);
+                for (series_ix, mpl, rep) in &job_rx {
+                    let outcome = run_point(spec, opts, series_ix, mpl, rep, chaos);
                     let msg = PointMsg {
-                        series_ix: si,
+                        series_ix,
                         mpl,
                         rep,
                         outcome,
@@ -479,63 +393,26 @@ pub fn run_experiment_supervised(
         }
         drop(res_tx);
 
-        // Supervisor drain loop (runs on the calling thread): journal
-        // completions, record failures, honor stop requests. A stop lets
-        // in-flight runs finish (and journals them) but abandons the
-        // queue.
-        let stop = |interrupted: &mut bool| {
-            *interrupted = true;
-            cancel.store(true, Ordering::Relaxed);
-            while job_rx.try_recv().is_some() {}
-        };
-        while let Ok(PointMsg {
+        // Supervisor drain loop (runs on the calling thread): stream each
+        // settled coordinate, then file it as a completion or a hole.
+        for PointMsg {
             series_ix,
             mpl,
             rep,
             outcome,
-        }) = res_rx.recv()
+        } in &res_rx
         {
-            let progress = |report| {
-                if let Some(cb) = ctl.progress {
-                    cb(PointProgress {
-                        series_ix,
-                        mpl,
-                        rep,
-                        report,
-                    });
-                }
-            };
-            match outcome {
-                // A completed run is journaled and counts toward
-                // stop_after; a hole is neither, so a resume re-runs it.
-                Ok((report, audit)) => {
-                    if let Some(m) = manifest.as_mut() {
-                        if let Err(e) = m.record(ManifestEntry {
-                            series_ix,
-                            mpl,
-                            rep,
-                            audit: audit.clone(),
-                            report: report.clone(),
-                        }) {
-                            if manifest_err.is_none() {
-                                manifest_err = Some(ManifestError::Io(e));
-                                stop(&mut interrupted);
-                            }
-                        }
-                    }
-                    newly_completed += 1;
-                    progress(Some(&report));
-                    collected.push((series_ix, mpl, rep, report, audit));
-                }
-                Err((kind, detail)) => {
-                    progress(None);
-                    failures_raw.push((series_ix, mpl, rep, kind, detail));
-                }
+            if let Some(cb) = ctl.progress {
+                cb(PointProgress {
+                    series_ix,
+                    mpl,
+                    rep,
+                    report: outcome.as_ref().ok().map(|(report, _)| report),
+                });
             }
-            let stop_hit = ctl.stop_after.is_some_and(|k| newly_completed >= k);
-            let intr_hit = ctl.interrupt.is_some_and(|f| f.load(Ordering::Relaxed));
-            if (stop_hit || intr_hit) && !cancel.load(Ordering::Relaxed) {
-                stop(&mut interrupted);
+            match outcome {
+                Ok((report, audit)) => collected.push((series_ix, mpl, rep, report, audit)),
+                Err((kind, detail)) => failures_raw.push((series_ix, mpl, rep, kind, detail)),
             }
         }
     });
@@ -543,9 +420,6 @@ pub fn run_experiment_supervised(
         return Err(SweepError::Pool(
             "a worker thread died outside the per-run isolation guard".to_string(),
         ));
-    }
-    if let Some(e) = manifest_err {
-        return Err(SweepError::Manifest(e));
     }
 
     collected.sort_by_key(|(si, mpl, rep, _, _)| (*si, *mpl, *rep));
@@ -583,11 +457,8 @@ pub fn run_experiment_supervised(
         points,
         audit_failures,
         failures,
-        interrupted,
-        warnings: manifest
-            .as_ref()
-            .map(|m| m.warnings().to_vec())
-            .unwrap_or_default(),
+        interrupted: false,
+        warnings: Vec::new(),
     })
 }
 
@@ -802,27 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn stop_after_marks_result_interrupted() {
-        let spec = tiny_spec();
-        let ctl = SweepControl {
-            stop_after: Some(2),
-            ..SweepControl::default()
-        };
-        let result = run_experiment_supervised(
-            &spec,
-            &RunOptions {
-                threads: 1,
-                ..tiny_opts()
-            },
-            &ctl,
-        )
-        .expect("sweep stops cleanly");
-        assert!(result.interrupted);
-        assert!(result.points.len() < spec.num_runs());
-        assert!(!result.points.is_empty());
-    }
-
-    #[test]
     fn progress_streams_every_settled_point() {
         use std::sync::Mutex;
         type Seen = (usize, u32, u32, bool);
@@ -835,26 +685,13 @@ mod tests {
         };
         let ctl = SweepControl {
             progress: Some(&cb),
-            ..SweepControl::default()
+            #[cfg(feature = "chaos")]
+            chaos: None,
         };
         let result = run_experiment_supervised(&spec, &tiny_opts(), &ctl).expect("sweep completes");
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), spec.num_runs());
         assert!(seen.iter().all(|&(.., ok)| ok));
         assert_eq!(result.points.len(), spec.num_runs());
-    }
-
-    #[test]
-    fn preset_interrupt_flag_stops_before_any_run() {
-        let spec = tiny_spec();
-        let flag = AtomicBool::new(true);
-        let ctl = SweepControl {
-            interrupt: Some(&flag),
-            ..SweepControl::default()
-        };
-        let result =
-            run_experiment_supervised(&spec, &tiny_opts(), &ctl).expect("sweep stops cleanly");
-        assert!(result.interrupted);
-        assert!(result.points.is_empty());
     }
 }

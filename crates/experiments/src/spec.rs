@@ -167,24 +167,13 @@ pub enum FailureKind {
 }
 
 impl FailureKind {
-    /// Stable lowercase token used in JSON and the manifest.
+    /// Stable lowercase token used in JSON and the rendered hole list.
     #[must_use]
     pub fn token(self) -> &'static str {
         match self {
             FailureKind::Panic => "panic",
             FailureKind::Budget => "budget",
             FailureKind::Config => "config",
-        }
-    }
-
-    /// Parse the token written by [`FailureKind::token`].
-    #[must_use]
-    pub fn from_token(s: &str) -> Option<Self> {
-        match s {
-            "panic" => Some(FailureKind::Panic),
-            "budget" => Some(FailureKind::Budget),
-            "config" => Some(FailureKind::Config),
-            _ => None,
         }
     }
 }
@@ -236,14 +225,14 @@ pub struct ExperimentResult {
     /// whose every replication failed has no [`DataPoint`] at all; one
     /// where only some failed aggregates the replications that ran.
     pub failures: Vec<PointFailure>,
-    /// True when the sweep was stopped early (ctrl-C or a supervisor stop
-    /// request) — remaining points were never attempted.
+    /// Always `false`: the supervisor runs every queued point and has no
+    /// way to stop a sweep early. Nothing in this crate reads it; it stays
+    /// only so that code outside the workspace that builds or reads a result
+    /// by field name (the `ccbench` benchmark) keeps compiling.
     pub interrupted: bool,
-    /// Non-fatal anomalies noticed by the supervisor (for now: a
-    /// discarded truncated checkpoint-manifest entry). Advisory only —
-    /// deliberately **not** serialized by [`crate::json::to_json`], so a
-    /// resumed sweep's output stays byte-identical to an uninterrupted
-    /// one. Callers should surface these to the user.
+    /// Always empty: the supervisor has no advisory notes to give. Kept,
+    /// like `interrupted`, only for code that builds a result by field
+    /// name.
     pub warnings: Vec<String>,
 }
 
@@ -296,11 +285,10 @@ impl ExperimentResult {
             .map(|p| p.replicates.iter().map(|r| r.throughput.mean).collect())
     }
 
-    /// True when every attempted run succeeded and the sweep ran to the
-    /// end of its grid.
+    /// True when every run of the grid succeeded.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.failures.is_empty() && !self.interrupted
+        self.failures.is_empty()
     }
 
     /// `(series, mpl)` coordinates that have no data point at all — every
@@ -371,14 +359,6 @@ mod tests {
     #[test]
     fn num_runs_is_grid_size() {
         assert_eq!(demo_spec().num_runs(), 6);
-    }
-
-    #[test]
-    fn failure_kinds_round_trip_their_tokens() {
-        for k in [FailureKind::Panic, FailureKind::Budget, FailureKind::Config] {
-            assert_eq!(FailureKind::from_token(k.token()), Some(k));
-        }
-        assert_eq!(FailureKind::from_token("bogus"), None);
     }
 
     #[test]

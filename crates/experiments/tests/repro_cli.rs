@@ -1,5 +1,6 @@
 //! `repro` at its command-line surface: `--help` and `-h` print the usage
-//! and exit 0, and the usage lists no retry flag.
+//! and exit 0, the usage lists no retry or resume flag, and those retired
+//! flags are rejected like any other unknown flag.
 
 use std::process::{Command, Output};
 
@@ -16,23 +17,28 @@ fn help_prints_usage_and_exits_zero() {
         let out = repro(&["exp3", flag]);
         assert_eq!(out.status.code(), Some(0), "{flag}");
         let usage = String::from_utf8(out.stdout).expect("utf-8 usage");
-        assert!(usage.contains("--resume"), "{flag}: {usage}");
+        assert!(usage.contains("--out <dir>"), "{flag}: {usage}");
         assert!(usage.contains("-h, --help"), "{flag}: {usage}");
-        assert!(
-            !usage.contains("retr"),
-            "{flag} lists a retry flag: {usage}"
-        );
+        for retired in ["retr", "resum"] {
+            assert!(!usage.contains(retired), "{flag} lists {retired}: {usage}");
+        }
         assert!(out.stderr.is_empty(), "{flag} started a sweep");
     }
 }
 
 #[test]
 fn unknown_flag_exits_two_and_points_at_help() {
-    let out = repro(&["--retries", "3"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown flag --retries (see --help)"),
-        "{stderr}"
-    );
+    for (args, flag) in [
+        (&["--retries", "3"][..], "--retries"),
+        (&["exp3", "--quick", "--resume"], "--resume"),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} (see --help)")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} started a sweep");
+    }
 }

@@ -41,7 +41,6 @@ fn injected_worker_panic_is_loud_and_leaves_a_typed_hole() {
     };
     let holed = run_experiment_supervised(&spec, &opts(4), &ctl).expect("sweep survives");
     assert!(!holed.is_clean(), "chaos sweep reported itself clean");
-    assert!(!holed.interrupted, "a worker panic interrupted the sweep");
     assert_eq!(holed.failures.len(), 1, "exactly one point should fail");
     let f = &holed.failures[0];
     assert_eq!(f.kind, FailureKind::Panic, "wrong failure kind: {f}");
