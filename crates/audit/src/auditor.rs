@@ -62,7 +62,7 @@ impl std::fmt::Display for Violation {
 /// The auditor's findings over one run.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Recorded violations, in detection order (capped at [`MAX_RECORDED`]).
+    /// Recorded violations, in detection order (capped at `MAX_RECORDED`).
     pub violations: Vec<Violation>,
     /// Total violations detected, including any beyond the recording cap.
     pub total: u64,

@@ -98,12 +98,6 @@ pub struct SimConfig {
     /// algorithm-vs-algorithm comparisons. When `None`, every stream
     /// derives from `seed` exactly as before.
     pub workload_seed: Option<u64>,
-    /// Elide the calendar hop for resource requests that find an idle
-    /// server (the uncontended fast path). On by default: the elision is a
-    /// pure cost optimization — the event sequence, all accounting, and
-    /// every report are byte-identical either way. The switch exists so
-    /// determinism tests can prove exactly that by forcing it off.
-    pub elide_uncontended: bool,
     /// Use the two-tier event calendar (near-horizon lane + overflow
     /// heap). On by default; off routes every event through the heap — the
     /// single-tier baseline. Delivery order, and therefore every report,
@@ -128,7 +122,6 @@ impl SimConfig {
             restart_delay_for_all: false,
             seed: 0x5EED_CC85,
             workload_seed: None,
-            elide_uncontended: true,
             two_tier_calendar: true,
             metrics: MetricsConfig::paper(),
             budget: RunBudget::default(),
@@ -167,14 +160,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Builder-style toggle for the uncontended fast path (see
-    /// [`SimConfig::elide_uncontended`]).
-    #[must_use]
-    pub fn with_elision(mut self, elide: bool) -> Self {
-        self.elide_uncontended = elide;
         self
     }
 

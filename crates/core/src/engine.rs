@@ -75,14 +75,9 @@ pub(crate) enum DelayKind {
 pub(crate) enum Event {
     /// A terminal submits a new transaction.
     Arrive(usize),
-    /// A CPU server finished its current request.
-    CpuDone(usize),
-    /// A disk finished its current request.
-    DiskDone(usize),
-    /// A CPU completion whose request/dispatch hop was elided because the
-    /// server was idle at submit time; the payload rides in the event
-    /// instead of the pool (see `ServerPool::try_submit_direct`).
-    CpuDoneFast {
+    /// A CPU server finished a request; the request rides in the event
+    /// (the pool holds only queued requests).
+    CpuDone {
         /// Server the request occupied.
         server: u32,
         /// Submitting terminal.
@@ -90,9 +85,8 @@ pub(crate) enum Event {
         /// Attempt epoch (stale completions are dropped by comparison).
         epoch: u32,
     },
-    /// A disk completion whose request/dispatch hop was elided (the disk
-    /// was idle at submit time); payload rides in the event.
-    DiskDoneFast {
+    /// A disk finished an I/O; the request rides in the event.
+    DiskDone {
         /// Disk the I/O occupied.
         disk: u32,
         /// Submitting terminal.
@@ -116,10 +110,8 @@ impl Event {
     fn term(self) -> Option<usize> {
         match self {
             Event::Arrive(term) | Event::InfDone(term, _) | Event::Delay(term, ..) => Some(term),
-            Event::CpuDoneFast { term, .. } | Event::DiskDoneFast { term, .. } => {
-                Some(term as usize)
-            }
-            Event::CpuDone(_) | Event::DiskDone(_) | Event::BatchEnd => None,
+            Event::CpuDone { term, .. } | Event::DiskDone { term, .. } => Some(term as usize),
+            Event::BatchEnd => None,
         }
     }
 }
@@ -223,10 +215,10 @@ pub struct Simulator {
     blocker_buf: Vec<TxnId>,
     /// Events handled so far (the run's total once the loop finishes).
     events: u64,
-    /// CPU request/dispatch hops elided by the idle-server fast path.
-    elided_cpu: u64,
-    /// Disk request/dispatch hops elided by the idle-server fast path.
-    elided_disk: u64,
+    /// CPU requests that found a server idle and started at submit.
+    started_cpu: u64,
+    /// Disk requests that found their disk idle and started at submit.
+    started_disk: u64,
     /// Wall-clock time spent in the event loop.
     run_wall: std::time::Duration,
     /// Per-stage cycle accounting over the event loop. Zero-sized with
@@ -252,9 +244,11 @@ pub struct PerfStats {
     /// Calendar operation counters: schedules, pops, and the near-lane vs
     /// overflow-heap split (`cancels` is always 0).
     pub calendar: CalendarStats,
-    /// CPU request/dispatch hops elided by the idle-server fast path.
+    /// CPU requests that found a server idle and started at submit, never
+    /// queueing.
     pub elided_cpu_hops: u64,
-    /// Disk request/dispatch hops elided by the idle-server fast path.
+    /// Disk requests that found their disk idle and started at submit,
+    /// never queueing.
     pub elided_disk_hops: u64,
 }
 
@@ -352,8 +346,8 @@ impl Simulator {
             grant_buf: Vec::new(),
             blocker_buf: Vec::new(),
             events: 0,
-            elided_cpu: 0,
-            elided_disk: 0,
+            started_cpu: 0,
+            started_disk: 0,
             run_wall: std::time::Duration::ZERO,
             prof: StageProfiler::new(),
             cfg,
@@ -462,8 +456,8 @@ impl Simulator {
                 peak_calendar: self.cal.peak_len(),
                 peak_lock_table: self.lockmgr.peak_locks_in_table(),
                 calendar: self.cal.stats(),
-                elided_cpu_hops: self.elided_cpu,
-                elided_disk_hops: self.elided_disk,
+                elided_cpu_hops: self.started_cpu,
+                elided_disk_hops: self.started_disk,
             },
             stages: self.prof.report(),
         }
@@ -524,53 +518,23 @@ impl Simulator {
                 self.on_arrive(term, now);
             }
             Event::BatchEnd => self.on_batch_end(now),
-            Event::CpuDone(server) => {
-                let (payload, next) = self
-                    .cpus
-                    .as_mut()
-                    .expect("CpuDone without CPU pool")
-                    .complete(now, server);
-                if let Some(s) = next {
-                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
-                }
-                self.service_done(payload, ServiceKind::Cpu, now);
-            }
-            Event::DiskDone(disk) => {
-                let (payload, next) = self
-                    .disks
-                    .as_mut()
-                    .expect("DiskDone without disk array")
-                    .complete(now, disk);
-                if let Some(s) = next {
-                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
-                }
-                self.service_done(payload, ServiceKind::Io, now);
-            }
-            Event::CpuDoneFast {
+            Event::CpuDone {
                 server,
                 term,
                 epoch,
             } => {
-                // A request dequeued behind a direct service carries a
-                // payload and retires through the classic event.
-                if let Some(s) = self
-                    .cpus
-                    .as_mut()
-                    .expect("CpuDoneFast without CPU pool")
-                    .complete_direct(now, server as usize)
-                {
-                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
+                let pool = self.cpus.as_mut().expect("CpuDone without CPU pool");
+                if let Some((s, (next_term, next_epoch))) = pool.complete(now, server as usize) {
+                    self.cal
+                        .schedule(s.completes_at, cpu_done(s.server, next_term, next_epoch));
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Cpu, now);
             }
-            Event::DiskDoneFast { disk, term, epoch } => {
-                if let Some(s) = self
-                    .disks
-                    .as_mut()
-                    .expect("DiskDoneFast without disk array")
-                    .complete_direct(now, disk as usize)
-                {
-                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
+            Event::DiskDone { disk, term, epoch } => {
+                let array = self.disks.as_mut().expect("DiskDone without disk array");
+                if let Some((s, (next_term, next_epoch))) = array.complete(now, disk as usize) {
+                    self.cal
+                        .schedule(s.completes_at, disk_done(s.disk, next_term, next_epoch));
                 }
                 self.service_done((term as usize, epoch), ServiceKind::Io, now);
             }
@@ -927,14 +891,8 @@ impl Simulator {
                     self.submit_run(term, epoch, now);
                     return;
                 }
-                Step::ReadIo(i) => {
-                    let obj = self.arena.read_at(term, i);
-                    self.submit_io(term, obj, epoch, now);
-                    return;
-                }
-                Step::UpdateIo(j) => {
-                    let obj = self.arena.write_obj_at(term, j);
-                    self.submit_io(term, obj, epoch, now);
+                Step::ReadIo(_) | Step::UpdateIo(_) => {
+                    self.submit_io(term, epoch, now);
                     return;
                 }
                 Step::ReadCpu(_) | Step::WriteCpu(_) => {
@@ -1574,15 +1532,14 @@ impl Simulator {
         txn.state = TxnState::AtTerminal;
 
         // Basic T/O applies its buffered writes now, before the commit is
-        // announced: the Thomas write rule may skip stale ones, and only
-        // the applied ones are published.
-        let (tso_woken, tso_applied) = if self.cfg.algorithm == CcAlgorithm::BasicTO {
+        // announced.
+        let tso_woken = if self.cfg.algorithm == CcAlgorithm::BasicTO {
             self.tso.commit(tid, ts)
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         if self.observed {
-            self.emit_commit_facts(term, &tso_applied, commit_at);
+            self.emit_commit_facts(term, commit_at);
         }
         self.emit(now, TraceEvent::Commit(tid));
         if self.cfg.algorithm == CcAlgorithm::MvccSi {
@@ -1622,20 +1579,14 @@ impl Simulator {
     }
 
     /// Announce what `term`'s commit publishes, directly before its
-    /// `Commit`: one `Publish` per write — under basic T/O the writes the
-    /// Thomas write rule applied, `tso_applied`; otherwise the whole write
-    /// set — then the `CommitPoint` at `commit_at`.
+    /// `Commit`: one `Publish` per write, then the `CommitPoint` at
+    /// `commit_at`.
     #[cold]
-    fn emit_commit_facts(&mut self, term: usize, tso_applied: &[ObjId], commit_at: SimTime) {
+    fn emit_commit_facts(&mut self, term: usize, commit_at: SimTime) {
         let tid = self.arena.get(term).expect("live txn").id;
         let mut writes = std::mem::take(&mut self.ws_scratch);
         self.arena.write_set_into(term, &mut writes);
-        let published = if self.cfg.algorithm == CcAlgorithm::BasicTO {
-            tso_applied
-        } else {
-            &writes
-        };
-        for &obj in published {
+        for &obj in &writes {
             self.emit_observed(self.now, TraceEvent::Publish(tid, obj));
         }
         self.ws_scratch = writes;
@@ -1684,39 +1635,21 @@ impl Simulator {
                 self.cal.schedule(now + dur, Event::InfDone(term, epoch));
             }
             Some(pool) => {
-                // Uncontended fast path: an idle server means the request
-                // starts now with identical accounting, so the completion
-                // can carry the payload itself and the pool stores none.
-                if self.cfg.elide_uncontended {
-                    if let Some(s) = pool.try_submit_direct(now, dur) {
-                        self.elided_cpu += 1;
-                        self.cal.schedule(
-                            s.completes_at,
-                            Event::CpuDoneFast {
-                                server: s.server as u32,
-                                term: term as u32,
-                                epoch,
-                            },
-                        );
-                        return;
-                    }
-                }
-                if let Some(s) = pool.submit(
-                    now,
-                    Request {
-                        payload: (term, epoch),
-                        duration: dur,
-                        priority: prio,
-                    },
-                ) {
-                    self.cal.schedule(s.completes_at, Event::CpuDone(s.server));
+                let req = Request {
+                    payload: (term, epoch),
+                    duration: dur,
+                    priority: prio,
+                };
+                if let Some(s) = pool.submit(now, req) {
+                    self.started_cpu += 1;
+                    self.cal
+                        .schedule(s.completes_at, cpu_done(s.server, term, epoch));
                 }
             }
         }
     }
 
-    fn submit_io(&mut self, term: usize, obj: ObjId, epoch: u32, now: SimTime) {
-        let _ = obj;
+    fn submit_io(&mut self, term: usize, epoch: u32, now: SimTime) {
         let dur = self.cfg.params.obj_io;
         match &mut self.disks {
             None => unreachable!("I/O under infinite resources goes through submit_run"),
@@ -1729,22 +1662,10 @@ impl Simulator {
                 // transaction that touches it — a self-sustaining convoy
                 // the paper's model cannot form.
                 let disk = self.disk_pick.sample(&mut self.disk_rng) as usize;
-                if self.cfg.elide_uncontended {
-                    if let Some(s) = array.try_submit_direct(now, disk, dur) {
-                        self.elided_disk += 1;
-                        self.cal.schedule(
-                            s.completes_at,
-                            Event::DiskDoneFast {
-                                disk: s.disk as u32,
-                                term: term as u32,
-                                epoch,
-                            },
-                        );
-                        return;
-                    }
-                }
                 if let Some(s) = array.submit(now, disk, (term, epoch), dur) {
-                    self.cal.schedule(s.completes_at, Event::DiskDone(s.disk));
+                    self.started_disk += 1;
+                    self.cal
+                        .schedule(s.completes_at, disk_done(s.disk, term, epoch));
                 }
             }
         }
@@ -1810,6 +1731,24 @@ impl Simulator {
             .get(term)
             .expect("terminal has no active transaction");
         matches!(self.arena.step(term), Step::UpdateIo(_) | Step::Commit)
+    }
+}
+
+/// The completion event of a CPU request from `term`'s attempt `epoch`.
+fn cpu_done(server: usize, term: usize, epoch: u32) -> Event {
+    Event::CpuDone {
+        server: server as u32,
+        term: term as u32,
+        epoch,
+    }
+}
+
+/// The completion event of an I/O from `term`'s attempt `epoch`.
+fn disk_done(disk: usize, term: usize, epoch: u32) -> Event {
+    Event::DiskDone {
+        disk: disk as u32,
+        term: term as u32,
+        epoch,
     }
 }
 

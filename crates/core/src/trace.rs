@@ -76,9 +76,8 @@ pub enum TraceEvent {
     /// infinite-resource service-run event applies several reads whose
     /// instants lie before it.
     Read(TxnId, ObjId, SimTime),
-    /// A write the committing transaction publishes (under basic T/O, only
-    /// the writes the Thomas write rule applies). Emitted just before the
-    /// transaction's `CommitPoint`.
+    /// A write the committing transaction publishes. Emitted just before
+    /// the transaction's `CommitPoint`.
     Publish(TxnId, ObjId),
     /// The commit point: the instant the transaction's writes became
     /// visible (its validation, or TicToc's logical commit timestamp), else

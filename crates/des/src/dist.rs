@@ -71,7 +71,7 @@ const DIST_BLOCK: usize = 16;
 /// serves variates from the buffer.
 ///
 /// Because the refill consumes words from the stream in order and converts
-/// each with the same [`exp_micros_from_word`] the scalar path uses, the
+/// each with the same `exp_micros_from_word` the scalar path uses, the
 /// variate sequence is bit-identical to calling
 /// [`sample_exponential`] per draw — provided this block is the stream's
 /// sole consumer (otherwise the prefetch would reorder draws across

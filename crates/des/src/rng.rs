@@ -160,7 +160,7 @@ impl RandomSource for Xoshiro256StarStar {
 const RNG_BLOCK: usize = 16;
 
 /// A [`Xoshiro256StarStar`] behind a refill buffer: raw words are produced
-/// [`RNG_BLOCK`] at a time in one tight loop and served from the buffer.
+/// `RNG_BLOCK` at a time in one tight loop and served from the buffer.
 ///
 /// Buffering changes *when* words are generated, never their order, so
 /// every draw derived through [`RandomSource`] is bit-identical to the same

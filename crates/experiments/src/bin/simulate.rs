@@ -363,7 +363,7 @@ fn append_perf(text: &mut String, perf: &PerfStats) {
     );
     let _ = writeln!(
         text,
-        "  elided hops      {} cpu, {} disk (uncontended fast path)",
+        "  idle starts      {} cpu, {} disk (started at submit, never queued)",
         perf.elided_cpu_hops, perf.elided_disk_hops
     );
 }

@@ -5,8 +5,8 @@
 //! worker (exercising `catch_unwind` isolation) or by shrinking the run's
 //! budget to a few events (exercising the engine's
 //! [`ccsim_core::RunError::BudgetExhausted`] path). A sweep runs each
-//! coordinate once, so the fault always lands; resuming the sweep without
-//! the fault re-runs the hole and must converge on the clean result.
+//! coordinate once, so the fault always lands; a fresh run of the sweep
+//! without the fault fills the hole and must equal the clean result.
 //! Injection is coordinate-keyed, never time- or scheduling-keyed, so chaos
 //! runs are exactly reproducible.
 //!

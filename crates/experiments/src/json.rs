@@ -3,10 +3,11 @@
 //! The approved dependency list has `serde` but no `serde_json`, and our
 //! output is a fixed shape, so a ~hundred-line emitter keeps the tree small
 //! and honest. A small recursive-descent parser reads archived results
-//! back, for tests and tools that inspect `results/*.json`. It reads no
-//! `NaN` or `inf` lexeme: the writer turns non-finite floats into `null`,
-//! so none is ever written. Numbers are kept as raw lexemes so `u64` seeds
-//! and bit-exact `f64` round trips both survive.
+//! back, for tests and tools that inspect `results/*.json`. It reads
+//! numbers by RFC 8259's grammar and only finite ones, so no `NaN`, `inf`
+//! or `1e999`: the writer turns non-finite floats into `null`, so none is
+//! ever written. Numbers are kept as raw lexemes so `u64` seeds and
+//! bit-exact `f64` round trips both survive.
 
 use std::fmt::Write as _;
 
@@ -416,22 +417,48 @@ impl Parser<'_> {
         }
     }
 
+    /// One number by the grammar of RFC 8259 §6: an optional minus, `0`
+    /// or a non-zero digit followed by digits, an optional fraction with
+    /// digits after the point, and an optional exponent. Its value must be
+    /// finite.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits()?,
+            _ => return Err(format!("expected a value at offset {start}")),
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+        }
+        let raw = &self.src[start..self.pos];
+        match raw.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Value::Num(raw.to_string())),
+            _ => Err(format!("number {raw:?} at offset {start} is not finite")),
+        }
+    }
+
+    /// Consume a run of at least one digit.
+    fn digits(&mut self) -> Result<(), String> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
         if self.pos == start {
-            return Err(format!("expected a value at offset {start}"));
+            return Err(format!("expected a digit at offset {start}"));
         }
-        let raw = self.src[start..self.pos].to_string();
-        // Validate the lexeme parses as a float at all.
-        raw.parse::<f64>()
-            .map_err(|e| format!("bad number {raw:?}: {e}"))?;
-        Ok(Value::Num(raw))
+        Ok(())
     }
 }
 
@@ -662,6 +689,19 @@ mod tests {
         assert!(parse("bogus").is_err());
         assert!(parse("\"\\u+041\"").is_err(), "signed \\u escape");
         assert!(parse("\"\\u04\"").is_err(), "short \\u escape");
+    }
+
+    #[test]
+    fn parser_accepts_only_rfc8259_numbers() {
+        for doc in [
+            "+1", "01", ".5", "1.", "[1,+2]", "1e999", "-", "1e", "--1", "-01",
+        ] {
+            assert!(parse(doc).is_err(), "{doc:?} is not a JSON number");
+        }
+        for doc in ["0", "-0", "0.5", "1e-7", "1E+2", "-12.5e3"] {
+            let v = parse(doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+            assert_eq!(v, Value::Num(doc.to_string()));
+        }
     }
 
     #[test]

@@ -720,7 +720,7 @@ impl LockManager {
     ///
     /// A cycle through `txn` needs an edge into it, so the search runs only
     /// when some other transaction could wait for `txn` (see
-    /// [`LockManager::may_be_waited_for`]); otherwise the answer is `None`
+    /// `LockManager::may_be_waited_for`); otherwise the answer is `None`
     /// without it. The search reuses buffers kept in the manager and marks
     /// visited transactions by slot, so a probe allocates only the cycle
     /// it returns.

@@ -2,14 +2,13 @@
 //!
 //! "Our I/O model is that of a partitioned database, where the data in the
 //! database is spread out across all of the disks. There is a queue
-//! associated with each of the I/O servers." (paper §3). Objects map to
-//! disks statically (`object_id mod num_disks`), which — because the
-//! workload draws objects uniformly — is statistically identical to the
-//! paper's uniform random disk choice while keeping runs deterministic.
+//! associated with each of the I/O servers." (paper §3). The caller picks
+//! the disk for each request; the simulator draws it uniformly at random,
+//! as the paper does.
 
 use ccsim_des::{SimDuration, SimTime};
 
-use crate::pool::{Priority, Request, ServerPool, Started};
+use crate::pool::{Priority, Request, ServerPool};
 
 /// An array of single-server FCFS disks.
 #[derive(Debug)]
@@ -45,14 +44,9 @@ impl<T> DiskArray<T> {
         self.disks.len()
     }
 
-    /// The disk that stores `object_id` (static partitioning).
-    #[must_use]
-    pub fn route(&self, object_id: u64) -> usize {
-        (object_id % self.disks.len() as u64) as usize
-    }
-
     /// Submit an I/O of `duration` for `payload` to `disk`. Returns the
-    /// completion time if the disk was idle, `None` if queued.
+    /// completion time if the disk was idle (the caller keeps the
+    /// payload), `None` if queued.
     pub fn submit(
         &mut self,
         now: SimTime,
@@ -69,53 +63,24 @@ impl<T> DiskArray<T> {
                     priority: Priority::Normal,
                 },
             )
-            .map(|s: Started| DiskStarted {
+            .map(|s| DiskStarted {
                 disk,
                 completes_at: s.completes_at,
             })
     }
 
     /// Retire the I/O on `disk`; if another request was queued there it
-    /// starts and its completion time is returned.
-    pub fn complete(&mut self, now: SimTime, disk: usize) -> (T, Option<DiskStarted>) {
-        let (payload, next) = self.disks[disk].complete(now, 0);
-        (
-            payload,
-            next.map(|s| DiskStarted {
-                disk,
-                completes_at: s.completes_at,
-            }),
-        )
-    }
-
-    /// Start an I/O on `disk` immediately **iff** it is idle, without
-    /// storing a payload (the uncontended fast path; retire with
-    /// [`DiskArray::complete_direct`]). Returns `None` — submitting
-    /// nothing — when the disk is busy.
-    pub fn try_submit_direct(
-        &mut self,
-        now: SimTime,
-        disk: usize,
-        duration: SimDuration,
-    ) -> Option<DiskStarted> {
-        self.disks[disk]
-            .try_submit_direct(now, duration)
-            .map(|s| DiskStarted {
-                disk,
-                completes_at: s.completes_at,
-            })
-    }
-
-    /// Retire a payload-less direct I/O on `disk`; if a request was queued
-    /// there it starts and is returned (it carries a payload and retires
-    /// through [`DiskArray::complete`]).
-    pub fn complete_direct(&mut self, now: SimTime, disk: usize) -> Option<DiskStarted> {
-        self.disks[disk]
-            .complete_direct(now, 0)
-            .map(|s| DiskStarted {
-                disk,
-                completes_at: s.completes_at,
-            })
+    /// starts and is returned with its payload.
+    pub fn complete(&mut self, now: SimTime, disk: usize) -> Option<(DiskStarted, T)> {
+        self.disks[disk].complete(now, 0).map(|(s, payload)| {
+            (
+                DiskStarted {
+                    disk,
+                    completes_at: s.completes_at,
+                },
+                payload,
+            )
+        })
     }
 
     /// Total requests waiting across all disk queues.
@@ -161,19 +126,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn routing_is_static_and_covers_all_disks() {
-        let d: DiskArray<()> = DiskArray::new(4);
-        assert_eq!(d.route(0), 0);
-        assert_eq!(d.route(5), 1);
-        assert_eq!(d.route(7), 3);
-        let mut seen = [false; 4];
-        for o in 0..100 {
-            seen[d.route(o)] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn disks_queue_independently() {
         let mut d = DiskArray::new(2);
         let t0 = SimTime::ZERO;
@@ -184,9 +136,8 @@ mod tests {
         assert!(d.submit(t0, 0, 'c', io).is_none());
         assert_eq!(d.queued(), 1);
 
-        let (done, next) = d.complete(SimTime::from_millis(35), 0);
-        assert_eq!(done, 'a');
-        let next = next.unwrap();
+        let (next, started) = d.complete(SimTime::from_millis(35), 0).unwrap();
+        assert_eq!(started, 'c');
         assert_eq!(next.disk, 0);
         assert_eq!(next.completes_at, SimTime::from_millis(70));
         assert_eq!(d.queued(), 0);
@@ -199,33 +150,9 @@ mod tests {
         let io = SimDuration::from_millis(10);
         let a = d.submit(t0, 0, 1, io).unwrap();
         d.submit(t0, 1, 2, io).unwrap();
-        d.complete(a.completes_at, 0);
+        assert!(d.complete(a.completes_at, 0).is_none());
         assert_eq!(d.busy_micros(SimTime::from_millis(10)), 20_000);
         assert_eq!(d.served(), 1);
-    }
-
-    #[test]
-    fn direct_path_interleaves_with_classic() {
-        let mut d = DiskArray::new(2);
-        let t0 = SimTime::ZERO;
-        let io = SimDuration::from_millis(35);
-        let a = d.try_submit_direct(t0, 0, io).expect("idle disk starts");
-        assert_eq!(a.completes_at, SimTime::from_millis(35));
-        // Busy disk declines the direct path; a classic submit queues.
-        assert!(d.try_submit_direct(t0, 0, io).is_none());
-        assert!(d.submit(t0, 0, 'q', io).is_none());
-        assert_eq!(d.queued(), 1);
-        // Retiring the direct I/O starts the queued classic one.
-        let next = d
-            .complete_direct(a.completes_at, 0)
-            .expect("queued I/O starts");
-        assert_eq!(next.disk, 0);
-        assert_eq!(next.completes_at, SimTime::from_millis(70));
-        let (done, none) = d.complete(next.completes_at, 0);
-        assert_eq!(done, 'q');
-        assert!(none.is_none());
-        assert_eq!(d.served(), 2);
-        assert_eq!(d.total_wait_us(), 35_000);
     }
 
     #[test]
@@ -242,9 +169,9 @@ mod tests {
         let a = d.submit(t0, 0, 1, io).unwrap();
         assert!(d.submit(t0, 0, 2, io).is_none()); // waits 10 ms on disk 0
         d.submit(t0, 1, 3, io).unwrap();
-        let (_, next) = d.complete(a.completes_at, 0);
-        let next = next.unwrap();
-        d.complete(next.completes_at, 0);
+        let (next, started) = d.complete(a.completes_at, 0).unwrap();
+        assert_eq!(started, 2);
+        assert!(d.complete(next.completes_at, 0).is_none());
         let end = SimTime::from_millis(20);
         assert_eq!(d.total_wait_us(), 10_000);
         assert_eq!(d.queue_integral_us(end), 10_000);

@@ -6,10 +6,13 @@
 //! concurrency control requests have priority over all other service
 //! requests." A pool of size 1 also serves as a single disk server.
 //!
-//! The pool is *passive*: it never schedules events itself. `submit` either
-//! starts service (returning the completion time for the caller to put on
-//! its event calendar) or queues the request; `complete` retires a finished
-//! request and, if work is waiting, starts the next one on the freed server.
+//! The pool is *passive*: it never schedules events itself, and it holds a
+//! request's payload only while the request waits. `submit` either starts
+//! service, returning the completion time for the caller to put on its
+//! event calendar, or queues the request; `complete` retires a finished
+//! request and, if work is waiting, starts the next one on the freed
+//! server and hands its payload back. A request in service is the
+//! caller's to carry, typically in its completion event.
 
 use std::collections::VecDeque;
 
@@ -27,11 +30,13 @@ pub enum Priority {
     Normal,
 }
 
-/// A service request carrying an opaque payload back to the caller at
-/// completion time.
+/// A service request with an opaque caller payload.
 #[derive(Debug, Clone)]
 pub struct Request<T> {
-    /// Caller context returned by [`ServerPool::complete`].
+    /// Caller context. Dropped by a [`ServerPool::submit`] that starts the
+    /// request at once (the caller keeps its own copy); otherwise held in
+    /// the queue and returned by the [`ServerPool::complete`] that starts
+    /// the request.
     pub payload: T,
     /// Service demand.
     pub duration: SimDuration,
@@ -48,12 +53,9 @@ pub struct Started {
     pub completes_at: SimTime,
 }
 
-/// `payload` is `None` for services started through the payload-less
-/// direct path ([`ServerPool::try_submit_direct`]), where the caller keeps
-/// its own context and retires with [`ServerPool::complete_direct`].
+/// A request in service: only its timing, for busy-time accounting.
 #[derive(Debug)]
-struct InService<T> {
-    payload: Option<T>,
+struct InService {
     started_at: SimTime,
     duration: SimDuration,
 }
@@ -78,7 +80,7 @@ struct Queued<T> {
 /// flow-balance check.
 #[derive(Debug)]
 pub struct ServerPool<T> {
-    servers: Vec<Option<InService<T>>>,
+    servers: Vec<Option<InService>>,
     free: Vec<usize>,
     high: VecDeque<Queued<T>>,
     normal: VecDeque<Queued<T>>,
@@ -146,11 +148,14 @@ impl<T> ServerPool<T> {
     }
 
     /// Submit a request at time `now`. Returns `Some` if service starts
-    /// immediately (the caller must schedule the completion), `None` if the
-    /// request joined the queue.
+    /// immediately (the caller must schedule the completion and keeps the
+    /// payload), `None` if the request joined the queue.
     pub fn submit(&mut self, now: SimTime, req: Request<T>) -> Option<Started> {
         if let Some(server) = self.free.pop() {
-            Some(self.start_on(server, now, req))
+            // Work only queues when every server is busy, so an idle
+            // server implies an empty queue and its clock needs no update.
+            debug_assert_eq!(self.queue_len(), 0, "free server with a non-empty queue");
+            Some(self.start_on(server, now, req.duration))
         } else {
             self.advance_queue_clock(now);
             let queued = Queued {
@@ -165,65 +170,13 @@ impl<T> ServerPool<T> {
         }
     }
 
-    /// Start service immediately **iff** a server is idle, without storing
-    /// a payload (the caller keeps its own context and must retire with
-    /// [`ServerPool::complete_direct`]). Returns `None` — submitting
-    /// nothing — when all servers are busy.
-    ///
-    /// This is the uncontended fast path: an idle server implies an empty
-    /// queue (work only queues when every server is busy), so starting here
-    /// touches neither the queue nor its clock — the accounting is
-    /// identical to [`ServerPool::submit`] on a free server.
-    pub fn try_submit_direct(&mut self, now: SimTime, duration: SimDuration) -> Option<Started> {
-        let server = self.free.pop()?;
-        debug_assert_eq!(self.queue_len(), 0, "free server with a non-empty queue");
-        debug_assert!(self.servers[server].is_none());
-        self.servers[server] = Some(InService {
-            payload: None,
-            started_at: now,
-            duration,
-        });
-        Some(Started {
-            server,
-            completes_at: now + duration,
-        })
-    }
-
-    /// Retire the request on `server` at time `now`. Returns the finished
-    /// payload and, if queued work exists, the next request started on the
-    /// same server (the caller must schedule its completion).
+    /// Retire the request on `server` at time `now`. If queued work exists,
+    /// the next request starts on the same server and is returned with its
+    /// payload (the caller must schedule its completion).
     ///
     /// # Panics
-    /// Panics if `server` is idle — completions must match starts — or if
-    /// the service was started payload-less via
-    /// [`ServerPool::try_submit_direct`].
-    pub fn complete(&mut self, now: SimTime, server: usize) -> (T, Option<Started>) {
-        let (payload, next) = self.finish(now, server);
-        (
-            payload.expect("complete() for a direct service; use complete_direct()"),
-            next,
-        )
-    }
-
-    /// Retire a payload-less direct service on `server` at time `now`.
-    /// If queued work exists, the next request starts on the freed server
-    /// and is returned (the caller must schedule its completion — that
-    /// request carries a payload and retires through
-    /// [`ServerPool::complete`]). Accounting is identical to
-    /// [`ServerPool::complete`].
-    ///
-    /// # Panics
-    /// Panics if `server` is idle.
-    pub fn complete_direct(&mut self, now: SimTime, server: usize) -> Option<Started> {
-        let (payload, next) = self.finish(now, server);
-        debug_assert!(
-            payload.is_none(),
-            "complete_direct() for a payload-carrying service; use complete()"
-        );
-        next
-    }
-
-    fn finish(&mut self, now: SimTime, server: usize) -> (Option<T>, Option<Started>) {
+    /// Panics if `server` is idle — completions must match starts.
+    pub fn complete(&mut self, now: SimTime, server: usize) -> Option<(Started, T)> {
         let svc = self.servers[server]
             .take()
             .expect("completion for an idle server");
@@ -238,28 +191,23 @@ impl<T> ServerPool<T> {
             // Extend the integral at the pre-dequeue length.
             self.advance_queue_clock(now);
         }
-        let queued = self.high.pop_front().or_else(|| self.normal.pop_front());
-        let next = queued.map(|q| {
-            self.total_wait_us += now.saturating_since(q.enqueued_at).as_micros();
-            self.start_on(server, now, q.req)
-        });
-        if next.is_none() {
+        let Some(q) = self.high.pop_front().or_else(|| self.normal.pop_front()) else {
             self.free.push(server);
-        }
-        (svc.payload, next)
+            return None;
+        };
+        self.total_wait_us += now.saturating_since(q.enqueued_at).as_micros();
+        Some((self.start_on(server, now, q.req.duration), q.req.payload))
     }
 
-    fn start_on(&mut self, server: usize, now: SimTime, req: Request<T>) -> Started {
+    fn start_on(&mut self, server: usize, now: SimTime, duration: SimDuration) -> Started {
         debug_assert!(self.servers[server].is_none());
-        let completes_at = now + req.duration;
         self.servers[server] = Some(InService {
-            payload: Some(req.payload),
             started_at: now,
-            duration: req.duration,
+            duration,
         });
         Started {
             server,
-            completes_at,
+            completes_at: now + duration,
         }
     }
 
@@ -335,16 +283,14 @@ mod tests {
         assert!(p.submit(t0, req(3, 10)).is_none());
         assert_eq!(p.queue_len(), 2);
 
-        let (done, next) = p.complete(SimTime::from_millis(10), s.server);
-        assert_eq!(done, 1);
-        let next = next.expect("queued work starts");
+        let (next, started) = p
+            .complete(SimTime::from_millis(10), s.server)
+            .expect("queued work starts");
+        assert_eq!(started, 2);
         assert_eq!(next.completes_at, SimTime::from_millis(20));
-        let (done, next) = p.complete(SimTime::from_millis(20), next.server);
-        assert_eq!(done, 2);
-        let next = next.unwrap();
-        let (done, next) = p.complete(SimTime::from_millis(30), next.server);
-        assert_eq!(done, 3);
-        assert!(next.is_none());
+        let (next, started) = p.complete(SimTime::from_millis(20), next.server).unwrap();
+        assert_eq!(started, 3);
+        assert!(p.complete(SimTime::from_millis(30), next.server).is_none());
         assert_eq!(p.served(), 3);
     }
 
@@ -357,12 +303,11 @@ mod tests {
         assert!(p.submit(t0, high(9, 1)).is_none());
         // Non-preemptive: request 1 finishes first, then the high-priority
         // request 9 overtakes request 2.
-        let (done, next) = p.complete(SimTime::from_millis(10), s.server);
-        assert_eq!(done, 1);
-        let next = next.unwrap();
+        let (next, started) = p.complete(SimTime::from_millis(10), s.server).unwrap();
+        assert_eq!(started, 9);
         assert_eq!(next.completes_at, SimTime::from_millis(11));
-        let (done, _) = p.complete(SimTime::from_millis(11), next.server);
-        assert_eq!(done, 9);
+        let (_, started) = p.complete(SimTime::from_millis(11), next.server).unwrap();
+        assert_eq!(started, 2);
     }
 
     #[test]
@@ -377,10 +322,9 @@ mod tests {
         assert_eq!(p.busy_servers(), 3);
         assert!(p.submit(t0, req(4, 5)).is_none());
 
-        let (done, next) = p.complete(SimTime::from_millis(10), a.server);
-        assert_eq!(done, 1);
         // Request 4 starts on the freed server.
-        let next = next.unwrap();
+        let (next, started) = p.complete(SimTime::from_millis(10), a.server).unwrap();
+        assert_eq!(started, 4);
         assert_eq!(next.server, a.server);
         assert_eq!(next.completes_at, SimTime::from_millis(15));
     }
@@ -393,7 +337,7 @@ mod tests {
         p.submit(t0, req(2, 100)).unwrap();
         // Halfway through, both servers have accrued 50 ms each.
         assert_eq!(p.busy_micros(SimTime::from_millis(50)), 100_000);
-        let (_, _) = p.complete(SimTime::from_millis(100), a.server);
+        assert!(p.complete(SimTime::from_millis(100), a.server).is_none());
         // Server a contributed its full 100 ms to the completed pot.
         assert_eq!(p.busy_micros(SimTime::from_millis(100)), 200_000);
     }
@@ -423,23 +367,14 @@ mod tests {
     fn fifo_within_class() {
         let mut p = ServerPool::new(1);
         let t0 = SimTime::ZERO;
-        let s = p.submit(t0, req(0, 1)).unwrap();
+        let mut cur = p.submit(t0, req(0, 1)).unwrap();
         for i in 1..=5 {
             assert!(p.submit(t0, req(i, 1)).is_none());
         }
-        let mut order = Vec::new();
-        let mut cur = s;
-        let mut now = SimTime::from_millis(1);
-        loop {
-            let (done, next) = p.complete(now, cur.server);
-            order.push(done);
-            match next {
-                Some(n) => {
-                    now = n.completes_at;
-                    cur = n;
-                }
-                None => break,
-            }
+        let mut order = vec![0];
+        while let Some((next, started)) = p.complete(cur.completes_at, cur.server) {
+            order.push(started);
+            cur = next;
         }
         assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
     }
@@ -461,12 +396,9 @@ mod tests {
         assert_eq!(p.total_wait_us(), 0);
         assert_eq!(p.pending_wait_us(mid), 10_000);
 
-        let (_, next) = p.complete(SimTime::from_millis(10), s.server);
-        let next = next.unwrap();
-        let (_, next) = p.complete(SimTime::from_millis(20), next.server);
-        let next = next.unwrap();
-        let (_, next) = p.complete(SimTime::from_millis(30), next.server);
-        assert!(next.is_none());
+        let (next, _) = p.complete(SimTime::from_millis(10), s.server).unwrap();
+        let (next, _) = p.complete(SimTime::from_millis(20), next.server).unwrap();
+        assert!(p.complete(SimTime::from_millis(30), next.server).is_none());
 
         let end = SimTime::from_millis(30);
         assert_eq!(p.queue_integral_us(end), 30_000);
@@ -485,76 +417,12 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         let a = p.submit(t0, req(1, 10)).unwrap();
         let b = p.submit(t0, req(2, 10)).unwrap();
-        p.complete(a.completes_at, a.server);
-        p.complete(b.completes_at, b.server);
+        assert!(p.complete(a.completes_at, a.server).is_none());
+        assert!(p.complete(b.completes_at, b.server).is_none());
         let end = SimTime::from_secs(2);
         assert_eq!(p.queue_integral_us(end), 0);
         assert_eq!(p.total_wait_us(), 0);
         assert_eq!(p.pending_wait_us(end), 0);
-    }
-
-    #[test]
-    fn direct_path_matches_classic_accounting() {
-        // Drive the same schedule through the classic submit/complete pair
-        // and through the direct fast path; every externally visible
-        // account must agree.
-        let run = |direct: bool| {
-            let mut p: ServerPool<u32> = ServerPool::new(1);
-            let t0 = SimTime::ZERO;
-            let s = if direct {
-                p.try_submit_direct(t0, SimDuration::from_millis(10))
-                    .expect("idle server starts")
-            } else {
-                p.submit(t0, req(1, 10)).expect("idle server starts")
-            };
-            assert_eq!(s.completes_at, SimTime::from_millis(10));
-            // A classic request queues behind it either way.
-            assert!(p.submit(t0, req(2, 10)).is_none());
-            let next = if direct {
-                p.complete_direct(SimTime::from_millis(10), s.server)
-            } else {
-                p.complete(SimTime::from_millis(10), s.server).1
-            };
-            let next = next.expect("queued work starts");
-            let (done, none) = p.complete(next.completes_at, next.server);
-            assert_eq!(done, 2);
-            assert!(none.is_none());
-            let end = SimTime::from_millis(20);
-            (
-                p.served(),
-                p.busy_micros(end),
-                p.queue_integral_us(end),
-                p.total_wait_us(),
-                p.pending_wait_us(end),
-            )
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn direct_submit_declines_when_busy() {
-        let mut p: ServerPool<u32> = ServerPool::new(1);
-        let t0 = SimTime::ZERO;
-        let s = p.submit(t0, req(1, 10)).unwrap();
-        assert!(p
-            .try_submit_direct(t0, SimDuration::from_millis(5))
-            .is_none());
-        let (done, _) = p.complete(SimTime::from_millis(10), s.server);
-        assert_eq!(done, 1);
-        // Freed again: the direct path starts.
-        assert!(p
-            .try_submit_direct(SimTime::from_millis(10), SimDuration::from_millis(5))
-            .is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "use complete_direct")]
-    fn classic_complete_of_direct_service_panics() {
-        let mut p: ServerPool<u32> = ServerPool::new(1);
-        let s = p
-            .try_submit_direct(SimTime::ZERO, SimDuration::from_millis(1))
-            .unwrap();
-        let _ = p.complete(SimTime::from_millis(1), s.server);
     }
 
     #[test]
@@ -571,7 +439,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(s.completes_at, SimTime::from_secs(1));
-        let (done, _) = p.complete(SimTime::from_secs(1), s.server);
-        assert_eq!(done, 7);
+        assert!(p.complete(SimTime::from_secs(1), s.server).is_none());
+        assert_eq!(p.served(), 1);
     }
 }

@@ -15,9 +15,13 @@
 //! * **prewrite(X, ts)** — rejected if a read or committed write with a
 //!   larger timestamp exists (the write arrived too late). Otherwise it is
 //!   buffered (deferred updates).
-//! * **commit** — applies the buffered writes. A write whose timestamp is
-//!   below the object's committed-write timestamp is *skipped*: the Thomas
-//!   write rule (the newer version logically overwrites it anyway).
+//! * **commit** — applies the buffered writes. No write can commit below
+//!   the object's committed-write timestamp, because the simulator's
+//!   transactions read every object they write: a younger writer's read
+//!   waits for an older pending prewrite, and a younger read makes an
+//!   older prewrite reject. So the Thomas write rule, which would skip
+//!   such a stale write, has nothing to skip; [`TsoManager::commit`]
+//!   asserts that instead.
 //! * **abort** — drops the pending prewrites, waking any waiting readers.
 //!
 //! Readers wait only for *smaller*-timestamp writers and writers never
@@ -69,12 +73,6 @@ struct ObjState {
     pending: Vec<Ts>,
     /// Readers waiting for a smaller pending prewrite to resolve.
     waiting: Vec<TxnId>,
-}
-
-impl ObjState {
-    fn is_quiescent(&self) -> bool {
-        self.pending.is_empty() && self.waiting.is_empty()
-    }
 }
 
 /// The timestamp-ordering manager.
@@ -137,35 +135,35 @@ impl TsoManager {
         WriteOutcome::Granted
     }
 
-    /// Commit `txn` at timestamp `ts`: apply its buffered writes (Thomas
-    /// write rule skips stale ones) and wake readers that were parked on
-    /// them. Returns `(woken_readers, applied_writes)` — applied writes are
-    /// the objects whose committed version this transaction now owns.
-    pub fn commit(&mut self, txn: TxnId, ts: Ts) -> (Vec<TxnId>, Vec<ObjId>) {
+    /// Commit `txn` at timestamp `ts`: apply its buffered writes and wake
+    /// the readers that were parked on them. Returns the woken readers.
+    ///
+    /// # Panics
+    /// Panics if a write with a larger timestamp already committed to one
+    /// of the objects — a blind write, which the simulator's workloads
+    /// never issue (see the crate docs).
+    pub fn commit(&mut self, txn: TxnId, ts: Ts) -> Vec<TxnId> {
         let objs = self.prewrites.remove(&txn).unwrap_or_default();
         let mut woken = Vec::new();
-        let mut applied = Vec::new();
         for obj in objs {
             let state = self
                 .objects
                 .get_mut(&obj)
                 .expect("prewritten object exists");
             state.pending.retain(|&p| p != ts);
-            if state.wts.is_none_or(|w| w < ts) {
-                state.wts = Some(ts);
-                applied.push(obj);
-            }
+            assert!(
+                state.wts.is_none_or(|w| w < ts),
+                "{txn} commits a write to {obj} older than its committed one"
+            );
+            state.wts = Some(ts);
             // All waiting readers get a wake-up; they re-run their read
             // check and may wait again on another pending prewrite.
             for reader in state.waiting.drain(..) {
                 self.parked.remove(&reader);
                 woken.push(reader);
             }
-            if state.is_quiescent() && state.rts.is_none() && state.wts.is_none() {
-                self.objects.remove(&obj);
-            }
         }
-        (woken, applied)
+        woken
     }
 
     /// Abort `txn`'s attempt with timestamp `ts`: drop its prewrites and
@@ -400,9 +398,7 @@ mod tests {
         let mut m = TsoManager::new();
         assert_eq!(m.read(t(1), o(1), ts(1, 1)), ReadOutcome::Granted);
         assert_eq!(m.prewrite(t(2), o(1), ts(2, 2)), WriteOutcome::Granted);
-        let (woken, applied) = m.commit(t(2), ts(2, 2));
-        assert!(woken.is_empty());
-        assert_eq!(applied, vec![o(1)]);
+        assert!(m.commit(t(2), ts(2, 2)).is_empty());
         assert_eq!(m.read(t(3), o(1), ts(3, 3)), ReadOutcome::Granted);
         m.assert_consistent();
     }
@@ -439,7 +435,7 @@ mod tests {
         assert_eq!(m.parked_on(t(5)), Some(o(1)));
         m.assert_consistent();
         // The writer commits: the reader wakes and its retry is granted.
-        let (woken, _) = m.commit(t(1), ts(1, 1));
+        let woken = m.commit(t(1), ts(1, 1));
         assert_eq!(woken, vec![t(5)]);
         assert_eq!(m.parked_on(t(5)), None);
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Granted);
@@ -465,21 +461,16 @@ mod tests {
     }
 
     #[test]
-    fn thomas_write_rule_skips_stale_commit() {
+    #[should_panic(expected = "older than its committed one")]
+    fn stale_blind_write_commit_panics() {
+        // Two blind writes: the younger writer never read the object, so
+        // nothing made it wait for the older pending prewrite, and the
+        // older write reaches its commit after the younger one committed.
         let mut m = TsoManager::new();
         m.prewrite(t(1), o(1), ts(1, 1));
         m.prewrite(t(2), o(1), ts(2, 2));
-        // The younger write commits first...
-        let (_, applied) = m.commit(t(2), ts(2, 2));
-        assert_eq!(applied, vec![o(1)]);
-        // ...so the older one is skipped at its commit.
-        let (_, applied) = m.commit(t(1), ts(1, 1));
-        assert!(applied.is_empty(), "stale write must be skipped");
-        // And readers between the two timestamps now reject.
-        assert_eq!(
-            m.read(t(9), o(1), (SimTime::from_millis(1500), t(9))),
-            ReadOutcome::Reject
-        );
+        m.commit(t(2), ts(2, 2));
+        m.commit(t(1), ts(1, 1));
     }
 
     #[test]
@@ -491,7 +482,7 @@ mod tests {
         // cancelled, and the writer's later commit wakes nobody.
         let woken = m.abort(t(5), ts(5, 5));
         assert!(woken.is_empty());
-        let (woken, _) = m.commit(t(1), ts(1, 1));
+        let woken = m.commit(t(1), ts(1, 1));
         assert!(woken.is_empty());
         m.assert_consistent();
     }
@@ -502,7 +493,7 @@ mod tests {
         m.prewrite(t(1), o(1), ts(1, 1));
         assert_eq!(m.read(t(5), o(1), ts(5, 5)), ReadOutcome::Wait);
         assert_eq!(m.read(t(6), o(1), ts(6, 6)), ReadOutcome::Wait);
-        let (mut woken, _) = m.commit(t(1), ts(1, 1));
+        let mut woken = m.commit(t(1), ts(1, 1));
         woken.sort();
         assert_eq!(woken, vec![t(5), t(6)]);
     }

@@ -100,45 +100,13 @@ fn trace_ring_does_not_perturb_the_run() {
 }
 
 #[test]
-fn uncontended_elision_does_not_perturb_the_run() {
-    // The idle-server fast path elides the request/dispatch calendar hop
-    // but must leave the simulation itself untouched: full reports at the
-    // exp1 reference point must be byte-equal with elision forced on and
-    // forced off, for every paper-trio and modern-trio algorithm.
-    for algo in CcAlgorithm::PAPER_TRIO
-        .into_iter()
-        .chain(CcAlgorithm::MODERN_TRIO)
-    {
-        let mk = |elide| {
-            SimConfig::new(algo)
-                .with_params(Params::paper_baseline().with_mpl(50))
-                .with_metrics(quick())
-                .with_seed(0x7ACE)
-                .with_elision(elide)
-        };
-        let on = run(mk(true)).unwrap().report;
-        let off = run(mk(false)).unwrap().report;
-        assert_eq!(on, off, "{algo}: elision changed the run");
-        // The fast path must also be observer-independent: attaching the
-        // trace ring with elision on matches the unobserved elided run.
-        let (traced, trace, _) = observed(mk(true), 4096);
-        assert!(!trace.is_empty());
-        assert_eq!(
-            on,
-            traced.finished().unwrap().report,
-            "{algo}: elision + trace ring diverged"
-        );
-    }
-}
-
-#[test]
 fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
     // A budgeted slice of the `exp-scale` regime (10^8 objects, sparse
     // lock table, arena txn state), scaled down to tens of thousands of
-    // in-flight transactions so the test stays quick. Three pure
+    // in-flight transactions so the test stays quick. Two pure
     // observer/representation switches must leave the salvaged window
-    // byte-identical: attaching the trace ring, eliding uncontended
-    // resource hops, and the two-tier calendar itself.
+    // byte-identical: attaching the trace ring and the two-tier calendar
+    // itself.
     let mk = || {
         let mut params = Params::exp_scale();
         params.num_terms = 50_000;
@@ -166,12 +134,6 @@ fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
     assert_eq!(
         base.report, traced.report,
         "attaching the trace ring changed the scale run"
-    );
-
-    let unelided = collect(mk().with_elision(false));
-    assert_eq!(
-        base.report, unelided.report,
-        "elision changed the scale run"
     );
 
     let heap_only = collect(mk().with_two_tier_calendar(false));
@@ -253,8 +215,8 @@ fn modern_scale_points_are_deterministic_under_toggles() {
     // protocol: the sparse-slot version chains (MVCC), TID words (Silo)
     // and timestamp intervals (TicToc) must all survive the same pure
     // observer/representation switches byte-for-byte that the blocking
-    // scale point above does — trace ring on, elision off, and the
-    // two-tier calendar off.
+    // scale point above does — trace ring on and the two-tier calendar
+    // off.
     for algo in CcAlgorithm::MODERN_TRIO {
         let mk = || {
             let mut params = Params::exp_scale();
@@ -286,12 +248,6 @@ fn modern_scale_points_are_deterministic_under_toggles() {
         assert_eq!(
             base.report, traced.report,
             "{algo}: attaching the trace ring changed the scale run"
-        );
-
-        let unelided = collect(mk().with_elision(false));
-        assert_eq!(
-            base.report, unelided.report,
-            "{algo}: elision changed the scale run"
         );
 
         let heap_only = collect(mk().with_two_tier_calendar(false));

@@ -81,23 +81,6 @@ fn paper_trio_traces_match_golden_files() {
 }
 
 #[test]
-fn golden_traces_match_with_elision_forced_off() {
-    // The uncontended fast path is a pure cost optimization: with it
-    // forced off, the very same checked-in golden files must still match
-    // byte-for-byte (never UPDATE_GOLDEN through this test — it checks
-    // against the files the elided runs produce).
-    for algo in tracked_algorithms() {
-        let text = golden_text(&golden_config(algo).with_elision(false));
-        let expected = std::fs::read_to_string(golden_path(algo.label()))
-            .expect("golden file exists (run the elided test first)");
-        assert_eq!(
-            text, expected,
-            "{algo}: disabling elision changed the golden trace"
-        );
-    }
-}
-
-#[test]
 fn golden_serialization_is_bit_stable() {
     // Two fresh runs of the same scenario must serialize byte-identically —
     // the property that lets the files above act as regression anchors.
