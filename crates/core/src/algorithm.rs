@@ -56,10 +56,13 @@ pub enum CcAlgorithm {
     /// classic SI anomalies (write skew), which the history oracle detects
     /// and counts rather than hides.
     MvccSi,
-    /// Modern extension: Silo-style epoch-based optimistic concurrency
-    /// control — reads record a per-object TID word, validation at the
-    /// commit point checks every recorded word is unchanged, and committed
-    /// transactions take epoch-batched transaction ids (serializable).
+    /// Modern extension: Silo-style optimistic concurrency control — each
+    /// read records the instant it observed its object, and validation at
+    /// the commit point fails if a write to a read object committed after
+    /// that read (serializable). More permissive than [`Optimistic`],
+    /// which bounds every read by the attempt start.
+    ///
+    /// [`Optimistic`]: CcAlgorithm::Optimistic
     SiloOcc,
     /// Modern extension: TicToc-style timestamp recomputation — each access
     /// carries a read/write timestamp interval and the commit point *derives*

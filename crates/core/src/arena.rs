@@ -428,11 +428,6 @@ impl TxnArena {
         ccsim_des::prefetch(&self.reads[term * self.cap]);
     }
 
-    /// Iterate over the live records (debug census).
-    pub fn live(&self) -> impl Iterator<Item = &TxnRec> {
-        self.recs.iter().filter(|r| r.live)
-    }
-
     /// Install a fresh transaction of workload class `class` at `term`,
     /// copying `spec` into the terminal's data region.
     pub fn install(

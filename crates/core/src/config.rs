@@ -101,8 +101,8 @@ pub struct SimConfig {
     /// Use the two-tier event calendar (near-horizon lane + overflow
     /// heap). On by default; off routes every event through the heap — the
     /// single-tier baseline. Delivery order, and therefore every report,
-    /// is byte-identical either way; the switch exists for ablation
-    /// benchmarks and the determinism tests that prove the equivalence.
+    /// is byte-identical either way; the switch exists so that tests can
+    /// run the heap-only reference calendar and prove the equivalence.
     pub two_tier_calendar: bool,
     /// Batch means settings.
     pub metrics: MetricsConfig,

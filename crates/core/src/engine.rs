@@ -28,8 +28,7 @@ use ccsim_des::{
     SimTime, UniformBlock, Xoshiro256StarStar,
 };
 use ccsim_lockmgr::{Grant, LockManager, LockMode, RequestOutcome};
-use ccsim_mvcc::MvccManager;
-use ccsim_occ::{SiloValidator, Validator};
+use ccsim_occ::Validator;
 use ccsim_resources::{DiskArray, Priority, Request, ServerPool};
 use ccsim_stats::RunningAvg;
 use ccsim_tso::{
@@ -168,21 +167,16 @@ pub struct Simulator {
     /// Uniform disk choice, batched over the dedicated `disk_rng` stream.
     disk_pick: UniformBlock,
     lockmgr: LockManager,
+    /// Backward validation for optimistic, silo-occ and mvcc-si.
     validator: Validator,
     tso: TsoManager,
-    mvcc: MvccManager,
-    silo: SiloValidator,
     tictoc: TicTocManager,
-    /// Scratch `(object, observed-at)` pairs for Silo read-set validation,
+    /// Scratch `(object, observed word)` pairs for TicToc validation,
     /// reused across commits so the hot path never allocates.
-    rw_scratch: Vec<(ObjId, SimTime)>,
-    /// Scratch `(object, observed word)` pairs for TicToc validation; same
-    /// reuse discipline.
     tt_scratch: Vec<(ObjId, TtWord)>,
-    /// Scratch object list for the validators that take a slice: the
-    /// readset for Kung–Robinson validation (the arena stores 4-byte ids),
-    /// the write set for the MVCC and TicToc commits (the arena stores it
-    /// as a mask over the readset); same reuse discipline.
+    /// Scratch write-set list for the TicToc commit and the commit facts
+    /// (the arena stores the write set as a mask over the readset); same
+    /// reuse discipline.
     ws_scratch: Vec<ObjId>,
     cpus: Option<ServerPool<Payload>>,
     disks: Option<DiskArray<Payload>>,
@@ -311,10 +305,7 @@ impl Simulator {
             lockmgr: LockManager::with_capacity(db_size, num_terms),
             validator: Validator::with_capacity(db_size),
             tso: TsoManager::new(),
-            mvcc: MvccManager::new(),
-            silo: SiloValidator::new(SiloValidator::DEFAULT_EPOCH),
             tictoc: TicTocManager::new(),
-            rw_scratch: Vec::new(),
             tt_scratch: Vec::new(),
             ws_scratch: Vec::new(),
             cpus,
@@ -612,18 +603,6 @@ impl Simulator {
     }
 
     fn on_batch_end(&mut self, now: SimTime) {
-        // Version chains only grow at commits; a batch boundary is a cheap,
-        // deterministic place to drop versions no live snapshot can reach.
-        if self.cfg.algorithm == CcAlgorithm::MvccSi {
-            let horizon = self
-                .arena
-                .live()
-                .filter(|t| t.state.is_active())
-                .map(|t| t.attempt_start)
-                .min()
-                .unwrap_or(now);
-            self.mvcc.prune_before(horizon);
-        }
         let (cpu_busy, io_busy) = self.busy_micros(now);
         if self.metrics.on_batch_end(now, cpu_busy, io_busy) {
             self.done = true;
@@ -772,8 +751,8 @@ impl Simulator {
             // writer may legally publish between the grant and this access
             // completion).
             CcAlgorithm::BasicTO => return,
-            // Silo validates its read set at commit against the per-object
-            // TID words, so it keeps the observation instant.
+            // Silo bounds each read's validation by the instant the read
+            // observed its object, so it keeps that instant.
             CcAlgorithm::SiloOcc => {
                 debug_assert_eq!(self.arena.read_times(term).len(), i);
                 self.arena.push_read_time(term, at);
@@ -1210,127 +1189,76 @@ impl Simulator {
         }
     }
 
-    /// The commit-point test (a no-op for locking algorithms).
+    /// The commit-point test of the certifying protocols (a no-op for the
+    /// others). A failure restarts the attempt; a success publishes its
+    /// writes at the commit instant and moves on to the commit.
     fn validate(&mut self, term: usize, now: SimTime) -> CcAction {
-        match self.cfg.algorithm {
-            CcAlgorithm::Optimistic => self.validate_kung_robinson(term, now),
-            CcAlgorithm::MvccSi => self.validate_mvcc(term, now),
-            CcAlgorithm::SiloOcc => self.validate_silo(term, now),
-            CcAlgorithm::TicToc => self.validate_tictoc(term, now),
-            _ => {
-                self.arena.advance(term);
-                CcAction::Proceed
-            }
-        }
-    }
-
-    /// Classic optimistic CC: serial validation against every commit since
-    /// the attempt started.
-    fn validate_kung_robinson(&mut self, term: usize, now: SimTime) -> CcAction {
         let txn = self
             .arena
             .get(term)
             .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let start = txn.attempt_start;
-        let mut reads = std::mem::take(&mut self.ws_scratch);
-        reads.clear();
-        reads.extend(self.arena.reads(term));
-        let outcome = self.validator.validate(start, &reads);
-        self.ws_scratch = reads;
-        if let Err(conflict) = outcome {
-            self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-            self.abort_and_restart(term, AbortCause::Validation, now);
-            return CcAction::Suspend;
-        }
-        {
-            // Kung–Robinson critical section: stamp writes at validation.
-            // Borrowing the writeset straight out of the arena (disjoint
-            // fields) avoids a per-commit Vec clone on the optimistic hot
-            // path.
-            self.validator.commit(now, self.arena.write_objs(term));
-            let txn = self
-                .arena
-                .get_mut(term)
-                .expect("terminal has no active transaction");
-            txn.publish(now);
-            self.arena.advance(term);
-            CcAction::Proceed
-        }
-    }
-
-    /// Snapshot isolation: first-committer-wins over the write set only
-    /// (reads came from the attempt-start snapshot and need no check).
-    fn validate_mvcc(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let start = txn.attempt_start;
-        let mut writes = std::mem::take(&mut self.ws_scratch);
-        self.arena.write_set_into(term, &mut writes);
-        let outcome = self.mvcc.check_and_install(start, now, tid, &writes);
-        self.ws_scratch = writes;
+        let (tid, start) = (txn.id, txn.attempt_start);
+        let outcome = if self.cfg.algorithm == CcAlgorithm::TicToc {
+            self.certify_tictoc(term)
+        } else {
+            // Backward validation: each protocol bounds its own pairs.
+            let checked = match self.cfg.algorithm {
+                // Kung–Robinson: no read overwritten since the attempt
+                // started.
+                CcAlgorithm::Optimistic => self
+                    .validator
+                    .validate_each(self.arena.reads(term).map(|obj| (obj, start))),
+                // Silo: no read overwritten since that read observed it.
+                CcAlgorithm::SiloOcc => self.validator.validate_each(
+                    self.arena
+                        .reads(term)
+                        .zip(self.arena.read_times(term).iter().copied()),
+                ),
+                // Snapshot isolation's first-committer-wins: no write-set
+                // object written since the snapshot; reads need no check.
+                CcAlgorithm::MvccSi => self
+                    .validator
+                    .validate_each(self.arena.write_objs(term).map(|obj| (obj, start))),
+                _ => {
+                    self.arena.advance(term);
+                    return CcAction::Proceed;
+                }
+            };
+            checked
+                .map(|()| {
+                    // Kung–Robinson's critical section: stamp the write set
+                    // at the validation instant.
+                    self.validator.commit(now, self.arena.write_objs(term));
+                    now
+                })
+                .map_err(|conflict| conflict.obj)
+        };
         match outcome {
-            Err(conflict) => {
-                self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-                self.abort_and_restart(term, AbortCause::Validation, now);
-                CcAction::Suspend
-            }
-            Ok(_installed) => {
+            Ok(commit_at) => {
                 let txn = self
                     .arena
                     .get_mut(term)
                     .expect("terminal has no active transaction");
-                txn.publish(now);
+                txn.publish(commit_at);
                 self.arena.advance(term);
                 CcAction::Proceed
+            }
+            Err(obj) => {
+                self.emit(now, TraceEvent::ValidationFailure(tid, obj));
+                self.abort_and_restart(term, AbortCause::Validation, now);
+                CcAction::Suspend
             }
         }
     }
 
-    /// Silo-style epoch OCC: the read set is re-checked against per-object
-    /// TID words; an unchanged read set commits and bumps the words.
-    fn validate_silo(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
-        let mut scratch = std::mem::take(&mut self.rw_scratch);
-        scratch.clear();
-        scratch.extend(
-            self.arena
-                .reads(term)
-                .zip(self.arena.read_times(term).iter().copied()),
-        );
-        let outcome = self.silo.validate(&scratch);
-        self.rw_scratch = scratch;
-        if let Err(conflict) = outcome {
-            self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-            self.abort_and_restart(term, AbortCause::Validation, now);
-            return CcAction::Suspend;
-        }
-        self.silo.commit(now, self.arena.write_objs(term));
-        let txn = self
-            .arena
-            .get_mut(term)
-            .expect("terminal has no active transaction");
-        txn.publish(now);
-        self.arena.advance(term);
-        CcAction::Proceed
-    }
-
     /// TicToc: derive a commit timestamp covering every read version and
     /// landing after every read extension of the written objects, instead
-    /// of rejecting on physical-time conflicts.
-    fn validate_tictoc(&mut self, term: usize, now: SimTime) -> CcAction {
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        let tid = txn.id;
+    /// of rejecting on physical-time conflicts. Returns the *logical*
+    /// commit instant, which the commit point announces, so the
+    /// serializability check follows TicToc's timestamp order rather than
+    /// physical validation order; or the object whose superseded read
+    /// fails the attempt.
+    fn certify_tictoc(&mut self, term: usize) -> Result<SimTime, ObjId> {
         let mut scratch = std::mem::take(&mut self.tt_scratch);
         scratch.clear();
         scratch.extend(
@@ -1345,25 +1273,7 @@ impl Simulator {
         let outcome = self.tictoc.validate_and_commit(&scratch, &writes);
         self.tt_scratch = scratch;
         self.ws_scratch = writes;
-        match outcome {
-            Err(conflict) => {
-                self.emit(now, TraceEvent::ValidationFailure(tid, conflict.obj));
-                self.abort_and_restart(term, AbortCause::Validation, now);
-                CcAction::Suspend
-            }
-            Ok(commit_ts) => {
-                let txn = self
-                    .arena
-                    .get_mut(term)
-                    .expect("terminal has no active transaction");
-                // The *logical* commit instant: the commit point announces
-                // it, so the serializability check follows TicToc's
-                // timestamp order rather than physical validation order.
-                txn.publish(commit_ts);
-                self.arena.advance(term);
-                CcAction::Proceed
-            }
-        }
+        outcome.map_err(|conflict| conflict.obj)
     }
 
     /// Detect and break deadlocks after `term` blocked, until `term` is no
@@ -1543,9 +1453,10 @@ impl Simulator {
         }
         self.emit(now, TraceEvent::Commit(tid));
         if self.cfg.algorithm == CcAlgorithm::MvccSi {
-            // The versions were installed at validation; announcing them at
-            // the commit event gives the auditor a conservation obligation
-            // to discharge (every MVCC commit accounts for its writes).
+            // The write set was stamped at validation; announcing its size
+            // at the commit event gives the auditor a conservation
+            // obligation to discharge (every MVCC commit accounts for its
+            // writes).
             let installed = self.arena.num_writes(term) as u32;
             self.emit(now, TraceEvent::VersionInstalled(tid, installed));
         }

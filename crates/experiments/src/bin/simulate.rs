@@ -82,8 +82,10 @@ struct Cli {
     out: Option<PathBuf>,
 }
 
-/// Parse the command line. `Ok(None)` is a request for [`USAGE`].
-fn parse() -> Result<Option<Cli>, String> {
+/// Parse the arguments after the program name. `Ok(None)` is a request
+/// for [`USAGE`]. Every error names the flag it rejects or, for an
+/// inconsistent configuration, the parameter.
+fn parse(raw: impl IntoIterator<Item = String>) -> Result<Option<Cli>, String> {
     let mut algo = CcAlgorithm::Blocking;
     let mut params = Params::paper_baseline();
     let mut metrics = MetricsConfig::paper();
@@ -99,67 +101,58 @@ fn parse() -> Result<Option<Cli>, String> {
     let mut disks: Option<u32> = None;
     let mut infinite = false;
 
-    let mut args = std::env::args().skip(1);
-    let next_val = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next().ok_or(format!("{flag} needs a value"))
-    };
+    let mut args = raw.into_iter();
     while let Some(a) = args.next() {
-        match a.as_str() {
+        let flag = a.as_str();
+        match flag {
             "-h" | "--help" => return Ok(None),
             "--algo" => {
-                let v = next_val(&mut args, "--algo")?;
-                algo = algo_by_name(&v).ok_or(format!("unknown algorithm {v:?}"))?;
+                let v = value(&mut args, flag)?;
+                algo = algo_by_name(&v).ok_or(format!("{flag}: unknown algorithm {v:?}"))?;
             }
-            "--mpl" => params.mpl = parse_num(&next_val(&mut args, "--mpl")?)?,
-            "--db" => params.db_size = parse_num(&next_val(&mut args, "--db")?)?,
-            "--terminals" => params.num_terms = parse_num(&next_val(&mut args, "--terminals")?)?,
-            "--write-prob" => {
-                params.write_prob = parse_num(&next_val(&mut args, "--write-prob")?)?;
-            }
-            "--min-size" => params.min_size = parse_num(&next_val(&mut args, "--min-size")?)?,
-            "--max-size" => params.max_size = parse_num(&next_val(&mut args, "--max-size")?)?,
-            "--cpus" => cpus = Some(parse_num(&next_val(&mut args, "--cpus")?)?),
-            "--disks" => disks = Some(parse_num(&next_val(&mut args, "--disks")?)?),
+            "--mpl" => params.mpl = num(&mut args, flag)?,
+            "--db" => params.db_size = num(&mut args, flag)?,
+            "--terminals" => params.num_terms = num(&mut args, flag)?,
+            "--write-prob" => params.write_prob = num(&mut args, flag)?,
+            "--min-size" => params.min_size = num(&mut args, flag)?,
+            "--max-size" => params.max_size = num(&mut args, flag)?,
+            "--cpus" => cpus = Some(num(&mut args, flag)?),
+            "--disks" => disks = Some(num(&mut args, flag)?),
             "--infinite" => infinite = true,
-            "--ext-think" => {
-                params.ext_think_time =
-                    parse_secs("--ext-think", &next_val(&mut args, "--ext-think")?)?;
-            }
-            "--int-think" => {
-                params.int_think_time =
-                    parse_secs("--int-think", &next_val(&mut args, "--int-think")?)?;
-            }
-            "--seed" => seed = parse_num(&next_val(&mut args, "--seed")?)?,
+            "--ext-think" => params.ext_think_time = parse_secs(flag, &value(&mut args, flag)?)?,
+            "--int-think" => params.int_think_time = parse_secs(flag, &value(&mut args, flag)?)?,
+            "--seed" => seed = num(&mut args, flag)?,
             "--reps" => {
-                reps = parse_num(&next_val(&mut args, "--reps")?)?;
+                reps = num(&mut args, flag)?;
                 if reps == 0 {
                     return Err("--reps must be at least 1".to_string());
                 }
             }
-            "--batches" => metrics.batches = parse_num(&next_val(&mut args, "--batches")?)?,
-            "--warmup" => {
-                metrics.warmup_batches = parse_num(&next_val(&mut args, "--warmup")?)?;
-            }
+            "--batches" => metrics.batches = num(&mut args, flag)?,
+            "--warmup" => metrics.warmup_batches = num(&mut args, flag)?,
             "--batch-secs" => {
-                let v = next_val(&mut args, "--batch-secs")?;
-                let secs: u64 = parse_num(&v)?;
+                let v = value(&mut args, flag)?;
+                let secs: u64 = parse_num(flag, &v)?;
                 metrics.batch_time = secs
                     .checked_mul(MICROS_PER_SEC)
                     .map(SimDuration::from_micros)
                     .filter(|&d| d <= Params::MAX_DURATION)
-                    .ok_or_else(|| out_of_range("--batch-secs", &v))?;
+                    .ok_or_else(|| out_of_range(flag, &v))?;
             }
             "--max-events" => {
-                let cap: u64 = parse_num(&next_val(&mut args, "--max-events")?)?;
+                let cap: u64 = num(&mut args, flag)?;
                 budget.max_events = (cap > 0).then_some(cap);
             }
-            "--out" => out = Some(PathBuf::from(next_val(&mut args, "--out")?)),
+            "--out" => out = Some(PathBuf::from(value(&mut args, flag)?)),
             "--check-serializable" => check_serializable = true,
             "--perf" => perf = true,
             "--profile" => profile = true,
             "--audit" => audit = true,
             "--quick" => metrics = MetricsConfig::quick(),
-            other => return Err(format!("unknown flag {other} (see --help)")),
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag {flag} (see --help)"))
+            }
+            other => return Err(format!("unexpected argument {other:?} (see --help)")),
         }
     }
     if infinite {
@@ -190,8 +183,8 @@ fn parse() -> Result<Option<Cli>, String> {
     }
     if profile && !STAGE_PROFILER_COMPILED {
         return Err(
-            "the stage profiler is not compiled into this binary; rebuild with \
-             `cargo run -p ccsim-experiments --features profile --bin simulate`"
+            "--profile needs the stage profiler, which is not compiled into this binary; \
+             rebuild with `cargo run -p ccsim-experiments --features profile --bin simulate`"
                 .to_string(),
         );
     }
@@ -206,11 +199,27 @@ fn parse() -> Result<Option<Cli>, String> {
     }))
 }
 
+/// The value that follows `flag`.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
+    args.next().ok_or(format!("{flag} needs a value"))
+}
+
+/// The value that follows `flag`, parsed as a number.
+fn num<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    parse_num(flag, &value(args, flag)?)
+}
+
 /// Parse `v`, the value of `flag`, as a duration in seconds: finite, not
 /// negative, and within [`Params::MAX_DURATION`] (so the run's clock
 /// cannot wrap).
 fn parse_secs(flag: &str, v: &str) -> Result<SimDuration, String> {
-    let secs: f64 = parse_num(v)?;
+    let secs: f64 = parse_num(flag, v)?;
     if !(0.0..=Params::MAX_DURATION.as_secs_f64()).contains(&secs) {
         return Err(out_of_range(flag, v));
     }
@@ -224,11 +233,13 @@ fn out_of_range(flag: &str, v: &str) -> String {
     )
 }
 
-fn parse_num<T: std::str::FromStr>(v: &str) -> Result<T, String>
+/// Parse `v`, the value of `flag`, as a number.
+fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    v.parse().map_err(|e| format!("bad value {v:?}: {e}"))
+    v.parse()
+        .map_err(|e| format!("{flag}: bad value {v:?}: {e}"))
 }
 
 /// `v` to three places, or `n/a` when too few batches define it: batch
@@ -396,7 +407,7 @@ fn emit(cli: &Cli, text: &str) {
 }
 
 fn main() {
-    let cli = match parse() {
+    let cli = match parse(std::env::args().skip(1)) {
         Ok(Some(c)) => c,
         Ok(None) => {
             print!("{USAGE}");
@@ -512,6 +523,134 @@ fn main() {
         emit(&cli, &text);
         if failed {
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn rejection(argv: &[&str]) -> String {
+        match parse(argv.iter().map(ToString::to_string)) {
+            Err(e) => e,
+            Ok(_) => panic!("{argv:?} parsed"),
+        }
+    }
+
+    #[test]
+    fn bad_values_name_their_flag() {
+        assert!(rejection(&["--db", "x"]).starts_with("--db: bad value \"x\": "));
+        assert!(rejection(&["--mpl", "--quick"]).starts_with("--mpl: bad value \"--quick\": "));
+        assert_eq!(rejection(&["--quick", "--mpl"]), "--mpl needs a value");
+        assert!(rejection(&["--algo", "2pl"]).starts_with("--algo: unknown algorithm \"2pl\""));
+        assert!(rejection(&["x"]).starts_with("unexpected argument \"x\""));
+    }
+
+    /// Every flag `USAGE` lists, values that parse, values that do not,
+    /// and words that are no flag at all.
+    const WORDS: &[&str] = &[
+        "--algo",
+        "--mpl",
+        "--db",
+        "--terminals",
+        "--write-prob",
+        "--min-size",
+        "--max-size",
+        "--cpus",
+        "--disks",
+        "--infinite",
+        "--ext-think",
+        "--int-think",
+        "--seed",
+        "--reps",
+        "--batches",
+        "--batch-secs",
+        "--warmup",
+        "--quick",
+        "--max-events",
+        "--out",
+        "--check-serializable",
+        "--perf",
+        "--profile",
+        "--audit",
+        "--help",
+        "-h",
+        "--bogus",
+        "-",
+        "",
+        "0",
+        "1",
+        "7",
+        "0.5",
+        "-1",
+        "4294967296",
+        "18446744073709551616",
+        "1e309",
+        "NaN",
+        "inf",
+        "mvcc-si",
+        "x",
+        " 3",
+        "é",
+        "\u{0}",
+    ];
+
+    /// The parameters `SimConfig::validate` names in its errors.
+    const PARAMS: &[&str] = &[
+        "db_size",
+        "min_size",
+        "max_size",
+        "write_prob",
+        "num_terms",
+        "mpl",
+        "num_cpus",
+        "num_disks",
+        "ext_think_time",
+        "int_think_time",
+        "expected service time",
+        "metrics.batches",
+        "metrics.batch_time",
+        "metrics horizon",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Any argv over the real flags and edge values parses to a valid
+        /// configuration, asks for help, or fails with an error that names
+        /// the rejected flag (or stray argument), or the parameter
+        /// validation rejected. It never panics. No `Simulator` is built:
+        /// a valid configuration may size gigabytes.
+        #[test]
+        fn parse_never_panics_and_names_what_it_rejects(
+            ix in proptest::collection::vec(0..WORDS.len(), 0..8),
+        ) {
+            let argv: Vec<String> = ix.iter().map(|&i| WORDS[i].to_string()).collect();
+            match parse(argv.clone()) {
+                Ok(Some(cli)) => {
+                    prop_assert!(cli.cfg.validate().is_ok(), "{:?}", argv);
+                    prop_assert!(cli.reps >= 1);
+                }
+                Ok(None) => {
+                    prop_assert!(argv.iter().any(|a| a == "--help" || a == "-h"));
+                }
+                Err(e) => {
+                    let names_flag = argv
+                        .iter()
+                        .any(|a| a.starts_with("--") && e.contains(a.as_str()));
+                    let names_stray = e.starts_with("unexpected argument ")
+                        && argv.iter().any(|a| e.contains(&format!("{a:?}")));
+                    let names_param = PARAMS.iter().any(|p| e.contains(p));
+                    prop_assert!(
+                        names_flag || names_stray || names_param,
+                        "{:?} names nothing in {:?}",
+                        e,
+                        argv
+                    );
+                }
+            }
         }
     }
 }

@@ -27,6 +27,9 @@ fn outcome(description: &str, passed: bool, detail: String) -> CheckOutcome {
 const B: &str = "blocking";
 const IR: &str = "immediate-restart";
 const O: &str = "optimistic";
+const SI: &str = "mvcc-si";
+/// The modern in-memory protocols exp1 and exp2 carry beyond the trio.
+const MODERN: [&str; 3] = [SI, "silo-occ", "tictoc"];
 
 /// "`a` beats `b` at `mpl`". With two or more replications this is a paired
 /// Student-t over per-replication throughputs — sharp because the runner's
@@ -197,7 +200,45 @@ fn exp2(result: &ExperimentResult) -> Vec<CheckOutcome> {
         sd_ir > sd_b,
         format!("response σ @50: ir {sd_ir:.2}s vs blocking {sd_b:.2}s"),
     ));
+    v.push(modern_trio_beats_optimistic(result));
     v
+}
+
+/// Extension (EXPERIMENTS.md, "Modern in-memory protocols"): at high mpl
+/// mvcc-si, silo-occ and tictoc all run above optimistic, each outside
+/// both confidence intervals, and snapshot reads give mvcc-si the lowest
+/// restart ratio of the four.
+fn modern_trio_beats_optimistic(result: &ExperimentResult) -> CheckOutcome {
+    let mut above = true;
+    let mut si_fewest = true;
+    let mut detail = Vec::new();
+    for mpl in [100, 200] {
+        let rr = |label| ratio_at(result, label, mpl, |r| r.restart_ratio);
+        let occ = est_at(result, O, mpl);
+        let mut parts = Vec::new();
+        for label in std::iter::once(O).chain(MODERN) {
+            let est = est_at(result, label, mpl);
+            if label != O {
+                above &= matches!(
+                    (est, occ),
+                    (Some(e), Some(o)) if e.mean > o.mean && e.significantly_differs_from(&o)
+                );
+            }
+            if label != SI {
+                si_fewest &= rr(SI) < rr(label);
+            }
+            let tps = est.map_or("missing".into(), |e| {
+                format!("{:.2} ± {:.2}", e.mean, e.half_width)
+            });
+            parts.push(format!("{label} {tps} (rr {:.2})", rr(label)));
+        }
+        detail.push(format!("@{mpl}: {}", parts.join(", ")));
+    }
+    outcome(
+        "mvcc-si, silo-occ and tictoc all beat optimistic at high mpl, and mvcc-si restarts least (extension)",
+        above && si_fewest,
+        detail.join("; "),
+    )
 }
 
 /// Experiment 3 (Figures 8–10): with 1 CPU / 2 disks the best global
@@ -593,5 +634,57 @@ mod tests {
     fn unknown_id_gets_only_liveness() {
         let r = fake_result("mystery", &[("blocking", 25, 1.0)]);
         assert_eq!(evaluate(&r).len(), 1);
+    }
+
+    /// exp2's points at mpl 100 and 200 for optimistic and the modern trio,
+    /// as `(series, tps, restart ratio)`; every half-width is 0.1.
+    fn modern_check(series: &[(&str, f64, f64)]) -> CheckOutcome {
+        let mut r = fake_result("exp2", &[]);
+        for mpl in [100, 200] {
+            for &(s, tps, rr) in series {
+                let mut report = fake_report(tps);
+                report.restart_ratio = rr;
+                r.points.push(DataPoint::single(s.to_string(), mpl, report));
+            }
+        }
+        modern_trio_beats_optimistic(&r)
+    }
+
+    #[test]
+    fn modern_trio_check_needs_every_gap_outside_the_intervals() {
+        let with_silo = |tps| {
+            modern_check(&[
+                (O, 90.0, 1.2),
+                (SI, 120.0, 0.3),
+                ("silo-occ", tps, 0.6),
+                ("tictoc", 112.0, 0.5),
+            ])
+        };
+        let pass = with_silo(110.0);
+        assert!(pass.passed, "{pass:?}");
+        assert!(pass
+            .detail
+            .contains("@200: optimistic 90.00 ± 0.10 (rr 1.20)"));
+        // Above optimistic, but inside the two half-widths.
+        let tie = with_silo(90.15);
+        assert!(!tie.passed, "{tie:?}");
+    }
+
+    #[test]
+    fn modern_trio_check_needs_mvcc_si_to_restart_least() {
+        let c = modern_check(&[
+            (O, 90.0, 1.2),
+            (SI, 120.0, 0.3),
+            ("silo-occ", 110.0, 0.6),
+            ("tictoc", 112.0, 0.25),
+        ]);
+        assert!(!c.passed, "{c:?}");
+    }
+
+    #[test]
+    fn modern_trio_check_fails_on_a_missing_series() {
+        let c = modern_check(&[(O, 90.0, 1.2), (SI, 120.0, 0.3), ("silo-occ", 110.0, 0.6)]);
+        assert!(!c.passed, "{c:?}");
+        assert!(c.detail.contains("tictoc missing"), "{}", c.detail);
     }
 }

@@ -1,4 +1,5 @@
-//! `ccsim-occ` — the optimistic concurrency control substrate.
+//! `ccsim-occ` — backward validation, the certifier shared by the
+//! optimistic protocols.
 //!
 //! The paper's optimistic algorithm (after Kung & Robinson): "Transactions
 //! are allowed to execute unhindered and are validated only after they have
@@ -6,23 +7,32 @@
 //! point if it finds that any object that it read has been written by
 //! another transaction which committed during its lifetime."
 //!
-//! [`Validator`] realizes this as backward validation against a per-object
-//! *last committed write* timestamp. Validation and write-stamping happen in
-//! one logical step (Kung–Robinson's critical section), which the simulator
-//! guarantees by performing both at a single event. The deferred physical
-//! updates then proceed under the protection of the already-published
-//! stamps.
+//! [`Validator`] keeps one per-object table of *last committed write*
+//! instants and checks `(object, bound)` pairs against it: a pair fails if
+//! the object was written by a transaction that committed after its bound.
+//! The protocols it serves differ only in the pairs they check:
+//!
+//! | protocol | pairs checked |
+//! |---|---|
+//! | optimistic (Kung–Robinson) | each read, bounded by the attempt start |
+//! | silo-occ | each read, bounded by the instant that read completed |
+//! | mvcc-si (first-committer-wins) | each write, bounded by the attempt start (the snapshot) |
+//!
+//! Validation and write-stamping happen in one logical step (Kung–Robinson's
+//! critical section), which the simulator guarantees by performing both at a
+//! single event. The deferred physical updates then proceed under the
+//! protection of the already-published stamps.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use ccsim_des::{SimDuration, SimTime};
+use ccsim_des::SimTime;
 use ccsim_workload::{ObjId, ObjMap};
 
 /// Why a validation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conflict {
-    /// The read object that was overwritten.
+    /// The checked object that was overwritten.
     pub obj: ObjId,
     /// When the conflicting transaction committed.
     pub committed_at: SimTime,
@@ -31,14 +41,13 @@ pub struct Conflict {
 /// Backward-validation state: the last committed write time of each object.
 ///
 /// The stamp table is a sparse [`ObjMap`] holding an entry only for objects
-/// with a committed write on record, so memory follows write traffic (and
-/// shrinks again under [`Validator::prune_before`]) rather than `db_size` —
-/// at `db_size = 10^8` a dense stamp array would cost 800 MB up front. An
-/// absent entry means "never written", which is observably identical to the
-/// old dense layout's `SimTime::ZERO` sentinel: a conflict requires
-/// `committed_at > start`, and no attempt starts before time zero, so a
-/// (physically impossible) commit at exactly time zero is treated as
-/// erasing the stamp rather than setting an unobservable one.
+/// with a committed write on record, so memory follows write traffic rather
+/// than `db_size` — at `db_size = 10^8` a dense stamp array would cost
+/// 800 MB up front. An absent entry means "never written", which is
+/// observably identical to a dense layout's `SimTime::ZERO` sentinel: a
+/// conflict requires a stamp later than its bound, and no bound precedes
+/// time zero, so a (physically impossible) commit at exactly time zero is
+/// treated as erasing the stamp rather than setting an unobservable one.
 #[derive(Debug, Default)]
 pub struct Validator {
     last_write: ObjMap<SimTime>,
@@ -47,12 +56,6 @@ pub struct Validator {
 }
 
 impl Validator {
-    /// An empty validator (no committed writes yet).
-    #[must_use]
-    pub fn new() -> Self {
-        Validator::default()
-    }
-
     /// An empty validator presized for small-regime runs. The stamp table
     /// is sparse, so `db_size` is only a pre-sizing hint (capped): big
     /// databases start small and the table grows with write traffic.
@@ -64,18 +67,19 @@ impl Validator {
         }
     }
 
-    /// Validate a transaction attempt that started executing at `start` and
-    /// read `readset`.
+    /// Validate `(object, bound)` pairs, in order.
     ///
     /// # Errors
-    /// Returns the first [`Conflict`] found: some object in the readset was
-    /// written by a transaction that committed *during the attempt's
-    /// lifetime* (strictly after `start`).
-    pub fn validate(&mut self, start: SimTime, readset: &[ObjId]) -> Result<(), Conflict> {
+    /// Returns the first [`Conflict`] found: some object was written by a
+    /// transaction that committed strictly after the pair's bound.
+    pub fn validate_each(
+        &mut self,
+        checks: impl IntoIterator<Item = (ObjId, SimTime)>,
+    ) -> Result<(), Conflict> {
         self.validations += 1;
-        for &obj in readset {
+        for (obj, bound) in checks {
             if let Some(committed_at) = self.last_write.get(obj) {
-                if committed_at > start {
+                if committed_at > bound {
                     self.failures += 1;
                     return Err(Conflict { obj, committed_at });
                 }
@@ -84,9 +88,20 @@ impl Validator {
         Ok(())
     }
 
+    /// Validate a transaction attempt that started executing at `start` and
+    /// read `readset`: every read is bounded by the attempt start.
+    ///
+    /// # Errors
+    /// As [`Validator::validate_each`]: some object in the readset was
+    /// written by a transaction that committed *during the attempt's
+    /// lifetime* (strictly after `start`).
+    pub fn validate(&mut self, start: SimTime, readset: &[ObjId]) -> Result<(), Conflict> {
+        self.validate_each(readset.iter().map(|&obj| (obj, start)))
+    }
+
     /// Record a successful commit at time `now` writing `writeset`. Must be
-    /// called at the same instant as the successful [`Validator::validate`]
-    /// (the critical section).
+    /// called at the same instant as the successful validation (the
+    /// critical section).
     pub fn commit(&mut self, now: SimTime, writeset: impl IntoIterator<Item = ObjId>) {
         for obj in writeset {
             if now == SimTime::ZERO {
@@ -98,45 +113,6 @@ impl Validator {
         }
     }
 
-    /// Validate and, on success, commit in one step.
-    ///
-    /// # Errors
-    /// As [`Validator::validate`].
-    pub fn validate_and_commit(
-        &mut self,
-        start: SimTime,
-        now: SimTime,
-        readset: &[ObjId],
-        writeset: impl IntoIterator<Item = ObjId>,
-    ) -> Result<(), Conflict> {
-        self.validate(start, readset)?;
-        self.commit(now, writeset);
-        Ok(())
-    }
-
-    /// The last committed write time of `obj`, if any transaction has
-    /// committed a write to it.
-    #[must_use]
-    pub fn last_write(&self, obj: ObjId) -> Option<SimTime> {
-        self.last_write.get(obj)
-    }
-
-    /// Drop write stamps at or before `horizon`. Any attempt that started at
-    /// or after `horizon` can never conflict with them, so once no active
-    /// attempt predates `horizon` the entries are dead weight. Returns how
-    /// many stamps were pruned.
-    pub fn prune_before(&mut self, horizon: SimTime) -> usize {
-        let before = self.last_write.len();
-        self.last_write.retain(|_, t| t > horizon);
-        before - self.last_write.len()
-    }
-
-    /// Number of objects with a recorded committed write.
-    #[must_use]
-    pub fn tracked_objects(&self) -> usize {
-        self.last_write.len()
-    }
-
     /// Lifetime counters: `(validations, failures)`.
     #[must_use]
     pub fn counters(&self) -> (u64, u64) {
@@ -144,142 +120,10 @@ impl Validator {
     }
 }
 
-/// An epoch-batched transaction id in the Silo style: the commit epoch in
-/// the high part, a within-epoch sequence number in the low part. Ids are
-/// totally ordered and strictly increasing in commit order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SiloTid {
-    /// The epoch the commit landed in (`now / epoch_len`).
-    pub epoch: u64,
-    /// Commit sequence number within the epoch, starting at 1.
-    pub seq: u64,
-}
-
-/// Silo-style epoch OCC validation state.
-///
-/// Each object carries a *TID word*, modeled as the simulated instant of the
-/// last committed write to it (the monotone stand-in for Silo's packed
-/// version numbers). A reader records the word at access time; validation at
-/// the commit point succeeds iff every recorded word is unchanged — i.e. no
-/// write to a read object committed *after the read observed it*. This is
-/// strictly more permissive than Kung–Robinson backward validation (which
-/// conflicts on any write after attempt start): a read that already saw the
-/// newer version revalidates cleanly.
-///
-/// Commit ids are epoch-batched: the epoch is `now / epoch_len` and a
-/// per-epoch counter orders commits within it, as in Silo's group commit.
-/// Like [`Validator`], the word table is a sparse [`ObjMap`]: an absent
-/// entry means "never written" and is observably identical to a
-/// `SimTime::ZERO` word.
-#[derive(Debug)]
-pub struct SiloValidator {
-    words: ObjMap<SimTime>,
-    epoch_len: SimDuration,
-    current_epoch: u64,
-    epoch_seq: u64,
-    epochs_advanced: u64,
-    validations: u64,
-    failures: u64,
-}
-
-impl SiloValidator {
-    /// Silo's default epoch length (40 ms in the paper).
-    pub const DEFAULT_EPOCH: SimDuration = SimDuration::from_millis(40);
-
-    /// An empty validator with the given epoch length.
-    ///
-    /// # Panics
-    /// Panics if `epoch_len` is zero.
-    #[must_use]
-    pub fn new(epoch_len: SimDuration) -> Self {
-        assert!(!epoch_len.is_zero(), "epoch length must be positive");
-        SiloValidator {
-            words: ObjMap::default(),
-            epoch_len,
-            current_epoch: 0,
-            epoch_seq: 0,
-            epochs_advanced: 0,
-            validations: 0,
-            failures: 0,
-        }
-    }
-
-    /// The TID word of `obj` as a reader observes it now.
-    #[must_use]
-    pub fn word(&self, obj: ObjId) -> SimTime {
-        self.words.get(obj).unwrap_or(SimTime::ZERO)
-    }
-
-    /// Validate a read set of `(object, word observed at read time)` pairs.
-    ///
-    /// # Errors
-    /// Returns the first [`Conflict`] found: some read object's TID word
-    /// changed after the read observed it (a write committed in between).
-    pub fn validate(&mut self, readset: &[(ObjId, SimTime)]) -> Result<(), Conflict> {
-        self.validations += 1;
-        for &(obj, observed) in readset {
-            let committed_at = self.word(obj);
-            if committed_at > observed {
-                self.failures += 1;
-                return Err(Conflict { obj, committed_at });
-            }
-        }
-        Ok(())
-    }
-
-    /// Record a successful commit at `now` writing `writeset`, assigning the
-    /// next epoch-batched commit id. Must be called at the same instant as
-    /// the successful [`SiloValidator::validate`] (the critical section).
-    pub fn commit(&mut self, now: SimTime, writeset: impl IntoIterator<Item = ObjId>) -> SiloTid {
-        let epoch = now.as_micros() / self.epoch_len.as_micros();
-        if epoch > self.current_epoch {
-            self.current_epoch = epoch;
-            self.epoch_seq = 0;
-            self.epochs_advanced += 1;
-        }
-        self.epoch_seq += 1;
-        for obj in writeset {
-            if now == SimTime::ZERO {
-                self.words.remove(obj);
-            } else {
-                self.words.insert(obj, now);
-            }
-        }
-        SiloTid {
-            epoch: self.current_epoch,
-            seq: self.epoch_seq,
-        }
-    }
-
-    /// Drop TID words at or before `horizon` (see [`Validator::prune_before`]).
-    pub fn prune_before(&mut self, horizon: SimTime) -> usize {
-        let before = self.words.len();
-        self.words.retain(|_, t| t > horizon);
-        before - self.words.len()
-    }
-
-    /// Number of objects with a recorded word.
-    #[must_use]
-    pub fn tracked_objects(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Lifetime counters: `(validations, failures, epochs_advanced)`.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.validations, self.failures, self.epochs_advanced)
-    }
-}
-
-impl Default for SiloValidator {
-    fn default() -> Self {
-        SiloValidator::new(SiloValidator::DEFAULT_EPOCH)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn o(v: u64) -> ObjId {
         ObjId(v)
@@ -290,14 +134,14 @@ mod tests {
 
     #[test]
     fn empty_validator_accepts_everything() {
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         assert!(v.validate(t(0), &[o(1), o(2), o(3)]).is_ok());
         assert_eq!(v.counters(), (1, 0));
     }
 
     #[test]
     fn conflict_when_read_overwritten_during_lifetime() {
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         // T2 commits a write to obj 5 at t=10.
         v.commit(t(10), [o(5)]);
         // An attempt that started at t=3 and read obj 5 must fail.
@@ -309,7 +153,7 @@ mod tests {
 
     #[test]
     fn no_conflict_with_writes_before_start() {
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         v.commit(t(10), [o(5)]);
         // An attempt that started at t=10 (or later) saw that committed
         // state when it read — no conflict.
@@ -322,124 +166,119 @@ mod tests {
         // Backward validation only checks the readset; a blind write to an
         // object someone else wrote is fine (our workload always reads what
         // it writes, so this matches the paper's conflict definition).
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         v.commit(t(10), [o(5)]);
-        assert!(v.validate_and_commit(t(3), t(12), &[o(1)], [o(5)]).is_ok());
-        assert_eq!(v.last_write(o(5)), Some(t(12)));
+        assert!(v.validate(t(3), &[o(1)]).is_ok());
+        v.commit(t(12), [o(5)]);
+        let err = v.validate_each([(o(5), t(11))]).unwrap_err();
+        assert_eq!(err.committed_at, t(12));
+        assert!(v.validate_each([(o(5), t(12))]).is_ok());
     }
 
     #[test]
-    fn validate_and_commit_publishes_stamps_only_on_success() {
-        let mut v = Validator::new();
+    fn failed_validation_stamps_nothing() {
+        let mut v = Validator::default();
         v.commit(t(10), [o(1)]);
-        let res = v.validate_and_commit(t(0), t(20), &[o(1)], [o(2)]);
-        assert!(res.is_err());
-        assert_eq!(v.last_write(o(2)), None, "failed commit must not stamp");
-        let res = v.validate_and_commit(t(15), t(20), &[o(1)], [o(2)]);
-        assert!(res.is_ok());
-        assert_eq!(v.last_write(o(2)), Some(t(20)));
+        assert!(v.validate(t(0), &[o(1), o(2)]).is_err());
+        // Only a commit stamps: obj 2 still reads as never written.
+        assert!(v.validate_each([(o(2), SimTime::ZERO)]).is_ok());
+        assert_eq!(v.counters(), (2, 1));
     }
 
     #[test]
     fn later_write_overwrites_stamp() {
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         v.commit(t(5), [o(9)]);
         v.commit(t(8), [o(9)]);
-        assert_eq!(v.last_write(o(9)), Some(t(8)));
+        let err = v.validate_each([(o(9), t(7))]).unwrap_err();
+        assert_eq!(err.committed_at, t(8));
         // A reader that started between the two writes conflicts with the
         // second one.
         assert!(v.validate(t(6), &[o(9)]).is_err());
+        assert!(v.validate(t(8), &[o(9)]).is_ok());
     }
 
     #[test]
     fn read_only_transactions_still_validate() {
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         v.commit(t(10), [o(3)]);
         assert!(v.validate(t(5), &[o(3)]).is_err());
-        // Read-only commit publishes nothing.
-        assert!(v.validate_and_commit(t(12), t(13), &[o(3)], []).is_ok());
-        assert_eq!(v.last_write(o(3)), Some(t(10)));
-    }
-
-    #[test]
-    fn pruning_drops_only_safe_stamps() {
-        let mut v = Validator::new();
-        v.commit(t(1), [o(1)]);
-        v.commit(t(5), [o(2)]);
-        v.commit(t(9), [o(3)]);
-        assert_eq!(v.tracked_objects(), 3);
-        let pruned = v.prune_before(t(5));
-        assert_eq!(pruned, 2); // stamps at t=1 and t=5
-        assert_eq!(v.last_write(o(3)), Some(t(9)));
-        assert_eq!(v.last_write(o(1)), None);
-        // An attempt started after the horizon behaves identically.
-        assert!(v.validate(t(5), &[o(1), o(2)]).is_ok());
-        assert!(v.validate(t(5), &[o(3)]).is_err());
+        assert!(v.validate(t(12), &[o(3)]).is_ok());
+        // A read-only commit publishes nothing: the t=10 stamp stands.
+        v.commit(t(13), []);
+        let err = v.validate_each([(o(3), t(9))]).unwrap_err();
+        assert_eq!(err.committed_at, t(10));
+        assert!(v.validate_each([(o(3), t(10))]).is_ok());
     }
 
     #[test]
     fn empty_readset_always_validates() {
-        let mut v = Validator::new();
+        let mut v = Validator::default();
         v.commit(t(10), [o(1)]);
         assert!(v.validate(t(0), &[]).is_ok());
     }
 
     #[test]
-    fn silo_unchanged_words_validate() {
-        let mut v = SiloValidator::default();
+    fn a_read_that_already_saw_the_write_revalidates() {
+        // Bounding a read by the instant it completed (Silo) is more
+        // permissive than bounding it by the attempt start (Kung–Robinson):
+        // a read that already saw the newer version revalidates cleanly.
+        let mut v = Validator::default();
         v.commit(t(5), [o(1)]);
-        // A read that observed the word at t=6 (after the write) is clean.
-        assert!(v.validate(&[(o(1), t(6))]).is_ok());
-        // A never-written object observed at any time is clean.
-        assert!(v.validate(&[(o(2), SimTime::ZERO)]).is_ok());
-        assert_eq!(v.counters().0, 2);
+        // Attempt started at t=1 and read obj 1 at t=6, after the write.
+        assert!(v.validate(t(1), &[o(1)]).is_err());
+        assert!(v.validate_each([(o(1), t(6))]).is_ok());
+        // Read at t=3, before the write committed: the stamp moved under it.
+        let err = v.validate_each([(o(1), t(3))]).unwrap_err();
+        assert_eq!((err.obj, err.committed_at), (o(1), t(5)));
+        assert_eq!(v.counters(), (3, 2));
     }
 
     #[test]
-    fn silo_changed_word_fails_validation() {
-        let mut v = SiloValidator::default();
-        v.commit(t(5), [o(1)]);
-        // Observed before the write committed: the word changed underneath.
-        let err = v.validate(&[(o(1), t(3))]).unwrap_err();
-        assert_eq!(err.obj, o(1));
-        assert_eq!(err.committed_at, t(5));
-        assert_eq!(v.counters().1, 1);
+    fn validate_each_reports_the_first_late_pair_in_order() {
+        let mut v = Validator::default();
+        v.commit(t(5), [o(1), o(2)]);
+        let err = v
+            .validate_each([(o(3), t(0)), (o(2), t(4)), (o(1), t(4))])
+            .unwrap_err();
+        assert_eq!(err.obj, o(2));
     }
 
-    #[test]
-    fn silo_is_more_permissive_than_attempt_start_validation() {
-        // The Kung–Robinson validator conflicts on any write after attempt
-        // start; Silo revalidates cleanly if the read already saw it.
-        let mut kr = Validator::new();
-        let mut silo = SiloValidator::default();
-        kr.commit(t(5), [o(1)]);
-        silo.commit(t(5), [o(1)]);
-        // Attempt started at t=1, read obj1 at t=6 (post-write).
-        assert!(kr.validate(t(1), &[o(1)]).is_err());
-        assert!(silo.validate(&[(o(1), t(6))]).is_ok());
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn silo_tids_are_epoch_batched_and_monotone() {
-        let mut v = SiloValidator::new(SimDuration::from_secs(1));
-        let a = v.commit(SimTime::from_millis(100), [o(1)]);
-        let b = v.commit(SimTime::from_millis(900), [o(2)]);
-        let c = v.commit(SimTime::from_millis(2500), [o(3)]);
-        assert_eq!((a.epoch, a.seq), (0, 1));
-        assert_eq!((b.epoch, b.seq), (0, 2));
-        assert_eq!((c.epoch, c.seq), (2, 1));
-        assert!(a < b && b < c, "tids must be strictly increasing");
-        assert_eq!(v.counters().2, 1, "one epoch advance");
-    }
-
-    #[test]
-    fn silo_pruning_drops_only_safe_words() {
-        let mut v = SiloValidator::default();
-        v.commit(t(1), [o(1)]);
-        v.commit(t(9), [o(2)]);
-        assert_eq!(v.tracked_objects(), 2);
-        assert_eq!(v.prune_before(t(5)), 1);
-        assert_eq!(v.word(o(1)), SimTime::ZERO);
-        assert_eq!(v.word(o(2)), t(9));
+        /// First-committer-wins over a write set, as mvcc-si certifies: a
+        /// commit fails iff a prior commit to its write object happened
+        /// strictly inside its (start, now] window.
+        #[test]
+        fn fcw_matches_interval_overlap_model(
+            ops in proptest::collection::vec(
+                (0u64..8, 0u64..20, 1u64..10), 1..40
+            ),
+        ) {
+            let mut v = Validator::default();
+            // Naive model: the (object, instant) of every commit so far.
+            let mut committed: Vec<(u64, u64)> = Vec::new();
+            let mut clock = 0u64;
+            for (i, &(obj, start_back, dur)) in ops.iter().enumerate() {
+                clock += dur;
+                let start = clock.saturating_sub(start_back);
+                let now = clock;
+                let expect_conflict = committed
+                    .iter()
+                    .any(|&(ob, at)| ob == obj && at > start);
+                let got = v.validate_each([(o(obj), t(start))]);
+                prop_assert_eq!(
+                    got.is_err(),
+                    expect_conflict,
+                    "op {} obj {} start {} now {}",
+                    i, obj, start, now
+                );
+                if got.is_ok() {
+                    v.commit(t(now), [o(obj)]);
+                    committed.push((obj, now));
+                }
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! | [`des`] | discrete-event engine: clock, calendar, RNG, distributions |
 //! | [`resources`] | CPU pool and partitioned disk array (physical model) |
 //! | [`lockmgr`] | 2PL lock table, upgrades, deadlock detection |
-//! | [`occ`] | optimistic backward validation |
+//! | [`occ`] | backward validation of `(object, bound)` pairs for optimistic, silo-occ and mvcc-si |
 //! | [`workload`] | Table 1 parameters and transaction generation |
 //! | [`stats`] | batch means, confidence intervals, running averages |
 //! | [`core`] | the closed queuing model with pluggable CC (Figures 1–2) |

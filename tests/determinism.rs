@@ -72,8 +72,9 @@ fn trace_ring_does_not_perturb_the_run() {
     // trace ring and the history recorder (exp3's resource-limited
     // baseline, mpl 50) must leave the report byte-identical to the
     // unobserved run. The modern in-memory protocols ride the same loop:
-    // their validation managers (version chains, TID words, timestamp
-    // intervals) must be equally observer-independent.
+    // their certifiers (the shared backward validator's last-commit
+    // stamps, TicToc's timestamp intervals) must be equally
+    // observer-independent.
     for algo in CcAlgorithm::PAPER_TRIO
         .into_iter()
         .chain(CcAlgorithm::MODERN_TRIO)
@@ -210,10 +211,10 @@ fn many_terminal_infinite_resource_runs_match_across_calendars() {
 }
 
 #[test]
-fn modern_scale_points_are_deterministic_under_toggles() {
+fn modern_scale_points_are_deterministic_under_observation_and_calendar_choice() {
     // One budget-bounded slice of the `exp-scale` regime per modern
-    // protocol: the sparse-slot version chains (MVCC), TID words (Silo)
-    // and timestamp intervals (TicToc) must all survive the same pure
+    // protocol: the sparse last-commit stamps (mvcc-si, silo-occ) and
+    // timestamp intervals (TicToc) must all survive the same pure
     // observer/representation switches byte-for-byte that the blocking
     // scale point above does — trace ring on and the two-tier calendar
     // off.
