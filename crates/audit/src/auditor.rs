@@ -138,9 +138,6 @@ enum Expect {
     /// A `Restart` for this transaction (after `Deadlock`,
     /// `ValidationFailure` or `TsRejected`).
     Restart(TxnId),
-    /// A `VersionInstalled` for this transaction (after `Commit` under
-    /// multiversion CC: every MVCC commit must account for its versions).
-    Install(TxnId),
     /// A further `Publish` or the `CommitPoint` for this transaction (after
     /// a `Publish`).
     Publication(TxnId),
@@ -153,7 +150,6 @@ impl Expect {
         match (self, event) {
             (Expect::Release(t), TraceEvent::LocksReleased(u, _)) => t == *u,
             (Expect::Restart(t), TraceEvent::Restart(u)) => t == *u,
-            (Expect::Install(t), TraceEvent::VersionInstalled(u, _)) => t == *u,
             (Expect::Publication(t), TraceEvent::Publish(u, _) | TraceEvent::CommitPoint(u, _)) => {
                 t == *u
             }
@@ -166,7 +162,6 @@ impl Expect {
         match self {
             Expect::Release(t) => format!("LocksReleased for {t}"),
             Expect::Restart(t) => format!("Restart for {t}"),
-            Expect::Install(t) => format!("VersionInstalled for {t}"),
             Expect::Publication(t) => format!("Publish or CommitPoint for {t}"),
             Expect::Commit(t) => format!("Commit for {t}"),
         }
@@ -376,8 +371,6 @@ impl Auditor {
                 matches!(algo, A::Optimistic | A::MvccSi | A::SiloOcc | A::TicToc)
             }
             TraceEvent::TsRejected(..) => algo == A::BasicTO,
-            // Only multiversion CC installs versions.
-            TraceEvent::VersionInstalled(..) => algo == A::MvccSi,
         };
         (!ok).then(|| format!("event `{event}` is illegal under {algo}"))
     }
@@ -527,41 +520,8 @@ impl Auditor {
                         s.phase = Phase::Committed;
                     }
                     self.expect = Some(Expect::Release(t));
-                } else if self.algo == CcAlgorithm::MvccSi {
-                    // The slot clears at the obligated VersionInstalled.
-                    if let Some(s) = self.slot_mut(t) {
-                        s.phase = Phase::Committed;
-                    }
-                    self.expect = Some(Expect::Install(t));
                 } else {
                     let term = self.term_of(t);
-                    self.slots[term] = None;
-                }
-            }
-            TraceEvent::VersionInstalled(t, _) => {
-                // Adjacency is enforced by the expectation mechanism; an
-                // out-of-the-blue installation is caught here.
-                let expected = self
-                    .recent
-                    .iter()
-                    .rev()
-                    .nth(1)
-                    .is_some_and(|(_, prev)| matches!(*prev, TraceEvent::Commit(u) if u == t));
-                if !expected {
-                    self.violate(
-                        at,
-                        Some(t),
-                        "VersionInstalled without an immediately preceding Commit".into(),
-                    );
-                }
-                if let Err(m) = self.check_phase(t, &[Phase::Committed]) {
-                    self.violate(at, Some(t), m);
-                }
-                let term = self.term_of(t);
-                if self.slots[term]
-                    .as_ref()
-                    .is_some_and(|s| s.id == t && s.phase == Phase::Committed)
-                {
                     self.slots[term] = None;
                 }
             }
@@ -977,42 +937,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.message.contains("spontaneous restart")));
-    }
-
-    #[test]
-    fn mvcc_commit_lifecycle_is_clean_and_installation_is_obligatory() {
-        let mut a = Auditor::new(&cfg(CcAlgorithm::MvccSi));
-        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
-        feed(&mut a, 1, TraceEvent::Admit(t(1)));
-        feed(&mut a, 2, TraceEvent::Commit(t(1)));
-        feed(&mut a, 2, TraceEvent::VersionInstalled(t(1), 2));
-        assert!(a.report().is_clean(), "{}", a.report().render());
-
-        // A commit whose installation never arrives breaks the obligation.
-        let mut b = Auditor::new(&cfg(CcAlgorithm::MvccSi));
-        feed(&mut b, 1, TraceEvent::Arrive(t(1)));
-        feed(&mut b, 1, TraceEvent::Admit(t(1)));
-        feed(&mut b, 2, TraceEvent::Commit(t(1)));
-        feed(&mut b, 3, TraceEvent::Arrive(t(11)));
-        assert!(b
-            .report()
-            .violations
-            .iter()
-            .any(|v| v.message.contains("expected VersionInstalled")));
-    }
-
-    #[test]
-    fn version_installed_outside_mvcc_is_illegal() {
-        let mut a = Auditor::new(&cfg(CcAlgorithm::SiloOcc));
-        feed(&mut a, 1, TraceEvent::Arrive(t(1)));
-        feed(&mut a, 1, TraceEvent::Admit(t(1)));
-        feed(&mut a, 2, TraceEvent::Commit(t(1)));
-        feed(&mut a, 2, TraceEvent::VersionInstalled(t(1), 1));
-        assert!(a
-            .report()
-            .violations
-            .iter()
-            .any(|v| v.message.contains("illegal under silo-occ")));
     }
 
     #[test]

@@ -2,18 +2,15 @@
 //! (MVCC-SI, Silo OCC, TicToc): random contended workloads at low, medium
 //! and saturated multiprogramming levels must audit clean, and each
 //! protocol's event stream must stay inside its legal vocabulary — no
-//! blocking-family events ever, no deadlocks, no timestamp rejections, and
-//! version installations from the multiversion protocol only. The facts a
-//! history is built from (reads, publications, commit points) belong to
-//! every protocol's vocabulary.
+//! blocking-family events ever, no deadlocks and no timestamp rejections.
+//! The facts a history is built from (reads, publications, commit points)
+//! belong to every protocol's vocabulary.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use ccsim_audit::attach;
-use ccsim_core::{
-    CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace, TraceEvent,
-};
+use ccsim_core::{CcAlgorithm, MetricsConfig, Params, SimConfig, Simulator, Trace, TraceEvent};
 use ccsim_des::SimDuration;
 use proptest::prelude::*;
 
@@ -37,14 +34,13 @@ fn contended(algo: CcAlgorithm, mpl: u32, db_size: u64, write_prob: f64, seed: u
             warmup_batches: 0,
             batches: 2,
             batch_time: SimDuration::from_secs(10),
-            confidence: Confidence::Ninety,
         })
         .with_seed(seed)
 }
 
 /// True if `event` may appear in a certification-at-commit protocol's
-/// stream; `installs` additionally admits `VersionInstalled` (MVCC only).
-fn legal_modern_event(event: &TraceEvent, installs: bool) -> bool {
+/// stream.
+fn legal_modern_event(event: &TraceEvent) -> bool {
     match event {
         TraceEvent::Arrive(_)
         | TraceEvent::Admit(_)
@@ -54,7 +50,6 @@ fn legal_modern_event(event: &TraceEvent, installs: bool) -> bool {
         | TraceEvent::Read(..)
         | TraceEvent::Publish(..)
         | TraceEvent::CommitPoint(..) => true,
-        TraceEvent::VersionInstalled(..) => installs,
         TraceEvent::Acquire(..)
         | TraceEvent::Block(..)
         | TraceEvent::Grant(..)
@@ -104,8 +99,7 @@ proptest! {
 
     /// The forbidden-event vocabulary, checked against the raw trace: the
     /// modern protocols never block, never deadlock, never touch the lock
-    /// manager, never reject on basic-T/O timestamps — and only MVCC-SI
-    /// installs versions.
+    /// manager and never reject on basic-T/O timestamps.
     #[test]
     fn modern_trio_stays_inside_its_event_vocabulary(
         seed in any::<u64>(),
@@ -113,7 +107,6 @@ proptest! {
         write_prob in 0.1f64..0.9,
     ) {
         for algo in CcAlgorithm::MODERN_TRIO {
-            let installs = algo == CcAlgorithm::MvccSi;
             for mpl in MPLS {
                 let cfg = contended(algo, mpl, db_size, write_prob, seed);
                 let mut sim = Simulator::new(cfg).expect("valid config");
@@ -122,24 +115,10 @@ proptest! {
                 sim.run_collecting().finished().expect("run within budget");
                 let trace = trace.borrow();
                 prop_assert_eq!(trace.dropped(), 0, "{}@{} trace overflowed", algo, mpl);
-                let mut installed = 0u64;
                 for (at, e) in trace.events() {
                     prop_assert!(
-                        legal_modern_event(e, installs),
+                        legal_modern_event(e),
                         "{}@{} emitted a forbidden event at {}: {}", algo, mpl, at, e
-                    );
-                    if matches!(e, TraceEvent::VersionInstalled(..)) {
-                        installed += 1;
-                    }
-                }
-                if installs {
-                    let commits = trace
-                        .events()
-                        .filter(|(_, e)| matches!(e, TraceEvent::Commit(_)))
-                        .count() as u64;
-                    prop_assert_eq!(
-                        installed, commits,
-                        "{}@{}: every MVCC commit installs exactly once", algo, mpl
                     );
                 }
             }

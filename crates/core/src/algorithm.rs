@@ -134,16 +134,6 @@ impl CcAlgorithm {
         }
     }
 
-    /// Does the algorithm inherently delay restarted transactions?
-    /// Immediate-restart must, "otherwise the same lock conflict will occur
-    /// repeatedly" (paper §2); the others don't need to — blocking's
-    /// deadlock cannot recur and optimistic conflicts are with already
-    /// committed transactions.
-    #[must_use]
-    pub fn uses_restart_delay(self) -> bool {
-        matches!(self, CcAlgorithm::ImmediateRestart)
-    }
-
     /// Short label used in reports and plots.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -211,7 +201,6 @@ mod tests {
     fn no_cc_is_excluded_from_all() {
         assert!(!CcAlgorithm::ALL.contains(&CcAlgorithm::NoCc));
         assert!(!CcAlgorithm::NoCc.uses_locks());
-        assert!(!CcAlgorithm::NoCc.uses_restart_delay());
         assert_eq!(CcAlgorithm::NoCc.label(), "no-cc");
     }
 
@@ -231,17 +220,8 @@ mod tests {
         );
         for a in CcAlgorithm::MODERN_TRIO {
             assert!(!a.uses_locks(), "{a} must not use the lock manager");
-            assert!(!a.uses_restart_delay());
             assert_eq!(a.program_shape(), crate::txn::ProgramShape::LockFree);
         }
-    }
-
-    #[test]
-    fn delay_usage() {
-        assert!(CcAlgorithm::ImmediateRestart.uses_restart_delay());
-        assert!(!CcAlgorithm::Blocking.uses_restart_delay());
-        assert!(!CcAlgorithm::Optimistic.uses_restart_delay());
-        assert!(!CcAlgorithm::NoWaiting.uses_restart_delay());
     }
 
     #[test]

@@ -95,8 +95,6 @@ pub(crate) struct TxnRec {
     pub class: u32,
     /// Lifecycle state.
     pub state: TxnState,
-    /// True while a concurrency-control CPU charge is in flight.
-    pub cc_charged: bool,
     /// False until the terminal's first arrival installs a transaction.
     live: bool,
 }
@@ -105,7 +103,6 @@ impl TxnRec {
     /// Rewind for a fresh attempt after a restart.
     pub fn begin_attempt(&mut self, now: SimTime) {
         self.pc = 0;
-        self.cc_charged = false;
         self.attempt_start = now;
         self.usage.reset();
         self.n_read_times = 0;
@@ -146,7 +143,6 @@ impl TxnRec {
         n_read_times: 0,
         class: 0,
         state: TxnState::AtTerminal,
-        cc_charged: false,
         live: false,
     };
 }
@@ -377,7 +373,6 @@ impl TxnArena {
     pub fn advance_by(&mut self, term: usize, n: usize) {
         let rec = &mut self.recs[term];
         rec.pc += n as u32;
-        rec.cc_charged = false;
         debug_assert_eq!(
             self.step(term),
             self.program(term).step_at(self.recs[term].pc as usize),
@@ -501,13 +496,6 @@ impl TxnArena {
     #[inline]
     fn mask(&self, term: usize) -> &[u64] {
         &self.write_mask[term * self.mask_words..(term + 1) * self.mask_words]
-    }
-
-    /// Number of objects written by `term`'s transaction.
-    #[inline]
-    #[must_use]
-    pub fn num_writes(&self, term: usize) -> usize {
-        self.recs[term].n_writes as usize
     }
 
     /// The objects written by `term`'s transaction, in write (= read)
@@ -645,7 +633,6 @@ mod tests {
         assert_eq!(a.step(2), Step::LockRead(0));
         assert_eq!(a.reads(2).collect::<Vec<_>>(), s.reads());
         assert_eq!(a.write_objs(2).collect::<Vec<_>>(), [ObjId(10)]);
-        assert_eq!(a.num_writes(2), 1);
         assert_eq!(a.read_at(2, 1), ObjId(10));
         assert_eq!(a.write_obj_at(2, 0), ObjId(10));
         // Other terminals untouched.
@@ -705,7 +692,6 @@ mod tests {
         install(&mut a, 0, 2, &spec(2, &[]), SimTime::ZERO, 1);
         assert_eq!(a.reads(0).len(), 2);
         assert_eq!(a.write_objs(0).count(), 0, "stale write bits survived");
-        assert_eq!(a.num_writes(0), 0);
         assert_eq!(a.get(0).unwrap().epoch, 1);
     }
 
@@ -878,7 +864,6 @@ mod tests {
             install(&mut a, 0, 2, &neighbour, SimTime::ZERO, 0);
             install(&mut a, 2, 3, &neighbour, SimTime::ZERO, 0);
             let want: Vec<ObjId> = (0..n).filter(|&i| flags[i]).map(|i| objs[i]).collect();
-            prop_assert_eq!(a.num_writes(1), want.len());
             prop_assert_eq!(a.write_objs(1).collect::<Vec<_>>(), want.clone());
             for (j, &obj) in want.iter().enumerate() {
                 prop_assert_eq!(a.write_obj_at(1, j), obj);

@@ -1,7 +1,6 @@
 //! Simulation run configuration.
 
 use ccsim_des::SimDuration;
-use ccsim_stats::Confidence;
 use ccsim_workload::{ParamError, Params};
 
 use crate::algorithm::{CcAlgorithm, VictimPolicy};
@@ -18,8 +17,6 @@ pub struct MetricsConfig {
     pub batches: u32,
     /// Simulated time per batch.
     pub batch_time: SimDuration,
-    /// Confidence level for interval estimates.
-    pub confidence: Confidence,
 }
 
 impl MetricsConfig {
@@ -30,7 +27,6 @@ impl MetricsConfig {
             warmup_batches: 2,
             batches: 20,
             batch_time: SimDuration::from_secs(150),
-            confidence: Confidence::Ninety,
         }
     }
 
@@ -41,7 +37,6 @@ impl MetricsConfig {
             warmup_batches: 1,
             batches: 8,
             batch_time: SimDuration::from_secs(40),
-            confidence: Confidence::Ninety,
         }
     }
 

@@ -29,7 +29,7 @@ use ccsim_des::{
 };
 use ccsim_lockmgr::{Grant, LockManager, LockMode, RequestOutcome};
 use ccsim_occ::Validator;
-use ccsim_resources::{DiskArray, Priority, Request, ServerPool};
+use ccsim_resources::{DiskArray, Request, ServerPool};
 use ccsim_stats::RunningAvg;
 use ccsim_tso::{
     ReadOutcome as TsoRead, TicTocManager, TsoManager, TtWord, WriteOutcome as TsoWrite,
@@ -93,8 +93,7 @@ pub(crate) enum Event {
         /// Attempt epoch.
         epoch: u32,
     },
-    /// Under infinite resources: a whole service run, or a
-    /// concurrency-control CPU charge, completed (see
+    /// Under infinite resources: a whole service run completed (see
     /// [`Simulator::inf_done`]).
     InfDone(usize, u32),
     /// An internal-think or restart delay elapsed.
@@ -651,10 +650,6 @@ impl Simulator {
         let txn = self.arena.get_mut(term).expect("live txn");
         let params = &self.cfg.params;
         match step {
-            Step::PreclaimLock(_) | Step::LockRead(_) | Step::LockWrite(_) | Step::Validate => {
-                debug_assert_eq!(kind, ServiceKind::Cpu);
-                self.cc_charge_done(term, epoch);
-            }
             Step::ReadIo(_) | Step::UpdateIo(_) => {
                 debug_assert_eq!(kind, ServiceKind::Io);
                 txn.usage.add_io(params.obj_io);
@@ -674,30 +669,29 @@ impl Simulator {
                 self.arena.advance(term);
                 self.work.push_back((term, epoch));
             }
-            Step::IntThink | Step::Commit => {
+            Step::PreclaimLock(_)
+            | Step::LockRead(_)
+            | Step::LockWrite(_)
+            | Step::Validate
+            | Step::IntThink
+            | Step::Commit => {
                 unreachable!("no service completes at step {step:?}")
             }
         }
     }
 
-    /// Under infinite resources, `term`'s service run or CC-CPU charge
-    /// completed. No request waits for a server there, so a run of
-    /// consecutive service steps is one fixed delay: [`Simulator::submit_run`]
-    /// schedules one event for all of it, and this applies all of it at
-    /// once — usage, program counter, and each read at the instant its own
-    /// step completed. Nothing else observable happens inside a run (see
+    /// Under infinite resources, `term`'s service run completed. No request
+    /// waits for a server there, so a run of consecutive service steps is
+    /// one fixed delay: [`Simulator::submit_run`] schedules one event for
+    /// all of it, and this applies all of it at once — usage, program
+    /// counter, and each read at the instant its own step completed. Nothing else observable happens inside a run (see
     /// the run rule in [`crate::arena`]).
     fn inf_done(&mut self, term: usize, epoch: u32, now: SimTime) {
         if !self.is_current(term, epoch) {
             return;
         }
         let run = self.arena.run(term);
-        if run.len() == 0 {
-            // Not a service step: the charge for a lock request or
-            // `Validate` completed.
-            self.cc_charge_done(term, epoch);
-            return;
-        }
+        debug_assert!(run.len() > 0, "InfDone at a non-service step");
         let (io, cpu) = (self.cfg.params.obj_io, self.cfg.params.obj_cpu);
         let txn = self.arena.get_mut(term).expect("live txn");
         txn.usage.io_us += u64::from(run.ios) * io.as_micros();
@@ -718,16 +712,6 @@ impl Simulator {
             debug_assert_eq!(at, now);
         }
         self.arena.advance_by(term, run.len());
-        self.work.push_back((term, epoch));
-    }
-
-    /// The concurrency-control CPU charge for `term`'s current step (a lock
-    /// request or `Validate`) completed; now perform the actual request.
-    fn cc_charge_done(&mut self, term: usize, epoch: u32) {
-        let txn = self.arena.get_mut(term).expect("live txn");
-        debug_assert!(!txn.cc_charged);
-        txn.cc_charged = true;
-        txn.usage.add_cpu(self.cfg.params.cc_cpu);
         self.work.push_back((term, epoch));
     }
 
@@ -830,8 +814,8 @@ impl Simulator {
                     } else {
                         LockMode::Read
                     };
-                    // Start pulling the object's index line in while the
-                    // request's CC-CPU bookkeeping runs (pure hint; no
+                    // Start pulling the object's index line in before the
+                    // request reaches the lock table (pure hint; no
                     // behavioural effect).
                     self.lockmgr.prefetch(obj);
                     self.prof.switch(Stage::LockTable);
@@ -875,8 +859,7 @@ impl Simulator {
                     return;
                 }
                 Step::ReadCpu(_) | Step::WriteCpu(_) => {
-                    let dur = self.cfg.params.obj_cpu;
-                    self.submit_cpu(term, dur, Priority::Normal, epoch, now);
+                    self.submit_cpu(term, epoch, now);
                     return;
                 }
                 Step::IntThink => {
@@ -898,9 +881,6 @@ impl Simulator {
                     return;
                 }
                 Step::Validate => {
-                    if self.charge_cc_if_needed(term, now) {
-                        return;
-                    }
                     self.prof.switch(Stage::Validate);
                     let act = self.validate(term, now);
                     self.prof.switch(Stage::Dispatch);
@@ -917,33 +897,11 @@ impl Simulator {
         }
     }
 
-    /// If `cc_cpu > 0` and this step's CC charge hasn't been paid, submit it
-    /// (high priority, per the paper's CPU discipline) and return `true`.
-    fn charge_cc_if_needed(&mut self, term: usize, now: SimTime) -> bool {
-        let cc_cpu = self.cfg.params.cc_cpu;
-        if cc_cpu.is_zero() {
-            return false;
-        }
-        let txn = self
-            .arena
-            .get(term)
-            .expect("terminal has no active transaction");
-        if txn.cc_charged {
-            return false;
-        }
-        let epoch = txn.epoch;
-        self.submit_cpu(term, cc_cpu, Priority::High, epoch, now);
-        true
-    }
-
     // ------------------------------------------------------------------
     // Concurrency control
     // ------------------------------------------------------------------
 
     fn cc_request(&mut self, term: usize, obj: ObjId, mode: LockMode, now: SimTime) -> CcAction {
-        if self.charge_cc_if_needed(term, now) {
-            return CcAction::Suspend;
-        }
         match self.cfg.algorithm {
             // Static locking shares the blocking discipline; the canonical
             // acquisition order makes its deadlock search a no-op.
@@ -1452,14 +1410,6 @@ impl Simulator {
             self.emit_commit_facts(term, commit_at);
         }
         self.emit(now, TraceEvent::Commit(tid));
-        if self.cfg.algorithm == CcAlgorithm::MvccSi {
-            // The write set was stamped at validation; announcing its size
-            // at the commit event gives the auditor a conservation
-            // obligation to discharge (every MVCC commit accounts for its
-            // writes).
-            let installed = self.arena.num_writes(term) as u32;
-            self.emit(now, TraceEvent::VersionInstalled(tid, installed));
-        }
         self.resp_avg.observe(response);
         self.metrics
             .on_commit(class, response, usage.cpu_us, usage.io_us);
@@ -1530,26 +1480,14 @@ impl Simulator {
     // Resource access
     // ------------------------------------------------------------------
 
-    fn submit_cpu(
-        &mut self,
-        term: usize,
-        dur: SimDuration,
-        prio: Priority,
-        epoch: u32,
-        now: SimTime,
-    ) {
+    fn submit_cpu(&mut self, term: usize, epoch: u32, now: SimTime) {
+        let dur = self.cfg.params.obj_cpu;
         match &mut self.cpus {
-            // Under infinite resources only CC charges come here; service
-            // steps go through `submit_run`.
-            None => {
-                debug_assert_eq!(prio, Priority::High);
-                self.cal.schedule(now + dur, Event::InfDone(term, epoch));
-            }
+            None => unreachable!("CPU service under infinite resources goes through submit_run"),
             Some(pool) => {
                 let req = Request {
                     payload: (term, epoch),
                     duration: dur,
-                    priority: prio,
                 };
                 if let Some(s) = pool.submit(now, req) {
                     self.started_cpu += 1;
@@ -1797,7 +1735,6 @@ mod tests {
                 warmup_batches: 1,
                 batches: 4,
                 batch_time: SimDuration::from_secs(30),
-                confidence: ccsim_stats::Confidence::Ninety,
             })
             .with_seed(1234)
     }
@@ -2053,25 +1990,6 @@ mod tests {
             (think.response_time_mean - 1.5).abs() < 0.2,
             "with a 1 s internal think, response {} should be ~1.5 s",
             think.response_time_mean
-        );
-    }
-
-    #[test]
-    fn cc_cpu_charge_is_accounted() {
-        let mut params = Params::paper_baseline().with_mpl(5);
-        params.cc_cpu = SimDuration::from_millis(5);
-        let with_charge = run(quick_cfg(CcAlgorithm::Blocking).with_params(params))
-            .unwrap()
-            .report;
-        let without =
-            run(quick_cfg(CcAlgorithm::Blocking).with_params(Params::paper_baseline().with_mpl(5)))
-                .unwrap()
-                .report;
-        assert!(
-            with_charge.cpu_util_total.mean > without.cpu_util_total.mean,
-            "cc_cpu should raise CPU utilization ({} vs {})",
-            with_charge.cpu_util_total.mean,
-            without.cpu_util_total.mean
         );
     }
 

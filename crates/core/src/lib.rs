@@ -76,7 +76,7 @@ pub use ccsim_history::{
     SiViolation,
 };
 pub use ccsim_lockmgr::LockMode;
-pub use ccsim_stats::{Confidence, Estimate};
+pub use ccsim_stats::Estimate;
 pub use ccsim_workload::{
-    AccessPattern, ObjId, ParamError, Params, ResourceSpec, RestartDelayPolicy, TermId, TxnId,
+    ObjId, ParamError, Params, ResourceSpec, RestartDelayPolicy, TermId, TxnId,
 };

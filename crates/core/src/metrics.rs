@@ -6,7 +6,7 @@
 //! *useful* resource utilization (Figures 9, 13, 15, 17, 19, 21).
 
 use ccsim_des::{SimDuration, SimTime};
-use ccsim_stats::{BatchMeans, Confidence, Estimate, LogHistogram, TimeWeighted, Welford};
+use ccsim_stats::{BatchMeans, Estimate, LogHistogram, TimeWeighted, Welford};
 
 use crate::config::MetricsConfig;
 
@@ -69,7 +69,6 @@ impl Metrics {
     /// per-class breakdown (1 for the paper's single-class workload).
     #[must_use]
     pub fn new(cfg: MetricsConfig, num_cpus: u32, num_disks: u32, num_classes: usize) -> Self {
-        let conf = cfg.confidence;
         let batch_us = cfg.batch_time.as_micros();
         Metrics {
             cfg,
@@ -85,11 +84,11 @@ impl Metrics {
             useful_io_us: 0,
             cpu_busy_baseline_us: 0,
             io_busy_baseline_us: 0,
-            throughput: BatchMeans::new(conf),
-            disk_util_total: BatchMeans::new(conf),
-            disk_util_useful: BatchMeans::new(conf),
-            cpu_util_total: BatchMeans::new(conf),
-            cpu_util_useful: BatchMeans::new(conf),
+            throughput: BatchMeans::new(),
+            disk_util_total: BatchMeans::new(),
+            disk_util_useful: BatchMeans::new(),
+            cpu_util_total: BatchMeans::new(),
+            cpu_util_useful: BatchMeans::new(),
             response: Welford::new(),
             response_hist: LogHistogram::for_latencies(),
             classes: vec![ClassStats::default(); num_classes.max(1)],
@@ -238,12 +237,6 @@ impl Metrics {
             deadlocks: self.deadlocks,
         }
     }
-
-    /// The confidence level in use.
-    #[must_use]
-    pub fn confidence(&self) -> Confidence {
-        self.cfg.confidence
-    }
 }
 
 /// Per-transaction-class observables (class 0 = the primary class).
@@ -320,7 +313,6 @@ mod tests {
             warmup_batches: warmup,
             batches,
             batch_time: SimDuration::from_secs(secs),
-            confidence: Confidence::Ninety,
         }
     }
 

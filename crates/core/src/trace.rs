@@ -62,12 +62,6 @@ pub enum TraceEvent {
     /// lock-using algorithm; the count lets an auditor cross-check its own
     /// event-derived holdings against the lock manager's.
     LocksReleased(TxnId, u32),
-    /// A committing multiversion transaction installed `n` new versions
-    /// (one per written object; 0 for read-only commits). Emitted
-    /// immediately after `Commit` under MVCC snapshot isolation — the
-    /// multiversion analogue of `LocksReleased`, letting the auditor
-    /// cross-check version installation against the write set.
-    VersionInstalled(TxnId, u32),
     /// A read of an object, with the instant that fixes the version it
     /// observed: the access instant under the lock-based, optimistic and
     /// Silo protocols, the attempt's snapshot under snapshot isolation, the
@@ -101,7 +95,6 @@ impl TraceEvent {
             | TraceEvent::TsRejected(t, _)
             | TraceEvent::Commit(t)
             | TraceEvent::LocksReleased(t, _)
-            | TraceEvent::VersionInstalled(t, _)
             | TraceEvent::Read(t, ..)
             | TraceEvent::Publish(t, _)
             | TraceEvent::CommitPoint(t, _) => t,
@@ -140,7 +133,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::Commit(t) => write!(f, "{t} commits"),
             TraceEvent::LocksReleased(t, n) => write!(f, "{t} releases {n} lock(s)"),
-            TraceEvent::VersionInstalled(t, n) => write!(f, "{t} installs {n} version(s)"),
             TraceEvent::Read(t, o, at) => write!(f, "{t} reads {o} as of {at}"),
             TraceEvent::Publish(t, o) => write!(f, "{t} publishes {o}"),
             TraceEvent::CommitPoint(t, at) => write!(f, "{t} commit point {at}"),
@@ -332,11 +324,6 @@ mod tests {
             TraceEvent::LocksReleased(t(7), 4).to_string(),
             "txn7 releases 4 lock(s)"
         );
-        assert_eq!(
-            TraceEvent::VersionInstalled(t(8), 2).to_string(),
-            "txn8 installs 2 version(s)"
-        );
-        assert_eq!(TraceEvent::VersionInstalled(t(8), 2).txn(), t(8));
         assert_eq!(
             TraceEvent::Read(t(9), ObjId(4), at(2)).to_string(),
             "txn9 reads obj4 as of 2.000000s"

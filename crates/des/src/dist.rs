@@ -254,30 +254,20 @@ impl UniformInclusive {
     }
 }
 
-/// Sample `k` **distinct** integers uniformly from `[0, n)` using Robert
-/// Floyd's algorithm: O(k) draws, no O(n) allocation.
+/// Sample `k` **distinct** integers uniformly from `[0, n)` into `out`
+/// (cleared first), using Robert Floyd's algorithm: O(k) draws, no O(n)
+/// allocation. A caller that draws a sample per transaction recycles one
+/// buffer instead of allocating each time.
 ///
-/// The returned order is randomized (the paper's transactions access their
+/// The sample's order is randomized (the paper's transactions access their
 /// read sets in an arbitrary but fixed order).
-///
-/// # Panics
-/// Panics if `k > n`.
-pub fn sample_distinct<R: RandomSource>(n: u64, k: usize, rng: &mut R) -> Vec<u64> {
-    let mut chosen: Vec<u64> = Vec::with_capacity(k);
-    sample_distinct_into(n, k, rng, &mut chosen);
-    chosen
-}
-
-/// As [`sample_distinct`], but writing into `out` (cleared first) so a
-/// caller that draws a sample per transaction can recycle one buffer
-/// instead of allocating each time. Consumes identical randomness.
 ///
 /// # Panics
 /// Panics if `k > n`.
 pub fn sample_distinct_into<R: RandomSource>(n: u64, k: usize, rng: &mut R, out: &mut Vec<u64>) {
     assert!(
         (k as u64) <= n,
-        "sample_distinct: cannot draw {k} distinct values from a universe of {n}"
+        "sample_distinct_into: cannot draw {k} distinct values from a universe of {n}"
     );
     out.clear();
     out.reserve(k);
@@ -462,8 +452,10 @@ mod tests {
     #[test]
     fn sample_distinct_properties() {
         let mut r = rng();
+        // Stale contents longer than the sample must not survive.
+        let mut v = vec![u64::MAX; 30];
         for _ in 0..200 {
-            let v = sample_distinct(1000, 12, &mut r);
+            sample_distinct_into(1000, 12, &mut r, &mut v);
             assert_eq!(v.len(), 12);
             let mut sorted = v.clone();
             sorted.sort_unstable();
@@ -476,7 +468,8 @@ mod tests {
     #[test]
     fn sample_distinct_full_universe() {
         let mut r = rng();
-        let mut v = sample_distinct(8, 8, &mut r);
+        let mut v = Vec::new();
+        sample_distinct_into(8, 8, &mut r, &mut v);
         v.sort_unstable();
         assert_eq!(v, (0..8).collect::<Vec<_>>());
     }
@@ -487,8 +480,10 @@ mod tests {
         let mut r = rng();
         let mut counts = [0u32; 20];
         let trials = 50_000;
+        let mut v = Vec::new();
         for _ in 0..trials {
-            for x in sample_distinct(20, 4, &mut r) {
+            sample_distinct_into(20, 4, &mut r, &mut v);
+            for &x in &v {
                 counts[x as usize] += 1;
             }
         }
@@ -505,8 +500,9 @@ mod tests {
         let mut r = rng();
         let trials = 30_000;
         let mut first_small = 0;
+        let mut v = Vec::new();
         for _ in 0..trials {
-            let v = sample_distinct(100, 10, &mut r);
+            sample_distinct_into(100, 10, &mut r, &mut v);
             if v[0] < 50 {
                 first_small += 1;
             }
@@ -519,6 +515,6 @@ mod tests {
     #[should_panic(expected = "cannot draw")]
     fn sample_distinct_overdraw_panics() {
         let mut r = rng();
-        sample_distinct(4, 5, &mut r);
+        sample_distinct_into(4, 5, &mut r, &mut Vec::new());
     }
 }

@@ -8,7 +8,7 @@
 //! * [`Calendar`] — an event calendar with FIFO tie-breaking;
 //! * [`Xoshiro256StarStar`] / [`RngStreams`] — reproducible random number
 //!   streams (one per stochastic model component);
-//! * [`Exponential`], [`UniformInclusive`], [`sample_distinct`] — the
+//! * [`Exponential`], [`UniformInclusive`], [`sample_distinct_into`] — the
 //!   variate generators the workload model needs;
 //! * [`prefetch`] — the one cache-prefetch hint, safe to call on any
 //!   reference.
@@ -41,12 +41,8 @@ mod time;
 
 pub use calendar::{Calendar, CalendarStats};
 pub use dist::{
-    sample_distinct, sample_distinct_into, sample_exponential, ExpBlock, Exponential, UniformBlock,
-    UniformInclusive,
+    sample_distinct_into, sample_exponential, ExpBlock, Exponential, UniformBlock, UniformInclusive,
 };
 pub use prefetch::prefetch;
-pub use rng::{
-    derive_point_seed, derive_seed, BufferedRng, RandomSource, RngStreams, SplitMix64,
-    Xoshiro256StarStar,
-};
+pub use rng::{derive_seed, BufferedRng, RandomSource, RngStreams, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};

@@ -260,18 +260,6 @@ pub fn derive_seed(base: u64, path: &[u64]) -> u64 {
     acc
 }
 
-/// Derive the seed for one experiment grid point: `(series, mpl,
-/// replication)` under a base seed.
-///
-/// Replications are independent streams; holding `replication` fixed and
-/// varying `series` gives the distinct-but-aligned seeds a CRN design
-/// needs (callers that want *shared* streams across series pass a fixed
-/// series tag instead).
-#[must_use]
-pub fn derive_point_seed(base: u64, series: u64, mpl: u64, replication: u64) -> u64 {
-    derive_seed(base, &[series, mpl, replication])
-}
-
 /// Named, independent random-number streams derived from one master seed.
 ///
 /// Stream identifiers are stable constants chosen by the caller; the same
@@ -424,14 +412,6 @@ mod tests {
         assert_ne!(derive_seed(1, &[2, 3]), derive_seed(1, &[3, 2]));
         // A longer path is not a continuation of the shorter one's value.
         assert_ne!(derive_seed(1, &[2]), derive_seed(1, &[2, 0]));
-    }
-
-    #[test]
-    fn derive_point_seed_matches_generic_derivation() {
-        assert_eq!(
-            derive_point_seed(0xC0FFEE, 1, 25, 3),
-            derive_seed(0xC0FFEE, &[1, 25, 3])
-        );
     }
 
     #[test]

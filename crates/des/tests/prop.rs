@@ -1,8 +1,8 @@
 //! Property-based tests for the DES engine.
 
 use ccsim_des::{
-    derive_point_seed, derive_seed, sample_distinct, BufferedRng, Calendar, ExpBlock, RandomSource,
-    SimDuration, SimTime, UniformBlock, Xoshiro256StarStar,
+    derive_seed, sample_distinct_into, BufferedRng, Calendar, ExpBlock, RandomSource, SimDuration,
+    SimTime, UniformBlock, Xoshiro256StarStar,
 };
 use proptest::prelude::*;
 
@@ -186,12 +186,13 @@ proptest! {
         prop_assert_eq!(cal.peek(), None);
     }
 
-    /// `sample_distinct` yields exactly `k` distinct in-range values.
+    /// `sample_distinct_into` yields exactly `k` distinct in-range values.
     #[test]
     fn sample_distinct_invariants(seed in any::<u64>(), n in 1u64..5_000, k_frac in 0.0f64..1.0) {
         let k = ((n as f64 * k_frac) as usize).min(n as usize).max(1);
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let v = sample_distinct(n, k, &mut rng);
+        let mut v = vec![u64::MAX; 3];
+        sample_distinct_into(n, k, &mut rng, &mut v);
         prop_assert_eq!(v.len(), k);
         prop_assert!(v.iter().all(|&x| x < n));
         let mut s = v;
@@ -201,16 +202,18 @@ proptest! {
     }
 
     /// Hierarchical seed derivation never collides across an experiment-
-    /// sized grid (3 series × 7 mpls × 10 replications = 210 coordinates),
-    /// for any base seed.
+    /// sized grid, for any base seed: the sweep runner's control seeds
+    /// (`[2, series, mpl, rep]`, 3 series × 7 mpls × 10 replications) and
+    /// workload seeds (`[1, mpl, rep]`) are 280 distinct values.
     #[test]
-    fn derive_point_seed_collision_free_on_grid(base in any::<u64>()) {
+    fn derive_seed_collision_free_on_grid(base in any::<u64>()) {
         let mpls = [5u64, 10, 25, 50, 75, 100, 200];
-        let mut seeds = Vec::with_capacity(3 * mpls.len() * 10);
-        for series in 0..3u64 {
-            for &mpl in &mpls {
-                for rep in 0..10u64 {
-                    seeds.push(derive_point_seed(base, series, mpl, rep));
+        let mut seeds = Vec::with_capacity(4 * mpls.len() * 10);
+        for &mpl in &mpls {
+            for rep in 0..10u64 {
+                seeds.push(derive_seed(base, &[1, mpl, rep]));
+                for series in 1..=3u64 {
+                    seeds.push(derive_seed(base, &[2, series, mpl, rep]));
                 }
             }
         }
@@ -232,16 +235,16 @@ proptest! {
     /// Flipping only the replication index scrambles roughly half the seed
     /// bits (avalanche): adjacent replications get unrelated streams.
     #[test]
-    fn derive_point_seed_avalanche_on_replication(
+    fn derive_seed_avalanche_on_replication(
         base in any::<u64>(),
-        series in 0u64..8,
+        series in 1u64..9,
         mpl in 1u64..256,
     ) {
         let mut total = 0u32;
         const PAIRS: u64 = 16;
         for rep in 0..PAIRS {
-            let a = derive_point_seed(base, series, mpl, rep);
-            let b = derive_point_seed(base, series, mpl, rep + 1);
+            let a = derive_seed(base, &[2, series, mpl, rep]);
+            let b = derive_seed(base, &[2, series, mpl, rep + 1]);
             total += (a ^ b).count_ones();
         }
         let mean = f64::from(total) / PAIRS as f64;

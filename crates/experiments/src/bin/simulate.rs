@@ -11,12 +11,12 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, HistoryRecorder, MetricsConfig, Params, PerfStats, Report,
-    ResourceSpec, RunBudget, RunError, SimConfig, Simulator, STAGE_PROFILER_COMPILED,
+    run, CcAlgorithm, HistoryRecorder, MetricsConfig, Params, PerfStats, Report, ResourceSpec,
+    RunBudget, RunError, SimConfig, Simulator, STAGE_PROFILER_COMPILED,
 };
 use ccsim_des::{derive_seed, SimDuration, MICROS_PER_SEC};
 use ccsim_experiments::{aggregate_reports, check_history, write_atomic};
-use ccsim_stats::Replications;
+use ccsim_stats::BatchMeans;
 
 /// What `--help` prints.
 const USAGE: &str = "\
@@ -285,17 +285,12 @@ fn render_report(cfg: &SimConfig, r: &Report) -> String {
         p.ext_think_time.as_secs_f64(),
         p.int_think_time.as_secs_f64()
     );
-    let conf = match cfg.metrics.confidence {
-        Confidence::Ninety => "90%",
-        Confidence::NinetyFive => "95%",
-    };
     let _ = writeln!(
         s,
-        "  measurement      {} batches x {:.0}s after {} warmup, {} CIs",
+        "  measurement      {} batches x {:.0}s after {} warmup, 90% CIs",
         cfg.metrics.batches,
         cfg.metrics.batch_time.as_secs_f64(),
         cfg.metrics.warmup_batches,
-        conf
     );
     let _ = writeln!(s);
     let _ = writeln!(s, "results");
@@ -438,12 +433,11 @@ fn main() {
                 }
             })
             .collect();
-        let agg = aggregate_reports(&replicates, cli.cfg.metrics.confidence)
-            .expect("at least one replication ran");
+        let agg = aggregate_reports(&replicates).expect("at least one replication ran");
         let mut text = render_report(&cli.cfg, &agg);
         let _ = writeln!(text);
         let _ = writeln!(text, "replications");
-        let mut est = Replications::new(cli.cfg.metrics.confidence);
+        let mut est = BatchMeans::new();
         for (i, r) in replicates.iter().enumerate() {
             let _ = writeln!(
                 text,

@@ -560,11 +560,8 @@ mod tests {
         DataPoint {
             series: s.to_string(),
             mpl,
-            report: crate::replicate::aggregate_reports(
-                &replicates,
-                ccsim_stats::Confidence::Ninety,
-            )
-            .expect("test replicates are non-empty"),
+            report: crate::replicate::aggregate_reports(&replicates)
+                .expect("test replicates are non-empty"),
             replicates,
         }
     }

@@ -3,12 +3,13 @@
 //! Each replication is an independent simulation (own seed stream); its
 //! report already carries a within-run batch means estimate. Across
 //! replications the statistically defensible interval treats each
-//! replication's mean as one observation ([`ccsim_stats::Replications`]),
-//! which is what the aggregate's `throughput` (and utilization) estimates
-//! carry. Scalar diagnostics are averaged, counters summed, extrema maxed.
+//! replication's mean as one observation (a [`BatchMeans`] fed one value
+//! per replication), which is what the aggregate's `throughput` (and
+//! utilization) estimates carry. Scalar diagnostics are averaged, counters
+//! summed, extrema maxed.
 
 use ccsim_core::{ClassReport, Estimate, Report};
-use ccsim_stats::{Confidence, Replications};
+use ccsim_stats::BatchMeans;
 
 /// Error returned by [`aggregate_reports`] when given no replications — a
 /// grid point with zero surviving runs has no aggregate (the supervisor
@@ -24,8 +25,8 @@ impl std::fmt::Display for NoReplications {
 
 impl std::error::Error for NoReplications {}
 
-fn rep_estimate<I: IntoIterator<Item = f64>>(values: I, confidence: Confidence) -> Estimate {
-    let mut reps = Replications::new(confidence);
+fn rep_estimate<I: IntoIterator<Item = f64>>(values: I) -> Estimate {
+    let mut reps = BatchMeans::new();
     for v in values {
         reps.push(v);
     }
@@ -79,7 +80,7 @@ fn aggregate_classes(reports: &[Report]) -> Vec<ClassReport> {
 /// With a single replication the input report is returned verbatim, so a
 /// `--reps 1` sweep is bit-identical to a plain single-run sweep. With
 /// several, interval-valued fields (`throughput`, the four utilizations)
-/// become cross-replication Student-t estimates at `confidence`, scalar
+/// become cross-replication 90% Student-t estimates, scalar
 /// metrics are averaged, `response_time_max` is maxed, event counters are
 /// summed, and `throughput_per_batch` is the concatenation of every
 /// replication's batch series (in replication order).
@@ -87,10 +88,7 @@ fn aggregate_classes(reports: &[Report]) -> Vec<ClassReport> {
 /// # Errors
 /// Returns [`NoReplications`] if `replicates` is empty — a measured point
 /// needs at least one run behind it.
-pub fn aggregate_reports(
-    replicates: &[Report],
-    confidence: Confidence,
-) -> Result<Report, NoReplications> {
+pub fn aggregate_reports(replicates: &[Report]) -> Result<Report, NoReplications> {
     if replicates.is_empty() {
         return Err(NoReplications);
     }
@@ -98,7 +96,7 @@ pub fn aggregate_reports(
         return Ok(replicates[0].clone());
     }
     Ok(Report {
-        throughput: rep_estimate(replicates.iter().map(|r| r.throughput.mean), confidence),
+        throughput: rep_estimate(replicates.iter().map(|r| r.throughput.mean)),
         throughput_per_batch: replicates
             .iter()
             .flat_map(|r| r.throughput_per_batch.iter().copied())
@@ -112,19 +110,10 @@ pub fn aggregate_reports(
         response_time_p99: mean_of(replicates, |r| r.response_time_p99),
         block_ratio: mean_of(replicates, |r| r.block_ratio),
         restart_ratio: mean_of(replicates, |r| r.restart_ratio),
-        disk_util_total: rep_estimate(
-            replicates.iter().map(|r| r.disk_util_total.mean),
-            confidence,
-        ),
-        disk_util_useful: rep_estimate(
-            replicates.iter().map(|r| r.disk_util_useful.mean),
-            confidence,
-        ),
-        cpu_util_total: rep_estimate(replicates.iter().map(|r| r.cpu_util_total.mean), confidence),
-        cpu_util_useful: rep_estimate(
-            replicates.iter().map(|r| r.cpu_util_useful.mean),
-            confidence,
-        ),
+        disk_util_total: rep_estimate(replicates.iter().map(|r| r.disk_util_total.mean)),
+        disk_util_useful: rep_estimate(replicates.iter().map(|r| r.disk_util_useful.mean)),
+        cpu_util_total: rep_estimate(replicates.iter().map(|r| r.cpu_util_total.mean)),
+        cpu_util_useful: rep_estimate(replicates.iter().map(|r| r.cpu_util_useful.mean)),
         avg_active: mean_of(replicates, |r| r.avg_active),
         class_reports: aggregate_classes(replicates),
         commits: sum_of(replicates, |r| r.commits),
@@ -188,14 +177,14 @@ mod tests {
     #[test]
     fn single_replication_is_identity() {
         let r = report(10.0, 100);
-        let agg = aggregate_reports(std::slice::from_ref(&r), Confidence::Ninety).unwrap();
+        let agg = aggregate_reports(std::slice::from_ref(&r)).unwrap();
         assert_eq!(agg, r);
     }
 
     #[test]
     fn multi_replication_summary() {
         let reps = [report(10.0, 100), report(12.0, 110), report(11.0, 90)];
-        let agg = aggregate_reports(&reps, Confidence::Ninety).unwrap();
+        let agg = aggregate_reports(&reps).unwrap();
         assert!((agg.throughput.mean - 11.0).abs() < 1e-12);
         // Cross-replication CI: s^2 = 1, se = 1/sqrt(3), t90(2) = 2.919986.
         assert!((agg.throughput.half_width - 2.919986 / 3.0f64.sqrt()).abs() < 1e-5);
@@ -213,10 +202,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_an_error_not_a_panic() {
-        assert_eq!(
-            aggregate_reports(&[], Confidence::Ninety),
-            Err(NoReplications)
-        );
+        assert_eq!(aggregate_reports(&[]), Err(NoReplications));
         assert!(NoReplications.to_string().contains("zero replications"));
     }
 }

@@ -10,111 +10,48 @@ use crate::spec::{ExperimentResult, FigureKind, FigureView};
 pub fn render_view(result: &ExperimentResult, view: &FigureView) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## {} — {}", view.figure, view.caption);
-    let labels: Vec<&str> = result
-        .spec
-        .series
-        .iter()
-        .map(|s| s.label.as_str())
-        .collect();
-    match view.kind {
-        FigureKind::Throughput => {
-            let _ = write!(out, "{:>5}", "mpl");
-            for l in &labels {
-                let _ = write!(out, "  {l:>24}");
-            }
-            let _ = writeln!(out);
-            for &mpl in &result.spec.mpls {
-                let _ = write!(out, "{mpl:>5}");
-                for l in &labels {
-                    match point(result, l, mpl) {
-                        Some(r) => {
-                            let _ = write!(
-                                out,
-                                "  {:>16.3} ±{:>6.3}",
-                                r.throughput.mean, r.throughput.half_width
-                            );
-                        }
-                        None => {
-                            let _ = write!(out, "  {:>24}", "-");
-                        }
-                    }
+    let _ = write!(out, "{:>5}", "mpl");
+    for s in &result.spec.series {
+        let l = &s.label;
+        let head = match view.kind {
+            FigureKind::Throughput => l.clone(),
+            FigureKind::ConflictRatios => format!("{l} blk/rst"),
+            FigureKind::ResponseTime => format!("{l} mean/sd (s)"),
+            FigureKind::DiskUtil => format!("{l} tot/useful"),
+        };
+        let _ = write!(out, "  {head:>24}");
+    }
+    let _ = writeln!(out);
+    for &mpl in &result.spec.mpls {
+        let _ = write!(out, "{mpl:>5}");
+        for s in &result.spec.series {
+            let Some(r) = point(result, &s.label, mpl) else {
+                let _ = write!(out, "  {:>24}", "-");
+                continue;
+            };
+            let _ = match view.kind {
+                FigureKind::Throughput => write!(
+                    out,
+                    "  {:>16.3} ±{:>6.3}",
+                    r.throughput.mean, r.throughput.half_width
+                ),
+                FigureKind::ConflictRatios => {
+                    write!(out, "  {:>11.3} /{:>11.3}", r.block_ratio, r.restart_ratio)
                 }
-                let _ = writeln!(out);
-            }
+                FigureKind::ResponseTime => write!(
+                    out,
+                    "  {:>11.2} /{:>11.2}",
+                    r.response_time_mean, r.response_time_std
+                ),
+                FigureKind::DiskUtil => write!(
+                    out,
+                    "  {:>10.1}% /{:>10.1}%",
+                    100.0 * r.disk_util_total.mean,
+                    100.0 * r.disk_util_useful.mean
+                ),
+            };
         }
-        FigureKind::ConflictRatios => {
-            let _ = write!(out, "{:>5}", "mpl");
-            for l in &labels {
-                let _ = write!(out, "  {:>24}", format!("{l} blk/rst"));
-            }
-            let _ = writeln!(out);
-            for &mpl in &result.spec.mpls {
-                let _ = write!(out, "{mpl:>5}");
-                for l in &labels {
-                    match point(result, l, mpl) {
-                        Some(r) => {
-                            let _ =
-                                write!(out, "  {:>11.3} /{:>11.3}", r.block_ratio, r.restart_ratio);
-                        }
-                        None => {
-                            let _ = write!(out, "  {:>24}", "-");
-                        }
-                    }
-                }
-                let _ = writeln!(out);
-            }
-        }
-        FigureKind::ResponseTime => {
-            let _ = write!(out, "{:>5}", "mpl");
-            for l in &labels {
-                let _ = write!(out, "  {:>24}", format!("{l} mean/sd (s)"));
-            }
-            let _ = writeln!(out);
-            for &mpl in &result.spec.mpls {
-                let _ = write!(out, "{mpl:>5}");
-                for l in &labels {
-                    match point(result, l, mpl) {
-                        Some(r) => {
-                            let _ = write!(
-                                out,
-                                "  {:>11.2} /{:>11.2}",
-                                r.response_time_mean, r.response_time_std
-                            );
-                        }
-                        None => {
-                            let _ = write!(out, "  {:>24}", "-");
-                        }
-                    }
-                }
-                let _ = writeln!(out);
-            }
-        }
-        FigureKind::DiskUtil => {
-            let _ = write!(out, "{:>5}", "mpl");
-            for l in &labels {
-                let _ = write!(out, "  {:>24}", format!("{l} tot/useful"));
-            }
-            let _ = writeln!(out);
-            for &mpl in &result.spec.mpls {
-                let _ = write!(out, "{mpl:>5}");
-                for l in &labels {
-                    match point(result, l, mpl) {
-                        Some(r) => {
-                            let _ = write!(
-                                out,
-                                "  {:>10.1}% /{:>10.1}%",
-                                100.0 * r.disk_util_total.mean,
-                                100.0 * r.disk_util_useful.mean
-                            );
-                        }
-                        None => {
-                            let _ = write!(out, "  {:>24}", "-");
-                        }
-                    }
-                }
-                let _ = writeln!(out);
-            }
-        }
+        let _ = writeln!(out);
     }
     out
 }
@@ -222,6 +159,93 @@ mod tests {
             },
         )
         .expect("sweep completes")
+    }
+
+    /// A hand-built result: one series, one present point (mpl 5) and one
+    /// missing point (mpl 10), rendered under every figure kind.
+    fn hand_built_result() -> ExperimentResult {
+        use crate::spec::{DataPoint, ExperimentSpec, FigureView, Series};
+        use ccsim_core::{CcAlgorithm, Estimate, Params, Report};
+        let est = |mean, half_width| Estimate { mean, half_width };
+        let report = Report {
+            throughput: est(12.3456, 0.789),
+            throughput_per_batch: vec![12.3456],
+            throughput_lag1: 0.0,
+            response_time_mean: 2.3456,
+            response_time_std: 1.5,
+            response_time_max: 9.0,
+            response_time_p50: 2.0,
+            response_time_p95: 5.0,
+            response_time_p99: 8.0,
+            block_ratio: 0.125,
+            restart_ratio: 1.5,
+            disk_util_total: est(0.8765, 0.01),
+            disk_util_useful: est(0.4321, 0.01),
+            cpu_util_total: est(0.5, 0.0),
+            cpu_util_useful: est(0.25, 0.0),
+            avg_active: 5.0,
+            class_reports: vec![],
+            commits: 100,
+            blocks: 10,
+            restarts: 150,
+            deadlocks: 1,
+        };
+        let view = |figure, kind| FigureView {
+            figure,
+            caption: "cap",
+            kind,
+        };
+        ExperimentResult {
+            spec: ExperimentSpec {
+                id: "pin",
+                title: "pin",
+                params: Params::paper_baseline(),
+                series: vec![Series::paper(CcAlgorithm::Blocking)],
+                mpls: vec![5, 10],
+                restart_delay_for_all: false,
+                views: vec![
+                    view("Figure 5", FigureKind::Throughput),
+                    view("Figure 6", FigureKind::ConflictRatios),
+                    view("Figure 7", FigureKind::ResponseTime),
+                    view("Figure 9", FigureKind::DiskUtil),
+                ],
+            },
+            points: vec![DataPoint::single("blocking".into(), 5, report)],
+            audit_failures: vec![],
+            failures: vec![],
+            interrupted: false,
+            warnings: vec![],
+        }
+    }
+
+    #[test]
+    fn every_view_kind_renders_the_pinned_table() {
+        let result = hand_built_result();
+        let text: String = result
+            .spec
+            .views
+            .iter()
+            .map(|v| render_view(&result, v))
+            .collect();
+        let expected = [
+            "## Figure 5 — cap",
+            "  mpl                  blocking",
+            "    5            12.346 ± 0.789",
+            "   10                         -",
+            "## Figure 6 — cap",
+            "  mpl          blocking blk/rst",
+            "    5        0.125 /      1.500",
+            "   10                         -",
+            "## Figure 7 — cap",
+            "  mpl      blocking mean/sd (s)",
+            "    5         2.35 /       1.50",
+            "   10                         -",
+            "## Figure 9 — cap",
+            "  mpl       blocking tot/useful",
+            "    5        87.6% /      43.2%",
+            "   10                         -",
+        ];
+        assert_eq!(text, expected.join("\n") + "\n");
     }
 
     #[test]

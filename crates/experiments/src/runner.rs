@@ -32,13 +32,14 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 use ccsim_core::{
     check_conflict_serializable, check_snapshot_isolation, CcAlgorithm, History, HistoryRecorder,
     MetricsConfig, Report, RunBudget, RunError, Simulator,
 };
 use ccsim_des::derive_seed;
-use crossbeam::channel;
 
 #[cfg(feature = "chaos")]
 use crate::chaos::{ChaosKind, ChaosPoint};
@@ -337,7 +338,6 @@ pub fn run_experiment_supervised(
     opts: &RunOptions,
     ctl: &SweepControl<'_>,
 ) -> Result<ExperimentResult, SweepError> {
-    let metrics = opts.fidelity.metrics();
     let reps = opts.replications.max(1);
     let jobs: Vec<(usize, u32, u32)> = spec
         .series
@@ -362,35 +362,39 @@ pub fn run_experiment_supervised(
         point: ctl.chaos,
     };
 
-    let (job_tx, job_rx) = channel::unbounded::<(usize, u32, u32)>();
-    let (res_tx, res_rx) = channel::unbounded::<PointMsg>();
-    for job in &jobs {
-        job_tx.send(*job).expect("queueing jobs");
-    }
-    drop(job_tx);
+    // The whole grid is listed before the workers start, so a shared
+    // cursor over the list hands out each job exactly once. The cursor publishes
+    // no data (the list is immutable and spawning the workers orders its
+    // construction before their reads), so `Relaxed` suffices.
+    let next_job = AtomicUsize::new(0);
+    let (res_tx, res_rx) = mpsc::channel::<PointMsg>();
 
     let mut collected: Vec<(usize, u32, u32, Report, Vec<String>)> = Vec::new();
     let mut failures_raw: Vec<(usize, u32, u32, FailureKind, String)> = Vec::new();
 
-    let pool = crossbeam::scope(|s| {
-        for _ in 0..threads {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            s.spawn(move |_| {
-                for (series_ix, mpl, rep) in &job_rx {
-                    let outcome = run_point(spec, opts, series_ix, mpl, rep, chaos);
-                    let msg = PointMsg {
-                        series_ix,
-                        mpl,
-                        rep,
-                        outcome,
-                    };
-                    if res_tx.send(msg).is_err() {
-                        break;
+    let workers_joined = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let res_tx = res_tx.clone();
+                let (jobs, next_job) = (&jobs, &next_job);
+                s.spawn(move || {
+                    while let Some(&(series_ix, mpl, rep)) =
+                        jobs.get(next_job.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let outcome = run_point(spec, opts, series_ix, mpl, rep, chaos);
+                        let msg = PointMsg {
+                            series_ix,
+                            mpl,
+                            rep,
+                            outcome,
+                        };
+                        if res_tx.send(msg).is_err() {
+                            break;
+                        }
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
         drop(res_tx);
 
         // Supervisor drain loop (runs on the calling thread): stream each
@@ -415,8 +419,15 @@ pub fn run_experiment_supervised(
                 Err((kind, detail)) => failures_raw.push((series_ix, mpl, rep, kind, detail)),
             }
         }
+        // Joined here, every worker that panicked outside the per-run guard
+        // reads as an `Err` instead of re-panicking at the scope's end.
+        let mut all_ok = true;
+        for w in workers {
+            all_ok &= w.join().is_ok();
+        }
+        all_ok
     });
-    if pool.is_err() {
+    if !workers_joined {
         return Err(SweepError::Pool(
             "a worker thread died outside the per-run isolation guard".to_string(),
         ));
@@ -435,7 +446,7 @@ pub fn run_experiment_supervised(
             DataPoint {
                 series: spec.series[si].label.clone(),
                 mpl,
-                report: aggregate_reports(&replicates, metrics.confidence)
+                report: aggregate_reports(&replicates)
                     .expect("chunks are non-empty by construction"),
                 replicates,
             }

@@ -2,7 +2,7 @@
 //! regenerate.
 
 use ccsim_core::{CcAlgorithm, MetricsConfig, Params, Report, SimConfig, VictimPolicy};
-use ccsim_stats::{paired_t, Confidence, PairedT};
+use ccsim_stats::{paired_t, PairedT};
 
 /// Which observable a figure plots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,7 +321,7 @@ impl ExperimentResult {
     pub fn paired_throughput_t(&self, a: &str, b: &str, mpl: u32) -> Option<PairedT> {
         let xa = self.rep_throughputs(a, mpl)?;
         let xb = self.rep_throughputs(b, mpl)?;
-        paired_t(&xa, &xb, Confidence::Ninety)
+        paired_t(&xa, &xb)
     }
 }
 

@@ -796,21 +796,13 @@ impl LockManager {
         }
     }
 
-    /// The transactions a request for `mode` on `obj` by `txn` would have
-    /// to wait for *right now*: conflicting holders plus every queued waiter
-    /// with a conflicting mode (a new request joins the back of the queue).
-    /// Empty means the request would be granted immediately. Used by the
+    /// Append to `out` (existing contents are untouched) the transactions a
+    /// request for `mode` on `obj` by `txn` would have to wait for *right
+    /// now*: conflicting holders plus every queued waiter with a conflicting
+    /// mode (a new request joins the back of the queue). Nothing appended
+    /// means the request would be granted immediately. Used by the
     /// deadlock-prevention schemes (wait-die, wound-wait) to decide before
     /// requesting.
-    #[must_use]
-    pub fn blockers(&self, txn: TxnId, obj: ObjId, mode: LockMode) -> Vec<TxnId> {
-        let mut out = Vec::new();
-        self.blockers_into(txn, obj, mode, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`LockManager::blockers`]: blockers are
-    /// appended to `out` (existing contents are untouched).
     pub fn blockers_into(&self, txn: TxnId, obj: ObjId, mode: LockMode, out: &mut Vec<TxnId>) {
         let Some(view) = self.view_of(obj) else {
             return;
@@ -1513,24 +1505,33 @@ mod tests {
         lm.request(t(2), o(2), LockMode::Read);
     }
 
+    /// `blockers_into` on a buffer that already holds an entry, which must
+    /// survive; returns what it appended, sorted.
+    fn blockers(lm: &LockManager, txn: TxnId, obj: ObjId, mode: LockMode) -> Vec<TxnId> {
+        let mut out = vec![t(99)];
+        lm.blockers_into(txn, obj, mode, &mut out);
+        assert_eq!(out[0], t(99), "blockers_into overwrote existing contents");
+        let mut appended = out.split_off(1);
+        appended.sort();
+        appended
+    }
+
     #[test]
     fn blockers_reports_conflicts() {
         let mut lm = LockManager::new();
-        assert!(lm.blockers(t(1), o(7), LockMode::Write).is_empty());
+        assert!(blockers(&lm, t(1), o(7), LockMode::Write).is_empty());
         lm.request(t(1), o(7), LockMode::Read);
         lm.request(t(2), o(7), LockMode::Read);
         // A third read is free; a write waits for both readers.
-        assert!(lm.blockers(t(3), o(7), LockMode::Read).is_empty());
-        let mut b = lm.blockers(t(3), o(7), LockMode::Write);
-        b.sort();
-        assert_eq!(b, vec![t(1), t(2)]);
+        assert!(blockers(&lm, t(3), o(7), LockMode::Read).is_empty());
+        assert_eq!(blockers(&lm, t(3), o(7), LockMode::Write), vec![t(1), t(2)]);
         // An upgrade by t1 waits only for t2.
-        assert_eq!(lm.blockers(t(1), o(7), LockMode::Write), vec![t(2)]);
+        assert_eq!(blockers(&lm, t(1), o(7), LockMode::Write), vec![t(2)]);
         // Holding a write means no blockers for anything.
         lm.release_all(t(2));
         lm.request(t(1), o(7), LockMode::Write);
-        assert!(lm.blockers(t(1), o(7), LockMode::Read).is_empty());
-        assert!(lm.blockers(t(1), o(7), LockMode::Write).is_empty());
+        assert!(blockers(&lm, t(1), o(7), LockMode::Read).is_empty());
+        assert!(blockers(&lm, t(1), o(7), LockMode::Write).is_empty());
         lm.assert_consistent();
     }
 
@@ -1540,11 +1541,9 @@ mod tests {
         lm.request(t(1), o(7), LockMode::Read);
         lm.request(t(2), o(7), LockMode::Write); // queued
                                                  // A new read waits for the queued writer (no overtaking).
-        assert_eq!(lm.blockers(t(3), o(7), LockMode::Read), vec![t(2)]);
+        assert_eq!(blockers(&lm, t(3), o(7), LockMode::Read), vec![t(2)]);
         // A new write waits for the read holder and the queued writer.
-        let mut b = lm.blockers(t(3), o(7), LockMode::Write);
-        b.sort();
-        assert_eq!(b, vec![t(1), t(2)]);
+        assert_eq!(blockers(&lm, t(3), o(7), LockMode::Write), vec![t(1), t(2)]);
     }
 
     #[test]

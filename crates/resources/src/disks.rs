@@ -8,7 +8,7 @@
 
 use ccsim_des::{SimDuration, SimTime};
 
-use crate::pool::{Priority, Request, ServerPool};
+use crate::pool::{Request, ServerPool};
 
 /// An array of single-server FCFS disks.
 #[derive(Debug)]
@@ -55,14 +55,7 @@ impl<T> DiskArray<T> {
         duration: SimDuration,
     ) -> Option<DiskStarted> {
         self.disks[disk]
-            .submit(
-                now,
-                Request {
-                    payload,
-                    duration,
-                    priority: Priority::Normal,
-                },
-            )
+            .submit(now, Request { payload, duration })
             .map(|s| DiskStarted {
                 disk,
                 completes_at: s.completes_at,

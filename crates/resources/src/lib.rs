@@ -3,7 +3,7 @@
 //! Two resource types underlie every logical service in the model:
 //!
 //! * [`ServerPool`] — a pool of identical CPU servers fed by one global
-//!   two-class FCFS queue (concurrency-control requests get [`Priority::High`]);
+//!   FCFS queue;
 //! * [`DiskArray`] — a partitioned disk array, one FCFS queue per disk; the
 //!   caller picks the disk for each request.
 //!
@@ -25,4 +25,4 @@ mod disks;
 mod pool;
 
 pub use disks::{DiskArray, DiskStarted};
-pub use pool::{Priority, Request, ServerPool, Started};
+pub use pool::{Request, ServerPool, Started};

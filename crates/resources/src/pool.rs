@@ -1,10 +1,13 @@
-//! A pool of identical servers fed by one two-class FCFS queue.
+//! A pool of identical servers fed by one FCFS queue.
 //!
 //! This models the paper's CPU resource: "the CPU servers may be thought of
 //! as being a pool of servers, all identical and serving one global CPU
 //! queue. Requests in the CPU queue are serviced FCFS, except that
 //! concurrency control requests have priority over all other service
-//! requests." A pool of size 1 also serves as a single disk server.
+//! requests." The queue here is plain FCFS: a concurrency-control request
+//! costs no CPU time in the model (the paper's Table 2 lists no such cost),
+//! so none ever reaches it. A pool of size 1 also serves as a single disk
+//! server.
 //!
 //! The pool is *passive*: it never schedules events itself, and it holds a
 //! request's payload only while the request waits. `submit` either starts
@@ -18,18 +21,6 @@ use std::collections::VecDeque;
 
 use ccsim_des::{SimDuration, SimTime};
 
-/// Service priority class. `High` models concurrency-control requests, which
-/// the paper gives priority over all other CPU work. Within a class the
-/// discipline is FCFS; the classes are non-preemptive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// Concurrency-control requests.
-    High,
-    /// Object accesses and other work.
-    #[default]
-    Normal,
-}
-
 /// A service request with an opaque caller payload.
 #[derive(Debug, Clone)]
 pub struct Request<T> {
@@ -40,8 +31,6 @@ pub struct Request<T> {
     pub payload: T,
     /// Service demand.
     pub duration: SimDuration,
-    /// Queueing class.
-    pub priority: Priority,
 }
 
 /// Outcome of starting a request on a server.
@@ -68,7 +57,7 @@ struct Queued<T> {
     req: Request<T>,
 }
 
-/// A pool of `n` identical servers with a shared two-class FCFS queue.
+/// A pool of `n` identical servers with a shared FCFS queue.
 ///
 /// Besides busy time, the pool keeps two *independent* waiting-time
 /// accounts: the time integral of the queue length
@@ -82,8 +71,7 @@ struct Queued<T> {
 pub struct ServerPool<T> {
     servers: Vec<Option<InService>>,
     free: Vec<usize>,
-    high: VecDeque<Queued<T>>,
-    normal: VecDeque<Queued<T>>,
+    queue: VecDeque<Queued<T>>,
     completed_busy_us: u64,
     served: u64,
     /// ∫ queue_len dt up to `queue_changed_at`, µs·requests.
@@ -106,8 +94,7 @@ impl<T> ServerPool<T> {
         ServerPool {
             servers: (0..n).map(|_| None).collect(),
             free: (0..n).rev().collect(),
-            high: VecDeque::new(),
-            normal: VecDeque::new(),
+            queue: VecDeque::new(),
             completed_busy_us: 0,
             served: 0,
             queue_integral_us: 0,
@@ -132,7 +119,7 @@ impl<T> ServerPool<T> {
     /// Number of requests waiting (not in service).
     #[must_use]
     pub fn queue_len(&self) -> usize {
-        self.high.len() + self.normal.len()
+        self.queue.len()
     }
 
     /// Number of servers currently serving a request.
@@ -158,14 +145,10 @@ impl<T> ServerPool<T> {
             Some(self.start_on(server, now, req.duration))
         } else {
             self.advance_queue_clock(now);
-            let queued = Queued {
+            self.queue.push_back(Queued {
                 enqueued_at: now,
                 req,
-            };
-            match queued.req.priority {
-                Priority::High => self.high.push_back(queued),
-                Priority::Normal => self.normal.push_back(queued),
-            }
+            });
             None
         }
     }
@@ -191,7 +174,7 @@ impl<T> ServerPool<T> {
             // Extend the integral at the pre-dequeue length.
             self.advance_queue_clock(now);
         }
-        let Some(q) = self.high.pop_front().or_else(|| self.normal.pop_front()) else {
+        let Some(q) = self.queue.pop_front() else {
             self.free.push(server);
             return None;
         };
@@ -246,9 +229,8 @@ impl<T> ServerPool<T> {
     /// Waiting time accrued up to `now` by requests still in queue, µs.
     #[must_use]
     pub fn pending_wait_us(&self, now: SimTime) -> u64 {
-        self.high
+        self.queue
             .iter()
-            .chain(self.normal.iter())
             .map(|q| now.saturating_since(q.enqueued_at).as_micros())
             .sum()
     }
@@ -262,14 +244,6 @@ mod tests {
         Request {
             payload,
             duration: SimDuration::from_millis(ms),
-            priority: Priority::Normal,
-        }
-    }
-
-    fn high(payload: u32, ms: u64) -> Request<u32> {
-        Request {
-            priority: Priority::High,
-            ..req(payload, ms)
         }
     }
 
@@ -292,22 +266,6 @@ mod tests {
         assert_eq!(started, 3);
         assert!(p.complete(SimTime::from_millis(30), next.server).is_none());
         assert_eq!(p.served(), 3);
-    }
-
-    #[test]
-    fn high_priority_jumps_queue_but_not_service() {
-        let mut p = ServerPool::new(1);
-        let t0 = SimTime::ZERO;
-        let s = p.submit(t0, req(1, 10)).unwrap();
-        assert!(p.submit(t0, req(2, 10)).is_none());
-        assert!(p.submit(t0, high(9, 1)).is_none());
-        // Non-preemptive: request 1 finishes first, then the high-priority
-        // request 9 overtakes request 2.
-        let (next, started) = p.complete(SimTime::from_millis(10), s.server).unwrap();
-        assert_eq!(started, 9);
-        assert_eq!(next.completes_at, SimTime::from_millis(11));
-        let (_, started) = p.complete(SimTime::from_millis(11), next.server).unwrap();
-        assert_eq!(started, 2);
     }
 
     #[test]
@@ -364,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_within_class() {
+    fn fcfs_serves_in_submit_order() {
         let mut p = ServerPool::new(1);
         let t0 = SimTime::ZERO;
         let mut cur = p.submit(t0, req(0, 1)).unwrap();
@@ -434,7 +392,6 @@ mod tests {
                 Request {
                     payload: 7u32,
                     duration: SimDuration::ZERO,
-                    priority: Priority::High,
                 },
             )
             .unwrap();

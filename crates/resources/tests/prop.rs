@@ -11,29 +11,20 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ccsim_des::{SimDuration, SimTime};
-use ccsim_resources::{DiskArray, Priority, Request, ServerPool};
+use ccsim_resources::{DiskArray, Request, ServerPool};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-struct Job {
-    duration_ms: u64,
-    high: bool,
+/// Service demands in milliseconds, in submit order.
+fn jobs() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(1u64..50, 1..60)
 }
 
-fn jobs() -> impl Strategy<Value = Vec<Job>> {
-    proptest::collection::vec(
-        (1u64..50, any::<bool>()).prop_map(|(duration_ms, high)| Job { duration_ms, high }),
-        1..60,
-    )
-}
-
-/// A job arriving at `at_ms`, with a priority for a pool and a disk for a
-/// disk array (each test reads the field it needs).
+/// A job arriving at `at_ms`, with a disk for a disk array (the pool test
+/// ignores it).
 #[derive(Debug, Clone)]
 struct Arrival {
     at_ms: u64,
     duration_ms: u64,
-    high: bool,
     disk: usize,
 }
 
@@ -43,14 +34,11 @@ const DISKS: usize = 3;
 /// keep their generated order. Zero-length services are allowed.
 fn arrivals() -> impl Strategy<Value = Vec<Arrival>> {
     proptest::collection::vec(
-        (0u64..200, 0u64..30, any::<bool>(), 0..DISKS).prop_map(
-            |(at_ms, duration_ms, high, disk)| Arrival {
-                at_ms,
-                duration_ms,
-                high,
-                disk,
-            },
-        ),
+        (0u64..200, 0u64..30, 0..DISKS).prop_map(|(at_ms, duration_ms, disk)| Arrival {
+            at_ms,
+            duration_ms,
+            disk,
+        }),
         1..80,
     )
     .prop_map(|mut jobs| {
@@ -98,13 +86,12 @@ proptest! {
         let t0 = SimTime::ZERO;
         // Event list: (completion time, server, payload).
         let mut events: Vec<(SimTime, usize, usize)> = Vec::new();
-        for (i, j) in jobs.iter().enumerate() {
+        for (i, &ms) in jobs.iter().enumerate() {
             if let Some(s) = pool.submit(
                 t0,
                 Request {
                     payload: i,
-                    duration: SimDuration::from_millis(j.duration_ms),
-                    priority: if j.high { Priority::High } else { Priority::Normal },
+                    duration: SimDuration::from_millis(ms),
                 },
             ) {
                 events.push((s.completes_at, s.server, i));
@@ -135,7 +122,7 @@ proptest! {
         prop_assert_eq!(pool.queue_len(), 0);
         prop_assert_eq!(pool.busy_servers(), 0);
         // Busy accounting: exactly the sum of all service demands.
-        let total_ms: u64 = jobs.iter().map(|j| j.duration_ms).sum();
+        let total_ms: u64 = jobs.iter().sum();
         prop_assert_eq!(
             pool.busy_micros(SimTime::from_secs(1_000_000)),
             total_ms * 1_000
@@ -179,12 +166,11 @@ proptest! {
         );
     }
 
-    /// Jobs arrive over time with random priorities. Each payload is
-    /// handed to the caller exactly once — by the `submit` or by the
-    /// `complete` that starts it — and retired exactly once; no Normal
-    /// request starts while a High one waits, each class starts in submit
-    /// order, the queue integral equals the summed waits after every
-    /// operation, and busy time ends equal to the summed demand.
+    /// Jobs arrive over time. Each payload is handed to the caller exactly
+    /// once — by the `submit` or by the `complete` that starts it — and
+    /// retired exactly once; requests start in submit order, the queue
+    /// integral equals the summed waits after every operation, and busy
+    /// time ends equal to the summed demand.
     #[test]
     fn pool_serves_arrivals_over_time(jobs in arrivals(), servers in 1usize..4) {
         let mut pool: ServerPool<usize> = ServerPool::new(servers);
@@ -192,9 +178,8 @@ proptest! {
         for (i, j) in jobs.iter().enumerate() {
             agenda.schedule(SimTime::from_millis(j.at_ms), Ev::Arrive(i));
         }
-        // The model of the queue: waiting payloads per class, submit order.
-        let mut waiting = [VecDeque::new(), VecDeque::new()];
-        let class = |i: usize| usize::from(!jobs[i].high);
+        // The model of the queue: waiting payloads in submit order.
+        let mut waiting = VecDeque::new();
         let mut handed = vec![0u32; jobs.len()];
         let mut retired = vec![0u32; jobs.len()];
         let mut now = SimTime::ZERO;
@@ -206,16 +191,15 @@ proptest! {
                     let req = Request {
                         payload: i,
                         duration: SimDuration::from_millis(j.duration_ms),
-                        priority: if j.high { Priority::High } else { Priority::Normal },
                     };
                     match pool.submit(now, req) {
                         Some(s) => {
-                            prop_assert!(waiting.iter().all(VecDeque::is_empty));
+                            prop_assert!(waiting.is_empty());
                             Some((s, i))
                         }
                         None => {
                             prop_assert_eq!(pool.busy_servers(), servers);
-                            waiting[class(i)].push_back(i);
+                            waiting.push_back(i);
                             None
                         }
                     }
@@ -226,12 +210,9 @@ proptest! {
                     match next {
                         Some((s, i)) => {
                             prop_assert_eq!(s.server, server);
-                            if !jobs[i].high {
-                                prop_assert!(waiting[0].is_empty(), "Normal started over High");
-                            }
-                            prop_assert_eq!(waiting[class(i)].pop_front(), Some(i));
+                            prop_assert_eq!(waiting.pop_front(), Some(i));
                         }
-                        None => prop_assert!(waiting.iter().all(VecDeque::is_empty)),
+                        None => prop_assert!(waiting.is_empty()),
                     }
                     next
                 }
@@ -242,7 +223,7 @@ proptest! {
                 prop_assert_eq!(s.completes_at, now + demand);
                 agenda.schedule(s.completes_at, Ev::Done { server: s.server, payload: i });
             }
-            prop_assert_eq!(pool.queue_len(), waiting[0].len() + waiting[1].len());
+            prop_assert_eq!(pool.queue_len(), waiting.len());
             prop_assert_eq!(
                 pool.queue_integral_us(now),
                 pool.total_wait_us() + pool.pending_wait_us(now)

@@ -4,9 +4,11 @@
 //! discards a warmup prefix, and reports 90% confidence intervals over the
 //! per-batch means [Sarg76, Care83]. [`BatchMeans`] implements exactly this:
 //! feed it one value per batch, ask for a point estimate with a Student-t
-//! half-width.
+//! half-width. The same estimator over independent replication means is
+//! the textbook independent-replications interval, so the experiment
+//! harness feeds it one value per replication too.
 
-use crate::ttable::{t_quantile_90, t_quantile_95};
+use crate::ttable::t_quantile_90;
 use crate::welford::Welford;
 
 /// A point estimate with a symmetric confidence half-width.
@@ -37,21 +39,12 @@ impl Estimate {
     }
 }
 
-/// Confidence level for [`BatchMeans`] intervals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Confidence {
-    /// Two-sided 90% (the paper's choice).
-    #[default]
-    Ninety,
-    /// Two-sided 95%.
-    NinetyFive,
-}
-
-/// Accumulates one observation per batch and produces interval estimates.
+/// Accumulates one observation per batch and produces two-sided 90%
+/// interval estimates (the paper's level).
 ///
 /// ```
-/// use ccsim_stats::{BatchMeans, Confidence};
-/// let mut bm = BatchMeans::new(Confidence::Ninety);
+/// use ccsim_stats::BatchMeans;
+/// let mut bm = BatchMeans::new();
 /// for v in [10.1, 9.9, 10.3, 9.8, 10.0] {
 ///     bm.push(v);
 /// }
@@ -61,20 +54,15 @@ pub enum Confidence {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BatchMeans {
-    confidence: Confidence,
     acc: Welford,
     values: Vec<f64>,
 }
 
 impl BatchMeans {
-    /// New accumulator at the given confidence level.
+    /// New, empty accumulator.
     #[must_use]
-    pub fn new(confidence: Confidence) -> Self {
-        BatchMeans {
-            confidence,
-            acc: Welford::new(),
-            values: Vec::new(),
-        }
+    pub fn new() -> Self {
+        BatchMeans::default()
     }
 
     /// Record one batch mean.
@@ -106,14 +94,10 @@ impl BatchMeans {
                 half_width: 0.0,
             };
         }
-        let t = match self.confidence {
-            Confidence::Ninety => t_quantile_90(n - 1),
-            Confidence::NinetyFive => t_quantile_95(n - 1),
-        };
         let se = (self.acc.sample_variance() / n as f64).sqrt();
         Estimate {
             mean: self.acc.mean(),
-            half_width: t * se,
+            half_width: t_quantile_90(n - 1) * se,
         }
     }
 
@@ -146,7 +130,7 @@ mod tests {
 
     #[test]
     fn fewer_than_two_batches_has_zero_halfwidth() {
-        let mut bm = BatchMeans::new(Confidence::Ninety);
+        let mut bm = BatchMeans::new();
         assert_eq!(bm.estimate().mean, 0.0);
         bm.push(5.0);
         let e = bm.estimate();
@@ -155,9 +139,23 @@ mod tests {
     }
 
     #[test]
+    fn estimate_matches_hand_computed_fixture() {
+        // Means 10, 12, 11, 13, 9: mean 11, s^2 = 2.5, se = sqrt(0.5),
+        // df = 4, t90 = 2.131847 -> half-width 2.131847 * 0.7071067812.
+        let mut bm = BatchMeans::new();
+        for v in [10.0, 12.0, 11.0, 13.0, 9.0] {
+            bm.push(v);
+        }
+        assert_eq!(bm.batches(), 5);
+        let e = bm.estimate();
+        assert!((e.mean - 11.0).abs() < 1e-12);
+        assert!((e.half_width - 2.131847 * 0.5f64.sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
     fn known_interval() {
         // 20 batches alternating 9 and 11: mean 10, sample std = sqrt(20/19)·1…
-        let mut bm = BatchMeans::new(Confidence::Ninety);
+        let mut bm = BatchMeans::new();
         for i in 0..20 {
             bm.push(if i % 2 == 0 { 9.0 } else { 11.0 });
         }
@@ -170,25 +168,13 @@ mod tests {
 
     #[test]
     fn constant_batches_give_zero_halfwidth() {
-        let mut bm = BatchMeans::new(Confidence::NinetyFive);
+        let mut bm = BatchMeans::new();
         for _ in 0..10 {
             bm.push(7.0);
         }
         let e = bm.estimate();
         assert_eq!(e.mean, 7.0);
         assert_eq!(e.half_width, 0.0);
-    }
-
-    #[test]
-    fn ninety_five_is_wider_than_ninety() {
-        let data = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut a = BatchMeans::new(Confidence::Ninety);
-        let mut b = BatchMeans::new(Confidence::NinetyFive);
-        for &x in &data {
-            a.push(x);
-            b.push(x);
-        }
-        assert!(b.estimate().half_width > a.estimate().half_width);
     }
 
     #[test]
@@ -225,7 +211,7 @@ mod tests {
 
     #[test]
     fn autocorrelation_of_alternating_series_is_negative() {
-        let mut bm = BatchMeans::new(Confidence::Ninety);
+        let mut bm = BatchMeans::new();
         for i in 0..40 {
             bm.push(if i % 2 == 0 { 0.0 } else { 1.0 });
         }
@@ -234,7 +220,7 @@ mod tests {
 
     #[test]
     fn autocorrelation_of_trend_is_positive() {
-        let mut bm = BatchMeans::new(Confidence::Ninety);
+        let mut bm = BatchMeans::new();
         for i in 0..40 {
             bm.push(i as f64);
         }
@@ -243,11 +229,11 @@ mod tests {
 
     #[test]
     fn autocorrelation_degenerate_cases() {
-        let mut bm = BatchMeans::new(Confidence::Ninety);
+        let mut bm = BatchMeans::new();
         bm.push(1.0);
         bm.push(2.0);
         assert_eq!(bm.lag1_autocorrelation(), 0.0);
-        let mut c = BatchMeans::new(Confidence::Ninety);
+        let mut c = BatchMeans::new();
         for _ in 0..5 {
             c.push(3.0);
         }

@@ -9,14 +9,15 @@
 //!
 //! * [`Welford`] — numerically stable running mean/variance;
 //! * [`BatchMeans`] / [`Estimate`] — batch means with t-based intervals and a
-//!   lag-1 autocorrelation diagnostic;
+//!   lag-1 autocorrelation diagnostic, also used over independent
+//!   replication means;
 //! * [`TimeWeighted`] — time-weighted averages of step signals (e.g. the
 //!   *actual* multiprogramming level the paper discusses in §4.3);
 //! * [`RunningAvg`] — the adaptive restart-delay estimator;
 //! * [`LogHistogram`] — log-bucketed latency histogram with quantiles, in
 //!   O(1) memory at any run length;
-//! * [`Replications`] / [`paired_t`] — independent-replication intervals and
-//!   paired comparisons under common random numbers.
+//! * [`paired_t`] — paired comparisons of replications under common random
+//!   numbers.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -29,10 +30,10 @@ mod timeweighted;
 mod ttable;
 mod welford;
 
-pub use batch::{BatchMeans, Confidence, Estimate};
+pub use batch::{BatchMeans, Estimate};
 pub use histogram::LogHistogram;
-pub use replication::{paired_t, PairedT, Replications};
+pub use replication::{paired_t, PairedT};
 pub use running::RunningAvg;
 pub use timeweighted::TimeWeighted;
-pub use ttable::{t_quantile_90, t_quantile_95};
+pub use ttable::t_quantile_90;
 pub use welford::Welford;

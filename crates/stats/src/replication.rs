@@ -1,124 +1,14 @@
-//! Independent replications and paired comparisons.
+//! Paired comparisons across replications.
 //!
-//! The batch means method ([`BatchMeans`]) qualifies the noise *within* one
-//! run; this module qualifies the noise *across* runs. [`Replications`]
-//! treats each replication's mean as one observation and reports a
-//! Student-t interval over those means — the textbook independent
-//! replications estimator. [`paired_t`] sharpens "A beats B" claims when
-//! the two systems were simulated under common random numbers: pairing by
-//! replication cancels the shared workload noise, so the interval is over
-//! the *differences*, which is exactly what a crossover claim needs.
+//! [`BatchMeans`](crate::BatchMeans) over each replication's mean gives the
+//! independent-replications interval for one system. [`paired_t`] sharpens
+//! "A beats B" claims when the two systems were simulated under common
+//! random numbers: pairing by replication cancels the shared workload
+//! noise, so the interval is over the *differences*, which is exactly what
+//! a crossover claim needs.
 
-use crate::batch::{BatchMeans, Confidence, Estimate};
-use crate::ttable::{t_quantile_90, t_quantile_95};
+use crate::ttable::t_quantile_90;
 use crate::welford::Welford;
-
-fn t_for(confidence: Confidence, df: u64) -> f64 {
-    match confidence {
-        Confidence::Ninety => t_quantile_90(df),
-        Confidence::NinetyFive => t_quantile_95(df),
-    }
-}
-
-/// Interval estimation over independent replication means.
-///
-/// ```
-/// use ccsim_stats::{Confidence, Replications};
-/// let mut reps = Replications::new(Confidence::Ninety);
-/// for mean in [10.0, 12.0, 11.0, 13.0, 9.0] {
-///     reps.push(mean);
-/// }
-/// let est = reps.estimate();
-/// assert!((est.mean - 11.0).abs() < 1e-12);
-/// assert!(est.half_width > 0.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Replications {
-    confidence: Confidence,
-    acc: Welford,
-    values: Vec<f64>,
-}
-
-impl Replications {
-    /// New accumulator at the given confidence level.
-    #[must_use]
-    pub fn new(confidence: Confidence) -> Self {
-        Replications {
-            confidence,
-            acc: Welford::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Record one replication's point estimate (e.g. its mean throughput).
-    pub fn push(&mut self, replication_mean: f64) {
-        self.acc.add(replication_mean);
-        self.values.push(replication_mean);
-    }
-
-    /// Number of replications recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.acc.count()
-    }
-
-    /// The recorded replication means, in order.
-    #[must_use]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Sample variance of the replication means.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        self.acc.sample_variance()
-    }
-
-    /// Student-t interval over the replication means. With one replication
-    /// the half-width is zero (no cross-replication variance information).
-    #[must_use]
-    pub fn estimate(&self) -> Estimate {
-        let n = self.acc.count();
-        if n < 2 {
-            return Estimate {
-                mean: self.acc.mean(),
-                half_width: 0.0,
-            };
-        }
-        let se = (self.acc.sample_variance() / n as f64).sqrt();
-        Estimate {
-            mean: self.acc.mean(),
-            half_width: t_for(self.confidence, n - 1) * se,
-        }
-    }
-
-    /// Pool the *within-run* batch means of every replication into one
-    /// accumulator, as if all batches came from a single long run.
-    ///
-    /// This is the classic variance-reduction cross-check: the pooled
-    /// grand mean must equal a straight [`Welford`] pass over the
-    /// concatenated batch values (the regression tests assert agreement to
-    /// 1e-9), while the replication-level interval from [`estimate`]
-    /// remains the statistically defensible one (batches within a run are
-    /// correlated; replications are not).
-    ///
-    /// [`estimate`]: Replications::estimate
-    #[must_use]
-    pub fn pool_batches<'a, I>(batch_sets: I) -> Welford
-    where
-        I: IntoIterator<Item = &'a BatchMeans>,
-    {
-        let mut pooled = Welford::new();
-        for bm in batch_sets {
-            let mut one = Welford::new();
-            for &v in bm.values() {
-                one.add(v);
-            }
-            pooled.merge(&one);
-        }
-        pooled
-    }
-}
 
 /// The result of a paired Student-t comparison of two systems observed
 /// under common random numbers.
@@ -150,20 +40,21 @@ impl PairedT {
     }
 }
 
-/// Paired Student-t test over per-replication observations of two systems.
+/// Paired Student-t test over per-replication observations of two systems,
+/// with a two-sided 90% interval.
 ///
 /// Returns `None` unless `a` and `b` have the same length of at least two
 /// pairs — anything else is not a paired design.
 ///
 /// ```
-/// use ccsim_stats::{paired_t, Confidence};
+/// use ccsim_stats::paired_t;
 /// let a = [5.0, 7.0, 9.0, 6.0];
 /// let b = [4.0, 5.0, 8.0, 6.0];
-/// let t = paired_t(&a, &b, Confidence::Ninety).unwrap();
+/// let t = paired_t(&a, &b).unwrap();
 /// assert!(t.significantly_positive());
 /// ```
 #[must_use]
-pub fn paired_t(a: &[f64], b: &[f64], confidence: Confidence) -> Option<PairedT> {
+pub fn paired_t(a: &[f64], b: &[f64]) -> Option<PairedT> {
     if a.len() != b.len() || a.len() < 2 {
         return None;
     }
@@ -183,7 +74,7 @@ pub fn paired_t(a: &[f64], b: &[f64], confidence: Confidence) -> Option<PairedT>
     Some(PairedT {
         n,
         mean_diff: acc.mean(),
-        half_width: t_for(confidence, n - 1) * se,
+        half_width: t_quantile_90(n - 1) * se,
         t_stat,
     })
 }
@@ -193,49 +84,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn estimate_matches_hand_computed_fixture() {
-        // Means 10, 12, 11, 13, 9: mean 11, s^2 = 2.5, se = sqrt(0.5),
-        // df = 4, t90 = 2.131847 -> half-width 2.131847 * 0.7071067812.
-        let mut reps = Replications::new(Confidence::Ninety);
-        for v in [10.0, 12.0, 11.0, 13.0, 9.0] {
-            reps.push(v);
-        }
-        assert_eq!(reps.count(), 5);
-        assert!((reps.variance() - 2.5).abs() < 1e-12);
-        let e = reps.estimate();
-        assert!((e.mean - 11.0).abs() < 1e-12);
-        assert!((e.half_width - 2.131847 * 0.5f64.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn single_replication_has_zero_halfwidth() {
-        let mut reps = Replications::new(Confidence::Ninety);
-        assert_eq!(reps.estimate().mean, 0.0);
-        reps.push(4.0);
-        let e = reps.estimate();
-        assert_eq!(e.mean, 4.0);
-        assert_eq!(e.half_width, 0.0);
-    }
-
-    #[test]
-    fn ninety_five_is_wider() {
-        let data = [1.0, 3.0, 2.0, 5.0];
-        let mut a = Replications::new(Confidence::Ninety);
-        let mut b = Replications::new(Confidence::NinetyFive);
-        for &x in &data {
-            a.push(x);
-            b.push(x);
-        }
-        assert!(b.estimate().half_width > a.estimate().half_width);
-    }
-
-    #[test]
     fn paired_t_matches_hand_computed_fixture() {
         // Differences [1, 2, 1, 0]: mean 1, s^2 = 2/3, se = sqrt(1/6),
         // df = 3, t90 = 2.353363.
         let a = [5.0, 7.0, 9.0, 6.0];
         let b = [4.0, 5.0, 8.0, 6.0];
-        let t = paired_t(&a, &b, Confidence::Ninety).unwrap();
+        let t = paired_t(&a, &b).unwrap();
         assert_eq!(t.n, 4);
         assert!((t.mean_diff - 1.0).abs() < 1e-12);
         let se = (1.0f64 / 6.0).sqrt();
@@ -249,53 +103,28 @@ mod tests {
     fn paired_t_insignificant_when_noise_dominates() {
         let a = [10.0, 8.0, 12.0, 9.0];
         let b = [9.0, 10.0, 10.5, 9.5];
-        let t = paired_t(&a, &b, Confidence::Ninety).unwrap();
+        let t = paired_t(&a, &b).unwrap();
         assert!(!t.significant(), "{t:?}");
     }
 
     #[test]
     fn paired_t_rejects_unpaired_input() {
-        assert!(paired_t(&[1.0], &[1.0], Confidence::Ninety).is_none());
-        assert!(paired_t(&[1.0, 2.0], &[1.0], Confidence::Ninety).is_none());
-        assert!(paired_t(&[], &[], Confidence::Ninety).is_none());
+        assert!(paired_t(&[1.0], &[1.0]).is_none());
+        assert!(paired_t(&[1.0, 2.0], &[1.0]).is_none());
+        assert!(paired_t(&[], &[]).is_none());
     }
 
     #[test]
     fn paired_t_degenerate_variance() {
         // Constant positive difference: infinitely significant.
-        let t = paired_t(&[2.0, 3.0, 4.0], &[1.0, 2.0, 3.0], Confidence::Ninety).unwrap();
+        let t = paired_t(&[2.0, 3.0, 4.0], &[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(t.half_width, 0.0);
         assert!(t.t_stat.is_infinite() && t.t_stat > 0.0);
         assert!(t.significantly_positive());
         // Identical series: zero everywhere, not significant.
-        let z = paired_t(&[1.0, 2.0], &[1.0, 2.0], Confidence::Ninety).unwrap();
+        let z = paired_t(&[1.0, 2.0], &[1.0, 2.0]).unwrap();
         assert_eq!(z.mean_diff, 0.0);
         assert_eq!(z.t_stat, 0.0);
         assert!(!z.significant());
-    }
-
-    #[test]
-    fn pooled_batches_match_straight_welford_pass() {
-        // Three replications with different batch counts; the pooled
-        // accumulator must agree with one pass over the concatenation.
-        let sets: [&[f64]; 3] = [
-            &[10.0, 11.5, 9.25, 10.75],
-            &[12.0, 8.5, 10.0, 11.0, 9.5],
-            &[10.1, 10.9, 9.9],
-        ];
-        let mut bms = Vec::new();
-        let mut straight = Welford::new();
-        for set in sets {
-            let mut bm = BatchMeans::new(Confidence::Ninety);
-            for &v in set {
-                bm.push(v);
-                straight.add(v);
-            }
-            bms.push(bm);
-        }
-        let pooled = Replications::pool_batches(bms.iter());
-        assert_eq!(pooled.count(), straight.count());
-        assert!((pooled.mean() - straight.mean()).abs() < 1e-9);
-        assert!((pooled.sample_variance() - straight.sample_variance()).abs() < 1e-9);
     }
 }

@@ -13,39 +13,20 @@ const T_95: [f64; 30] = [
     1.701131, 1.699127, 1.697261,
 ];
 
-/// One-sided 0.975 quantiles of Student's t for df = 1..=30 (two-sided 95%).
-const T_975: [f64; 30] = [
-    12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624, 2.306004, 2.262157,
-    2.228139, 2.200985, 2.178813, 2.160369, 2.144787, 2.131450, 2.119905, 2.109816, 2.100922,
-    2.093024, 2.085963, 2.079614, 2.073873, 2.068658, 2.063899, 2.059539, 2.055529, 2.051831,
-    2.048407, 2.045230, 2.042272,
-];
-
-fn lookup(table: &[f64; 30], asymptote: f64, df: u64) -> f64 {
-    match df {
-        0 => f64::INFINITY,
-        1..=30 => table[(df - 1) as usize],
-        _ => {
-            // Cornish-Fisher-style first-order correction to the normal
-            // quantile: t_p(df) ~ z_p + (z_p^3 + z_p) / (4 df).
-            let z = asymptote;
-            z + (z * z * z + z) / (4.0 * df as f64)
-        }
-    }
-}
-
 /// t quantile for a **two-sided 90%** confidence interval with `df` degrees
 /// of freedom (i.e. the one-sided 0.95 quantile).
 #[must_use]
 pub fn t_quantile_90(df: u64) -> f64 {
-    lookup(&T_95, 1.6448536269514722, df)
-}
-
-/// t quantile for a **two-sided 95%** confidence interval with `df` degrees
-/// of freedom (i.e. the one-sided 0.975 quantile).
-#[must_use]
-pub fn t_quantile_95(df: u64) -> f64 {
-    lookup(&T_975, 1.959963984540054, df)
+    match df {
+        0 => f64::INFINITY,
+        1..=30 => T_95[(df - 1) as usize],
+        _ => {
+            // Cornish-Fisher-style first-order correction to the normal
+            // quantile: t_p(df) ~ z_p + (z_p^3 + z_p) / (4 df).
+            let z = 1.6448536269514722;
+            z + (z * z * z + z) / (4.0 * df as f64)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -56,20 +37,17 @@ mod tests {
     fn table_values_match_references() {
         assert!((t_quantile_90(1) - 6.313752).abs() < 1e-5);
         assert!((t_quantile_90(19) - 1.729133).abs() < 1e-5);
-        assert!((t_quantile_95(19) - 2.093024).abs() < 1e-5);
         assert!((t_quantile_90(30) - 1.697261).abs() < 1e-5);
     }
 
     #[test]
     fn zero_df_is_infinite() {
         assert!(t_quantile_90(0).is_infinite());
-        assert!(t_quantile_95(0).is_infinite());
     }
 
     #[test]
     fn large_df_approaches_normal() {
         assert!((t_quantile_90(1_000_000) - 1.6448536).abs() < 1e-4);
-        assert!((t_quantile_95(1_000_000) - 1.9599640).abs() < 1e-4);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! implementations.
 
 use ccsim_des::{SimDuration, SimTime};
-use ccsim_stats::{
-    paired_t, BatchMeans, Confidence, LogHistogram, Replications, TimeWeighted, Welford,
-};
+use ccsim_stats::{paired_t, BatchMeans, LogHistogram, TimeWeighted, Welford};
 use proptest::prelude::*;
 
 fn finite_values() -> impl Strategy<Value = Vec<f64>> {
@@ -82,75 +80,33 @@ proptest! {
         prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
     }
 
-    /// Batch-means intervals contain the batch mean of means by
-    /// construction, and widen with confidence level.
+    /// Batch-means intervals are centred on the mean of the batch means
+    /// and have a non-negative half-width.
     #[test]
     fn batch_means_interval_properties(xs in proptest::collection::vec(0.0f64..1000.0, 2..60)) {
-        let mut bm90 = BatchMeans::new(Confidence::Ninety);
-        let mut bm95 = BatchMeans::new(Confidence::NinetyFive);
+        let mut bm = BatchMeans::new();
         for &x in &xs {
-            bm90.push(x);
-            bm95.push(x);
+            bm.push(x);
         }
-        let e90 = bm90.estimate();
-        let e95 = bm95.estimate();
+        let e = bm.estimate();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((e90.mean - mean).abs() <= 1e-9 * (1.0 + mean.abs()));
-        prop_assert!(e90.half_width >= 0.0);
-        prop_assert!(e95.half_width >= e90.half_width);
+        prop_assert!((e.mean - mean).abs() <= 1e-9 * (1.0 + mean.abs()));
+        prop_assert!(e.half_width >= 0.0);
     }
 
-    /// Pooling per-replication batch means equals one straight Welford pass
-    /// over the concatenated batch values, for any partition into runs.
-    #[test]
-    fn replication_pooling_matches_straight_welford(
-        runs in proptest::collection::vec(
-            proptest::collection::vec(0.0f64..1000.0, 1..30),
-            1..8,
-        ),
-    ) {
-        let mut straight = Welford::new();
-        let mut bms = Vec::new();
-        for run in &runs {
-            let mut bm = BatchMeans::new(Confidence::Ninety);
-            for &v in run {
-                bm.push(v);
-                straight.add(v);
-            }
-            bms.push(bm);
-        }
-        let pooled = Replications::pool_batches(bms.iter());
-        prop_assert_eq!(pooled.count(), straight.count());
-        prop_assert!(
-            (pooled.mean() - straight.mean()).abs() <= 1e-9 * (1.0 + straight.mean().abs()),
-            "pooled {} vs straight {}",
-            pooled.mean(),
-            straight.mean()
-        );
-        if straight.count() > 1 {
-            prop_assert!(
-                (pooled.sample_variance() - straight.sample_variance()).abs()
-                    <= 1e-9 * (1.0 + straight.sample_variance().abs()),
-                "pooled {} vs straight {}",
-                pooled.sample_variance(),
-                straight.sample_variance()
-            );
-        }
-    }
-
-    /// Replication estimates center on the sample mean; the paired test is
-    /// antisymmetric and agrees with `Replications` run on the differences.
+    /// The paired test is antisymmetric and agrees with `BatchMeans` run on
+    /// the differences.
     #[test]
     fn paired_t_consistent_with_replications_of_differences(
         pairs in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 2..40),
     ) {
         let a: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let b: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        let t = paired_t(&a, &b, Confidence::Ninety).unwrap();
-        let rev = paired_t(&b, &a, Confidence::Ninety).unwrap();
+        let t = paired_t(&a, &b).unwrap();
+        let rev = paired_t(&b, &a).unwrap();
         prop_assert!((t.mean_diff + rev.mean_diff).abs() <= 1e-9);
         prop_assert!((t.half_width - rev.half_width).abs() <= 1e-9);
-        let mut diffs = Replications::new(Confidence::Ninety);
+        let mut diffs = BatchMeans::new();
         for (x, y) in a.iter().zip(b.iter()) {
             diffs.push(x - y);
         }

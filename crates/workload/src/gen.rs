@@ -5,12 +5,11 @@
 //! database, and each read written with probability `write_prob`.
 
 use ccsim_des::{
-    sample_distinct, sample_distinct_into, BufferedRng, RandomSource, UniformInclusive,
-    Xoshiro256StarStar,
+    sample_distinct_into, BufferedRng, RandomSource, UniformInclusive, Xoshiro256StarStar,
 };
 
 use crate::classes::{class_table, TxnClass};
-use crate::params::{AccessPattern, Params};
+use crate::params::Params;
 use crate::spec::TxnSpec;
 use crate::types::ObjId;
 
@@ -21,7 +20,6 @@ pub struct Generator {
     classes: Vec<(TxnClass, UniformInclusive)>,
     /// Cumulative weight boundaries, normalized to sum 1.
     cum_weights: Vec<f64>,
-    access: AccessPattern,
     /// The workload stream behind a refill buffer: class, size, access,
     /// and write draws interleave on this one stream, so buffering raw
     /// words (rather than per-distribution variates) is what keeps the
@@ -31,8 +29,8 @@ pub struct Generator {
     /// Reused by every uniform draw so steady-state generation is
     /// allocation-free.
     scratch: Vec<u64>,
-    /// Raw-word buffer for batched Bernoulli draws (write flags, hotspot
-    /// routing), reused across specs.
+    /// Raw-word buffer for the batched Bernoulli write flags, reused
+    /// across specs.
     word_scratch: Vec<u64>,
 }
 
@@ -68,7 +66,6 @@ impl Generator {
             db_size: params.db_size,
             classes,
             cum_weights,
-            access: params.access,
             rng: BufferedRng::new(rng),
             scratch: Vec::new(),
             word_scratch: Vec::new(),
@@ -128,16 +125,8 @@ impl Generator {
         let (class, size_dist) = self.classes[class_ix];
         let size = size_dist.sample(&mut self.rng) as usize;
         reads.clear();
-        match self.access {
-            AccessPattern::Uniform => {
-                sample_distinct_into(self.db_size, size, &mut self.rng, &mut self.scratch);
-                reads.extend(self.scratch.iter().copied().map(ObjId));
-            }
-            AccessPattern::Hotspot {
-                data_frac,
-                access_frac,
-            } => reads = self.sample_hotspot(size, data_frac, access_frac),
-        }
+        sample_distinct_into(self.db_size, size, &mut self.rng, &mut self.scratch);
+        reads.extend(self.scratch.iter().copied().map(ObjId));
         writes.clear();
         // Batched Bernoulli write flags: degenerate probabilities consume
         // no randomness (matching `next_bool`); otherwise one word per
@@ -158,39 +147,6 @@ impl Generator {
     #[must_use]
     pub fn num_classes(&self) -> usize {
         self.classes.len()
-    }
-
-    /// Hotspot sampling: each access independently targets the hot region
-    /// with probability `access_frac`; within a region, objects are distinct.
-    fn sample_hotspot(&mut self, size: usize, data_frac: f64, access_frac: f64) -> Vec<ObjId> {
-        let hot_size = (self.db_size as f64 * data_frac).floor() as u64;
-        let cold_size = self.db_size - hot_size;
-        // Batched hot/cold routing, word-compatible with the scalar
-        // `next_bool` loop (degenerate fractions draw nothing, like it).
-        let n_hot = if access_frac <= 0.0 {
-            0
-        } else if access_frac >= 1.0 {
-            size
-        } else {
-            self.draw_words(size)
-                .iter()
-                .filter(|&&w| Self::word_to_f64(w) < access_frac)
-                .count()
-        };
-        let n_cold = size - n_hot;
-        // Hot region is objects [0, hot_size); cold is [hot_size, db_size).
-        let mut hot: Vec<u64> = sample_distinct(hot_size, n_hot, &mut self.rng);
-        let cold: Vec<u64> = sample_distinct(cold_size, n_cold, &mut self.rng)
-            .into_iter()
-            .map(|o| o + hot_size)
-            .collect();
-        hot.extend(cold);
-        // Shuffle so hot and cold accesses interleave in access order.
-        for i in (1..hot.len()).rev() {
-            let j = self.rng.next_below(i as u64 + 1) as usize;
-            hot.swap(i, j);
-        }
-        hot.into_iter().map(ObjId).collect()
     }
 }
 
@@ -271,43 +227,6 @@ mod tests {
         let mut b = gen_with(&p, 2);
         let identical = (0..100).filter(|_| a.next_spec() == b.next_spec()).count();
         assert!(identical < 5);
-    }
-
-    #[test]
-    fn hotspot_skews_accesses() {
-        let mut p = Params::paper_baseline();
-        p.access = AccessPattern::Hotspot {
-            data_frac: 0.1, // hot region: objects [0, 100)
-            access_frac: 0.9,
-        };
-        let mut g = gen_with(&p, 5);
-        let mut hot = 0usize;
-        let mut total = 0usize;
-        for _ in 0..5_000 {
-            let s = g.next_spec();
-            total += s.num_reads();
-            hot += s.reads().iter().filter(|o| o.0 < 100).count();
-        }
-        let frac = hot as f64 / total as f64;
-        assert!((frac - 0.9).abs() < 0.02, "hot access fraction {frac}");
-    }
-
-    #[test]
-    fn hotspot_objects_remain_distinct() {
-        let mut p = Params::paper_baseline();
-        p.access = AccessPattern::Hotspot {
-            data_frac: 0.2,
-            access_frac: 0.5,
-        };
-        let mut g = gen_with(&p, 6);
-        for _ in 0..500 {
-            let s = g.next_spec();
-            let mut ids: Vec<u64> = s.reads().iter().map(|o| o.0).collect();
-            let len = ids.len();
-            ids.sort_unstable();
-            ids.dedup();
-            assert_eq!(ids.len(), len);
-        }
     }
 
     #[test]

@@ -20,6 +20,6 @@ mod types;
 pub use classes::{class_table, TxnClass};
 pub use gen::Generator;
 pub use objmap::ObjMap;
-pub use params::{AccessPattern, ParamError, Params, ResourceSpec, RestartDelayPolicy};
+pub use params::{ParamError, Params, ResourceSpec, RestartDelayPolicy};
 pub use spec::TxnSpec;
 pub use types::{ObjId, TermId, TxnId};

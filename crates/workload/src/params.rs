@@ -62,26 +62,9 @@ pub enum RestartDelayPolicy {
     Fixed(SimDuration),
 }
 
-/// Object access pattern. The paper samples uniformly without replacement;
-/// the hotspot variant is an extension for skew studies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AccessPattern {
-    /// Uniform without replacement over the whole database (the paper).
-    Uniform,
-    /// The classic "x% of accesses go to y% of the data" hotspot model.
-    /// Each access independently targets the hot region with probability
-    /// `access_frac`; objects are then drawn uniformly (without replacement
-    /// per region) from that region.
-    Hotspot {
-        /// Fraction of the database that is hot, in `(0, 1)`.
-        data_frac: f64,
-        /// Fraction of accesses that hit the hot region, in `(0, 1)`.
-        access_frac: f64,
-    },
-}
-
 /// The full parameter set of the simulation model (paper Table 1, plus the
-/// knobs the paper varies per experiment and two documented extensions).
+/// knobs the paper varies per experiment and the transaction-class
+/// extension).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Params {
     /// Number of objects (pages) in the database.
@@ -110,11 +93,6 @@ pub struct Params {
     pub resources: ResourceSpec,
     /// Restart delay policy for aborted transactions.
     pub restart_delay: RestartDelayPolicy,
-    /// CPU cost of one concurrency-control request (extension; the paper's
-    /// Table 2 implies zero — see DESIGN.md).
-    pub cc_cpu: SimDuration,
-    /// Object access pattern (extension; the paper is uniform).
-    pub access: AccessPattern,
     /// Relative frequency weight of the primary (Table 1) transaction
     /// class when `extra_classes` is non-empty (extension).
     pub primary_weight: f64,
@@ -198,8 +176,6 @@ impl Params {
             // adaptively (§4.2); blocking and optimistic ignore this policy
             // unless the Figure 11 `restart_delay_for_all` flag is set.
             restart_delay: RestartDelayPolicy::Adaptive,
-            cc_cpu: SimDuration::ZERO,
-            access: AccessPattern::Uniform,
             primary_weight: 1.0,
             extra_classes: Vec::new(),
         }
@@ -344,7 +320,6 @@ impl Params {
             ("int_think_time", self.int_think_time),
             ("obj_io", self.obj_io),
             ("obj_cpu", self.obj_cpu),
-            ("cc_cpu", self.cc_cpu),
             ("restart_delay", restart_mean),
             ("expected service time", self.expected_service_time()),
         ] {
@@ -352,45 +327,6 @@ impl Params {
         }
         for class in &self.extra_classes {
             class.validate(self.db_size)?;
-            if let AccessPattern::Hotspot { data_frac, .. } = self.access {
-                let hot = (self.db_size as f64 * data_frac).floor() as u64;
-                if hot < class.max_size || self.db_size - hot < class.max_size {
-                    return Err(ParamError(format!(
-                        "hotspot regions too small for class max_size {}",
-                        class.max_size
-                    )));
-                }
-            }
-        }
-        if let AccessPattern::Hotspot {
-            data_frac,
-            access_frac,
-        } = self.access
-        {
-            if !(data_frac > 0.0 && data_frac < 1.0) {
-                return Err(ParamError(format!(
-                    "hotspot data_frac ({data_frac}) must lie in (0, 1)"
-                )));
-            }
-            if !(access_frac > 0.0 && access_frac < 1.0) {
-                return Err(ParamError(format!(
-                    "hotspot access_frac ({access_frac}) must lie in (0, 1)"
-                )));
-            }
-            let hot_objects = (self.db_size as f64 * data_frac).floor() as u64;
-            if hot_objects < self.max_size {
-                return Err(ParamError(format!(
-                    "hot region ({hot_objects} objects) smaller than max_size ({})",
-                    self.max_size
-                )));
-            }
-            let cold_objects = self.db_size - hot_objects;
-            if cold_objects < self.max_size {
-                return Err(ParamError(format!(
-                    "cold region ({cold_objects} objects) smaller than max_size ({})",
-                    self.max_size
-                )));
-            }
         }
         Ok(())
     }
@@ -542,12 +478,11 @@ mod tests {
         p.ext_think_time = max;
         assert!(p.validate().is_ok(), "the bound itself is allowed");
         type Setter = fn(&mut Params, SimDuration);
-        let cases: [(&str, Setter); 6] = [
+        let cases: [(&str, Setter); 5] = [
             ("ext_think_time", |p, d| p.ext_think_time = d),
             ("int_think_time", |p, d| p.int_think_time = d),
             ("obj_io", |p, d| p.obj_io = d),
             ("obj_cpu", |p, d| p.obj_cpu = d),
-            ("cc_cpu", |p, d| p.cc_cpu = d),
             ("restart_delay", |p, d| {
                 p.restart_delay = RestartDelayPolicy::Fixed(d);
             }),
@@ -567,26 +502,6 @@ mod tests {
         p.obj_io = SimDuration::from_micros(max.as_micros() / 8);
         let err = p.validate().expect_err("service time").0;
         assert!(err.contains("expected service time"), "{err}");
-    }
-
-    #[test]
-    fn validation_checks_hotspot() {
-        let mut p = Params::paper_baseline();
-        p.access = AccessPattern::Hotspot {
-            data_frac: 0.2,
-            access_frac: 0.8,
-        };
-        assert!(p.validate().is_ok());
-        p.access = AccessPattern::Hotspot {
-            data_frac: 0.005, // 5 objects < max_size 12
-            access_frac: 0.8,
-        };
-        assert!(p.validate().is_err());
-        p.access = AccessPattern::Hotspot {
-            data_frac: 1.2,
-            access_frac: 0.8,
-        };
-        assert!(p.validate().is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use ccsim_core::{
-    CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace, TraceEvent, TxnId,
+    CcAlgorithm, MetricsConfig, Params, SimConfig, Simulator, Trace, TraceEvent, TxnId,
 };
 use ccsim_des::SimDuration;
 
@@ -28,7 +28,6 @@ fn main() {
             warmup_batches: 0,
             batches: 1,
             batch_time: SimDuration::from_secs(20),
-            confidence: Confidence::Ninety,
         })
         .with_seed(0x7ACE);
     let mut sim = Simulator::new(cfg).expect("valid configuration");

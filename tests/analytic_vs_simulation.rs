@@ -5,7 +5,7 @@
 //! as bounds.
 
 use ccsim_analytic::{AnalyticModel, Contention};
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, ResourceSpec, SimConfig};
+use ccsim_core::{run, CcAlgorithm, MetricsConfig, Params, ResourceSpec, SimConfig};
 use ccsim_des::SimDuration;
 
 fn metrics() -> MetricsConfig {
@@ -13,7 +13,6 @@ fn metrics() -> MetricsConfig {
         warmup_batches: 1,
         batches: 6,
         batch_time: SimDuration::from_secs(40),
-        confidence: Confidence::Ninety,
     }
 }
 

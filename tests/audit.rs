@@ -9,7 +9,7 @@ use std::rc::Rc;
 
 use ccsim_audit::{attach, AuditReport};
 use ccsim_core::{
-    CcAlgorithm, Confidence, MetricsConfig, Params, Report, SimConfig, Simulator, Trace, TraceEvent,
+    CcAlgorithm, MetricsConfig, Params, Report, SimConfig, Simulator, Trace, TraceEvent,
 };
 use ccsim_des::SimDuration;
 use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
@@ -32,7 +32,6 @@ fn contended(algo: CcAlgorithm, mpl: u32, num_terms: u32, seed: u64) -> SimConfi
             warmup_batches: 0,
             batches: 2,
             batch_time: SimDuration::from_secs(15),
-            confidence: Confidence::Ninety,
         })
         .with_seed(seed)
 }

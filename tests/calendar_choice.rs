@@ -11,9 +11,7 @@ use std::rc::Rc;
 
 use ccsim_audit::attach;
 use ccsim_audit::golden::serialize_trace;
-use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace,
-};
+use ccsim_core::{run, CcAlgorithm, MetricsConfig, Params, SimConfig, Simulator, Trace};
 use ccsim_des::SimDuration;
 
 fn quick() -> MetricsConfig {
@@ -21,7 +19,6 @@ fn quick() -> MetricsConfig {
         warmup_batches: 1,
         batches: 4,
         batch_time: SimDuration::from_secs(25),
-        confidence: Confidence::Ninety,
     }
 }
 
@@ -89,7 +86,6 @@ fn heap_only_calendar_reproduces_the_golden_traces() {
                     warmup_batches: 0,
                     batches: 1,
                     batch_time: SimDuration::from_secs(5),
-                    confidence: Confidence::Ninety,
                 })
                 .with_seed(0x601D)
                 .with_two_tier_calendar(two_tier)

@@ -6,8 +6,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ccsim_core::{
-    run, CcAlgorithm, Confidence, History, HistoryRecorder, MetricsConfig, Params, RunBudget,
-    RunOutcome, SimConfig, Simulator, Trace,
+    run, CcAlgorithm, History, HistoryRecorder, MetricsConfig, Params, RunBudget, RunOutcome,
+    SimConfig, Simulator, Trace,
 };
 use ccsim_des::SimDuration;
 use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
@@ -17,7 +17,6 @@ fn quick() -> MetricsConfig {
         warmup_batches: 1,
         batches: 4,
         batch_time: SimDuration::from_secs(25),
-        confidence: Confidence::Ninety,
     }
 }
 
@@ -118,7 +117,6 @@ fn scale_point_is_deterministic_under_observation_and_calendar_choice() {
                 warmup_batches: 0,
                 batches: 400,
                 batch_time: SimDuration::from_millis(250),
-                confidence: Confidence::Ninety,
             })
             .with_seed(0x5CA1ED)
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
@@ -175,7 +173,6 @@ fn many_terminal_infinite_resource_runs_match_across_calendars() {
                 warmup_batches: 0,
                 batches: 400,
                 batch_time: SimDuration::from_millis(250),
-                confidence: Confidence::Ninety,
             })
             .with_seed(0x5CA1ED)
             .with_budget(RunBudget::unlimited().with_max_events(300_000))
@@ -229,7 +226,6 @@ fn modern_scale_points_are_deterministic_under_observation_and_calendar_choice()
                     warmup_batches: 0,
                     batches: 400,
                     batch_time: SimDuration::from_millis(250),
-                    confidence: Confidence::Ninety,
                 })
                 .with_seed(0x5CA1ED)
                 .with_budget(RunBudget::unlimited().with_max_events(200_000))
@@ -294,7 +290,6 @@ fn batch_count_extends_rather_than_perturbs() {
                 warmup_batches: 1,
                 batches,
                 batch_time: SimDuration::from_secs(30),
-                confidence: Confidence::Ninety,
             })
             .with_seed(7)
     };

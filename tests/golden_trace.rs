@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use ccsim_audit::golden::{check_or_update, serialize_trace};
-use ccsim_core::{CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig, Simulator, Trace};
+use ccsim_core::{CcAlgorithm, MetricsConfig, Params, SimConfig, Simulator, Trace};
 use ccsim_des::SimDuration;
 
 /// The fixed scenario behind every golden file: a dozen terminals hammering
@@ -39,7 +39,6 @@ fn golden_config(algo: CcAlgorithm) -> SimConfig {
             warmup_batches: 0,
             batches: 1,
             batch_time: SimDuration::from_secs(5),
-            confidence: Confidence::Ninety,
         })
         .with_seed(0x601D)
 }

@@ -6,7 +6,7 @@
 //! single-class, but this is exactly the follow-up question its framework
 //! was built to answer.)
 
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
+use ccsim_core::{run, CcAlgorithm, MetricsConfig, Params, SimConfig};
 use ccsim_des::SimDuration;
 use ccsim_workload::TxnClass;
 
@@ -28,7 +28,6 @@ fn metrics() -> MetricsConfig {
         warmup_batches: 1,
         batches: 6,
         batch_time: SimDuration::from_secs(60),
-        confidence: Confidence::Ninety,
     }
 }
 

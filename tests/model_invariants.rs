@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: physical invariants the closed queuing
 //! model must satisfy regardless of concurrency control algorithm.
 
-use ccsim_core::{
-    run, CcAlgorithm, Confidence, MetricsConfig, Params, Report, ResourceSpec, SimConfig,
-};
+use ccsim_core::{run, CcAlgorithm, MetricsConfig, Params, Report, ResourceSpec, SimConfig};
 use ccsim_des::SimDuration;
 
 fn quick() -> MetricsConfig {
@@ -11,7 +9,6 @@ fn quick() -> MetricsConfig {
         warmup_batches: 1,
         batches: 5,
         batch_time: SimDuration::from_secs(30),
-        confidence: Confidence::Ninety,
     }
 }
 
@@ -179,30 +176,6 @@ fn write_heavy_small_db_makes_progress() {
         "no-waiting ({}) should collapse below blocking ({}) under upgrade storms",
         nw.commits,
         blocking.commits
-    );
-}
-
-/// Hotspot skew concentrates conflicts: at the same multiprogramming level
-/// an 80/20 workload must block substantially more than the uniform one.
-#[test]
-fn hotspot_skew_raises_contention() {
-    use ccsim_core::AccessPattern;
-    let uniform = simulate(CcAlgorithm::Blocking, Params::paper_baseline().with_mpl(50));
-    let mut params = Params::paper_baseline().with_mpl(50);
-    params.access = AccessPattern::Hotspot {
-        data_frac: 0.2,
-        access_frac: 0.8,
-    };
-    let hot = simulate(CcAlgorithm::Blocking, params);
-    assert!(
-        hot.block_ratio > uniform.block_ratio * 2.0,
-        "hotspot blocks/commit {} should dwarf uniform {}",
-        hot.block_ratio,
-        uniform.block_ratio
-    );
-    assert!(
-        hot.throughput.mean < uniform.throughput.mean,
-        "skew should cost throughput"
     );
 }
 

@@ -3,7 +3,7 @@
 //! binary and EXPERIMENTS.md; these tests keep the headline shapes from
 //! regressing.
 
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, ResourceSpec, SimConfig};
+use ccsim_core::{run, CcAlgorithm, MetricsConfig, Params, ResourceSpec, SimConfig};
 use ccsim_des::SimDuration;
 
 fn metrics() -> MetricsConfig {
@@ -11,7 +11,6 @@ fn metrics() -> MetricsConfig {
         warmup_batches: 1,
         batches: 6,
         batch_time: SimDuration::from_secs(40),
-        confidence: Confidence::Ninety,
     }
 }
 

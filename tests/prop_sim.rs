@@ -10,8 +10,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ccsim_core::{
-    check_conflict_serializable, run, CcAlgorithm, Confidence, HistoryRecorder, MetricsConfig,
-    Params, ResourceSpec, SimConfig, Simulator,
+    check_conflict_serializable, run, CcAlgorithm, HistoryRecorder, MetricsConfig, Params,
+    ResourceSpec, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 use proptest::prelude::*;
@@ -98,7 +98,6 @@ fn build(rc: &RandomConfig) -> Option<SimConfig> {
             warmup_batches: 0,
             batches: 2,
             batch_time: SimDuration::from_secs(20),
-            confidence: Confidence::Ninety,
         })
         .with_seed(rc.seed);
     Some(cfg)

@@ -8,7 +8,7 @@
 //!   running the concurrency-control-free engine under different control
 //!   seeds and identical workload seeds.
 
-use ccsim_core::{run, CcAlgorithm, Confidence, MetricsConfig, Params, SimConfig};
+use ccsim_core::{run, CcAlgorithm, MetricsConfig, Params, SimConfig};
 use ccsim_des::SimDuration;
 use ccsim_experiments::{catalog, json, run_experiment, Fidelity, RunOptions};
 
@@ -17,7 +17,6 @@ fn quick() -> MetricsConfig {
         warmup_batches: 1,
         batches: 4,
         batch_time: SimDuration::from_secs(25),
-        confidence: Confidence::Ninety,
     }
 }
 

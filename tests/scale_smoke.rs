@@ -12,8 +12,7 @@
 
 use ccsim_audit::attach;
 use ccsim_core::{
-    BudgetKind, CcAlgorithm, Confidence, MetricsConfig, Params, RunBudget, RunError, SimConfig,
-    Simulator,
+    BudgetKind, CcAlgorithm, MetricsConfig, Params, RunBudget, RunError, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 
@@ -34,7 +33,6 @@ fn scale_cfg() -> SimConfig {
         warmup_batches: 0,
         batches: 400,
         batch_time: SimDuration::from_millis(250),
-        confidence: Confidence::Ninety,
     };
     SimConfig::new(CcAlgorithm::Blocking)
         .with_params(params)

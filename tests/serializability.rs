@@ -15,8 +15,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ccsim_core::{
-    check_conflict_serializable, check_snapshot_isolation, CcAlgorithm, Confidence, History,
-    HistoryRecorder, MetricsConfig, Params, Report, ResourceSpec, SimConfig, Simulator,
+    check_conflict_serializable, check_snapshot_isolation, CcAlgorithm, History, HistoryRecorder,
+    MetricsConfig, Params, Report, ResourceSpec, SimConfig, Simulator,
 };
 use ccsim_des::SimDuration;
 
@@ -34,7 +34,6 @@ fn metrics() -> MetricsConfig {
         warmup_batches: 0,
         batches: 3,
         batch_time: SimDuration::from_secs(30),
-        confidence: Confidence::Ninety,
     }
 }
 

@@ -16,8 +16,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use ccsim_core::{
-    CcAlgorithm, CommittedTxn, Confidence, HistoryRecorder, MetricsConfig, Params, Report,
-    ResourceSpec, RunOutcome, SimConfig, Simulator, Trace, TraceEvent,
+    CcAlgorithm, CommittedTxn, HistoryRecorder, MetricsConfig, Params, Report, ResourceSpec,
+    RunOutcome, SimConfig, Simulator, Trace, TraceEvent,
 };
 use ccsim_des::{SimDuration, SimTime};
 
@@ -26,21 +26,18 @@ fn config(
     resources: ResourceSpec,
     terminals: u32,
     int_think: SimDuration,
-    cc_cpu: SimDuration,
 ) -> SimConfig {
     let mut params = Params::paper_baseline()
         .with_mpl(1)
         .with_resources(resources)
         .with_think_times(SimDuration::from_secs(1), int_think);
     params.num_terms = terminals;
-    params.cc_cpu = cc_cpu;
     SimConfig::new(algo)
         .with_params(params)
         .with_metrics(MetricsConfig {
             warmup_batches: 1,
             batches: 3,
             batch_time: SimDuration::from_secs(20),
-            confidence: Confidence::Ninety,
         })
         .with_seed(0x5E41_CE55)
 }
@@ -94,38 +91,28 @@ fn infinite_resources_match_one_cpu_one_disk_at_mpl_one() {
     for algo in algorithms {
         for terminals in [1, 20] {
             for int_think in [SimDuration::ZERO, SimDuration::from_millis(300)] {
-                for cc_cpu in [SimDuration::ZERO, SimDuration::from_millis(1)] {
-                    let at = format!(
-                        "{algo}, {terminals} terminals, internal think {int_think}, cc_cpu {cc_cpu}"
-                    );
-                    let inf = observe(config(
-                        algo,
-                        ResourceSpec::Infinite,
-                        terminals,
-                        int_think,
-                        cc_cpu,
-                    ));
-                    let phys = observe(config(algo, one_by_one, terminals, int_think, cc_cpu));
-                    let trace = &inf.trace;
-                    assert!(trace.len() > 100, "{at}: only {} events", trace.len());
-                    assert!(*trace == phys.trace, "{at}: traces differ");
-                    assert!(!inf.history.is_empty(), "{at}: nothing committed");
-                    assert!(
-                        inf.history == phys.history,
-                        "{at}: committed histories differ"
-                    );
-                    assert_eq!(
-                        without_utilization(inf.out.report.clone()),
-                        without_utilization(phys.out.report.clone()),
-                        "{at}: reports differ"
-                    );
-                    assert!(
-                        inf.out.perf.events < phys.out.perf.events,
-                        "{at}: {} infinite-resource events vs {} on 1 CPU / 1 disk",
-                        inf.out.perf.events,
-                        phys.out.perf.events
-                    );
-                }
+                let at = format!("{algo}, {terminals} terminals, internal think {int_think}");
+                let inf = observe(config(algo, ResourceSpec::Infinite, terminals, int_think));
+                let phys = observe(config(algo, one_by_one, terminals, int_think));
+                let trace = &inf.trace;
+                assert!(trace.len() > 100, "{at}: only {} events", trace.len());
+                assert!(*trace == phys.trace, "{at}: traces differ");
+                assert!(!inf.history.is_empty(), "{at}: nothing committed");
+                assert!(
+                    inf.history == phys.history,
+                    "{at}: committed histories differ"
+                );
+                assert_eq!(
+                    without_utilization(inf.out.report.clone()),
+                    without_utilization(phys.out.report.clone()),
+                    "{at}: reports differ"
+                );
+                assert!(
+                    inf.out.perf.events < phys.out.perf.events,
+                    "{at}: {} infinite-resource events vs {} on 1 CPU / 1 disk",
+                    inf.out.perf.events,
+                    phys.out.perf.events
+                );
             }
         }
     }
